@@ -18,6 +18,7 @@ from .errors import (
     MinorNotInvertible,
     NoChartFound,
     NotInvertible,
+    OverlapNotSampled,
     RankDeficient,
 )
 from .superalgebra import EVEN, GrassmannNumber, lambda_sample
@@ -27,6 +28,7 @@ from .atlas import (
     Chart,
     GrassPoint,
     _lam_gauss_inv,
+    _normalize,
     get_atlas,
     point_transition,
     sample_point,
@@ -199,29 +201,13 @@ def _acted_matrix(X: GrassPoint, P: GLPoint):
 def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None) -> GrassPoint:
     """Normalize a plain k|l x m|n matrix over Lambda_r into a chart point."""
     candidates = [target] if target is not None else atlas.act_order
-    s = len(W)
     for dst in candidates:
-        zsel, dcols, read = dst.dst_plan
-        Z = [[W[i][c].nu() if moved else W[i][c] for c, moved in zsel] for i in range(s)]
         try:
-            Zinv = _lam_gauss_inv(Z, r)
+            values = _normalize(W, r, dst)
         except NotInvertible:
             if target is not None:
                 raise MinorNotInvertible(f"minor for {dst.index} is singular here")
             continue
-        values = {}
-        for row, dpos, name, marked in read:
-            c = dcols[dpos]
-            acc = None
-            zi = Zinv[row]
-            for j in range(s):
-                e = W[j][c]
-                if e.is_zero():
-                    continue
-                t = zi[j] * e
-                acc = t if acc is None else acc + t
-            v = acc if acc is not None else GrassmannNumber(r, {})
-            values[name] = v.nu() if marked else v
         return GrassPoint(dst, r, values)
     raise NoChartFound("no chart admits this matrix")
 
@@ -529,7 +515,7 @@ def verify_action_gluing(k: int, l: int, m: int, n: int, r: int = 2,
                     )
             break
         else:
-            raise RuntimeError("could not sample a defined gluing instance")
+            raise OverlapNotSampled("could not sample a defined gluing instance")
     report.results.append(
         CheckResult(
             "gluing-square", f"standard quadruples of {k}|{l}({m}|{n})",
@@ -578,7 +564,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
                                                   "P2": P2.to_dict()})
             break
         else:
-            raise RuntimeError("could not sample a defined associativity instance")
+            raise OverlapNotSampled("could not sample a defined associativity instance")
 
         for _attempt in range(400):
             X = _sample_standard_point(atlas, r, rng)
@@ -594,7 +580,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
                 examples["inverse"].append({"X": X.to_dict(), "P": P.to_dict()})
             break
         else:
-            raise RuntimeError("could not sample a defined inverse instance")
+            raise OverlapNotSampled("could not sample a defined inverse instance")
 
     for key, (p, f) in stats.items():
         report.results.append(

@@ -31,6 +31,7 @@ from .errors import (
     GenericallySingular,
     MinorNotInvertible,
     NotInvertible,
+    OverlapNotSampled,
     ResidualNuSymbol,
     SingularJacobian,
     UncoveredCase,
@@ -307,13 +308,12 @@ def enumerate_charts(k: int, l: int, m: int, n: int) -> list[Chart]:
 
 
 class Atlas:
-    """Chart collection with cached transition plans."""
+    """The charts of one nu-Grassmannian, looked up by index."""
 
     def __init__(self, k: int, l: int, m: int, n: int):
         self.k, self.l, self.m, self.n = k, l, m, n
         self.charts = enumerate_charts(k, l, m, n)
         self._by_index = {(c.index.I, c.index.R): c for c in self.charts}
-        self._plans: dict[tuple, "HopPlan"] = {}
 
     @property
     def standard_charts(self) -> list[Chart]:
@@ -327,15 +327,6 @@ class Atlas:
 
     def chart(self, I, R) -> Chart:
         return self._by_index[(tuple(I), tuple(R))]
-
-    def plan(self, src: Chart, dst: Chart) -> "HopPlan":
-        key = (src.index.I, src.index.R, dst.index.I, dst.index.R)
-        try:
-            return self._plans[key]
-        except KeyError:
-            pl = HopPlan(src, dst)
-            self._plans[key] = pl
-            return pl
 
 
 _ATLASES: dict[tuple, Atlas] = {}
@@ -374,7 +365,20 @@ class HopPlan:
         self.src = src
         self.dst = dst
         self.zsel, self.dcols, self.read = dst.dst_plan
+        self.units = self._unit_columns()
         self._status = None
+
+    def _unit_columns(self) -> tuple[tuple[int, int], ...]:
+        """Minor columns that are the unit vector e_i at every point: an
+        unmoved constant 1, or a moved odd unit (which resolves to 1), with
+        zeros elsewhere.  Pairs (minor column, i) for _lam_solve."""
+        units = []
+        for j, (c, moved) in enumerate(self.zsel):
+            cells = [(i, row[c][0]) for i, row in enumerate(self.src.pattern)
+                     if row[c][0] != "zero"]
+            if len(cells) == 1 and cells[0][1] == ("nu1" if moved else "one"):
+                units.append((j, cells[0][0]))
+        return tuple(units)
 
     @property
     def status(self) -> str:
@@ -610,94 +614,121 @@ def nu_equivariance_defects(t: TransitionMap) -> dict[str, SuperFunction]:
 # ---------------------------------------------------------------------------
 
 
+def _lam_solve(Z, Y, r: int, units=()):
+    """Exact solution X of  Z X = Y  over Lambda_r, Z square, as nested lists.
+
+    Gauss-Jordan on the augmented rows [Z | Y], taking in each column the
+    first unused row whose entry has a nonzero body.  `units` lists pairs
+    (j, i) for columns j of Z known to be the unit vector e_i: they are
+    pivoted on row i first, which costs nothing, so only the remaining block
+    is eliminated.  Raises NotInvertible exactly when the body of Z is
+    singular, whatever the pivot order.
+    """
+    n = len(Z)
+    pivot_row = dict(units)
+    free = [i for i in range(n) if i not in pivot_row.values()]
+    cols = [j for j in range(n) if j not in pivot_row]
+    w = len(cols)
+    # each row keeps only the columns still to be eliminated, then Y; the
+    # unit columns stay untouched because their other entries are zero
+    M = [[Z[i][j] for j in cols] + list(Y[i]) for i in range(n)]
+    width = w + (len(Y[0]) if n else 0)
+    for t, col in enumerate(cols):
+        for piv in free:
+            if M[piv][t].body():
+                break
+        else:
+            raise NotInvertible(f"no body-invertible pivot in column {col}")
+        free.remove(piv)
+        prow = M[piv]
+        pinv = prow[t].inv()
+        for j in range(t + 1, width):
+            if not prow[j].is_zero():
+                prow[j] = pinv * prow[j]
+        for i in range(n):
+            row = M[i]
+            f = row[t]
+            if i == piv or f.is_zero():
+                continue
+            for j in range(t + 1, width):
+                p = prow[j]
+                if not p.is_zero():
+                    row[j] = row[j] - f * p
+        pivot_row[col] = piv
+    return [M[pivot_row[j]][w:] for j in range(n)]
+
+
 def _lam_gauss_inv(rows, r: int):
     """Exact inverse of a square Lambda_r matrix given as nested lists."""
     n = len(rows)
     one = GrassmannNumber.scalar(r, 1)
     zero = GrassmannNumber(r, {})
-    M = [list(rows[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if M[i][col].body():
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible(f"no body-invertible pivot in column {col}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        pinv = M[col][col].inv()
-        M[col] = [pinv * e for e in M[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = M[i][col]
-            if f.is_zero():
-                continue
-            prow = M[col]
-            M[i] = [e - f * p for e, p in zip(M[i], prow)]
-    return [row[n:] for row in M]
+    return _lam_solve(rows, [[one if j == i else zero for j in range(n)] for i in range(n)], r)
 
 
-def _hop_values(src: Chart, values, r: int, dst: Chart, plan: HopPlan):
-    """Core pointwise pasting: returns the destination coordinate values."""
-    A = src.realize(values, r)
-    s = len(A)
-    one = GrassmannNumber.scalar(r, 1)
-
+def _adjusted_minor(A, zsel, one):
+    """The pasting minor of a realized grid: the selected columns, with the
+    involution applied to the moved ones.  A formal odd unit resolves to 1
+    in a moved column; in an unmoved one it has no value over Lambda_r."""
     Z = []
-    for i in range(s):
-        Ai = A[i]
+    for Ai in A:
         zrow = []
-        for c, moved in plan.zsel:
+        for c, moved in zsel:
             e = Ai[c]
             if is_nu(e):
                 if not moved:
-                    raise ResidualNuSymbol(
-                        f"odd unit column {c} selected but not moved ({src.index} -> {dst.index})"
-                    )
+                    raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
                 zrow.append(one)
             else:
                 zrow.append(e.nu() if moved else e)
         Z.append(zrow)
-    try:
-        Zinv = _lam_gauss_inv(Z, r)
-    except NotInvertible as exc:
-        raise MinorNotInvertible(str(exc)) from exc
+    return Z
 
-    nu_rows = src.nu_unit_rows
-    rescols = []
-    for c in plan.dcols:
-        if c in nu_rows:
-            u = nu_rows[c]
-            rescols.append([Zinv[i][u].nu() for i in range(s)])
+
+def _normalize(A, r: int, dst: Chart, units=(), unit_rows=None) -> dict:
+    """Destination coordinates of the row space of a realized grid A.
+
+    One exact solve  Z X = Y  with Z the adjusted minor and Y the columns
+    free in the destination, read off through the destination's slots.
+    `unit_rows` maps a column of A that holds a formal odd unit to its row
+    u; that column of Y is e_u and its solution column is twisted by the
+    involution (the odd-unit rule  x 1nu = nu(x)).  `units` is passed to
+    _lam_solve.  Raises NotInvertible where the minor is singular.
+    """
+    zsel, dcols, read = dst.dst_plan
+    one = GrassmannNumber.scalar(r, 1)
+    zero = GrassmannNumber(r, {})
+    unit_rows = unit_rows or {}
+    Z = _adjusted_minor(A, zsel, one)
+    Y = [[] for _ in A]
+    twisted = set()
+    for t, c in enumerate(dcols):
+        u = unit_rows.get(c)
+        if u is None:
+            for yrow, Ai in zip(Y, A):
+                yrow.append(Ai[c])
         else:
-            col = [A[i][c] for i in range(s)]
-            out = []
-            for i in range(s):
-                acc = None
-                zi = Zinv[i]
-                for j in range(s):
-                    e = col[j]
-                    if e.is_zero():
-                        continue
-                    t = zi[j] * e
-                    acc = t if acc is None else acc + t
-                out.append(acc if acc is not None else GrassmannNumber(r, {}))
-            rescols.append(out)
-
-    new_values = {}
-    for row, dpos, name, marked in plan.read:
-        v = rescols[dpos][row]
-        new_values[name] = v.nu() if marked else v
-    return new_values
+            twisted.add(t)
+            for i, yrow in enumerate(Y):
+                yrow.append(one if i == u else zero)
+    X = _lam_solve(Z, Y, r, units)
+    values = {}
+    for row, t, name, marked in read:
+        v = X[row][t]
+        values[name] = v.nu() if marked != (t in twisted) else v
+    return values
 
 
 def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
     """Move a Lambda_r point into the destination chart via the pasting
     normalization, the involution acting on Lambda_r values."""
-    plan = _get_plan(X.chart, dst)
-    values = _hop_values(X.chart, X.values, X.r, dst, plan)
+    src = X.chart
+    plan = _get_plan(src, dst)
+    A = src.realize(X.values, X.r)
+    try:
+        values = _normalize(A, X.r, dst, plan.units, src.nu_unit_rows)
+    except NotInvertible as exc:
+        raise MinorNotInvertible(f"{src.index} -> {dst.index}: {exc}") from exc
     return GrassPoint(dst, X.r, values)
 
 
@@ -739,18 +770,7 @@ def invert_transition_at_point(
         involution, so the constraint there reads  Z nu(T_col) = e_u.
         """
         A = src_chart.realize(values, r)
-        Z = []
-        for i in range(s):
-            zrow = []
-            for c, moved in plan.zsel:
-                e = A[i][c]
-                if is_nu(e):
-                    if not moved:
-                        raise ResidualNuSymbol("unresolved odd unit in the inverse system")
-                    zrow.append(one)
-                else:
-                    zrow.append(e.nu() if moved else e)
-            Z.append(zrow)
+        Z = _adjusted_minor(A, plan.zsel, one)
         out = []
         for c in plan.dcols:
             unit_row = src_nu_rows.get(c)
@@ -894,7 +914,7 @@ def _round_trip_check(a: Chart, b: Chart, r: int, samples: int, rng: random.Rand
                     )
             break
         else:
-            raise RuntimeError(f"could not sample the overlap of {a.index}, {b.index}")
+            raise OverlapNotSampled(f"could not sample the overlap of {a.index}, {b.index}")
     return passed, failed, counterexamples
 
 
@@ -922,7 +942,7 @@ def _cycle_check(charts: list[Chart], r: int, samples: int, rng: random.Random,
                     counterexamples.append({"start": X.to_dict(), "returned": Y.to_dict()})
             break
         else:
-            raise RuntimeError(
+            raise OverlapNotSampled(
                 "could not sample the common overlap of "
                 + ", ".join(str(c.index) for c in charts)
             )
@@ -944,7 +964,7 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
     """
     from .reports import CheckResult, Report
 
-    atlas = Atlas(k, l, m, n)
+    atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     report = Report(
         suite="cocycle",
@@ -1022,7 +1042,7 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
                     inst = f"{a.index} -> {mid.index} -> {b.index} -> {a.index}"
                     try:
                         p, f, ce = _cycle_check([a, mid, b], r, min(samples, 10), rng)
-                    except RuntimeError:
+                    except OverlapNotSampled:
                         report.results.append(
                             CheckResult("nu-triple-audit", inst, 0, 0, 0,
                                         note="no evaluable samples", gating=False)

@@ -1,6 +1,7 @@
 """Batch driver: construction printouts and the verification suites.
 
-Exit codes: 0 all checks pass, 1 an exact identity failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 an exact identity failed, 2 usage error,
+3 the kernel raised an error (one JSON line on stderr names it).
 Reports carry no timestamps, so a fixed configuration always produces
 byte-identical output.
 """
@@ -12,6 +13,7 @@ import json
 import sys
 import time
 
+from .errors import NuGrassError
 from .atlas import get_atlas, transition_symbolic, verify_cocycle
 from .action import BasePoint, verify_action_axioms, verify_action_gluing, verify_transitivity
 from .nulie import h_report
@@ -254,7 +256,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.time()
-    code = args.func(parser, args)
+    try:
+        code = args.func(parser, args)
+    except NuGrassError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
     print(f"[{args.command}: {time.time() - t0:.2f}s]", file=sys.stderr)
     return code
 

@@ -61,6 +61,10 @@ class SingularJacobian(NuGrassError):
     """The inverse-transition system is degenerate at the body solution."""
 
 
+class OverlapNotSampled(NuGrassError):
+    """Every draw of a sampling loop fell outside the set being sampled."""
+
+
 class NoChartFound(NuGrassError):
     """No chart admits the acted point (should not occur for valid inputs)."""
 

@@ -2,17 +2,25 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 from nugrass.errors import (
     BodySolveFailed,
     MinorNotInvertible,
+    NotInvertible,
+    OverlapNotSampled,
     UncoveredCase,
 )
 from nugrass.superalgebra import GrassmannNumber
 from nugrass.supermatrix import minor_M, minor_Mprime, remainder_D, smat_inv, smat_mul
 from nugrass.atlas import (
     GrassPoint,
+    _adjusted_minor,
+    _get_plan,
+    _lam_gauss_inv,
+    _round_trip_check,
     chart_dims,
     enumerate_charts,
     evaluate_transition,
@@ -285,6 +293,104 @@ def test_pair_statuses_on_the_larger_atlas():
         for y in at.standard_charts:
             if x is not y:
                 assert _get_plan(x, y).status == "ok"
+
+
+def test_hop_statuses_are_symmetric():
+    # pair_defined and the cocycle suite rely on every 'ok' direction
+    # having an 'ok' reverse; a one-sided pair would send round trips
+    # through the inverse solver
+    for dims in [(0, 1, 1, 2), (1, 0, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2),
+                 (1, 2, 2, 3), (2, 1, 3, 2), (2, 2, 3, 3)]:
+        at = get_atlas(*dims)
+        for a in at.charts:
+            for b in at.charts:
+                there = _get_plan(a, b).status == "ok"
+                back = _get_plan(b, a).status == "ok"
+                assert there == back, f"{dims}: {a.index} -> {b.index}"
+
+
+def ok_plans(dims):
+    at = get_atlas(*dims)
+    return [_get_plan(a, b) for a in at.charts for b in at.charts
+            if _get_plan(a, b).status == "ok"]
+
+
+def draw_point(chart, r, rng):
+    """A point whose even coordinates may have zero body, so that some
+    minors are singular."""
+    values = {}
+    for name in chart.coords:
+        parity = chart.coord_parity[name]
+        values[name] = GrassmannNumber(r, {
+            mask: MPQ(rng.randint(-2, 2))
+            for mask in range(1 << r) if mask.bit_count() & 1 == parity
+        })
+    return GrassPoint(chart, r, values)
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 2, 2, 3), (2, 1, 3, 2)])
+@given(st.integers(0, 10**6))
+@settings(max_examples=5, deadline=None)
+def test_structured_hop_matches_inverse_then_multiply(dims, r, seed):
+    rng = random.Random(seed)
+    for plan in ok_plans(dims):
+        X = draw_point(plan.src, r, rng)
+        try:
+            slow = slow_point_transition(X, plan.dst)
+        except NotInvertible:
+            with pytest.raises(MinorNotInvertible):
+                point_transition(X, plan.dst)
+            continue
+        assert point_transition(X, plan.dst) == slow
+
+
+def sampled_minor(seed):
+    """A random square Lambda_r matrix, or the minor of a hop at a point."""
+    rng = random.Random(seed)
+    r = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        n = rng.randint(1, 4)
+        return r, [[GrassmannNumber(r, {mask: MPQ(rng.randint(-2, 2))
+                                        for mask in range(1 << r)})
+                    for _ in range(n)] for _ in range(n)]
+    plan = rng.choice(ok_plans(rng.choice([(1, 2, 2, 3), (2, 1, 3, 2)])))
+    X = draw_point(plan.src, r, rng)
+    A = plan.src.realize(X.values, r)
+    return r, _adjusted_minor(A, plan.zsel, GrassmannNumber.scalar(r, 1))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_minor_inverse_body_matches_sympy(seed):
+    r, Z = sampled_minor(seed)
+    n = len(Z)
+    body = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(Z[i][j].body())))
+    if body.det() == 0:
+        with pytest.raises(NotInvertible):
+            _lam_gauss_inv(Z, r)
+        return
+    Zinv = _lam_gauss_inv(Z, r)
+    want = body.inv()
+    assert [[sympy.Rational(str(e.body())) for e in row] for row in Zinv] == want.tolist()
+    one, zero = GrassmannNumber.scalar(r, 1), GrassmannNumber(r, {})
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for u in range(n):
+                acc = acc + Z[i][u] * Zinv[u][j]
+            assert acc == (one if i == j else zero)
+
+
+def test_an_unsampleable_overlap_raises_a_typed_error(monkeypatch):
+    import nugrass.atlas as atlas
+
+    at = get_atlas(0, 1, 1, 2)
+    c1, c2 = at.chart((), (1,)), at.chart((), (2,))
+    outside = GrassPoint(c1, 2, {"x1": GrassmannNumber(2, {}), "e1": theta(2, 1)})
+    monkeypatch.setattr(atlas, "sample_point", lambda chart, r, rng: outside)
+    with pytest.raises(OverlapNotSampled):
+        _round_trip_check(c1, c2, 2, 1, random.Random(0), max_tries=3)
 
 
 def test_grass_point_serialization_round_trip():

@@ -110,3 +110,16 @@ def test_exit_code_contract_for_identity_failures(capsys):
                     results=[CheckResult("a", "i", 3, 1, 2)])
     assert _emit(broken, args) == 1
     capsys.readouterr()
+
+
+def test_kernel_errors_exit_3_with_a_json_line(capsys):
+    code = main(["transition", "-k", "0", "-l", "1", "-m", "1", "-n", "2",
+                 "--from", "{1}|{}", "--to", "{}|{1}"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "UncoveredCase"
+    assert "{1}|{}" in error["message"]
