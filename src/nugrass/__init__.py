@@ -37,7 +37,6 @@ from .atlas import (
     get_atlas,
     hop_point,
     invert_transition_at_point,
-    newton_invert_transition,
     pair_defined,
     point_transition,
     sample_point,

@@ -852,11 +852,6 @@ def invert_transition_at_point(
     return Q
 
 
-# keep the operation name used by callers that think of the solver as a
-# nilpotent Newton iteration; the linear solve subsumes every correction order
-newton_invert_transition = invert_transition_at_point
-
-
 def hop_point(X: GrassPoint, dst: Chart) -> GrassPoint:
     """Pointwise transition, falling back to the exact inverse solver when
     the direct minor keeps an unresolved odd unit."""

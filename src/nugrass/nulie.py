@@ -233,7 +233,8 @@ def rho_field(Y: GlElement, chart: Chart,
             f = fundamental_field(GlElement.unit(Y.m, Y.n, u, v), chart)
             if cache is not None:
                 cache[key] = f
-        part = f.scale(c)
+        # a unit coefficient reuses the cached field itself: callers never mutate it
+        part = f if c == 1 else f.scale(c)
         total = part if total is None else total + part
     if total is None:
         zero = chart.ctx.zero()

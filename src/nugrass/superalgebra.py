@@ -80,6 +80,13 @@ class RationalFunction:
     Canonical means: numerator and denominator share no common factor and the
     denominator is monic under the ring's lex order, so equality of values is
     equality of representations.
+
+    A denominator equal to the ring's one therefore marks a polynomial (a
+    monic constant is one, so ``den.is_ground`` is the test), and a
+    polynomial numerator over one is already canonical.  Sums, differences
+    and products of two polynomials, the derivative of a polynomial and any
+    nonzero rational multiple skip the gcd; every other operation goes
+    through it.
     """
 
     __slots__ = ("names", "num", "den")
@@ -145,12 +152,16 @@ class RationalFunction:
 
     def __add__(self, other):
         self._check(other)
+        if self.den.is_ground and other.den.is_ground:
+            return RationalFunction(self.names, self.num + other.num, self.den, _canonical=True)
         return RationalFunction(
             self.names, self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     def __sub__(self, other):
         self._check(other)
+        if self.den.is_ground and other.den.is_ground:
+            return RationalFunction(self.names, self.num - other.num, self.den, _canonical=True)
         return RationalFunction(
             self.names, self.num * other.den - other.num * self.den, self.den * other.den
         )
@@ -160,6 +171,8 @@ class RationalFunction:
 
     def __mul__(self, other):
         self._check(other)
+        if self.den.is_ground and other.den.is_ground:
+            return RationalFunction(self.names, self.num * other.num, self.den, _canonical=True)
         return RationalFunction(self.names, self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -178,8 +191,10 @@ class RationalFunction:
         if not q:
             R = _get_ring(self.names)
             return RationalFunction(self.names, R.zero, R.one, _canonical=True)
+        # a unit multiple of the numerator keeps the gcd 1 and the monic denominator
         return RationalFunction(
-            self.names, self.num.mul_ground(QQ(q.numerator, q.denominator)), self.den
+            self.names, self.num.mul_ground(QQ(q.numerator, q.denominator)), self.den,
+            _canonical=True,
         )
 
     def diff(self, name: str) -> "RationalFunction":
@@ -187,6 +202,8 @@ class RationalFunction:
             raise UnknownVariable(name)
         x = _get_ring(self.names).gens[self.names.index(name)]
         dn = self.num.diff(x)
+        if self.den.is_ground:
+            return RationalFunction(self.names, dn, self.den, _canonical=True)
         dd = self.den.diff(x)
         return RationalFunction(
             self.names, dn * self.den - self.num * dd, self.den * self.den
@@ -406,7 +423,7 @@ class SuperFunction:
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
@@ -489,10 +506,6 @@ class SuperFunction:
             pos = (m & (bit - 1)).bit_count()
             out[m ^ bit] = -c if pos & 1 else c
         return SuperFunction(ctx, out)
-
-    def coefficient_of(self, name: str) -> "SuperFunction":
-        """Coefficient b in the left-factored form  a + gen*b  (gen-free a, b)."""
-        return self.partial(name)
 
     def ring_zero(self) -> "SuperFunction":
         return SuperFunction(self.ctx, {})
@@ -623,7 +636,22 @@ class GrassmannNumber:
         return g
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+            else:
+                v = s - c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        g = GrassmannNumber.__new__(GrassmannNumber)
+        g.r = self.r
+        g.terms = out
+        return g
 
     def __neg__(self):
         g = GrassmannNumber.__new__(GrassmannNumber)

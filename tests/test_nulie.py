@@ -187,3 +187,15 @@ def test_h_report_contents():
     assert data["rho_morphism_ok"]
     assert data["sign_s"] == "-1"
     assert data["basis_even"] == [{"1,1": "1", "2,2": "1", "3,3": "1"}]
+
+
+def test_rho_field_leaves_the_shared_cache_intact():
+    # rho_field hands out the cached field itself for a unit coefficient,
+    # so no caller may mutate a field it gets back
+    cache = {}
+    assert verify_rho_morphism(0, 1, 1, 2, field_cache=cache).ok
+    assert len(cache) == len(AT.standard_charts) * 9
+    for (I, R, u, v), cached in cache.items():
+        fresh = fundamental_field(GlElement.unit(1, 2, u, v), AT.chart(I, R))
+        assert cached == fresh
+        assert cached.parity == fresh.parity

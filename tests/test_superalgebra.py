@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
 from sympy.external.gmpy import MPQ
 
 from nugrass.errors import (
@@ -18,6 +19,7 @@ from nugrass.superalgebra import (
     GrassmannNumber,
     RationalFunction,
     SuperFunction,
+    _get_ring,
     lambda_sample,
     mono_sign,
 )
@@ -66,6 +68,53 @@ def test_rational_eval_and_serialization_round_trip():
     assert RationalFunction.from_dict(q.to_dict()) == q
     with pytest.raises(ZeroDivisionError):
         q.eval_rational({"x": 1, "y": 1})
+
+
+_coefficients = st.builds(MPQ, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _rational_functions(draw, names, polynomial):
+    """A canonical value over ``names``, built by the generic gcd route;
+    ``polynomial`` picks a denominator of one or a nonconstant one."""
+    R = _get_ring(names)
+    monomials = st.tuples(*[st.integers(0, 2)] * len(names))
+
+    def poly(min_size):
+        terms = draw(st.dictionaries(monomials, _coefficients, min_size=min_size, max_size=4))
+        return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms.items() if c})
+
+    num = poly(0)
+    if polynomial:
+        return RationalFunction(names, num, R.one)
+    den = poly(1)
+    assume(not den.is_ground)
+    return RationalFunction(names, num, den)
+
+
+def _assert_canonical_equal(got, names, num, den):
+    want = RationalFunction(names, num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("a_poly,b_poly", [(True, True), (True, False), (False, True), (False, False)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_polynomial_fast_path_matches_the_gcd_route(a_poly, b_poly, data):
+    names = data.draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")]))
+    a = data.draw(_rational_functions(names, a_poly))
+    b = data.draw(_rational_functions(names, b_poly))
+    q = data.draw(st.one_of(st.sampled_from([MPQ(0), MPQ(1), MPQ(-1)]), _coefficients))
+    _assert_canonical_equal(a + b, names, a.num * b.den + b.num * a.den, a.den * b.den)
+    _assert_canonical_equal(a - b, names, a.num * b.den - b.num * a.den, a.den * b.den)
+    _assert_canonical_equal(a * b, names, a.num * b.num, a.den * b.den)
+    _assert_canonical_equal(-a, names, -a.num, a.den)
+    _assert_canonical_equal(a.scale(q), names, a.num.mul_ground(QQ(q.numerator, q.denominator)), a.den)
+    R = _get_ring(names)
+    for name, x in zip(names, R.gens):
+        _assert_canonical_equal(
+            a.diff(name), names, a.num.diff(x) * a.den - a.num * a.den.diff(x), a.den * a.den
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +185,7 @@ def test_adjoined_parameters_square_to_zero_and_extract():
     a = ctx2.gen("x")
     b = ctx2.gen("e1") + ctx2.gen("y")
     combo = a + t1 * b
-    assert combo.coefficient_of("t1") == b
+    assert combo.partial("t1") == b
     # the involution never touches adjoined parameters
     assert t1.nu() == ctx2.gen("e1") * t1
     with pytest.raises(NameClash):
@@ -261,6 +310,21 @@ def test_grassmann_inverse_and_nu():
     assert g.nu().nu() == g
     with pytest.raises(ZeroBody):
         GrassmannNumber.theta(2, 1).inv()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_grassmann_subtraction_matches_adding_the_negation(seed, r):
+    rng = random.Random(seed)
+    a = lambda_sample(r, EVEN, rng) + lambda_sample(r, ODD, rng)
+    b = lambda_sample(r, rng.choice([EVEN, ODD]), rng)
+    for x, y in ((a, b), (b, a), (a, a + b), (a, a), (a, GrassmannNumber(r, {}))):
+        d = x - y
+        assert d == x + (-y)
+        assert all(d.terms.values())
+    assert (a - a).terms == {}
+    with pytest.raises(ContextMismatch):
+        a - GrassmannNumber.scalar(r + 1, 1)
 
 
 def test_grassmann_serialization_round_trip():
