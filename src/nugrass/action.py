@@ -22,12 +22,12 @@ from .errors import (
     RankDeficient,
 )
 from .superalgebra import EVEN, GrassmannNumber, lambda_sample
-from .supermatrix import is_nu
+from .supermatrix import matmul
+from .linalg import inverse, rref, solve
 from .atlas import (
     Atlas,
     Chart,
     GrassPoint,
-    _lam_gauss_inv,
     _normalize,
     get_atlas,
     point_transition,
@@ -60,7 +60,7 @@ class GLPoint:
                 p = e.parity()
                 if p is None or (p != want and not e.is_zero()):
                     raise ValueError(f"entry ({i},{j}) has parity {p}, block wants {want}")
-        _lam_gauss_inv(self.entries, self.r)  # raises NotInvertible if singular
+        inverse(self.entries)  # raises NotInvertible if singular
 
     @classmethod
     def identity(cls, m: int, n: int, r: int) -> "GLPoint":
@@ -73,28 +73,11 @@ class GLPoint:
     def __mul__(self, other: "GLPoint") -> "GLPoint":
         if (self.m, self.n, self.r) != (other.m, other.n, other.r):
             raise ValueError("group context mismatch")
-        d = self.m + self.n
-        zero = GrassmannNumber(self.r, {})
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = zero
-                for u in range(d):
-                    a = self.entries[i][u]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[u][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        out = matmul(self.entries, other.entries, GrassmannNumber(self.r, {}))
         return GLPoint(self.m, self.n, self.r, out, validate=False)
 
     def inv(self) -> "GLPoint":
-        return GLPoint(self.m, self.n, self.r, _lam_gauss_inv(self.entries, self.r),
-                       validate=False)
+        return GLPoint(self.m, self.n, self.r, inverse(self.entries), validate=False)
 
     def __eq__(self, other):
         if not isinstance(other, GLPoint):
@@ -173,29 +156,7 @@ def _acted_matrix(X: GrassPoint, P: GLPoint):
     chart = X.chart
     if (chart.index.m, chart.index.n) != (P.m, P.n) or X.r != P.r:
         raise ValueError("group context mismatch")
-    A = chart.realize(X.values, X.r)
-    d = P.m + P.n
-    s = len(A)
-    zero = GrassmannNumber(X.r, {})
-    W = []
-    for i in range(s):
-        Ai = A[i]
-        row = []
-        for c in range(d):
-            acc = zero
-            for u in range(d):
-                a = Ai[u]
-                if is_nu(a):
-                    b = P.entries[u][c]
-                    if not b.is_zero():
-                        acc = acc + b.nu()
-                elif not a.is_zero():
-                    b = P.entries[u][c]
-                    if not b.is_zero():
-                        acc = acc + a * b
-            row.append(acc)
-        W.append(row)
-    return W
+    return matmul(chart.realize(X.values, X.r), P.entries, GrassmannNumber(X.r, {}))
 
 
 def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None) -> GrassPoint:
@@ -203,7 +164,7 @@ def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None
     candidates = [target] if target is not None else atlas.act_order
     for dst in candidates:
         try:
-            values = _normalize(W, r, dst)
+            values = _normalize(W, dst)
         except NotInvertible:
             if target is not None:
                 raise MinorNotInvertible(f"minor for {dst.index} is singular here")
@@ -238,10 +199,9 @@ class BasePoint:
         self._n = len(self.p2[0]) if self.p2 else n
         if self._m is None or self._n is None:
             raise ValueError("pass m and n explicitly for empty blocks")
-        if _rational_rank(self.p1) != len(self.p1):
-            raise RankDeficient("p1 is not of full row rank")
-        if _rational_rank(self.p2) != len(self.p2):
-            raise RankDeficient("p2 is not of full row rank")
+        for name, rows, width in (("p1", self.p1, self._m), ("p2", self.p2, self._n)):
+            if len(rref(rows, width)[1]) != len(rows):
+                raise RankDeficient(f"{name} is not of full row rank")
 
     @property
     def k(self) -> int:
@@ -277,113 +237,20 @@ class BasePoint:
         return grass_point_from_matrix(self.matrix(r), atlas, r)
 
 
-def _rational_rank(rows) -> int:
-    M = [list(map(MPQ, row)) for row in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(M)):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pr = M[rank]
-        inv = MPQ(1) / pr[c]
-        M[rank] = [e * inv for e in pr]
-        for i in range(len(M)):
-            if i != rank and M[i][c]:
-                f = M[i][c]
-                M[i] = [e - f * p for e, p in zip(M[i], M[rank])]
-        rank += 1
-    return rank
-
-
-def _complete_to_invertible(rows, width: int):
-    """Append standard basis rows so the rational matrix becomes invertible."""
-    M = [list(map(MPQ, row)) for row in rows]
-    pivots = set()
-    E = [list(row) for row in M]
-    rank = 0
-    for c in range(width):
-        piv = None
-        for i in range(rank, len(E)):
-            if E[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        E[rank], E[piv] = E[piv], E[rank]
-        inv = MPQ(1) / E[rank][c]
-        E[rank] = [e * inv for e in E[rank]]
-        for i in range(len(E)):
-            if i != rank and E[i][c]:
-                f = E[i][c]
-                E[i] = [e - f * p for e, p in zip(E[i], E[rank])]
-        pivots.add(c)
-        rank += 1
-    if rank != len(rows):
+def _completed(rows, width: int):
+    """The independent rational rows followed by the standard basis rows
+    that complete them to an invertible matrix."""
+    pivots = rref(rows, width)[1]
+    if len(pivots) != len(rows):
         raise RankDeficient("rows are not independent")
-    out = [list(row) for row in M]
-    for c in range(width):
-        if c not in pivots:
-            out.append([MPQ(1) if j == c else MPQ(0) for j in range(width)])
-    return out
-
-
-def _rational_inv(rows):
-    n = len(rows)
-    M = [list(map(MPQ, rows[i])) + [MPQ(1) if j == i else MPQ(0) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise RankDeficient("completion is singular")
-        M[c], M[piv] = M[piv], M[c]
-        inv = MPQ(1) / M[c][c]
-        M[c] = [e * inv for e in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [e - f * p for e, p in zip(M[i], M[c])]
-    return [row[n:] for row in M]
-
-
-def _rat_times_lambda(Q, L, r):
-    """Product of a rational matrix with a Lambda-valued matrix."""
-    rows = len(Q)
-    inner = len(L)
-    cols = len(L[0]) if L else 0
-    zero = GrassmannNumber(r, {})
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for u in range(inner):
-                q = Q[i][u]
-                if not q:
-                    continue
-                e = L[u][j]
-                if e.is_zero():
-                    continue
-                acc = acc + e * q
-            row.append(acc)
-        out.append(row)
-    return out
+    return list(rows) + [[MPQ(int(j == c)) for j in range(width)]
+                         for c in range(width) if c not in pivots]
 
 
 def transitivity_witness(W: GrassPoint, p: BasePoint) -> GLPoint:
-    """A group point V with  p-hat V = [W]  exactly, built by completing the
-    base blocks to invertible matrices and solving row by row."""
+    """A group point V with  p-hat V = [W]  exactly: complete the base
+    blocks and the bodies of the even blocks of [W] to invertible matrices,
+    then solve  blockdiag(P1, P2) V = [W] completed."""
     chart = W.chart
     if not chart.index.standard:
         raise ValueError("witness construction expects the target in a standard chart")
@@ -393,65 +260,27 @@ def transitivity_witness(W: GrassPoint, p: BasePoint) -> GLPoint:
     r = W.r
     zero = GrassmannNumber(r, {})
     Wmat = chart.realize(W.values, r)
-    Ablk = [row[:m] for row in Wmat[:k]]
-    Bblk = [row[m:] for row in Wmat[:k]]
-    Cblk = [row[:m] for row in Wmat[k:]]
-    Dblk = [row[m:] for row in Wmat[k:]]
+    lift = lambda rows: [[GrassmannNumber.scalar(r, q) for q in row] for row in rows]
 
-    P1c_inv = _rational_inv(_complete_to_invertible(p.p1, m))
-    P2c_inv = _rational_inv(_complete_to_invertible(p.p2, n))
-
-    # complete the body of the even blocks by basis rows, keep soul rows intact
-    Abody = [[e.body() for e in row] for row in Ablk]
-    Acompl_rows = _complete_to_invertible(Abody, m)[k:]
-    Atilde = Ablk + [[GrassmannNumber.scalar(r, e) for e in row] for row in Acompl_rows]
-    Dbody = [[e.body() for e in row] for row in Dblk]
-    Dcompl_rows = _complete_to_invertible(Dbody, n)[l:]
-    Dtilde = Dblk + [[GrassmannNumber.scalar(r, e) for e in row] for row in Dcompl_rows]
-
-    H = _rat_times_lambda(P1c_inv, Atilde, r)
-    Q = _rat_times_lambda(P2c_inv, Dtilde, r)
-    Bpad = Bblk + [[zero] * n for _ in range(m - k)]
-    Cpad = Cblk + [[zero] * m for _ in range(n - l)]
-    M = _rat_times_lambda(P1c_inv, Bpad, r)
-    N = _rat_times_lambda(P2c_inv, Cpad, r)
-
-    entries = [H[i] + M[i] for i in range(m)] + [N[i] + Q[i] for i in range(n)]
-    V = GLPoint(m, n, r, entries)  # validates parity and invertibility
+    # blockdiag(P1, P2): each base block completed by basis rows
+    P = [row + [zero] * n for row in lift(_completed(p.p1, m))]
+    P += [[zero] * m + row for row in lift(_completed(p.p2, n))]
+    # [W] with its even blocks completed by basis rows on their bodies;
+    # the soul rows stay intact
+    top, bottom = Wmat[:k], Wmat[k:]
+    A_compl = _completed([[e.body() for e in row[:m]] for row in top], m)[k:]
+    D_compl = _completed([[e.body() for e in row[m:]] for row in bottom], n)[l:]
+    T = top + [row + [zero] * n for row in lift(A_compl)]
+    T += bottom + [[zero] * m + row for row in lift(D_compl)]
+    V = GLPoint(m, n, r, solve(P, T))  # validates parity and invertibility
 
     # exact post-checks: the matrix equation and the acted point
-    phatV = _rat_lambda_block_product(p, V, r)
-    for i in range(k + l):
-        for j in range(m + n):
-            if phatV[i][j] != Wmat[i][j]:
-                raise RankDeficient("witness post-check failed on the matrix equation")
+    if matmul(p.matrix(r), V.entries, zero) != Wmat:
+        raise RankDeficient("witness post-check failed on the matrix equation")
     base = p.as_point(r)
     if act(base, V, target=chart) != W:
         raise RankDeficient("witness post-check failed on the acted point")
     return V
-
-
-def _rat_lambda_block_product(p: BasePoint, V: GLPoint, r: int):
-    phat = p.matrix(r)
-    d = V.m + V.n
-    s = len(phat)
-    zero = GrassmannNumber(r, {})
-    out = []
-    for i in range(s):
-        row = []
-        for j in range(d):
-            acc = zero
-            for u in range(d):
-                a = phat[i][u]
-                if a.is_zero():
-                    continue
-                b = V.entries[u][j]
-                if b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def stabilizer_membership(P: GLPoint, p: BasePoint) -> bool:

@@ -7,22 +7,28 @@ diagonal (p != k), and whose remaining columns are filled top to bottom,
 left to right, by the chart coordinates in a fixed global ordering, with the
 involution applied to any symbol landing in a block of the opposite parity.
 
-Transitions come in two flavours:
+Transitions come in two flavours, both computed by one normalizer
+(_normalize), which evaluates the pasting normalization D((M or M')^-1 A) as
+one exact solve:
 
-* symbolic, between charts of the structure rings, via the pasting
-  normalization D((M or M')^-1 A); only the standard-to-standard and
-  arbitrary-to-non-standard directions admit a closed formula;
-* pointwise, on Lambda_r-valued points, where the same normalization is
-  evaluated with the involution acting on Lambda_r values.  Every direction
-  is available pointwise, if need be by solving the pasting equation as an
-  exact linear system (invert_transition_at_point).
+* symbolic, between charts of the structure rings; only the
+  standard-to-standard and arbitrary-to-non-standard directions admit a
+  closed formula;
+* pointwise, on Lambda_r-valued points, with the involution acting on
+  Lambda_r values.  Only directions whose plan status is 'ok' are
+  evaluable; hop statuses are symmetric on every tested atlas, so a pair
+  is either evaluable both ways or not at all.
+
+invert_transition_at_point solves the pasting equation of a direction as an
+exact linear system.  It realizes no direction; it is the independent
+oracle that checks forward hops.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from sympy.external.gmpy import MPQ
 
@@ -36,6 +42,7 @@ from .errors import (
     SingularJacobian,
     UncoveredCase,
 )
+from .linalg import inverse, rref, solve
 from .superalgebra import (
     EVEN,
     ODD,
@@ -45,17 +52,10 @@ from .superalgebra import (
     _get_ring as _status_ring,
     lambda_sample,
 )
-from .supermatrix import (
-    NU,
-    SuperMatrix,
-    is_nu,
-    minor_M,
-    minor_Mprime,
-    remainder_D,
-    smat_inv,
-    smat_mul,
-    format_blocked,
-)
+from .supermatrix import NU, SuperMatrix, format_blocked, is_nu, matmul
+
+# the square inverse under the name the tests and bench/tracer.py look up here
+_lam_gauss_inv = inverse
 
 
 def chart_dims(k: int, l: int, m: int, n: int) -> tuple[int, int]:
@@ -371,7 +371,7 @@ class HopPlan:
     def _unit_columns(self) -> tuple[tuple[int, int], ...]:
         """Minor columns that are the unit vector e_i at every point: an
         unmoved constant 1, or a moved odd unit (which resolves to 1), with
-        zeros elsewhere.  Pairs (minor column, i) for _lam_solve."""
+        zeros elsewhere.  Pairs (minor column, i) for linalg.solve."""
         units = []
         for j, (c, moved) in enumerate(self.zsel):
             cells = [(i, row[c][0]) for i, row in enumerate(self.src.pattern)
@@ -452,8 +452,10 @@ def _poly_det(rows):
 
 def pair_defined(src: Chart, dst: Chart) -> bool:
     """A chart pair supports a pointwise round trip if at least one of the
-    two directions is generically evaluable (the other can be realized by
-    the exact inverse solver)."""
+    two directions is generically evaluable.  Hop statuses are symmetric on
+    every tested atlas, so then both are; a one-sided pair would make the
+    round trip raise a typed error (ResidualNuSymbol, or OverlapNotSampled
+    for a singular direction), never skip it silently."""
     return _get_plan(src, dst).status == "ok" or _get_plan(dst, src).status == "ok"
 
 
@@ -510,7 +512,6 @@ class TransitionMap:
     src: Chart
     dst: Chart
     assignments: dict[str, SuperFunction]
-    minor: SuperMatrix = field(repr=False, default=None)
 
     def is_identity(self) -> bool:
         return all(
@@ -530,25 +531,12 @@ def transition_symbolic(src: Chart, dst: Chart) -> TransitionMap:
         raise UncoveredCase(
             f"no symbolic formula for non-standard {src.index} -> standard {dst.index}"
         )
-    A = src.label()
-    if dst.index.standard:
-        Z = minor_M(A, dst.index.I, dst.index.R)
-        if Z.has_nu():
-            raise ResidualNuSymbol("odd unit in a standard-destination minor")
-    else:
-        Z = minor_Mprime(A, dst.index.I, dst.index.R, dst.index)
+    plan = _get_plan(src, dst)
     try:
-        Zinv = smat_inv(Z)
+        assignments = _normalize(src.label().entries, dst, plan.units, src.nu_unit_rows)
     except NotInvertible as exc:
         raise GenericallySingular(str(exc)) from exc
-    R = smat_mul(Zinv, A)
-    D = remainder_D(R, dst.index.I, dst.index.R)
-    plan = _get_plan(src, dst)
-    assignments = {}
-    for row, dpos, name, marked in plan.read:
-        entry = D.entries[row][dpos]
-        assignments[name] = entry.nu() if marked else entry
-    return TransitionMap(src, dst, assignments, minor=Z)
+    return TransitionMap(src, dst, assignments)
 
 
 def evaluate_transition(t: TransitionMap, X: GrassPoint) -> GrassPoint:
@@ -610,66 +598,14 @@ def nu_equivariance_defects(t: TransitionMap) -> dict[str, SuperFunction]:
 
 
 # ---------------------------------------------------------------------------
-# pointwise transitions over Lambda_r
+# the chart normalizer and pointwise transitions over Lambda_r
 # ---------------------------------------------------------------------------
 
 
-def _lam_solve(Z, Y, r: int, units=()):
-    """Exact solution X of  Z X = Y  over Lambda_r, Z square, as nested lists.
-
-    Gauss-Jordan on the augmented rows [Z | Y], taking in each column the
-    first unused row whose entry has a nonzero body.  `units` lists pairs
-    (j, i) for columns j of Z known to be the unit vector e_i: they are
-    pivoted on row i first, which costs nothing, so only the remaining block
-    is eliminated.  Raises NotInvertible exactly when the body of Z is
-    singular, whatever the pivot order.
-    """
-    n = len(Z)
-    pivot_row = dict(units)
-    free = [i for i in range(n) if i not in pivot_row.values()]
-    cols = [j for j in range(n) if j not in pivot_row]
-    w = len(cols)
-    # each row keeps only the columns still to be eliminated, then Y; the
-    # unit columns stay untouched because their other entries are zero
-    M = [[Z[i][j] for j in cols] + list(Y[i]) for i in range(n)]
-    width = w + (len(Y[0]) if n else 0)
-    for t, col in enumerate(cols):
-        for piv in free:
-            if M[piv][t].body():
-                break
-        else:
-            raise NotInvertible(f"no body-invertible pivot in column {col}")
-        free.remove(piv)
-        prow = M[piv]
-        pinv = prow[t].inv()
-        for j in range(t + 1, width):
-            if not prow[j].is_zero():
-                prow[j] = pinv * prow[j]
-        for i in range(n):
-            row = M[i]
-            f = row[t]
-            if i == piv or f.is_zero():
-                continue
-            for j in range(t + 1, width):
-                p = prow[j]
-                if not p.is_zero():
-                    row[j] = row[j] - f * p
-        pivot_row[col] = piv
-    return [M[pivot_row[j]][w:] for j in range(n)]
-
-
-def _lam_gauss_inv(rows, r: int):
-    """Exact inverse of a square Lambda_r matrix given as nested lists."""
-    n = len(rows)
-    one = GrassmannNumber.scalar(r, 1)
-    zero = GrassmannNumber(r, {})
-    return _lam_solve(rows, [[one if j == i else zero for j in range(n)] for i in range(n)], r)
-
-
 def _adjusted_minor(A, zsel, one):
-    """The pasting minor of a realized grid: the selected columns, with the
+    """The pasting minor of a grid: the selected columns, with the
     involution applied to the moved ones.  A formal odd unit resolves to 1
-    in a moved column; in an unmoved one it has no value over Lambda_r."""
+    in a moved column; in an unmoved one it has no value."""
     Z = []
     for Ai in A:
         zrow = []
@@ -685,19 +621,25 @@ def _adjusted_minor(A, zsel, one):
     return Z
 
 
-def _normalize(A, r: int, dst: Chart, units=(), unit_rows=None) -> dict:
-    """Destination coordinates of the row space of a realized grid A.
+def _normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
+    """Destination coordinates of the row space of a grid A, the pasting
+    normalization D((M or M')^-1 A) of every transition and action.
 
-    One exact solve  Z X = Y  with Z the adjusted minor and Y the columns
-    free in the destination, read off through the destination's slots.
-    `unit_rows` maps a column of A that holds a formal odd unit to its row
-    u; that column of Y is e_u and its solution column is twisted by the
-    involution (the odd-unit rule  x 1nu = nu(x)).  `units` is passed to
-    _lam_solve.  Raises NotInvertible where the minor is singular.
+    A holds Lambda_r values (a realized point) or chart-ring elements (a
+    label); 0 and 1 come from the entries' own ring.  One exact solve
+    Z X = Y  with Z the adjusted minor and Y the columns free in the
+    destination, read off through the destination's slots.  `unit_rows`
+    maps a column of A that holds a formal odd unit to its row u; that
+    column of Y is e_u and its solution column is twisted by the involution
+    (the odd-unit rule  x 1nu = nu(x)).  `units` lists minor columns known
+    to be unit vectors for linalg.solve; they must hold for A itself.
+    Raises NotInvertible where the minor is singular.
     """
     zsel, dcols, read = dst.dst_plan
-    one = GrassmannNumber.scalar(r, 1)
-    zero = GrassmannNumber(r, {})
+    proto = next((e for row in A for e in row if not is_nu(e)), None)
+    if proto is None:  # no rows: the charts of 0|0(m|n) have no coordinates
+        return {}
+    one, zero = proto.ring_one(), proto.ring_zero()
     unit_rows = unit_rows or {}
     Z = _adjusted_minor(A, zsel, one)
     Y = [[] for _ in A]
@@ -711,7 +653,7 @@ def _normalize(A, r: int, dst: Chart, units=(), unit_rows=None) -> dict:
             twisted.add(t)
             for i, yrow in enumerate(Y):
                 yrow.append(one if i == u else zero)
-    X = _lam_solve(Z, Y, r, units)
+    X = solve(Z, Y, units)
     values = {}
     for row, t, name, marked in read:
         v = X[row][t]
@@ -726,7 +668,7 @@ def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
     plan = _get_plan(src, dst)
     A = src.realize(X.values, X.r)
     try:
-        values = _normalize(A, X.r, dst, plan.units, src.nu_unit_rows)
+        values = _normalize(A, dst, plan.units, src.nu_unit_rows)
     except NotInvertible as exc:
         raise MinorNotInvertible(f"{src.index} -> {dst.index}: {exc}") from exc
     return GrassPoint(dst, X.r, values)
@@ -750,98 +692,57 @@ def invert_transition_at_point(
 
     The pasting equation  M'([Q]) [target] = [Q]  is affine in the rational
     coefficients of Q, so one exact linear solve plus a forward post-check
-    realizes the inverse direction without a closed formula.
+    inverts the direction without a closed formula.  No hop uses it: it is
+    the oracle that checks forward hops against their inverse.
     """
     if target.chart.index != dst_chart.index:
         raise ValueError("target must live in the destination chart")
     r = target.r
     plan = _get_plan(src_chart, dst_chart)
-    s = src_chart.index.k + src_chart.index.l
     zero = GrassmannNumber(r, {})
     one = GrassmannNumber.scalar(r, 1)
-    T = target.chart.realize(target.values, r)
     src_nu_rows = src_chart.nu_unit_rows
+    # the destination's free columns of [T]; at a source odd-unit column the
+    # product twists through the involution, so the constraint there reads
+    # Z nu(T_col) = e_u
+    T = target.chart.realize(target.values, r)
+    Tfree = [[Ti[c].nu() if c in src_nu_rows else Ti[c] for c in plan.dcols] for Ti in T]
 
     def residual(values) -> list[MPQ]:
-        """Coefficients of the pasting equation  Z(Q) [T] = [Q] at the
-        destination's free columns (label columns hold identically).
-
-        At a source odd-unit column the product twists through the
-        involution, so the constraint there reads  Z nu(T_col) = e_u.
-        """
+        """Coefficients of the pasting equation  Z(Q) [T] = [Q]  at the
+        destination's free columns (label columns hold identically)."""
         A = src_chart.realize(values, r)
-        Z = _adjusted_minor(A, plan.zsel, one)
+        ZT = matmul(_adjusted_minor(A, plan.zsel, one), Tfree, zero)
         out = []
-        for c in plan.dcols:
+        for t, c in enumerate(plan.dcols):
             unit_row = src_nu_rows.get(c)
-            if unit_row is None:
-                tcol = [T[j][c] for j in range(s)]
-            else:
-                tcol = [T[j][c].nu() for j in range(s)]
-            for i in range(s):
-                acc = zero
-                zi = Z[i]
-                for j in range(s):
-                    t = tcol[j]
-                    if not t.is_zero():
-                        acc = acc + zi[j] * t
+            for i, Ai in enumerate(A):
+                acc = ZT[i][t]
                 if unit_row is None:
-                    a = A[i][c]
-                    if not a.is_zero():
-                        acc = acc - a
+                    acc = acc - Ai[c]
                 elif i == unit_row:
                     acc = acc - one
-                for mask in range(1 << r):
-                    out.append(acc.terms.get(mask, MPQ(0)))
+                out.extend(acc.terms.get(mask, MPQ(0)) for mask in range(1 << r))
         return out
 
     basis = _coeff_basis(src_chart, r)
     zero_vals = {name: zero for name in src_chart.coords}
     b0 = residual(zero_vals)
-    rows = len(b0)
     cols = len(basis)
     Amat = []
     for name, mask in basis:
-        vals = {n: zero for n in src_chart.coords}
-        vals[name] = GrassmannNumber(r, {mask: MPQ(1)})
-        col = residual(vals)
-        Amat.append([col[i] - b0[i] for i in range(rows)])
+        col = residual({**zero_vals, name: GrassmannNumber(r, {mask: MPQ(1)})})
+        Amat.append([x - y for x, y in zip(col, b0)])
     # solve A q = -b0 exactly
-    aug = [[Amat[j][i] for j in range(cols)] + [-b0[i]] for i in range(rows)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pr = aug[rank]
-        inv = MPQ(1) / pr[c]
-        aug[rank] = [e * inv for e in pr]
-        for i in range(rows):
-            if i == rank:
-                continue
-            f = aug[i][c]
-            if f:
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[rank])]
-        pivots.append(c)
-        rank += 1
-    for i in range(rank, rows):
-        if aug[i][cols]:
-            raise BodySolveFailed("inconsistent inverse-transition system")
-    if rank < cols:
+    M, pivots = rref([[col[i] for col in Amat] + [-y] for i, y in enumerate(b0)], cols)
+    if any(row[cols] for row in M[len(pivots):]):
+        raise BodySolveFailed("inconsistent inverse-transition system")
+    if len(pivots) < cols:
         raise SingularJacobian("inverse-transition system is underdetermined")
-    q = [MPQ(0)] * cols
-    for row_i, c in enumerate(pivots):
-        q[c] = aug[row_i][cols]
-    values = {name: GrassmannNumber(r, {}) for name in src_chart.coords}
-    for (name, mask), coeff in zip(basis, q):
-        if coeff:
-            values[name] = values[name] + GrassmannNumber(r, {mask: coeff})
+    values = dict(zero_vals)
+    for (name, mask), row in zip(basis, M):
+        if row[cols]:
+            values[name] = values[name] + GrassmannNumber(r, {mask: row[cols]})
     Q = GrassPoint(src_chart, r, values)
     try:
         back = point_transition(Q, dst_chart)
@@ -850,15 +751,6 @@ def invert_transition_at_point(
     if back != target:
         raise BodySolveFailed("post-check failed: forward image differs from target")
     return Q
-
-
-def hop_point(X: GrassPoint, dst: Chart) -> GrassPoint:
-    """Pointwise transition, falling back to the exact inverse solver when
-    the direct minor keeps an unresolved odd unit."""
-    try:
-        return point_transition(X, dst)
-    except ResidualNuSymbol:
-        return invert_transition_at_point(X, dst, X.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -878,15 +770,6 @@ def sample_point(chart: Chart, r: int, rng: random.Random) -> GrassPoint:
 # ---------------------------------------------------------------------------
 
 
-def _hop_by_status(X: GrassPoint, dst: Chart) -> GrassPoint:
-    """One pointwise hop, direct when that direction is generically
-    evaluable, otherwise through the exact inverse of the reverse hop.
-    Raises MinorNotInvertible / BodySolveFailed outside the overlap."""
-    if _get_plan(X.chart, dst).status == "ok":
-        return point_transition(X, dst)
-    return invert_transition_at_point(X, dst, X.chart)
-
-
 def _round_trip_check(a: Chart, b: Chart, r: int, samples: int, rng: random.Random,
                       max_tries: int = 400):
     passed = failed = 0
@@ -895,9 +778,8 @@ def _round_trip_check(a: Chart, b: Chart, r: int, samples: int, rng: random.Rand
         for _attempt in range(max_tries):
             X = sample_point(a, r, rng)
             try:
-                Y = _hop_by_status(X, b)
-                X2 = _hop_by_status(Y, a)
-            except (MinorNotInvertible, BodySolveFailed, SingularJacobian):
+                X2 = point_transition(point_transition(X, b), a)
+            except MinorNotInvertible:
                 continue
             if X2 == X:
                 passed += 1
@@ -925,9 +807,9 @@ def _cycle_check(charts: list[Chart], r: int, samples: int, rng: random.Random,
             try:
                 Y = X
                 for c in rest:
-                    Y = _hop_by_status(Y, c)
-                Y = _hop_by_status(Y, start)
-            except (MinorNotInvertible, BodySolveFailed, SingularJacobian):
+                    Y = point_transition(Y, c)
+                Y = point_transition(Y, start)
+            except MinorNotInvertible:
                 continue
             if Y == X:
                 passed += 1
@@ -1035,6 +917,17 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
                         continue
                     audited += 1
                     inst = f"{a.index} -> {mid.index} -> {b.index} -> {a.index}"
+                    blocked = [(x, y) for x, y in ((a, mid), (mid, b), (b, a))
+                               if _get_plan(x, y).status != "ok"]
+                    if blocked:
+                        x, y = blocked[0]
+                        report.results.append(
+                            CheckResult("nu-triple-audit", inst, 0, 0, 0,
+                                        note=f"undefined: hop {x.index} -> {y.index} "
+                                             f"is {_get_plan(x, y).status}",
+                                        gating=False)
+                        )
+                        continue
                     try:
                         p, f, ce = _cycle_check([a, mid, b], r, min(samples, 10), rng)
                     except OverlapNotSampled:

@@ -16,8 +16,9 @@ from sympy.external.gmpy import MPQ
 
 from .errors import InhomogeneousInput, NoOddGenerators
 from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction
-from .supermatrix import SuperMatrix, minor_M, minor_Mprime, remainder_D, smat_inv, smat_mul
-from .atlas import Chart, _get_plan, get_atlas
+from .supermatrix import matmul
+from .linalg import rref
+from .atlas import Chart, _normalize, get_atlas
 from .reports import CheckResult, Report
 
 
@@ -182,32 +183,21 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     if parity == EVEN:
         eps = eps * ctx2.gen("t2")
 
-    label = chart.label(ctx2)
     one = ctx2.one()
     zero = ctx2.zero()
     d = m + n
-    P_entries = [
+    P = [
         [
             (one if i == j else zero) + eps.scale(E.coeffs.get((i + 1, j + 1), 0))
             for j in range(d)
         ]
         for i in range(d)
     ]
-    P = SuperMatrix((m, n), (m, n), P_entries, zero, validate=False)
-    W = smat_mul(label, P)
-    if idx.standard:
-        Z = minor_M(W, idx.I, idx.R)
-    else:
-        Z = minor_Mprime(W, idx.I, idx.R, idx)
-    R = smat_mul(smat_inv(Z), W)
-    D = remainder_D(R, idx.I, idx.R)
-
-    plan = _get_plan(chart, chart)
+    # label (1 + eps E) is not the label, so the chart's unit columns are not
+    # known in advance: no `units` for the solve
+    W = matmul(chart.label(ctx2).entries, P, zero)
     components = {}
-    for row, dpos, name, marked in plan.read:
-        val = D.entries[row][dpos]
-        if marked:
-            val = val.nu()
+    for name, val in _normalize(W, chart).items():
         if parity == ODD:
             comp2 = val.partial("t1")
         else:
@@ -252,19 +242,20 @@ def _formal_context(chart: Chart) -> GeneratorContext:
     return chart.ctx.extend_even(names)
 
 
-def _apply_formal(field: ChartVectorField, F: SuperFunction,
+def _apply_formal(chart: Chart, comps: dict[str, SuperFunction], F: SuperFunction,
                   ctxF: GeneratorContext) -> SuperFunction:
-    """Apply the derivation with the generic-coefficient chain rule:
-    the symbol f depends on the even coordinates only, with formal partials."""
+    """Apply the derivation with components `comps`, already embedded in
+    ctxF, by the generic-coefficient chain rule: the symbol f depends on the
+    even coordinates only, with formal partials."""
     out = ctxF.zero()
-    for name in field.chart.even_coords:
-        comp = ctxF.embed(field.components[name])
+    for name in chart.even_coords:
+        comp = comps[name]
         if comp.is_zero():
             continue
         dF = F.partial(name) + ctxF.gen(f"f_{name}") * F.partial("f")
         out = out + comp * dF
-    for name in field.chart.odd_coords:
-        comp = ctxF.embed(field.components[name])
+    for name in chart.odd_coords:
+        comp = comps[name]
         if comp.is_zero():
             continue
         out = out + comp * F.partial(name)
@@ -279,12 +270,13 @@ def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
     if not chart.odd_coords:
         raise NoOddGenerators("the chart carries no odd generators")
     ctxF = _formal_context(chart)
+    comps = {name: ctxF.embed(c) for name, c in field.components.items()}
     f_rf = ctxF.gen("f").body()
     defects = []
     for S in range(1 << len(chart.odd_coords)):
         T = SuperFunction(ctxF, {S: f_rf})
-        lhs = _apply_formal(field, T.nu(), ctxF)
-        rhs = _apply_formal(field, T, ctxF).nu()
+        lhs = _apply_formal(chart, comps, T.nu(), ctxF)
+        rhs = _apply_formal(chart, comps, T, ctxF).nu()
         defects.append(lhs - rhs)
     return defects
 
@@ -296,27 +288,7 @@ def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
 
 def _nullspace(rows: list[list[MPQ]], ncols: int) -> list[list[MPQ]]:
     """Exact rational nullspace; returns basis vectors."""
-    M = [list(r) for r in rows]
-    nrows = len(M)
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = MPQ(1) / M[rank][c]
-        M[rank] = [e * inv for e in M[rank]]
-        for i in range(nrows):
-            if i != rank and M[i][c]:
-                f = M[i][c]
-                M[i] = [e - f * p for e, p in zip(M[i], M[rank])]
-        pivots.append(c)
-        rank += 1
+    M, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -390,28 +362,8 @@ def in_span(Y: GlElement, basis: list[GlElement]) -> bool:
         return Y.is_zero()
     rows = [[b.coeffs.get(key, MPQ(0)) for b in basis] + [Y.coeffs.get(key, MPQ(0))]
             for key in keys]
-    ncols = len(basis)
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = MPQ(1) / rows[rank][c]
-        rows[rank] = [e * inv for e in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[rank])]
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][ncols]:
-            return False
-    return True
+    M, pivots = rref(rows, len(basis))
+    return not any(row[-1] for row in M[len(pivots):])
 
 
 def super_jacobi_defect(a: GlElement, b: GlElement, c: GlElement) -> GlElement:

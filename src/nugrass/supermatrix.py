@@ -3,8 +3,10 @@
 A matrix carries a row split r0|r1 and a column split c0|c1.  Blocks B1
 (even rows x even cols) and B4 (odd x odd) hold even entries, B2 and B3 hold
 odd entries.  Besides plain ring elements an entry may be the formal symbol
-1nu, which multiplies by the rule  z * 1nu = nu(z)  (extended two-sidedly,
-see act and the pasting machinery).
+1nu, which multiplies by the rule  z * 1nu = 1nu * z = nu(z).  matmul, on
+nested lists, is the kernel's one matrix product and carries that rule;
+minor_M, minor_Mprime, remainder_D, smat_inv and smat_mul spell out the
+paper's pasting normalization literally and serve as its reference.
 
 Entries are duck-typed: SuperFunction and GrassmannNumber both provide the
 required +, -, *, parity(), nu(), inv(), body(), is_zero(), ring_one(),
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 from .errors import (
     DoubleNu,
-    NotInvertible,
     NuEntriesPresent,
     ResidualNuSymbol,
 )
+from .linalg import inverse
 
 
 class NuSymbol:
@@ -161,73 +163,51 @@ class SuperMatrix:
         return cls(tuple(data["row_split"]), tuple(data["col_split"]), entries, proto)
 
 
+def matmul(A, B, zero):
+    """Row-by-column product of nested lists, the one product of the kernel.
+
+    A formal odd unit multiplies by  z 1nu = 1nu z = nu(z);  two odd units
+    never meet.  Zero factors are skipped.
+    """
+    ncols = len(B[0]) if B else 0
+    out = []
+    for i, arow in enumerate(A):
+        row = []
+        for j in range(ncols):
+            acc = zero
+            for a, brow in zip(arow, B):
+                b = brow[j]
+                if a is NU:
+                    if b is NU:
+                        raise DoubleNu(f"two odd units meet at ({i},{j})")
+                    if not b.is_zero():
+                        acc = acc + b.nu()
+                elif a.is_zero():
+                    continue
+                elif b is NU:
+                    acc = acc + a.nu()
+                elif not b.is_zero():
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def smat_mul(A: SuperMatrix, B: SuperMatrix) -> SuperMatrix:
     """Row-by-column product; 1nu factors resolve through the involution."""
     if A.col_split != B.row_split:
         raise ValueError(f"split mismatch: {A.col_split} vs {B.row_split}")
-    zero = A.proto.ring_zero()
-    n = B.ncols
-    out = []
-    for i in range(A.nrows):
-        arow = A.entries[i]
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(A.ncols):
-                a = arow[k]
-                b = B.entries[k][j]
-                if is_nu(a):
-                    if is_nu(b):
-                        raise DoubleNu(f"two odd units meet at ({i},{j})")
-                    if b.is_zero():
-                        continue
-                    acc = acc + b.nu()
-                elif is_nu(b):
-                    if a.is_zero():
-                        continue
-                    acc = acc + a.nu()
-                else:
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-            row.append(acc)
-        out.append(row)
+    out = matmul(A.entries, B.entries, A.proto.ring_zero())
     return SuperMatrix(A.row_split, B.col_split, out, A.proto, validate=False)
 
 
 def smat_inv(A: SuperMatrix) -> SuperMatrix:
-    """Exact two-sided inverse by Gauss-Jordan with body-invertible pivots."""
+    """Exact two-sided inverse, solving  A X = 1  with body-invertible pivots."""
     if A.row_split != A.col_split:
         raise ValueError("inversion needs matching row and column splits")
     if A.has_nu():
         raise NuEntriesPresent("route odd units away before inverting")
-    n = A.nrows
-    one = A.proto.ring_one()
-    zero = A.proto.ring_zero()
-    M = [list(A.entries[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            e = M[i][col]
-            if not is_nu(e) and e.body():
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertible(f"no body-invertible pivot in column {col}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        pinv = M[col][col].inv()
-        M[col] = [pinv * e for e in M[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = M[i][col]
-            if f.is_zero():
-                continue
-            prow = M[col]
-            M[i] = [e - f * p for e, p in zip(M[i], prow)]
-    inv_entries = [row[n:] for row in M]
-    return SuperMatrix(A.row_split, A.col_split, inv_entries, A.proto, validate=False)
+    return SuperMatrix(A.row_split, A.col_split, inverse(A.entries), A.proto, validate=False)
 
 
 def minor_M(A: SuperMatrix, J, S) -> SuperMatrix:

@@ -8,13 +8,23 @@ from sympy.external.gmpy import MPQ
 
 from nugrass.errors import (
     BodySolveFailed,
+    GenericallySingular,
     MinorNotInvertible,
     NotInvertible,
     OverlapNotSampled,
+    ResidualNuSymbol,
     UncoveredCase,
 )
-from nugrass.superalgebra import GrassmannNumber
-from nugrass.supermatrix import minor_M, minor_Mprime, remainder_D, smat_inv, smat_mul
+from nugrass.superalgebra import ODD, GrassmannNumber
+from nugrass.supermatrix import (
+    SuperMatrix,
+    minor_M,
+    minor_Mprime,
+    remainder_D,
+    smat_inv,
+    smat_mul,
+)
+from nugrass.nulie import GlElement, fundamental_field
 from nugrass.atlas import (
     GrassPoint,
     _adjusted_minor,
@@ -25,7 +35,6 @@ from nugrass.atlas import (
     enumerate_charts,
     evaluate_transition,
     get_atlas,
-    hop_point,
     invert_transition_at_point,
     pair_defined,
     point_transition,
@@ -147,6 +156,48 @@ def test_no_symbolic_formula_out_of_a_non_standard_chart():
         transition_symbolic(at.chart((1,), ()), at.chart((), (1,)))
 
 
+def test_symbolic_transitions_match_the_paper_literal_route():
+    # the shared normalizer, run on the label with the plan's unit columns,
+    # against D((M or M')^-1 A) built from the public matrix operators
+    checked = 0
+    for dims in [(0, 1, 1, 2), (1, 1, 2, 2)]:
+        at = get_atlas(*dims)
+        for a in at.charts:
+            for b in at.charts:
+                try:
+                    t = transition_symbolic(a, b)
+                except (UncoveredCase, ResidualNuSymbol, GenericallySingular):
+                    continue
+                want = literal_normalization(a.label(), b)
+                assert set(t.assignments) == set(want) == set(b.coords)
+                for name in b.coords:
+                    assert t.assignments[name] == want[name], (dims, a, b, name)
+                checked += 1
+    assert checked == 7 + 22
+
+
+def test_fundamental_fields_match_the_paper_literal_route():
+    # fundamental_field normalizes label (1 + eps E), which is not the label,
+    # through the shared normalizer without unit columns
+    at = get_atlas(0, 1, 1, 2)
+    for chart in at.charts:
+        for E in GlElement.basis(1, 2):
+            odd = E.parity() == ODD
+            ctx2 = chart.ctx.adjoin_nilpotent(("t1",) if odd else ("t1", "t2"))
+            eps = ctx2.gen("t1") if odd else ctx2.gen("t1") * ctx2.gen("t2")
+            one, zero = ctx2.one(), ctx2.zero()
+            P = SuperMatrix((1, 2), (1, 2), [
+                [(one if i == j else zero) + eps.scale(E.coeffs.get((i + 1, j + 1), 0))
+                 for j in range(3)] for i in range(3)], zero)
+            want = literal_normalization(smat_mul(chart.label(ctx2), P), chart)
+            field = fundamental_field(E, chart)
+            for name in chart.coords:
+                comp = want[name].partial("t1")
+                if not odd:
+                    comp = comp.partial("t2")
+                assert field.components[name].terms == comp.terms, (chart, E, name)
+
+
 def test_transition_assignments_respect_parity():
     at = get_atlas(1, 2, 2, 3)
     src = at.chart((1,), (1, 2))
@@ -175,10 +226,9 @@ def test_point_transition_example_and_out_of_overlap_error():
         point_transition(X0, c2)
 
 
-def slow_point_transition(X, dst):
-    """Independent reference route through the public matrix operators."""
-    src = X.chart
-    A = src.realize_matrix(X.values, X.r)
+def literal_normalization(A, dst):
+    """The paper's D((M or M')^-1 A) through the public matrix operators:
+    destination coordinates of the supermatrix A, read off its slots."""
     if dst.index.standard:
         Z = minor_M(A, dst.index.I, dst.index.R)
     else:
@@ -196,7 +246,13 @@ def slow_point_transition(X, dst):
     for row, gcol, name, marked in dst.slots:
         v = D.entries[row][col_of[gcol]]
         values[name] = v.nu() if marked else v
-    return GrassPoint(dst, X.r, values)
+    return values
+
+
+def slow_point_transition(X, dst):
+    """Independent reference route through the public matrix operators."""
+    A = X.chart.realize_matrix(X.values, X.r)
+    return GrassPoint(dst, X.r, literal_normalization(A, dst))
 
 
 def test_fast_pointwise_route_agrees_with_the_matrix_route():
@@ -252,8 +308,8 @@ def test_round_trips_on_all_defined_pairs():
                 for _try in range(200):
                     X = sample_point(a, 2, rng)
                     try:
-                        assert hop_point(hop_point(X, b), a) == X
-                    except (MinorNotInvertible, BodySolveFailed):
+                        assert point_transition(point_transition(X, b), a) == X
+                    except MinorNotInvertible:
                         continue
                     break
 
@@ -272,6 +328,29 @@ def test_inverse_solver_examples():
     bad = GrassPoint(c2, 2, {"x1": GrassmannNumber(2, {}), "e1": theta(2, 1)})
     with pytest.raises(BodySolveFailed):
         invert_transition_at_point(bad, c1, c2)
+
+
+def test_inverse_solver_undoes_every_evaluable_hop():
+    # forward-vs-inverse oracle: the exact inverse solver, which shares no
+    # elimination with the hop, recovers the start point of every 'ok' hop
+    rng = random.Random(3)
+    for dims, want in [((1, 1, 2, 2), 28), ((1, 2, 2, 3), 72)]:
+        at = get_atlas(*dims)
+        checked = 0
+        for a in at.charts:
+            for b in at.charts:
+                if _get_plan(a, b).status != "ok":
+                    continue
+                for _try in range(100):
+                    X = sample_point(a, 2, rng)
+                    try:
+                        Y = point_transition(X, b)
+                    except MinorNotInvertible:
+                        continue
+                    assert invert_transition_at_point(Y, a, b) == X
+                    checked += 1
+                    break
+        assert checked == want, dims
 
 
 def test_pair_statuses_on_the_larger_atlas():
@@ -368,9 +447,9 @@ def test_minor_inverse_body_matches_sympy(seed):
     body = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(Z[i][j].body())))
     if body.det() == 0:
         with pytest.raises(NotInvertible):
-            _lam_gauss_inv(Z, r)
+            _lam_gauss_inv(Z)
         return
-    Zinv = _lam_gauss_inv(Z, r)
+    Zinv = _lam_gauss_inv(Z)
     want = body.inv()
     assert [[sympy.Rational(str(e.body())) for e in row] for row in Zinv] == want.tolist()
     one, zero = GrassmannNumber.scalar(r, 1), GrassmannNumber(r, {})
@@ -449,3 +528,17 @@ def test_nu_triple_audit_is_reported_but_not_gating():
     audits = [r for r in rep.results if r.check == "nu-triple-audit"]
     assert audits and all(not r.gating for r in audits)
     assert rep.ok  # audit failures never gate
+
+
+def test_nu_triple_audit_reports_undefined_triples_without_sampling():
+    # 20 of the 24 audited triples of 1|1(2|2) route a hop whose plan status
+    # is not 'ok'; they are reported with 0 samples and draw nothing
+    rep = verify_cocycle(1, 1, 2, 2, r=2, samples=2, seed=1, audit_nu_triples=24)
+    assert rep.ok
+    audits = [r for r in rep.results if r.check == "nu-triple-audit"]
+    assert len(audits) == 24 and not any(r.gating for r in audits)
+    undefined = [r for r in audits if r.note.startswith("undefined: hop ")]
+    assert len(undefined) == 20
+    assert all(r.samples == 0 for r in undefined)
+    assert all(r.note.endswith((" is singular", " is residual")) for r in undefined)
+    assert sum(r.samples == 2 for r in audits) == 4

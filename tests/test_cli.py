@@ -123,3 +123,13 @@ def test_kernel_errors_exit_3_with_a_json_line(capsys):
     error = json.loads(lines[0])
     assert error["error"] == "UncoveredCase"
     assert "{1}|{}" in error["message"]
+
+
+def test_nu_triple_audit_past_the_smallest_atlas_exits_0(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    code, _ = run(capsys, "verify-cocycle", "-k", "1", "-l", "1", "-m", "2", "-n", "2",
+                  "--samples", "2", "--audit-nu-triples", "24", "--out", str(out_file))
+    assert code == 0
+    audits = [r for r in json.loads(out_file.read_text())["results"]
+              if r["check"] == "nu-triple-audit"]
+    assert len(audits) == 24

@@ -199,3 +199,16 @@ def test_rho_field_leaves_the_shared_cache_intact():
         fresh = fundamental_field(GlElement.unit(1, 2, u, v), AT.chart(I, R))
         assert cached == fresh
         assert cached.parity == fresh.parity
+
+
+def test_nu_defect_embeds_each_component_once(monkeypatch):
+    from nugrass.superalgebra import GeneratorContext
+
+    calls = []
+    embed = GeneratorContext.embed
+    monkeypatch.setattr(GeneratorContext, "embed",
+                        lambda self, sf: calls.append(sf) or embed(self, sf))
+    field = rho_field(GlElement.unit(1, 2, 1, 2), C1, {})
+    defects = nu_defect(field)
+    assert len(defects) == 1 << len(C1.odd_coords)
+    assert len(calls) == len(field.components)
