@@ -118,7 +118,7 @@ def sample_gl(m: int, n: int, r: int, rng: random.Random) -> GLPoint:
                 continue
             c = rng.randint(-2, 2)
             if c:
-                terms[mask] = MPQ(c)
+                terms[mask] = c
         return GrassmannNumber(r, terms)
 
     one = GrassmannNumber.scalar(r, 1)
@@ -199,6 +199,9 @@ class BasePoint:
         self._n = len(self.p2[0]) if self.p2 else n
         if self._m is None or self._n is None:
             raise ValueError("pass m and n explicitly for empty blocks")
+        for name, rows in (("p1", self.p1), ("p2", self.p2)):
+            if len({len(row) for row in rows}) > 1:
+                raise ValueError(f"{name} has rows of unequal width")
         for name, rows, width in (("p1", self.p1, self._m), ("p2", self.p2, self._n)):
             if len(rref(rows, width)[1]) != len(rows):
                 raise RankDeficient(f"{name} is not of full row rank")
@@ -429,6 +432,9 @@ def verify_transitivity(k: int, l: int, m: int, n: int, r: int, count: int = 50,
             [[1 if j == i else 0 for j in range(n)] for i in range(l)],
             m=m, n=n,
         )
+    elif (base.k, base.l, base.m, base.n) != (k, l, m, n):
+        raise ValueError(f"base point is {base.k}|{base.l}({base.m}|{base.n}), "
+                         f"the atlas {k}|{l}({m}|{n})")
     report = Report(
         suite="transitivity",
         config={"k": k, "l": l, "m": m, "n": n, "r": r, "count": count, "seed": seed},

@@ -722,7 +722,8 @@ def invert_transition_at_point(
                     acc = acc - Ai[c]
                 elif i == unit_row:
                     acc = acc - one
-                out.extend(acc.terms.get(mask, MPQ(0)) for mask in range(1 << r))
+                terms = acc.terms
+                out.extend(terms.get(mask, MPQ(0)) for mask in range(1 << r))
         return out
 
     basis = _coeff_basis(src_chart, r)

@@ -160,8 +160,11 @@ def cmd_transitivity(parser, args) -> int:
             base = BasePoint(p1, p2, m=args.m, n=args.n)
         except (ValueError, TypeError) as exc:
             parser.error(f"bad base point: {exc}")
-    rep = verify_transitivity(args.k, args.l, args.m, args.n, r=args.r,
-                              count=args.samples, seed=args.seed, base=base)
+    try:
+        rep = verify_transitivity(args.k, args.l, args.m, args.n, r=args.r,
+                                  count=args.samples, seed=args.seed, base=base)
+    except ValueError as exc:  # the base point does not fit the atlas
+        parser.error(f"bad base point: {exc}")
     return _emit(rep, args)
 
 

@@ -9,13 +9,19 @@ differentiation; nu never touches them.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
-verification suites.
+verification suites.  A GrassmannNumber stores integer numerators over one
+positive common denominator in lowest terms (no zero numerator, zero is {}
+over 1), so its arithmetic runs on Python ints and equality compares the
+stored fields; MPQ appears only at its boundary (constructor, ``terms``,
+``body``).
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
 from sympy import QQ
 from sympy.external.gmpy import MPQ
@@ -378,7 +384,13 @@ class GeneratorContext:
 
 
 class SuperFunction:
-    """Element of the structure ring over a generator context."""
+    """Element of the structure ring over a generator context.
+
+    ``terms`` maps monomial bitmasks to nonzero coefficients.  The public
+    constructor drops zeros; negation, nu, odd derivatives, the soul and
+    nonzero rational multiples cannot make one, so they build through
+    ``_sf`` without the filter.
+    """
 
     __slots__ = ("ctx", "terms")
 
@@ -398,7 +410,7 @@ class SuperFunction:
         return c
 
     def soul(self) -> "SuperFunction":
-        return SuperFunction(self.ctx, {m: c for m, c in self.terms.items() if m})
+        return _sf(self.ctx, {m: c for m, c in self.terms.items() if m})
 
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as both."""
@@ -443,7 +455,7 @@ class SuperFunction:
         return SuperFunction(self.ctx, out)
 
     def __neg__(self):
-        return SuperFunction(self.ctx, {m: -c for m, c in self.terms.items()})
+        return _sf(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -463,7 +475,10 @@ class SuperFunction:
         return SuperFunction(self.ctx, out)
 
     def scale(self, q) -> "SuperFunction":
-        return SuperFunction(self.ctx, {m: c.scale(q) for m, c in self.terms.items()})
+        q = MPQ(q)
+        if not q:
+            return _sf(self.ctx, {})
+        return _sf(self.ctx, {m: c.scale(q) for m, c in self.terms.items()})
 
     def inv(self) -> "SuperFunction":
         """Exact inverse: body**-1 * sum (-soul/body)**i, finite by nilpotency."""
@@ -489,7 +504,7 @@ class SuperFunction:
         """Odd involution: toggle membership of the first odd generator."""
         if self.ctx.beta < 1:
             raise NoOddGenerators("nu needs at least one odd generator")
-        return SuperFunction(self.ctx, {m ^ 1: c for m, c in self.terms.items()})
+        return _sf(self.ctx, {m ^ 1: c for m, c in self.terms.items()})
 
     def partial(self, name: str) -> "SuperFunction":
         ctx = self.ctx
@@ -505,7 +520,7 @@ class SuperFunction:
                 continue
             pos = (m & (bit - 1)).bit_count()
             out[m ^ bit] = -c if pos & 1 else c
-        return SuperFunction(ctx, out)
+        return _sf(ctx, out)
 
     def ring_zero(self) -> "SuperFunction":
         return SuperFunction(self.ctx, {})
@@ -570,40 +585,70 @@ class SuperFunction:
         return " + ".join(parts)
 
 
+def _sf(ctx: GeneratorContext, terms: dict[int, RationalFunction]) -> SuperFunction:
+    """A SuperFunction from terms known to hold no zero coefficient."""
+    f = object.__new__(SuperFunction)
+    f.ctx = ctx
+    f.terms = terms
+    return f
+
+
 class GrassmannNumber:
-    """Element of the finite Grassmann algebra Lambda_r over QQ."""
+    """Element of the finite Grassmann algebra Lambda_r over QQ.
 
-    __slots__ = ("r", "terms")
+    Layout: integer numerators over one shared denominator.  ``num`` maps
+    each monomial bitmask to a nonzero int, ``den`` is a positive int, and
+    the pair is in lowest terms: ``gcd(den, *num.values()) == 1``.  Zero is
+    ``{}`` over 1.  The form is canonical, so equal values have equal
+    ``(r, den, num)``, and ``+ - * neg nu inv`` run on Python ints.
 
-    def __init__(self, r: int, terms: dict[int, MPQ]):
+    The public constructor takes ``{mask: MPQ or int}``; ``terms`` is a
+    read-only ``{mask: MPQ}`` view of the same value.
+    """
+
+    __slots__ = ("r", "num", "den")
+
+    def __init__(self, r: int, terms: dict):
         self.r = r
-        self.terms = {m: c for m, c in terms.items() if c}
+        # an int is its own numerator over 1
+        fracs = [(m, c if isinstance(c, int) else MPQ(c)) for m, c in terms.items() if c]
+        # over the lcm of reduced denominators no common factor is left: a
+        # prime at its highest power in den divides no numerator of a term
+        # that brings that power
+        self.den = den = lcm(*(q.denominator for _, q in fracs))
+        self.num = {m: q.numerator * (den // q.denominator) for m, q in fracs}
 
     @classmethod
     def scalar(cls, r: int, q) -> "GrassmannNumber":
         q = MPQ(q)
-        return cls(r, {0: q} if q else {})
+        return _gn(r, {0: q.numerator}, q.denominator) if q else _gn(r, {}, 1)
 
     @classmethod
     def theta(cls, r: int, i: int) -> "GrassmannNumber":
         """The i-th odd generator, 1-based."""
         if not 1 <= i <= r:
             raise UnknownVariable(f"theta_{i} outside Lambda_{r}")
-        return cls(r, {1 << (i - 1): MPQ(1)})
+        return _gn(r, {1 << (i - 1): 1}, 1)
+
+    @property
+    def terms(self):
+        """Read-only view {mask: MPQ} of the coefficients."""
+        den = self.den
+        return MappingProxyType({m: MPQ(c, den) for m, c in self.num.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def body(self) -> MPQ:
-        return self.terms.get(0, MPQ(0))
+        return MPQ(self.num.get(0, 0), self.den)
 
     def soul(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.r, {m: c for m, c in self.terms.items() if m})
+        return _reduced(self.r, {m: c for m, c in self.num.items() if m}, self.den)
 
     def parity(self):
-        if not self.terms:
+        if not self.num:
             return EVEN
-        parities = {m.bit_count() & 1 for m in self.terms}
+        parities = {m.bit_count() & 1 for m in self.num}
         if len(parities) == 1:
             return parities.pop()
         return None
@@ -611,114 +656,101 @@ class GrassmannNumber:
     def __eq__(self, other):
         if not isinstance(other, GrassmannNumber):
             return NotImplemented
-        return self.r == other.r and self.terms == other.terms
+        return self.r == other.r and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
+        return hash((self.r, self.den, frozenset(self.num.items())))
 
     def _check(self, other):
         if self.r != other.r:
             raise ContextMismatch(f"Lambda_{self.r} vs Lambda_{other.r}")
 
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            v = c if s is None else s + c
-            if v:
-                out[m] = v
-            elif s is not None:
-                del out[m]
-        g = GrassmannNumber.__new__(GrassmannNumber)
-        g.r = self.r
-        g.terms = out
-        return g
+        return self._merge(other, 1)
 
     def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign: int) -> "GrassmannNumber":
+        """self + sign * other: numerators add directly over equal
+        denominators, otherwise over the lcm."""
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
+        da, db = self.den, other.den
+        if da == db:
+            out = dict(self.num)
+            fb = sign
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+            out = {m: c * fa for m, c in self.num.items()}
+            da *= fa
+        get = out.get
+        for m, c in other.num.items():
+            v = get(m, 0) + c * fb
+            if v:
+                out[m] = v
             else:
-                v = s - c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        g = GrassmannNumber.__new__(GrassmannNumber)
-        g.r = self.r
-        g.terms = out
-        return g
+                del out[m]
+        return _reduced(self.r, out, da)
 
     def __neg__(self):
-        g = GrassmannNumber.__new__(GrassmannNumber)
-        g.r = self.r
-        g.terms = {m: -c for m, c in self.terms.items()}
-        return g
+        return _gn(self.r, {m: -c for m, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, MPQ)):
             q = MPQ(other)
-            g = GrassmannNumber.__new__(GrassmannNumber)
-            g.r = self.r
-            g.terms = {m: c * q for m, c in self.terms.items()} if q else {}
-            return g
+            if not q:
+                return _gn(self.r, {}, 1)
+            p = q.numerator
+            return _reduced(self.r, {m: c * p for m, c in self.num.items()},
+                            self.den * q.denominator)
         self._check(other)
-        out: dict[int, MPQ] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                c = ca * cb if mono_sign(ma, mb) > 0 else -ca * cb
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    v = s + c
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
-        g = GrassmannNumber.__new__(GrassmannNumber)
-        g.r = self.r
-        g.terms = out
-        return g
+        signs = _sign_table(self.r)
+        out: dict[int, int] = {}
+        get = out.get
+        pairs = other.num.items()
+        for ma, ca in self.num.items():
+            row = signs[ma]
+            for mb, cb in pairs:
+                s = row[mb]
+                if s:
+                    m = ma | mb
+                    out[m] = get(m, 0) + (ca * cb if s > 0 else -ca * cb)
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return _reduced(self.r, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GrassmannNumber":
-        b = self.body()
+        """Exact inverse: for (b + n)/D it is D/b * sum (-n/b)**k, finite by
+        nilpotency."""
+        b = self.num.get(0)
         if not b:
             raise ZeroBody("cannot invert a Grassmann number with zero body")
-        binv = MPQ(1) / b
-        minus_n = GrassmannNumber(self.r, {m: -c * binv for m, c in self.terms.items() if m})
-        result = GrassmannNumber.scalar(self.r, 1)
-        power = GrassmannNumber.scalar(self.r, 1)
-        for _ in range(self.r):
+        r = self.r
+        flip = -1 if b > 0 else 1  # -n/b over the positive |b|
+        minus_n = _reduced(r, {m: flip * c for m, c in self.num.items() if m}, abs(b))
+        result = _gn(r, {0: 1}, 1)
+        power = _gn(r, {0: 1}, 1)
+        for _ in range(r):
             power = power * minus_n
             if power.is_zero():
                 break
             result = result + power
-        return result * binv
+        return result * MPQ(self.den, b)
 
     def nu(self) -> "GrassmannNumber":
         """Odd involution on Lambda_r: toggle membership of theta_1."""
         if self.r < 1:
             raise NoOddGenerators("nu on Lambda_r needs r >= 1")
-        g = GrassmannNumber.__new__(GrassmannNumber)
-        g.r = self.r
-        g.terms = {m ^ 1: c for m, c in self.terms.items()}
-        return g
+        return _gn(self.r, {m ^ 1: c for m, c in self.num.items()}, self.den)
 
     def ring_zero(self) -> "GrassmannNumber":
-        return GrassmannNumber(self.r, {})
+        return _gn(self.r, {}, 1)
 
     def ring_one(self) -> "GrassmannNumber":
-        return GrassmannNumber.scalar(self.r, 1)
+        return _gn(self.r, {0: 1}, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -738,11 +770,12 @@ class GrassmannNumber:
         return cls(r, terms)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         parts = []
-        for mask in sorted(self.terms):
-            c = self.terms[mask]
+        for mask in sorted(terms):
+            c = terms[mask]
             gens = "*".join(f"O{i+1}" for i in range(self.r) if mask >> i & 1)
             if not gens:
                 parts.append(str(c))
@@ -751,6 +784,46 @@ class GrassmannNumber:
             else:
                 parts.append(f"({c})*{gens}")
         return " + ".join(parts)
+
+
+def _gn(r: int, num: dict[int, int], den: int) -> GrassmannNumber:
+    """A GrassmannNumber from numerators already in canonical form."""
+    g = object.__new__(GrassmannNumber)
+    g.r = r
+    g.num = num
+    g.den = den
+    return g
+
+
+def _reduced(r: int, num: dict[int, int], den: int) -> GrassmannNumber:
+    """num over den > 0 in lowest terms; num holds no zero."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {m: c // g for m, c in num.items()}
+    return _gn(r, num, den)
+
+
+@lru_cache(maxsize=None)
+def _sign_table(r: int) -> tuple[tuple[int, ...], ...]:
+    """S[a][b]: the sign of e_a * e_b in Lambda_r, 0 where a and b overlap.
+
+    Row a is filled by the lowest bit j of b: moving e_j to its place past
+    e_a costs one transposition per generator of a above j.
+    """
+    size = 1 << r
+    table = []
+    for a in range(size):
+        row = [0] * size
+        row[0] = 1
+        for b in range(1, size):
+            if not a & b:
+                low = b & -b
+                s = row[b ^ low]
+                row[b] = -s if (a >> low.bit_length()).bit_count() & 1 else s
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> GrassmannNumber:
@@ -762,7 +835,7 @@ def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> Grass
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     masks = [mask for mask in range(1 << r) if mask.bit_count() & 1 == parity]
-    terms: dict[int, MPQ] = {}
+    terms: dict[int, int] = {}
     while masks and not terms:
         for mask in masks:
             c = rng.randint(lo, hi)
@@ -770,5 +843,5 @@ def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> Grass
                 while c == 0:
                     c = rng.randint(lo, hi)
             if c:
-                terms[mask] = MPQ(c)
-    return GrassmannNumber(r, terms)
+                terms[mask] = c
+    return _gn(r, terms, 1)

@@ -87,6 +87,20 @@ def test_transitivity_command(capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("base", [
+    ["--base1", "[[1,0],[0]]", "--base2", "[[1,0]]"],    # ragged rows
+    ["--base1", "[[1,0,0]]", "--base2", "[[1,0]]"],      # p1 wider than m
+    ["--base1", "[[1,0]]"],                              # no p2 row for l = 1
+])
+def test_a_base_point_that_does_not_fit_exits_2(capsys, base):
+    with pytest.raises(SystemExit) as exc:
+        main(["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2",
+              "--samples", "2", *base])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "bad base point" in captured.err and "witness" not in captured.out
+
+
 def test_nulie_command(capsys):
     code, out = run(capsys, "nulie", "-k", "0", "-l", "1", "-m", "1", "-n", "2",
                     "--format", "json")

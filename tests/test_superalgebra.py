@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -350,3 +351,166 @@ def test_mono_sign_counts_transpositions():
     assert mono_sign(0b10, 0b01) == -1
     assert mono_sign(0b01, 0b10) == 1
     assert mono_sign(0b101, 0b010) == -1  # e1e3 * e2: one swap past e3
+
+
+# ---------------------------------------------------------------------------
+# the integer layout of GrassmannNumber against the MPQ-dict reference
+# ---------------------------------------------------------------------------
+
+
+class _MPQGrassmann:
+    """The MPQ-dict Lambda_r arithmetic GrassmannNumber used before it moved
+    to integer numerators over one denominator; the oracle of the tests
+    below."""
+
+    def __init__(self, r, terms):
+        self.r = r
+        self.terms = {m: MPQ(c) for m, c in terms.items() if c}
+
+    def body(self):
+        return self.terms.get(0, MPQ(0))
+
+    def soul(self):
+        return _MPQGrassmann(self.r, {m: c for m, c in self.terms.items() if m})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, MPQ(0)) + c
+        return _MPQGrassmann(self.r, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _MPQGrassmann(self.r, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, MPQ)):
+            return _MPQGrassmann(self.r, {m: c * MPQ(other) for m, c in self.terms.items()})
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                if not ma & mb:
+                    m = ma | mb
+                    out[m] = out.get(m, MPQ(0)) + ca * cb * mono_sign(ma, mb)
+        return _MPQGrassmann(self.r, out)
+
+    def inv(self):
+        b = self.body()
+        if not b:
+            raise ZeroBody("zero body")
+        binv = MPQ(1) / b
+        minus_n = _MPQGrassmann(self.r, {m: -c * binv for m, c in self.terms.items() if m})
+        result = power = _MPQGrassmann(self.r, {0: MPQ(1)})
+        for _ in range(self.r):
+            power = power * minus_n
+            result = result + power
+        return result * binv
+
+    def nu(self):
+        return _MPQGrassmann(self.r, {m ^ 1: c for m, c in self.terms.items()})
+
+    def to_dict(self):
+        return {",".join(str(i + 1) for i in range(self.r) if m >> i & 1): str(c)
+                for m, c in sorted(self.terms.items())}
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for mask in sorted(self.terms):
+            c = self.terms[mask]
+            gens = "*".join(f"O{i+1}" for i in range(self.r) if mask >> i & 1)
+            parts.append(str(c) if not gens else gens if c == 1 else f"({c})*{gens}")
+        return " + ".join(parts)
+
+
+_big = st.integers(-10**30, 10**30)
+_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.builds(MPQ, st.integers(-6, 6), st.integers(1, 12)),
+    # large numerators and denominators, negative denominators included
+    st.builds(MPQ, _big, _big.filter(bool)),
+    st.builds(MPQ, st.integers(-4, 4), st.sampled_from([-(2**61 - 1), -36, 10**18, 3**40])),
+)
+
+
+@st.composite
+def _grassmann_pairs(draw):
+    """Coefficient dicts for one r in 0..4, zeros and empty dicts included."""
+    r = draw(st.integers(0, 4))
+    masks = st.integers(0, (1 << r) - 1)
+
+    def coefficients():
+        terms = draw(st.dictionaries(masks, st.one_of(st.just(0), _rationals), max_size=1 << r))
+        if draw(st.booleans()):  # often give a nonzero body, so inv has work to do
+            terms[0] = draw(_rationals.filter(bool))
+        return terms
+
+    return r, coefficients(), coefficients()
+
+
+def _assert_canonical(g):
+    assert isinstance(g.den, int) and g.den >= 1
+    assert all(isinstance(c, int) and c for c in g.num.values())
+    assert gcd(g.den, *g.num.values()) == 1
+    assert g.num or g.den == 1
+
+
+def _assert_matches(g, ref):
+    _assert_canonical(g)
+    assert dict(g.terms) == ref.terms
+    assert g.to_dict() == ref.to_dict()
+    assert repr(g) == repr(ref)
+    assert g.body() == ref.body() and type(g.body()) is MPQ
+    assert g.is_zero() == (not ref.terms)
+
+
+@given(_grassmann_pairs(), st.one_of(st.just(0), _rationals))
+@settings(max_examples=300, deadline=None)
+def test_integer_layout_matches_the_mpq_reference(pair, q):
+    r, ta, tb = pair
+    a, b = GrassmannNumber(r, ta), GrassmannNumber(r, tb)
+    ra, rb = _MPQGrassmann(r, ta), _MPQGrassmann(r, tb)
+    _assert_matches(a, ra)
+    _assert_matches(b, rb)
+    _assert_matches(a + b, ra + rb)
+    _assert_matches(a - b, ra - rb)
+    _assert_matches(a * b, ra * rb)
+    _assert_matches(b * a, rb * ra)
+    _assert_matches(-a, -ra)
+    _assert_matches(a.soul(), ra.soul())
+    _assert_matches(a * q, ra * q)
+    _assert_matches(q * a, ra * q)
+    if r:
+        _assert_matches(a.nu(), ra.nu())
+    if ra.body():
+        _assert_matches(a.inv(), ra.inv())
+    else:
+        with pytest.raises(ZeroBody):
+            a.inv()
+
+
+@given(_grassmann_pairs())
+@settings(max_examples=150, deadline=None)
+def test_equal_grassmann_values_have_equal_fields_and_hashes(pair):
+    r, ta, tb = pair
+    a, b = GrassmannNumber(r, ta), GrassmannNumber(r, tb)
+    # the same value reached by different routes and denominators
+    for x, y in (((a + b) - b, a), (GrassmannNumber(r, dict((a * b).terms)), a * b),
+                 (a - a, GrassmannNumber(r, {})), (-(-a), a), (a * 1, a)):
+        assert x == y and hash(x) == hash(y)
+        assert (x.r, x.den, x.num) == (y.r, y.den, y.num)
+    assert GrassmannNumber(r, {}).den == 1 and GrassmannNumber(r, {0: 0}).num == {}
+    # and different values differ, also when only the denominator does
+    assert (a * MPQ(1, 2) == a) == a.is_zero()
+    assert (a == b) == (dict(a.terms) == dict(b.terms))
+
+
+def test_grassmann_terms_is_a_read_only_view():
+    a = GrassmannNumber(2, {0: MPQ(1, 2), 3: 3})
+    assert (a.num, a.den) == ({0: 1, 3: 6}, 2)
+    with pytest.raises(TypeError):
+        a.terms[1] = MPQ(1)
+    assert a.terms == {0: MPQ(1, 2), 3: MPQ(3)}
