@@ -4,7 +4,7 @@
   entry below the rows already used is skipped, not an error.  The rank
   checks, the basis completion of the transitivity witness, the commutant's
   nullspace, span membership and the inverse-transition system use it.
-* solve works over any ring whose elements offer body(), inv() and
+* solve works over any ring whose elements offer has_body(), inv() and
   is_zero(): Lambda_r (GrassmannNumber) or a chart ring (SuperFunction).  It
   solves a square system and raises NotInvertible when the body of the
   matrix is singular.  Every chart normalization, every supermatrix inverse
@@ -71,7 +71,7 @@ def solve(Z, Y, units=()):
     width = w + (len(Y[0]) if n else 0)
     for t, col in enumerate(cols):
         for piv in free:
-            if M[piv][t].body():
+            if M[piv][t].has_body():
                 break
         else:
             raise NotInvertible(f"no body-invertible pivot in column {col}")

@@ -5,12 +5,15 @@ chart action of  Id + eps*E  with eps an adjoined square-zero parameter (a
 single odd tau for odd E, a product of two for even E).  A field's
 coordinate representation either commutes with the involution or not;
 collecting the commutation defects over every chart and every odd monomial
-cuts an exact linear subspace of gl(m|n): the nu-commutant.
+cuts an exact linear subspace of gl(m|n): the nu-commutant.  A field's
+components are never mutated after construction, so each field object
+computes its Jacobian once and keeps it for as long as it lives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from sympy.external.gmpy import MPQ
 
@@ -122,21 +125,24 @@ def superbracket(a: GlElement, b: GlElement) -> GlElement:
 
 @dataclass
 class ChartVectorField:
-    """A derivation on one chart, given by its value on each coordinate."""
+    """A derivation on one chart, given by its value on each coordinate.
+
+    Components are never mutated after construction, so the Jacobian (the
+    nonzero  d_c X[name]) is computed once per field object, on first use,
+    and lives as long as it does; it is neither compared nor serialized."""
 
     chart: Chart
     parity: int
     components: dict[str, SuperFunction]
 
-    def apply(self, F: SuperFunction) -> SuperFunction:
-        ctx = F.ctx
-        out = ctx.zero()
-        for name, comp in self.components.items():
-            if comp.is_zero():
-                continue
-            c = comp if comp.ctx == ctx else ctx.embed(comp)
-            out = out + c * F.partial(name)
-        return out
+    @cached_property
+    def jacobian(self) -> dict[str, dict[str, SuperFunction]]:
+        coords = self.chart.coords
+        return {
+            name: {c: d for c in coords if not (d := comp.partial(c)).is_zero()}
+            if not comp.is_zero() else {}
+            for name, comp in self.components.items()
+        }
 
     def __add__(self, other):
         comps = {
@@ -242,23 +248,16 @@ def _formal_context(chart: Chart) -> GeneratorContext:
     return chart.ctx.extend_even(names)
 
 
-def _apply_formal(chart: Chart, comps: dict[str, SuperFunction], F: SuperFunction,
-                  ctxF: GeneratorContext) -> SuperFunction:
-    """Apply the derivation with components `comps`, already embedded in
-    ctxF, by the generic-coefficient chain rule: the symbol f depends on the
-    even coordinates only, with formal partials."""
-    out = ctxF.zero()
-    for name in chart.even_coords:
-        comp = comps[name]
-        if comp.is_zero():
-            continue
-        dF = F.partial(name) + ctxF.gen(f"f_{name}") * F.partial("f")
-        out = out + comp * dF
+def _apply_formal(chart: Chart, comps: dict[str, SuperFunction], Xf: SuperFunction,
+                  F: SuperFunction) -> SuperFunction:
+    """X(F) for F = f e_S, with components `comps` embedded in ctxF and
+    Xf = X(f).  F has no explicit dependence on a chart coordinate, so
+    X(f e_S) = X(f) e_S + sum_theta X[theta] d_theta(f e_S)."""
+    out = Xf * F.partial("f")
     for name in chart.odd_coords:
         comp = comps[name]
-        if comp.is_zero():
-            continue
-        out = out + comp * F.partial(name)
+        if not comp.is_zero():
+            out = out + comp * F.partial(name)
     return out
 
 
@@ -271,12 +270,15 @@ def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
         raise NoOddGenerators("the chart carries no odd generators")
     ctxF = _formal_context(chart)
     comps = {name: ctxF.embed(c) for name, c in field.components.items()}
+    # f depends on the even coordinates only, with formal partials f_x
+    Xf = sum((comps[x] * ctxF.gen(f"f_{x}") for x in chart.even_coords
+              if not comps[x].is_zero()), ctxF.zero())
     f_rf = ctxF.gen("f").body()
     defects = []
     for S in range(1 << len(chart.odd_coords)):
         T = SuperFunction(ctxF, {S: f_rf})
-        lhs = _apply_formal(chart, comps, T.nu(), ctxF)
-        rhs = _apply_formal(chart, comps, T, ctxF).nu()
+        lhs = _apply_formal(chart, comps, Xf, T.nu())
+        rhs = _apply_formal(chart, comps, Xf, T).nu()
         defects.append(lhs - rhs)
     return defects
 
@@ -376,14 +378,21 @@ def super_jacobi_defect(a: GlElement, b: GlElement, c: GlElement) -> GlElement:
 
 
 def field_bracket(X1: ChartVectorField, X2: ChartVectorField) -> ChartVectorField:
-    """Super bracket of derivations, componentwise via Leibniz."""
+    """Super bracket of derivations from the two Jacobians:
+    [X1,X2][name] = sum_c X1[c] d_c X2[name] -+ sum_c X2[c] d_c X1[name]."""
     if X1.chart.index != X2.chart.index:
         raise ValueError("fields live on different charts")
     both_odd = bool(X1.parity and X2.parity)
+    zero = X1.chart.ctx.zero()
+
+    def along(X, grad):  # sum_c X[c] * grad[c] over the nonzero X[c]
+        return sum((X.components[c] * d for c, d in grad.items()
+                    if not X.components[c].is_zero()), zero)
+
     comps = {}
     for name in X1.chart.coords:
-        a = X1.apply(X2.components[name])
-        b = X2.apply(X1.components[name])
+        a = along(X1, X2.jacobian[name])
+        b = along(X2, X1.jacobian[name])
         comps[name] = a + b if both_odd else a - b
     return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
 

@@ -403,6 +403,9 @@ class SuperFunction:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def has_body(self) -> bool:
+        return 0 in self.terms  # terms hold no zero coefficient
+
     def body(self) -> RationalFunction:
         c = self.terms.get(0)
         if c is None:
@@ -482,8 +485,8 @@ class SuperFunction:
 
     def inv(self) -> "SuperFunction":
         """Exact inverse: body**-1 * sum (-soul/body)**i, finite by nilpotency."""
-        b = self.body()
-        if not b:
+        b = self.terms.get(0)
+        if b is None:
             raise ZeroBody("cannot invert an element with zero body")
         binv = b.inv()
         minus_n = SuperFunction(
@@ -638,6 +641,9 @@ class GrassmannNumber:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def has_body(self) -> bool:
+        return 0 in self.num  # num holds no zero numerator
 
     def body(self) -> MPQ:
         return MPQ(self.num.get(0, 0), self.den)

@@ -9,7 +9,7 @@ minor_M, minor_Mprime, remainder_D, smat_inv and smat_mul spell out the
 paper's pasting normalization literally and serve as its reference.
 
 Entries are duck-typed: SuperFunction and GrassmannNumber both provide the
-required +, -, *, parity(), nu(), inv(), body(), is_zero(), ring_one(),
+required +, -, *, parity(), nu(), inv(), has_body(), is_zero(), ring_one(),
 ring_zero().
 """
 

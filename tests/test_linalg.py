@@ -1,10 +1,15 @@
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
-from nugrass.linalg import rref
+from nugrass.atlas import get_atlas
+from nugrass.errors import NotInvertible
+from nugrass.linalg import inverse, rref, solve
+from nugrass.nulie import GlElement, fundamental_field
+from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction
 
 
 def rational_matrix(seed):
@@ -70,3 +75,87 @@ def test_rref_skips_columns_without_a_pivot_and_keeps_the_augmented_block():
     # shows the system is inconsistent
     assert all(not any(row[:3]) for row in M[1:])
     assert any(row[3] for row in M[1:])
+
+
+def _solve_or_singular(Z, Y):
+    try:
+        return solve(Z, Y), inverse(Z)
+    except NotInvertible:
+        return "singular"
+
+
+def _product(Z, X):
+    zero = Z[0][0].ring_zero()
+    return [[sum((Z[i][k] * X[k][j] for k in range(len(X))), zero)
+             for j in range(len(X[0]))] for i in range(len(Z))]
+
+
+def _grassmann_system(rng):
+    """Z (n x n) and Y (n x 2) over Lambda_r with bodies often zero."""
+    r, n = rng.randint(0, 2), rng.randint(1, 3)
+
+    def entry(body_zero):
+        terms = {mask: rng.randint(-2, 2) for mask in range(1 << r)}
+        if body_zero:
+            terms[0] = 0
+        return GrassmannNumber(r, terms)
+
+    Z = [[entry(rng.random() < 0.25) for _ in range(n)] for _ in range(n)]
+    Y = [[entry(False) for _ in range(2)] for _ in range(n)]
+    bodies = [[e.body() for e in row] for row in Z]
+    return Z, Y, len(rref(bodies, n)[1]) < n
+
+
+def _chart_ring_system(rng):
+    """Z (n x n) and Y (n x 2) over Q(x1)[e1, e2] with bodies often zero or
+    dependent over Q(x1); n stays small, the gcds over Q(x1) are costly."""
+    ctx = GeneratorContext(("x1",), ("e1", "e2"))
+    x, e1, e2 = ctx.gen("x1"), ctx.gen("e1"), ctx.gen("e2")
+    n = rng.randint(1, 2)
+    X = sympy.Symbol("x")
+
+    def entry():
+        a, b = rng.choice([0, 0, 1, -2, 3]), rng.choice([0, 0, 1, -1])
+        c, d = rng.randint(-2, 2), rng.randint(-2, 2)
+        value = ctx.one().scale(a) + x.scale(b) + (e1 * e2).scale(c) + e1.scale(d)
+        return value, a + b * X
+
+    cells = [[entry() for _ in range(n)] for _ in range(n)]
+    Z = [[v for v, _ in row] for row in cells]
+    Y = [[entry()[0] for _ in range(2)] for _ in range(n)]
+    singular = sympy.Matrix([[b for _, b in row] for row in cells]).det().expand() == 0
+    return Z, Y, singular
+
+
+def _refuse_body(self):
+    raise AssertionError("a pivot test built the body")
+
+
+@given(st.integers(0, 10**6), st.sampled_from([_grassmann_system, _chart_ring_system]))
+@settings(max_examples=60, deadline=None)
+def test_solve_tests_pivots_without_building_the_body(seed, system):
+    Z, Y, singular = system(random.Random(seed))
+    before = _solve_or_singular(Z, Y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GrassmannNumber, "body", _refuse_body)
+        mp.setattr(SuperFunction, "body", _refuse_body)
+        after = _solve_or_singular(Z, Y)
+    assert after == before
+    # NotInvertible exactly on body-singular input
+    assert (after == "singular") == singular
+    if not singular:
+        X, Zinv = after
+        assert _product(Z, X) == Y
+        one, zero = Z[0][0].ring_one(), Z[0][0].ring_zero()
+        assert _product(Z, Zinv) == [[one if i == j else zero for j in range(len(Z))]
+                                     for i in range(len(Z))]
+
+
+def test_chart_normalization_never_builds_a_body(monkeypatch):
+    # every fundamental field normalizes through solve over a chart ring
+    atlas = get_atlas(0, 1, 1, 2)
+    basis = GlElement.basis(1, 2)
+    want = [fundamental_field(E, chart) for chart in atlas.charts for E in basis]
+    monkeypatch.setattr(SuperFunction, "body", _refuse_body)
+    monkeypatch.setattr(GrassmannNumber, "body", _refuse_body)
+    assert [fundamental_field(E, chart) for chart in atlas.charts for E in basis] == want

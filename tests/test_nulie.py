@@ -1,4 +1,8 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 from nugrass.errors import InhomogeneousInput
@@ -17,6 +21,8 @@ from nugrass.nulie import (
     superbracket,
     verify_rho_morphism,
 )
+import nugrass.nulie as nl
+from nugrass.superalgebra import SuperFunction
 
 AT = get_atlas(0, 1, 1, 2)
 C1 = AT.chart((), (1,))
@@ -212,3 +218,197 @@ def test_nu_defect_embeds_each_component_once(monkeypatch):
     defects = nu_defect(field)
     assert len(defects) == 1 << len(C1.odd_coords)
     assert len(calls) == len(field.components)
+
+
+# ---------------------------------------------------------------------------
+# reference routes: the derivation applied coordinate by coordinate
+# ---------------------------------------------------------------------------
+
+
+def apply_reference(X: ChartVectorField, F: SuperFunction) -> SuperFunction:
+    """X(F) = sum_c X[c] * d_c F, differentiating F afresh."""
+    ctx = F.ctx
+    out = ctx.zero()
+    for name, comp in X.components.items():
+        if comp.is_zero():
+            continue
+        c = comp if comp.ctx == ctx else ctx.embed(comp)
+        out = out + c * F.partial(name)
+    return out
+
+
+def bracket_reference(X1: ChartVectorField, X2: ChartVectorField) -> ChartVectorField:
+    both_odd = bool(X1.parity and X2.parity)
+    comps = {}
+    for name in X1.chart.coords:
+        a = apply_reference(X1, X2.components[name])
+        b = apply_reference(X2, X1.components[name])
+        comps[name] = a + b if both_odd else a - b
+    return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
+
+
+def apply_formal_reference(chart, comps, F, ctxF):
+    """Generic chain rule: every coordinate partial of F, with the symbol f
+    depending on the even coordinates through formal partials f_x."""
+    out = ctxF.zero()
+    for name in chart.even_coords:
+        comp = comps[name]
+        if comp.is_zero():
+            continue
+        dF = F.partial(name) + ctxF.gen(f"f_{name}") * F.partial("f")
+        out = out + comp * dF
+    for name in chart.odd_coords:
+        comp = comps[name]
+        if comp.is_zero():
+            continue
+        out = out + comp * F.partial(name)
+    return out
+
+
+def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
+    chart = field.chart
+    ctxF = nl._formal_context(chart)
+    comps = {name: ctxF.embed(c) for name, c in field.components.items()}
+    f_rf = ctxF.gen("f").body()
+    defects = []
+    for S in range(1 << len(chart.odd_coords)):
+        T = SuperFunction(ctxF, {S: f_rf})
+        lhs = apply_formal_reference(chart, comps, T.nu(), ctxF)
+        rhs = apply_formal_reference(chart, comps, T, ctxF).nu()
+        defects.append(lhs - rhs)
+    return defects
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian bracket against the reference
+# ---------------------------------------------------------------------------
+
+BRACKET_DIMS = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)]
+# one field cache per atlas, shared by every example: later examples bracket
+# fields whose Jacobians earlier ones computed, as h_report's pair loop does
+_SHARED_FIELDS: dict[tuple, dict] = {}
+
+
+@st.composite
+def homogeneous_elements(draw, m, n):
+    """An elementary unit, or a rational combination of units of one parity."""
+    d = m + n
+    units = [(u, v) for u in range(1, d + 1) for v in range(1, d + 1)]
+    u, v = draw(st.sampled_from(units))
+    if draw(st.booleans()):
+        return GlElement.unit(m, n, u, v)
+    parity = (u > m) ^ (v > m)
+    same = [uv for uv in units if ((uv[0] > m) ^ (uv[1] > m)) == parity]
+    keys = draw(st.lists(st.sampled_from(same), min_size=1, max_size=3, unique=True))
+    return GlElement(m, n, {key: MPQ(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+                            for key in keys})
+
+
+def assert_jacobian_is_fresh(X: ChartVectorField):
+    for name, comp in X.components.items():
+        row = X.jacobian[name]
+        for c in X.chart.coords:
+            assert row.get(c, comp.ctx.zero()) == comp.partial(c)
+        assert all(not d.is_zero() for d in row.values())
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_field_bracket_matches_the_apply_reference(data):
+    dims = data.draw(st.sampled_from(BRACKET_DIMS))
+    m, n = dims[2:]
+    E1 = data.draw(homogeneous_elements(m, n))
+    E2 = data.draw(homogeneous_elements(m, n))
+    cache = _SHARED_FIELDS.setdefault(dims, {})
+    for chart in get_atlas(*dims).standard_charts:
+        # the elementary parts carry their Jacobians before the combinations
+        # are built from them by scale and +
+        for u, v in list(E1.coeffs) + list(E2.coeffs):
+            rho_field(GlElement.unit(m, n, u, v), chart, cache).jacobian
+        X1, X2 = rho_field(E1, chart, cache), rho_field(E2, chart, cache)
+        want = bracket_reference(X1, X2)
+        first = field_bracket(X1, X2)
+        assert first == want and first.parity == want.parity
+        # bracketing the same fields again reads their cached Jacobians
+        assert field_bracket(X1, X2) == want
+        assert field_bracket(X2, X1) == bracket_reference(X2, X1)
+        assert_jacobian_is_fresh(X1)
+        assert_jacobian_is_fresh(X2)
+
+
+def test_every_elementary_bracket_matches_the_reference_twice():
+    cache = {}
+    basis = GlElement.basis(1, 2)
+    for chart in AT.standard_charts:
+        fields = [rho_field(E, chart, cache) for E in basis]
+        for _ in range(2):
+            for X1 in fields:
+                for X2 in fields:
+                    assert field_bracket(X1, X2) == bracket_reference(X1, X2)
+    for X in cache.values():
+        assert_jacobian_is_fresh(X)
+
+
+def test_scale_and_sum_get_their_own_jacobians():
+    f12 = fundamental_field(GlElement.unit(1, 2, 1, 2), C1)
+    f13 = fundamental_field(GlElement.unit(1, 2, 1, 3), C1)
+    # the source fields hold their Jacobians before new ones are built from them
+    assert f12.jacobian and f13.jacobian
+    for X in (f12.scale(MPQ(-3, 2)), f12 + f13, f12.scale(0)):
+        assert_jacobian_is_fresh(X)
+    assert f12.scale(2) == f12 + f12
+    assert "jacobian" not in repr(f12)
+
+
+# ---------------------------------------------------------------------------
+# nu_defect against the generic chain rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
+def test_nu_defect_matches_the_chain_rule_on_every_basis_field(dims):
+    m, n = dims[2:]
+    atlas = get_atlas(*dims)
+    assert len(atlas.charts) > len(atlas.standard_charts)
+    for chart in atlas.charts:
+        for E in GlElement.basis(m, n):
+            field = fundamental_field(E, chart)
+            assert nu_defect(field) == nu_defect_reference(field)
+
+
+def test_nu_defect_of_a_field_with_odd_components():
+    # X = e1 d/dx1 + x2 d/de2 on a chart of 1|1(2|2): odd, with an odd
+    # partial whose sign shows, worked out by hand from
+    # X(f e_S) = X(f) e_S + f X(e_S),  X(f) = e1 f_x1,  X(e1 e2) = -x2 e1
+    chart = get_atlas(1, 1, 2, 2).chart((1,), (1,))
+    ctx = chart.ctx
+    field = ChartVectorField(chart, 1, {"x1": ctx.gen("e1"), "x2": ctx.zero(),
+                                        "e1": ctx.zero(), "e2": ctx.gen("x2")})
+    defects = nu_defect(field)
+    assert defects == nu_defect_reference(field)
+    g = defects[0].ctx.gen
+    f, fx1, x2, e1, e2 = g("f"), g("f_x1"), g("x2"), g("e1"), g("e2")
+    assert defects == [
+        -fx1,
+        fx1 * e1,
+        (x2 * f * e1).scale(-2) - fx1 * e2,
+        fx1 * e1 * e2 + (x2 * f).scale(2),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+# ---------------------------------------------------------------------------
+
+# SHA-256 of json.dumps(h_report(*dims), indent=2, sort_keys=True), recorded
+# before the bracket read off Jacobians; 2|1(3|2) has dim h = 1|0
+GOLDEN_REPORTS = {
+    (1, 1, 2, 2): "e20314db3221d7ca878b1e7fec23840ad941a195c97682b3ca58e14788865db4",
+    (2, 1, 3, 2): "c0a128057fc03a0d4808675e90dff60cf123002ba5106cfc8f65f84ad39c9e40",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(GOLDEN_REPORTS))
+def test_h_report_bytes_are_pinned(dims):
+    text = json.dumps(h_report(*dims), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[dims]
