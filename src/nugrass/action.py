@@ -29,6 +29,7 @@ from .atlas import (
     Chart,
     GrassPoint,
     _normalize,
+    _point,
     get_atlas,
     point_transition,
     sample_point,
@@ -169,7 +170,7 @@ def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None
             if target is not None:
                 raise MinorNotInvertible(f"minor for {dst.index} is singular here")
             continue
-        return GrassPoint(dst, r, values)
+        return _point(dst, r, values)
     raise NoChartFound("no chart admits this matrix")
 
 

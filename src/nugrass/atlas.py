@@ -500,6 +500,14 @@ class GrassPoint:
         return cls(chart, r, values)
 
 
+def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoint:
+    """A GrassPoint from values the kernel normalized, which respect parity
+    by construction: the parity check runs only on points from outside."""
+    p = object.__new__(GrassPoint)
+    p.chart, p.r, p.values = chart, r, values
+    return p
+
+
 # ---------------------------------------------------------------------------
 # symbolic transitions
 # ---------------------------------------------------------------------------
@@ -671,7 +679,7 @@ def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
         values = _normalize(A, dst, plan.units, src.nu_unit_rows)
     except NotInvertible as exc:
         raise MinorNotInvertible(f"{src.index} -> {dst.index}: {exc}") from exc
-    return GrassPoint(dst, X.r, values)
+    return _point(dst, X.r, values)
 
 
 def _coeff_basis(chart: Chart, r: int):

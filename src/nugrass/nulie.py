@@ -7,7 +7,10 @@ coordinate representation either commutes with the involution or not;
 collecting the commutation defects over every chart and every odd monomial
 cuts an exact linear subspace of gl(m|n): the nu-commutant.  A field's
 components are never mutated after construction, so each field object
-computes its Jacobian once and keeps it for as long as it lives.
+computes its Jacobian once and keeps it for as long as it lives.  The
+morphism check computes the two derivative terms of each unordered pair of
+basis fields once per chart, builds both bracket orders from them, and
+replays the outcomes in (E1, E2) order.
 """
 
 from __future__ import annotations
@@ -274,13 +277,10 @@ def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
     Xf = sum((comps[x] * ctxF.gen(f"f_{x}") for x in chart.even_coords
               if not comps[x].is_zero()), ctxF.zero())
     f_rf = ctxF.gen("f").body()
-    defects = []
-    for S in range(1 << len(chart.odd_coords)):
-        T = SuperFunction(ctxF, {S: f_rf})
-        lhs = _apply_formal(chart, comps, Xf, T.nu())
-        rhs = _apply_formal(chart, comps, Xf, T).nu()
-        defects.append(lhs - rhs)
-    return defects
+    applied = [_apply_formal(chart, comps, Xf, SuperFunction(ctxF, {S: f_rf}))
+               for S in range(1 << len(chart.odd_coords))]
+    # nu(f e_S) = f e_{S^1}, so X(nu(f e_S)) is the application for S^1
+    return [applied[S ^ 1] - X_S.nu() for S, X_S in enumerate(applied)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +377,28 @@ def super_jacobi_defect(a: GlElement, b: GlElement, c: GlElement) -> GlElement:
     return t1 + t2 + t3
 
 
-def field_bracket(X1: ChartVectorField, X2: ChartVectorField) -> ChartVectorField:
-    """Super bracket of derivations from the two Jacobians:
-    [X1,X2][name] = sum_c X1[c] d_c X2[name] -+ sum_c X2[c] d_c X1[name]."""
+def _derivative_terms(X: ChartVectorField, Y: ChartVectorField) -> dict[str, SuperFunction]:
+    """X(Y[name]) = sum_c X[c] d_c Y[name] for every coordinate, from Y's Jacobian."""
+    zero = X.chart.ctx.zero()
+    return {
+        name: sum((X.components[c] * d for c, d in Y.jacobian[name].items()
+                   if not X.components[c].is_zero()), zero)
+        for name in X.chart.coords
+    }
+
+
+def field_bracket(X1: ChartVectorField, X2: ChartVectorField,
+                  terms: tuple[dict, dict] | None = None) -> ChartVectorField:
+    """Super bracket of derivations  [X1,X2][name] = X1(X2[name]) -+ X2(X1[name]).
+
+    ``terms`` is the pair (X1(X2[.]), X2(X1[.])) when the caller has it
+    already: swapped, the same pair serves the bracket in the other order."""
     if X1.chart.index != X2.chart.index:
         raise ValueError("fields live on different charts")
+    a, b = terms or (_derivative_terms(X1, X2), _derivative_terms(X2, X1))
     both_odd = bool(X1.parity and X2.parity)
-    zero = X1.chart.ctx.zero()
-
-    def along(X, grad):  # sum_c X[c] * grad[c] over the nonzero X[c]
-        return sum((X.components[c] * d for c, d in grad.items()
-                    if not X.components[c].is_zero()), zero)
-
-    comps = {}
-    for name in X1.chart.coords:
-        a = along(X1, X2.jacobian[name])
-        b = along(X2, X1.jacobian[name])
-        comps[name] = a + b if both_odd else a - b
+    comps = {name: a[name] + b[name] if both_odd else a[name] - b[name]
+             for name in X1.chart.coords}
     return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
 
 
@@ -409,42 +414,52 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
     Non-standard charts are excluded: their actions route a formal odd unit
     through the two-sided product rule and do not glue with the standard
     representations (see verify_cocycle's audit notes).
+
+    Each unordered pair's terms X_i(X_j[.]) and X_j(X_i[.]) are computed
+    once per chart and serve both bracket orders, each still compared with
+    rho of its reversed bracket (built once per distinct value and chart,
+    with its negation).  The outcomes are replayed in (E1, E2) order, so
+    the sign, counts and counterexamples are a pair-by-pair scan's.
     """
     atlas = get_atlas(k, l, m, n)
     cache = {} if field_cache is None else field_cache
     basis = GlElement.basis(m, n)
+    N = len(basis)
     report = Report(suite="rho-morphism", config={"k": k, "l": l, "m": m, "n": n})
+    # at i*N + j, for the pair (E_i, E_j): the reversed matrix bracket, and
+    # per standard chart the sign s with lhs = s*rhs, 0 when both sides
+    # vanish, None for a mismatch
+    reversed_brackets = [superbracket(E2, E1) for E1 in basis for E2 in basis]
+    keys = [frozenset(Y.coeffs.items()) for Y in reversed_brackets]
+    outcomes: list[list[int | None]] = [[] for _ in range(N * N)]
+    for chart in atlas.standard_charts:
+        fields = [rho_field(E, chart, cache) for E in basis]
+        rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho), ...)
+        for i in range(N):
+            for j in range(i, N):
+                ij = _derivative_terms(fields[i], fields[j])
+                ji = ij if i == j else _derivative_terms(fields[j], fields[i])
+                orders = [(i, j, (ij, ji))] + ([(j, i, (ji, ij))] if i != j else [])
+                for a, b, terms in orders:
+                    lhs = field_bracket(fields[a], fields[b], terms)
+                    p = a * N + b
+                    if keys[p] not in rho:
+                        rhs = rho_field(reversed_brackets[p], chart, cache)
+                        rho[keys[p]] = (((0, rhs),) if rhs.is_zero()
+                                        else ((1, rhs), (-1, rhs.scale(-1))))
+                    outcomes[p].append(
+                        next((s for s, side in rho[keys[p]] if lhs == side), None))
     sign = None
     pairs = passed = failed = 0
     counterexamples = []
-    for E1 in basis:
-        for E2 in basis:
+    for i, E1 in enumerate(basis):
+        for j, E2 in enumerate(basis):
             pairs += 1
-            B_rev = superbracket(E2, E1)
             ok_pair = True
-            for chart in atlas.standard_charts:
-                lhs = field_bracket(rho_field(E1, chart, cache), rho_field(E2, chart, cache))
-                rhs = rho_field(B_rev, chart, cache)
-                if rhs.is_zero():
-                    if not lhs.is_zero():
-                        ok_pair = False
-                    continue
-                if lhs.is_zero():
-                    ok_pair = False
-                    continue
-                matched = None
-                for s in (1, -1):
-                    if all(
-                        lhs.components[name] == rhs.components[name].scale(s)
-                        for name in chart.coords
-                    ):
-                        matched = s
-                        break
-                if matched is None:
-                    ok_pair = False
-                elif sign is None:
-                    sign = matched
-                elif sign != matched:
+            for outcome in outcomes[i * N + j]:
+                if sign is None and outcome:
+                    sign = outcome
+                if outcome is None or outcome not in (0, sign):
                     ok_pair = False
             if ok_pair:
                 passed += 1

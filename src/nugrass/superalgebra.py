@@ -92,7 +92,9 @@ class RationalFunction:
     polynomial numerator over one is already canonical.  Sums, differences
     and products of two polynomials, the derivative of a polynomial and any
     nonzero rational multiple skip the gcd; every other operation goes
-    through it.
+    through it.  A product of two polynomials one of which is a constant
+    multiplies no polynomials at all: 1 gives the other operand itself, 0
+    the canonical zero, and any other q a unit multiple of the numerator.
     """
 
     __slots__ = ("names", "num", "den")
@@ -178,6 +180,15 @@ class RationalFunction:
     def __mul__(self, other):
         self._check(other)
         if self.den.is_ground and other.den.is_ground:
+            # values are immutable: a constant c gives c for 0, the other
+            # operand p for 1, and a unit multiple of p for any other q
+            for p, c in ((self, other), (other, self)):
+                if c.num.is_ground:
+                    q = c.num.const()
+                    if q == 1:
+                        return p
+                    return RationalFunction(p.names, p.num.mul_ground(q), p.den,
+                                            _canonical=True) if q else c
             return RationalFunction(self.names, self.num * other.num, self.den, _canonical=True)
         return RationalFunction(self.names, self.num * other.num, self.den * other.den)
 

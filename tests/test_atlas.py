@@ -486,6 +486,21 @@ def test_point_parity_validation():
         GrassPoint(c1, 2, {"x1": theta(2, 1), "e1": theta(2, 1)})
 
 
+def test_grass_point_from_dict_rejects_a_wrong_parity_coordinate():
+    # points the kernel builds skip the parity check; a point read from
+    # outside still gets it
+    at = get_atlas(1, 2, 2, 3)
+    X = sample_point(at.chart((1,), (2, 3)), 2, random.Random(9))
+    data = X.to_dict()
+    odd = next(name for name in X.chart.coords if X.chart.coord_parity[name] == ODD)
+    even = next(name for name in X.chart.coords if X.chart.coord_parity[name] != ODD)
+    GrassPoint.from_dict(at, data)
+    for name, wrong in ((odd, theta(2, 1) * theta(2, 2)), (even, theta(2, 2))):
+        bad = dict(data, coords=dict(data["coords"], **{name: wrong.to_dict()}))
+        with pytest.raises(ValueError, match=f"coordinate {name} has parity"):
+            GrassPoint.from_dict(at, bad)
+
+
 # ---------------------------------------------------------------------------
 # the cocycle suite
 # ---------------------------------------------------------------------------

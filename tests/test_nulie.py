@@ -22,6 +22,7 @@ from nugrass.nulie import (
     verify_rho_morphism,
 )
 import nugrass.nulie as nl
+from nugrass.reports import CheckResult, Report
 from nugrass.superalgebra import SuperFunction
 
 AT = get_atlas(0, 1, 1, 2)
@@ -220,6 +221,19 @@ def test_nu_defect_embeds_each_component_once(monkeypatch):
     assert len(calls) == len(field.components)
 
 
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)])
+def test_nu_defect_applies_the_field_once_per_odd_monomial(monkeypatch, dims):
+    # X(nu(f e_S)) = X(f e_{S^1}): the nu-partners share their applications
+    calls = []
+    apply = nl._apply_formal
+    monkeypatch.setattr(nl, "_apply_formal", lambda *a: calls.append(a) or apply(*a))
+    m, n = dims[2:]
+    for chart in get_atlas(*dims).charts:
+        calls.clear()
+        nu_defect(fundamental_field(GlElement.unit(m, n, 1, m + 1), chart))
+        assert len(calls) == 1 << len(chart.odd_coords)
+
+
 # ---------------------------------------------------------------------------
 # reference routes: the derivation applied coordinate by coordinate
 # ---------------------------------------------------------------------------
@@ -277,6 +291,87 @@ def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
         rhs = apply_formal_reference(chart, comps, T, ctxF).nu()
         defects.append(lhs - rhs)
     return defects
+
+
+def verify_rho_morphism_reference(k, l, m, n, field_cache=None) -> Report:
+    """The pair-by-pair scan: every ordered pair (E1, E2) in turn, each
+    bracket and each rho built afresh, the sign matched on scaled copies."""
+    atlas = get_atlas(k, l, m, n)
+    cache = {} if field_cache is None else field_cache
+    basis = GlElement.basis(m, n)
+    report = Report(suite="rho-morphism", config={"k": k, "l": l, "m": m, "n": n})
+    sign = None
+    pairs = passed = failed = 0
+    counterexamples = []
+    for E1 in basis:
+        for E2 in basis:
+            pairs += 1
+            B_rev = superbracket(E2, E1)
+            ok_pair = True
+            for chart in atlas.standard_charts:
+                lhs = field_bracket(rho_field(E1, chart, cache), rho_field(E2, chart, cache))
+                rhs = rho_field(B_rev, chart, cache)
+                if rhs.is_zero():
+                    if not lhs.is_zero():
+                        ok_pair = False
+                    continue
+                if lhs.is_zero():
+                    ok_pair = False
+                    continue
+                matched = None
+                for s in (1, -1):
+                    if all(lhs.components[name] == rhs.components[name].scale(s)
+                           for name in chart.coords):
+                        matched = s
+                        break
+                if matched is None:
+                    ok_pair = False
+                elif sign is None:
+                    sign = matched
+                elif sign != matched:
+                    ok_pair = False
+            if ok_pair:
+                passed += 1
+            else:
+                failed += 1
+                if len(counterexamples) < 3:
+                    counterexamples.append({"E1": E1.to_dict(), "E2": E2.to_dict()})
+    report.results.append(
+        CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})",
+                    pairs, passed, failed, counterexamples,
+                    note=f"anti-morphism sign s = {sign} (reversed bracket)")
+    )
+    report.notes.append(f"sign: {sign}")
+    return report
+
+
+# a corrupted basis field: (chart index in standard_charts, unit, factor)
+CORRUPTIONS = [(0, (1, 1), 2), (0, (1, 1), -1), (0, (1, 2), -1), (-1, (2, 1), 3), (1, (3, 3), 0)]
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
+@pytest.mark.parametrize("corruption", [None] + CORRUPTIONS)
+def test_rho_morphism_replay_matches_the_pair_by_pair_scan(dims, corruption):
+    # a scaled basis field in the shared cache makes some pairs fail, or
+    # match with the other sign; the replayed outcomes must report the same
+    # counts, counterexamples and sign as the scan in (E1, E2) order
+    m, n = dims[2:]
+    charts = get_atlas(*dims).standard_charts
+    cache = {}
+    for chart in charts:
+        for E in GlElement.basis(m, n):
+            rho_field(E, chart, cache)
+    if corruption is not None:
+        at, (u, v), q = corruption
+        index = charts[at].index
+        key = (index.I, index.R, u, v)
+        cache[key] = cache[key].scale(q)
+    got = verify_rho_morphism(*dims, field_cache=dict(cache))
+    want = verify_rho_morphism_reference(*dims, field_cache=dict(cache))
+    assert got.results == want.results
+    assert got.notes == want.notes
+    assert got.to_json() == want.to_json()
+    assert want.ok == (corruption is None)
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,12 @@ _coefficients = st.builds(MPQ, st.integers(-4, 4), st.integers(1, 3))
 @st.composite
 def _rational_functions(draw, names, polynomial):
     """A canonical value over ``names``, built by the generic gcd route;
-    ``polynomial`` picks a denominator of one or a nonconstant one."""
+    ``polynomial`` picks a denominator of one or a nonconstant one.  A
+    polynomial is sometimes a constant, 0, 1 and -1 among them."""
     R = _get_ring(names)
+    if polynomial and draw(st.booleans()):
+        q = draw(st.one_of(st.sampled_from([MPQ(0), MPQ(1), MPQ(-1)]), _coefficients))
+        return RationalFunction(names, R(QQ(q.numerator, q.denominator)), R.one)
     monomials = st.tuples(*[st.integers(0, 2)] * len(names))
 
     def poly(min_size):
