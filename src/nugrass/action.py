@@ -18,7 +18,6 @@ from .errors import (
     MinorNotInvertible,
     NoChartFound,
     NotInvertible,
-    OverlapNotSampled,
     RankDeficient,
 )
 from .superalgebra import EVEN, GrassmannNumber, lambda_sample
@@ -34,7 +33,7 @@ from .atlas import (
     point_transition,
     sample_point,
 )
-from .reports import CheckResult, Report
+from .reports import CheckResult, Report, first_defined
 
 
 class GLPoint:
@@ -305,6 +304,10 @@ def stabilizer_membership(P: GLPoint, p: BasePoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
+# a sampled instance outside the domain of a hop or of the action
+_UNDEFINED = (MinorNotInvertible, NotInvertible)
+
+
 def _sample_standard_point(atlas: Atlas, r: int, rng: random.Random) -> GrassPoint:
     chart = rng.choice(atlas.standard_charts)
     return sample_point(chart, r, rng)
@@ -322,40 +325,25 @@ def verify_action_gluing(k: int, l: int, m: int, n: int, r: int = 2,
         suite="action-gluing",
         config={"k": k, "l": l, "m": m, "n": n, "r": r, "samples": samples, "seed": seed},
     )
-    passed = failed = 0
+    result = CheckResult("gluing-square", f"standard quadruples of {k}|{l}({m}|{n})")
     quadruples = set()
-    counterexamples = []
+
+    def gluing():
+        X = _sample_standard_point(atlas, r, rng)
+        P = sample_gl(m, n, r, rng)
+        J, K, H = (rng.choice(std) for _ in range(3))
+        via_J = point_transition(act(X, P, target=J), H)
+        via_K = act(point_transition(X, K), P, target=H)
+        direct = act(X, P, target=H)
+        quadruple = (X.chart.index, J.index, K.index, H.index)
+        quadruples.add(quadruple)
+        return via_J == via_K == direct, lambda: {
+            "X": X.to_dict(), "P": P.to_dict(), "quadruple": [str(i) for i in quadruple]}
+
     for _ in range(samples):
-        for _attempt in range(400):
-            X = _sample_standard_point(atlas, r, rng)
-            P = sample_gl(m, n, r, rng)
-            J, K, H = (rng.choice(std) for _ in range(3))
-            try:
-                via_J = point_transition(act(X, P, target=J), H)
-                via_K = act(point_transition(X, K), P, target=H)
-                direct = act(X, P, target=H)
-            except (MinorNotInvertible, NotInvertible):
-                continue
-            quadruples.add((X.chart.index, J.index, K.index, H.index))
-            if via_J == via_K == direct:
-                passed += 1
-            else:
-                failed += 1
-                if len(counterexamples) < 3:
-                    counterexamples.append(
-                        {"X": X.to_dict(), "P": P.to_dict(),
-                         "quadruple": [str(c.index) for c in (X.chart, J, K, H)]}
-                    )
-            break
-        else:
-            raise OverlapNotSampled("could not sample a defined gluing instance")
-    report.results.append(
-        CheckResult(
-            "gluing-square", f"standard quadruples of {k}|{l}({m}|{n})",
-            passed + failed, passed, failed, counterexamples,
-            note=f"{len(quadruples)} distinct quadruples exercised",
-        )
-    )
+        result.record(*first_defined(gluing, _UNDEFINED, "a defined gluing instance"))
+    result.note = f"{len(quadruples)} distinct quadruples exercised"
+    report.results.append(result)
     return report
 
 
@@ -370,55 +358,33 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
         config={"k": k, "l": l, "m": m, "n": n, "r": r, "samples": samples, "seed": seed},
     )
     ident = GLPoint.identity(m, n, r)
+    unit, assoc, inv = (CheckResult(f"axiom-{key}", f"{k}|{l}({m}|{n})")
+                        for key in ("unit", "associativity", "inverse"))
 
-    stats = {"unit": [0, 0], "associativity": [0, 0], "inverse": [0, 0]}
-    examples = {key: [] for key in stats}
+    def associativity():
+        X = _sample_standard_point(atlas, r, rng)
+        P1 = sample_gl(m, n, r, rng)
+        P2 = sample_gl(m, n, r, rng)
+        lhs = act(act(X, P1), P2)
+        rhs = act(X, P1 * P2)
+        rhs_t = rhs if rhs.chart == lhs.chart else point_transition(rhs, lhs.chart)
+        return lhs == rhs_t, lambda: {"X": X.to_dict(), "P1": P1.to_dict(),
+                                      "P2": P2.to_dict()}
+
+    def inverse_law():
+        X = _sample_standard_point(atlas, r, rng)
+        P = sample_gl(m, n, r, rng)
+        Y = act(act(X, P), P.inv())
+        Y_t = Y if Y.chart == X.chart else point_transition(Y, X.chart)
+        return Y_t == X, lambda: {"X": X.to_dict(), "P": P.to_dict()}
+
     for _ in range(samples):
         X = _sample_standard_point(atlas, r, rng)
-        ok = act(X, ident, target=X.chart) == X
-        stats["unit"][0 if ok else 1] += 1
-        if not ok and len(examples["unit"]) < 3:
-            examples["unit"].append({"X": X.to_dict()})
-
-        for _attempt in range(400):
-            X = _sample_standard_point(atlas, r, rng)
-            P1 = sample_gl(m, n, r, rng)
-            P2 = sample_gl(m, n, r, rng)
-            try:
-                lhs = act(act(X, P1), P2)
-                rhs = act(X, P1 * P2)
-                rhs_t = rhs if rhs.chart == lhs.chart else point_transition(rhs, lhs.chart)
-            except (MinorNotInvertible, NotInvertible):
-                continue
-            ok = lhs == rhs_t
-            stats["associativity"][0 if ok else 1] += 1
-            if not ok and len(examples["associativity"]) < 3:
-                examples["associativity"].append({"X": X.to_dict(), "P1": P1.to_dict(),
-                                                  "P2": P2.to_dict()})
-            break
-        else:
-            raise OverlapNotSampled("could not sample a defined associativity instance")
-
-        for _attempt in range(400):
-            X = _sample_standard_point(atlas, r, rng)
-            P = sample_gl(m, n, r, rng)
-            try:
-                Y = act(act(X, P), P.inv())
-                Y_t = Y if Y.chart == X.chart else point_transition(Y, X.chart)
-            except (MinorNotInvertible, NotInvertible):
-                continue
-            ok = Y_t == X
-            stats["inverse"][0 if ok else 1] += 1
-            if not ok and len(examples["inverse"]) < 3:
-                examples["inverse"].append({"X": X.to_dict(), "P": P.to_dict()})
-            break
-        else:
-            raise OverlapNotSampled("could not sample a defined inverse instance")
-
-    for key, (p, f) in stats.items():
-        report.results.append(
-            CheckResult(f"axiom-{key}", f"{k}|{l}({m}|{n})", p + f, p, f, examples[key])
-        )
+        unit.record(act(X, ident, target=X.chart) == X, lambda: {"X": X.to_dict()})
+        assoc.record(*first_defined(associativity, _UNDEFINED,
+                                    "a defined associativity instance"))
+        inv.record(*first_defined(inverse_law, _UNDEFINED, "a defined inverse instance"))
+    report.results += [unit, assoc, inv]
     return report
 
 
@@ -440,19 +406,13 @@ def verify_transitivity(k: int, l: int, m: int, n: int, r: int, count: int = 50,
         suite="transitivity",
         config={"k": k, "l": l, "m": m, "n": n, "r": r, "count": count, "seed": seed},
     )
-    passed = failed = 0
-    counterexamples = []
+    result = CheckResult("witness", f"{k}|{l}({m}|{n}) over Lambda_{r}")
     for _ in range(count):
         W = _sample_standard_point(atlas, r, rng)
         try:
             transitivity_witness(W, base)
-            passed += 1
+            result.record(True, None)
         except (RankDeficient, NotInvertible, ValueError) as exc:
-            failed += 1
-            if len(counterexamples) < 3:
-                counterexamples.append({"W": W.to_dict(), "error": str(exc)})
-    report.results.append(
-        CheckResult("witness", f"{k}|{l}({m}|{n}) over Lambda_{r}",
-                    passed + failed, passed, failed, counterexamples)
-    )
+            result.record(False, lambda: {"W": W.to_dict(), "error": str(exc)})
+    report.results.append(result)
     return report

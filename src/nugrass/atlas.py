@@ -43,6 +43,7 @@ from .errors import (
     UncoveredCase,
 )
 from .linalg import inverse, rref, solve
+from .reports import CheckResult, Report, first_defined
 from .superalgebra import (
     EVEN,
     ODD,
@@ -779,60 +780,22 @@ def sample_point(chart: Chart, r: int, rng: random.Random) -> GrassPoint:
 # ---------------------------------------------------------------------------
 
 
-def _round_trip_check(a: Chart, b: Chart, r: int, samples: int, rng: random.Random,
-                      max_tries: int = 400):
-    passed = failed = 0
-    counterexamples = []
-    for _ in range(samples):
-        for _attempt in range(max_tries):
-            X = sample_point(a, r, rng)
-            try:
-                X2 = point_transition(point_transition(X, b), a)
-            except MinorNotInvertible:
-                continue
-            if X2 == X:
-                passed += 1
-            else:
-                failed += 1
-                if len(counterexamples) < 3:
-                    counterexamples.append(
-                        {"start": X.to_dict(), "returned": X2.to_dict()}
-                    )
-            break
-        else:
-            raise OverlapNotSampled(f"could not sample the overlap of {a.index}, {b.index}")
-    return passed, failed, counterexamples
+def _cycle_check(result: CheckResult, charts: list[Chart], r: int, samples: int,
+                 rng: random.Random) -> CheckResult:
+    """Record into result `samples` round trips through a cycle of charts;
+    the first entry is start and end, so a pair [a, b] is a round trip."""
+    start = charts[0]
 
+    def attempt():
+        X = Y = sample_point(start, r, rng)
+        for c in charts[1:] + [start]:
+            Y = point_transition(Y, c)
+        return Y == X, lambda: {"start": X.to_dict(), "returned": Y.to_dict()}
 
-def _cycle_check(charts: list[Chart], r: int, samples: int, rng: random.Random,
-                 max_tries: int = 400):
-    """Round trip through a cycle of charts, first entry is start and end."""
-    start, rest = charts[0], charts[1:]
-    passed = failed = 0
-    counterexamples = []
+    what = "the common overlap of " + ", ".join(str(c.index) for c in charts)
     for _ in range(samples):
-        for _attempt in range(max_tries):
-            X = sample_point(start, r, rng)
-            try:
-                Y = X
-                for c in rest:
-                    Y = point_transition(Y, c)
-                Y = point_transition(Y, start)
-            except MinorNotInvertible:
-                continue
-            if Y == X:
-                passed += 1
-            else:
-                failed += 1
-                if len(counterexamples) < 3:
-                    counterexamples.append({"start": X.to_dict(), "returned": Y.to_dict()})
-            break
-        else:
-            raise OverlapNotSampled(
-                "could not sample the common overlap of "
-                + ", ".join(str(c.index) for c in charts)
-            )
-    return passed, failed, counterexamples
+        result.record(*first_defined(attempt, MinorNotInvertible, what))
+    return result
 
 
 def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 100,
@@ -848,8 +811,6 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
     non-standard charts do not close exactly under the concrete involution
     and can be sampled separately as a non-gating audit via audit_nu_triples.
     """
-    from .reports import CheckResult, Report
-
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     report = Report(
@@ -871,13 +832,14 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
             if not pair_defined(a, b):
                 report.results.append(
                     CheckResult(
-                        "pair-round-trip", inst, 0, 0, 0,
+                        "pair-round-trip", inst,
                         note="undefined: both directions structurally singular",
                     )
                 )
                 continue
-            p, f, ce = _round_trip_check(a, b, r, samples, rng)
-            report.results.append(CheckResult("pair-round-trip", inst, p + f, p, f, ce))
+            report.results.append(
+                _cycle_check(CheckResult("pair-round-trip", inst), [a, b], r, samples, rng)
+            )
 
     for a in atlas.charts:
         for b in atlas.charts:
@@ -913,8 +875,9 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
         )
     for a, b, c in triples:
         inst = f"{a.index} -> {c.index} -> {b.index} -> {a.index}"
-        p, f, ce = _cycle_check([a, c, b], r, samples, rng)
-        report.results.append(CheckResult("triple-cycle", inst, p + f, p, f, ce))
+        report.results.append(
+            _cycle_check(CheckResult("triple-cycle", inst), [a, c, b], r, samples, rng)
+        )
 
     if audit_nu_triples:
         nonstd = [c for c in atlas.charts if not c.index.standard]
@@ -931,28 +894,25 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
                     if blocked:
                         x, y = blocked[0]
                         report.results.append(
-                            CheckResult("nu-triple-audit", inst, 0, 0, 0,
+                            CheckResult("nu-triple-audit", inst,
                                         note=f"undefined: hop {x.index} -> {y.index} "
                                              f"is {_get_plan(x, y).status}",
                                         gating=False)
                         )
                         continue
-                    try:
-                        p, f, ce = _cycle_check([a, mid, b], r, min(samples, 10), rng)
-                    except OverlapNotSampled:
-                        report.results.append(
-                            CheckResult("nu-triple-audit", inst, 0, 0, 0,
-                                        note="no evaluable samples", gating=False)
-                        )
-                        continue
-                    report.results.append(
-                        CheckResult(
-                            "nu-triple-audit", inst, p + f, p, f, [],
-                            note="cycle through a non-standard chart; "
-                                 "exactness not implied by the concrete involution",
-                            gating=False,
-                        )
+                    audit = CheckResult(
+                        "nu-triple-audit", inst,
+                        note="cycle through a non-standard chart; "
+                             "exactness not implied by the concrete involution",
+                        gating=False,
                     )
+                    try:
+                        _cycle_check(audit, [a, mid, b], r, min(samples, 10), rng)
+                        audit.counterexamples = []  # informational: it keeps no examples
+                    except OverlapNotSampled:
+                        audit = CheckResult("nu-triple-audit", inst,
+                                            note="no evaluable samples", gating=False)
+                    report.results.append(audit)
         if audited:
             report.notes.append(
                 "nu-triple audit is informational: such cycles pick up soul-order "

@@ -348,7 +348,9 @@ def compute_h(k: int, l: int, m: int, n: int,
                                 row_index[key] = i
                                 rows.append([MPQ(0)] * len(columns))
                             rows[i][col_i] = MPQ(q)
-        for vec in _nullspace(rows, len(columns)):
+        # distinct rows in first-seen order span the same row space, so the
+        # reduced form and the basis are the same
+        for vec in _nullspace(list(dict.fromkeys(map(tuple, rows))), len(columns)):
             elt = GlElement(m, n, {})
             for c, E in zip(vec, columns):
                 if c:
@@ -450,28 +452,18 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
                     outcomes[p].append(
                         next((s for s, side in rho[keys[p]] if lhs == side), None))
     sign = None
-    pairs = passed = failed = 0
-    counterexamples = []
+    result = CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})")
     for i, E1 in enumerate(basis):
         for j, E2 in enumerate(basis):
-            pairs += 1
             ok_pair = True
             for outcome in outcomes[i * N + j]:
                 if sign is None and outcome:
                     sign = outcome
                 if outcome is None or outcome not in (0, sign):
                     ok_pair = False
-            if ok_pair:
-                passed += 1
-            else:
-                failed += 1
-                if len(counterexamples) < 3:
-                    counterexamples.append({"E1": E1.to_dict(), "E2": E2.to_dict()})
-    report.results.append(
-        CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})",
-                    pairs, passed, failed, counterexamples,
-                    note=f"anti-morphism sign s = {sign} (reversed bracket)")
-    )
+            result.record(ok_pair, lambda: {"E1": E1.to_dict(), "E2": E2.to_dict()})
+    result.note = f"anti-morphism sign s = {sign} (reversed bracket)"
+    report.results.append(result)
     report.notes.append(f"sign: {sign}")
     return report
 

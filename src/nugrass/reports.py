@@ -1,8 +1,14 @@
-"""Machine-readable verification reports.
+"""Machine-readable verification reports, and the one sampling loop and
+tally that every sampled check runs through.
 
 Reports are deterministic for a fixed configuration: no timestamps, sorted
 keys, and all sampling drawn from the seeded stream in a fixed iteration
 order, so identical configs produce byte-identical JSON.
+
+A sampled check draws each sample through first_defined, which retries a
+draw that falls outside the set being sampled until its draw budget runs
+out, and counts the sample with CheckResult.record, which keeps the first
+few counterexamples.  Both limits are written once, in those two places.
 """
 
 from __future__ import annotations
@@ -10,17 +16,46 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .errors import OverlapNotSampled
+
+
+def first_defined(attempt, rejects, what: str):
+    """Return the first value of attempt() that raises none of `rejects`.
+
+    attempt draws one instance and evaluates it; a rejected draw lies
+    outside the set being sampled and is retried.  When every draw of the
+    budget is rejected, raise OverlapNotSampled naming `what`.
+    """
+    for _ in range(400):
+        try:
+            return attempt()
+        except rejects:
+            pass
+    raise OverlapNotSampled(f"could not sample {what}")
+
 
 @dataclass
 class CheckResult:
     check: str
     instance: str
-    samples: int
-    passed: int
-    failed: int
+    samples: int = 0
+    passed: int = 0
+    failed: int = 0
     counterexamples: list = field(default_factory=list)
     note: str = ""
     gating: bool = True
+
+    def record(self, ok: bool, example) -> None:
+        """Count one sample.  `example` is a zero-argument callable that
+        builds the counterexample; it is called only for a failure that is
+        kept."""
+        self.samples += 1
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if len(self.counterexamples) < 3:
+                self.counterexamples.append(example())
 
     def to_dict(self) -> dict:
         return {

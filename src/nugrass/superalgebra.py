@@ -138,9 +138,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -400,7 +397,8 @@ class SuperFunction:
     ``terms`` maps monomial bitmasks to nonzero coefficients.  The public
     constructor drops zeros; negation, nu, odd derivatives, the soul and
     nonzero rational multiples cannot make one, so they build through
-    ``_sf`` without the filter.
+    ``_sf`` without the filter.  Values are never mutated, so a sum with a
+    zero operand is the other operand itself.
     """
 
     __slots__ = ("ctx", "terms")
@@ -435,9 +433,6 @@ class SuperFunction:
             return parities.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return self.parity() is not None
-
     def __eq__(self, other):
         if not isinstance(other, SuperFunction):
             return NotImplemented
@@ -454,6 +449,10 @@ class SuperFunction:
 
     def __add__(self, other):
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)

@@ -126,10 +126,6 @@ class SuperMatrix:
         entries = [[row[j] for j in indices] for row in self.entries]
         return SuperMatrix(self.row_split, col_split, entries, self.proto, validate=False)
 
-    def map_entries(self, fn) -> "SuperMatrix":
-        entries = [[e if is_nu(e) else fn(e) for e in row] for row in self.entries]
-        return SuperMatrix(self.row_split, self.col_split, entries, self.proto, validate=False)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":

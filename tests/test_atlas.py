@@ -25,12 +25,13 @@ from nugrass.supermatrix import (
     smat_mul,
 )
 from nugrass.nulie import GlElement, fundamental_field
+from nugrass.reports import CheckResult
 from nugrass.atlas import (
     GrassPoint,
     _adjusted_minor,
     _get_plan,
     _lam_gauss_inv,
-    _round_trip_check,
+    _cycle_check,
     chart_dims,
     enumerate_charts,
     evaluate_transition,
@@ -469,7 +470,7 @@ def test_an_unsampleable_overlap_raises_a_typed_error(monkeypatch):
     outside = GrassPoint(c1, 2, {"x1": GrassmannNumber(2, {}), "e1": theta(2, 1)})
     monkeypatch.setattr(atlas, "sample_point", lambda chart, r, rng: outside)
     with pytest.raises(OverlapNotSampled):
-        _round_trip_check(c1, c2, 2, 1, random.Random(0), max_tries=3)
+        _cycle_check(CheckResult("pair-round-trip", "x"), [c1, c2], 2, 1, random.Random(0))
 
 
 def test_grass_point_serialization_round_trip():

@@ -1,0 +1,192 @@
+"""The sampling contract shared by every sampled check: one retry loop
+(first_defined) and one tally (CheckResult.record)."""
+
+import hashlib
+import re
+
+import pytest
+
+import nugrass.action as action
+import nugrass.atlas as atlas
+from nugrass.errors import MinorNotInvertible, NotInvertible, OverlapNotSampled
+from nugrass.action import verify_action_axioms, verify_action_gluing, verify_transitivity
+from nugrass.atlas import get_atlas, pair_defined, verify_cocycle
+from nugrass.reports import CheckResult, first_defined
+
+
+def test_record_builds_only_the_kept_counterexamples():
+    built = []
+
+    def example(i):
+        def build():
+            built.append(i)
+            return {"i": i}
+        return build
+
+    result = CheckResult("c", "inst")
+    for i, ok in enumerate([True, False, False, True, False, False, False]):
+        result.record(ok, example(i))
+    assert (result.samples, result.passed, result.failed) == (7, 2, 5)
+    assert result.counterexamples == [{"i": 1}, {"i": 2}, {"i": 4}]
+    assert built == [1, 2, 4]
+
+
+def test_first_defined_retries_only_rejected_draws_within_its_budget():
+    calls = []
+
+    def never():
+        calls.append(1)
+        raise MinorNotInvertible("outside")
+
+    with pytest.raises(OverlapNotSampled, match="^could not sample the thing$"):
+        first_defined(never, MinorNotInvertible, "the thing")
+    assert len(calls) == 400
+
+    draws = iter(range(400))
+
+    def last_draw_lands():
+        i = next(draws)
+        if i < 399:
+            raise NotInvertible("outside")
+        return i
+
+    assert first_defined(last_draw_lands, (MinorNotInvertible, NotInvertible), "x") == 399
+
+    def broken():
+        raise ValueError("not a rejection")
+
+    with pytest.raises(ValueError):
+        first_defined(broken, MinorNotInvertible, "x")
+
+
+# ---------------------------------------------------------------------------
+# every retry site gives up with a typed error
+# ---------------------------------------------------------------------------
+
+DIMS = (1, 1, 2, 2)
+
+
+def _raise(exc):
+    def undefined(*args, **kwargs):
+        raise exc("outside")
+    return undefined
+
+
+def _overlap(*charts):
+    return "could not sample the common overlap of " + ", ".join(str(c.index) for c in charts)
+
+
+def _pair_site(mp):
+    mp.setattr(atlas, "point_transition", _raise(MinorNotInvertible))
+    at = get_atlas(*DIMS)
+    a, b = next((a, b) for a in at.charts for b in at.charts
+                if a is not b and pair_defined(a, b))
+    return lambda: verify_cocycle(*DIMS, samples=1), _overlap(a, b)
+
+
+def _triple_site(mp):
+    mp.setattr(atlas, "point_transition", _raise(MinorNotInvertible))
+    mp.setattr(atlas, "pair_defined", lambda a, b: False)
+    a, b, c = get_atlas(*DIMS).standard_charts[:3]
+    return lambda: verify_cocycle(*DIMS, samples=1), _overlap(a, c, b)
+
+
+def _gluing_site(mp):
+    mp.setattr(action, "act", _raise(MinorNotInvertible))
+    return (lambda: verify_action_gluing(*DIMS, samples=1),
+            "could not sample a defined gluing instance")
+
+
+def _associativity_site(mp):
+    real_act = action.act
+
+    def act(X, P, target=None):
+        if target is None:  # only associativity and inverse act without a target
+            raise MinorNotInvertible("outside")
+        return real_act(X, P, target)
+
+    mp.setattr(action, "act", act)
+    return (lambda: verify_action_axioms(*DIMS, samples=1),
+            "could not sample a defined associativity instance")
+
+
+def _inverse_site(mp):
+    mp.setattr(action.GLPoint, "inv", _raise(NotInvertible))
+    return (lambda: verify_action_axioms(*DIMS, samples=1),
+            "could not sample a defined inverse instance")
+
+
+@pytest.mark.parametrize("site", [_pair_site, _triple_site, _gluing_site,
+                                  _associativity_site, _inverse_site],
+                         ids=["pair", "triple", "gluing", "associativity", "inverse"])
+def test_every_retry_site_raises_when_no_draw_is_defined(site, monkeypatch):
+    run, message = site(monkeypatch)
+    with pytest.raises(OverlapNotSampled, match=f"^{re.escape(message)}$"):
+        run()
+
+
+# ---------------------------------------------------------------------------
+# report bytes
+# ---------------------------------------------------------------------------
+
+# SHA-256 of Report.to_json(), recorded before the sampled checks shared one
+# retry loop and one tally.  The cocycle runs audit 30 nu-triples: 1|1(2|2)
+# and 2|1(3|2) have both undefined and sampled ones.
+SUITES = {
+    "cocycle": lambda d: verify_cocycle(*d, r=2, samples=2, seed=0, audit_nu_triples=30),
+    "gluing": lambda d: verify_action_gluing(*d, r=2, samples=10, seed=0),
+    "axioms": lambda d: verify_action_axioms(*d, r=2, samples=10, seed=0),
+    "transitivity": lambda d: verify_transitivity(*d, r=2, count=10, seed=0),
+}
+GOLDEN_REPORTS = {
+    ("cocycle", (0, 1, 1, 2)): "ae23819147a5baf319870bc08be926465cf4fe0a59a2f95202d7084d8dd611dc",
+    ("gluing", (0, 1, 1, 2)): "a927f61d0a468d61544106ef3c1cade22c7d3fd6d606dd8650f17094c0ec86b4",
+    ("axioms", (0, 1, 1, 2)): "d3b4df69a400c7652cb9cace82d7a3ec5b698b46c3d8a365f4be0c52ee298e30",
+    ("transitivity", (0, 1, 1, 2)): "da00ee0ae833fb258010a3fdf86ec7557ee033e4a6b5b972e343b37c3fd33bf1",
+    ("cocycle", (1, 1, 2, 2)): "7d065a37fca8a8288736d3b4d5ef48a37019a3547967eef54af2862bf0944541",
+    ("gluing", (1, 1, 2, 2)): "bb65792dbfbbec03dbf397e6ebf3d0a821327b57ed6b510a88f03a1501c46a9d",
+    ("axioms", (1, 1, 2, 2)): "ccabaacced4b55883361465afaf19ad1fc6ac8b6d336d50e5f83f6c9c8fdc703",
+    ("transitivity", (1, 1, 2, 2)): "0b0cccd42c2a75031f1bc9bfb1c3e3ac94de28ddf5315c77ac3bbfba532eff77",
+    ("cocycle", (2, 1, 3, 2)): "b7dbf37086611d915bde0ee9f6d76dc1440e6ae1032f7ca12ea4f36761f4f0b8",
+    ("gluing", (2, 1, 3, 2)): "f8ba46ba7cffaf9dc1209ece8c5158de477f233b4d20479de99f782bde0c647d",
+    ("axioms", (2, 1, 3, 2)): "71a5bc6df55b6d662e054ec1509daa571288e8142204a95043f4ac8f01eeeb97",
+    ("transitivity", (2, 1, 3, 2)): "4ec2b2cd811dbd16c088d86c054cca79b9338b9546851dc74d4b4513c8ee51bf",
+}
+
+
+def _digest(report):
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("suite, dims", list(GOLDEN_REPORTS))
+def test_sampled_suite_reports_are_pinned(suite, dims):
+    assert _digest(SUITES[suite](dims)) == GOLDEN_REPORTS[(suite, dims)]
+
+
+# The same suites on 1|1(2|2) with every point comparison and every witness
+# failing, 5 samples each: each check keeps its first 3 counterexamples,
+# except the nu-triple audit, which keeps none.  Recorded at the same commit.
+GOLDEN_FAILING = {
+    "cocycle": "e940406487febd90b29e6dbd3f6e5a1e4f8558d823d3e30ec18da3e27c7af14c",
+    "gluing": "8dfc88fb59a28cf38a2a2ed4d8e35f5ba4aef01229a0b33315cd5c0c7faf5959",
+    "axioms": "1066fb8f9e91c52a4585cc3391c068b1804bc12842de84e0db82930af58afd89",
+    "transitivity": "42ff0a1ce2ca743f6ed193ebd81ae2a10d04c6d8cf762607b8b3ce063a286d47",
+}
+FAILING_SUITES = {
+    "cocycle": lambda: verify_cocycle(*DIMS, r=2, samples=5, seed=0, audit_nu_triples=30),
+    "gluing": lambda: verify_action_gluing(*DIMS, r=2, samples=5, seed=0),
+    "axioms": lambda: verify_action_axioms(*DIMS, r=2, samples=5, seed=0),
+    "transitivity": lambda: verify_transitivity(*DIMS, r=2, count=5, seed=0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_FAILING))
+def test_failing_suite_reports_are_pinned(suite, monkeypatch):
+    def witness(W, base):
+        raise ValueError("forced failure")
+
+    monkeypatch.setattr(atlas.GrassPoint, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(action, "transitivity_witness", witness)
+    report = FAILING_SUITES[suite]()
+    assert not report.ok
+    assert _digest(report) == GOLDEN_FAILING[suite]
