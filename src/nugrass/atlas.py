@@ -19,6 +19,14 @@ one exact solve:
   evaluable; hop statuses are symmetric on every tested atlas, so a pair
   is either evaluable both ways or not at all.
 
+A direction's plan status comes from the hop's own adjusted minor and
+solve, run once at the generic Lambda_1 point of the source chart (even
+coordinates b_c, odd ones b_c*theta, each b_c an indeterminate).  The body
+of a minor at any Lambda_r point is a specialization of its body there, so
+that solve fails exactly where no point can hop.  Every grid (a label over
+a chart ring, a Lambda_r point, the generic point) comes from one
+realizer, Chart.grid.
+
 invert_transition_at_point solves the pasting equation of a direction as an
 exact linear system.  It realizes no direction; it is the independent
 oracle that checks forward hops.
@@ -29,6 +37,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 from sympy.external.gmpy import MPQ
 
@@ -50,7 +59,6 @@ from .superalgebra import (
     GeneratorContext,
     GrassmannNumber,
     SuperFunction,
-    _get_ring as _status_ring,
     lambda_sample,
 )
 from .supermatrix import NU, SuperMatrix, format_blocked, is_nu, matmul
@@ -139,17 +147,19 @@ class Chart:
         idx = self.index
         k, l, m, n = idx.k, idx.l, idx.m, idx.n
         s = k + l
-        ncols = m + n
+        self.ncols = ncols = m + n
         grid = [[("zero",)] * ncols for _ in range(s)]
 
         # identity / non-standard identity in the I u R columns
+        identity = []
         for i in range(1, s + 1):
             if i <= idx.p:
                 gcol = idx.I[i - 1] - 1
             else:
                 gcol = m + idx.R[i - idx.p - 1] - 1
-            tok = "one" if (i <= k) == (i <= idx.p) else "nu1"
-            grid[i - 1][gcol] = (tok,)
+            odd_unit = (i <= k) != (i <= idx.p)
+            grid[i - 1][gcol] = ("nu1",) if odd_unit else ("one",)
+            identity.append((i - 1, gcol, odd_unit))
 
         # coordinates in the remaining columns, following the ordering
         free_cols = [j - 1 for j in range(1, m + 1) if j not in idx.I]
@@ -164,46 +174,36 @@ class Chart:
                 grid[row][gcol] = ("coord", name, marked)
                 slots.append((row, gcol, name, marked))
         self.pattern = grid
+        self.identity = tuple(identity)
         self.slots = slots
         self.coord_parity = {name: EVEN for name in self.even_coords}
         self.coord_parity.update({name: ODD for name in self.odd_coords})
-        self.nu_unit_rows = {
-            gcol: row
-            for row in range(s)
-            for gcol in range(ncols)
-            if grid[row][gcol][0] == "nu1"
-        }
-        self._dst_plan = None
+        self.nu_unit_rows = {gcol: row for row, gcol, odd_unit in identity if odd_unit}
 
-    @property
+    @cached_property
     def dst_plan(self):
         """Destination-side pasting data: the minor's column selection with
         divider moves (zsel), the free columns (dcols), and the read-off
         slots into those columns (read)."""
-        if self._dst_plan is None:
-            idx = self.index
-            k, m, p = idx.k, idx.m, idx.p
-            sel_even = [j - 1 for j in idx.I]
-            sel_odd = [m + t - 1 for t in idx.R]
-            if p == k:
-                zsel = [(c, False) for c in sel_even + sel_odd]
-            elif p > k:
-                zsel = [(c, False) for c in sel_even[:k]]
-                zsel += [(c, True) for c in sel_even[k:]]
-                zsel += [(c, False) for c in sel_odd]
-            else:
-                zsel = [(c, False) for c in sel_even]
-                zsel += [(c, True) for c in sel_odd[: k - p]]
-                zsel += [(c, False) for c in sel_odd[k - p:]]
-            label = set(sel_even) | set(sel_odd)
-            dcols = [c for c in range(m + idx.n) if c not in label]
-            dpos = {c: t for t, c in enumerate(dcols)}
-            read = [
-                (row, dpos[gcol], name, marked)
-                for row, gcol, name, marked in self.slots
-            ]
-            self._dst_plan = (zsel, dcols, read)
-        return self._dst_plan
+        idx = self.index
+        k, m, p = idx.k, idx.m, idx.p
+        sel_even = [j - 1 for j in idx.I]
+        sel_odd = [m + t - 1 for t in idx.R]
+        if p == k:
+            zsel = [(c, False) for c in sel_even + sel_odd]
+        elif p > k:
+            zsel = [(c, False) for c in sel_even[:k]]
+            zsel += [(c, True) for c in sel_even[k:]]
+            zsel += [(c, False) for c in sel_odd]
+        else:
+            zsel = [(c, False) for c in sel_even]
+            zsel += [(c, True) for c in sel_odd[: k - p]]
+            zsel += [(c, False) for c in sel_odd[k - p:]]
+        label = set(sel_even) | set(sel_odd)
+        dcols = [c for c in range(m + idx.n) if c not in label]
+        dpos = {c: t for t, c in enumerate(dcols)}
+        read = [(row, dpos[gcol], name, marked) for row, gcol, name, marked in self.slots]
+        return zsel, dcols, read
 
     # -- views ---------------------------------------------------------------
 
@@ -214,24 +214,10 @@ class Chart:
     def label(self, ctx: GeneratorContext | None = None) -> SuperMatrix:
         """The label as a symbolic supermatrix over the chart ring."""
         ctx = ctx or self.ctx
-        one = ctx.one()
         zero = ctx.zero()
-        ent = []
-        for row in self.pattern:
-            out = []
-            for cell in row:
-                if cell[0] == "zero":
-                    out.append(zero)
-                elif cell[0] == "one":
-                    out.append(one)
-                elif cell[0] == "nu1":
-                    out.append(NU)
-                else:
-                    g = ctx.gen(cell[1])
-                    out.append(g.nu() if cell[2] else g)
-            ent.append(out)
+        grid = self.grid({name: ctx.gen(name) for name in self.coords}, ctx.one(), zero)
         idx = self.index
-        return SuperMatrix((idx.k, idx.l), (idx.m, idx.n), ent, zero, validate=False)
+        return SuperMatrix((idx.k, idx.l), (idx.m, idx.n), grid, zero, validate=False)
 
     def label_tokens(self) -> list[list[str]]:
         toks = []
@@ -261,37 +247,41 @@ class Chart:
     def __repr__(self):
         return f"Chart({self.index})"
 
-    # -- realization over Lambda_r --------------------------------------------
+    # -- realization ----------------------------------------------------------
+
+    def grid(self, values: dict, one, zero) -> list[list]:
+        """The label at coordinate values from any ring (a chart ring,
+        Lambda_r): the ring's 0 and 1, the formal odd unit NU, and each
+        coordinate's value, through the involution where the label marks it."""
+        grid = [[zero] * self.ncols for _ in self.pattern]
+        for row, gcol, odd_unit in self.identity:
+            grid[row][gcol] = NU if odd_unit else one
+        for row, gcol, name, marked in self.slots:
+            v = values[name]
+            grid[row][gcol] = v.nu() if marked else v
+        return grid
+
+    @cached_property
+    def generic(self):
+        """The label at the generic Lambda_1 point, and that ring's 1.
+
+        The ring has one indeterminate b_c per coordinate c and the odd
+        generator theta of Lambda_1; an even coordinate is b_c, an odd one
+        b_c*theta.  The involution toggles theta, so nu(b_c) has no body
+        and nu(b_c*theta) = b_c, as on the theta_1 part of a Lambda_r value.
+        """
+        ctx = GeneratorContext(tuple(f"b_{name}" for name in self.coords), ("theta",))
+        theta = ctx.gen("theta")
+        values = {}
+        for name in self.coords:
+            b = ctx.gen(f"b_{name}")
+            values[name] = b * theta if self.coord_parity[name] == ODD else b
+        one = ctx.one()
+        return self.grid(values, one, ctx.zero()), one
 
     def realize(self, values: dict[str, GrassmannNumber], r: int):
         """Raw grid of the point matrix; formal odd units stay symbolic."""
-        one = GrassmannNumber.scalar(r, 1)
-        zero = GrassmannNumber(r, {})
-        grid = []
-        for row in self.pattern:
-            out = []
-            for cell in row:
-                if cell[0] == "zero":
-                    out.append(zero)
-                elif cell[0] == "one":
-                    out.append(one)
-                elif cell[0] == "nu1":
-                    out.append(NU)
-                else:
-                    v = values[cell[1]]
-                    out.append(v.nu() if cell[2] else v)
-            grid.append(out)
-        return grid
-
-    def realize_matrix(self, values: dict[str, GrassmannNumber], r: int) -> SuperMatrix:
-        idx = self.index
-        return SuperMatrix(
-            (idx.k, idx.l),
-            (idx.m, idx.n),
-            self.realize(values, r),
-            GrassmannNumber(r, {}),
-            validate=False,
-        )
+        return self.grid(values, GrassmannNumber.scalar(r, 1), GrassmannNumber(r, {}))
 
 
 def enumerate_charts(k: int, l: int, m: int, n: int) -> list[Chart]:
@@ -330,17 +320,9 @@ class Atlas:
         return self._by_index[(tuple(I), tuple(R))]
 
 
-_ATLASES: dict[tuple, Atlas] = {}
-
-
+@lru_cache(maxsize=None)
 def get_atlas(k: int, l: int, m: int, n: int) -> Atlas:
-    key = (k, l, m, n)
-    try:
-        return _ATLASES[key]
-    except KeyError:
-        at = Atlas(k, l, m, n)
-        _ATLASES[key] = at
-        return at
+    return Atlas(k, l, m, n)
 
 
 _GLOBAL_PLANS: dict[tuple, "HopPlan"] = {}
@@ -367,21 +349,17 @@ class HopPlan:
         self.dst = dst
         self.zsel, self.dcols, self.read = dst.dst_plan
         self.units = self._unit_columns()
-        self._status = None
 
     def _unit_columns(self) -> tuple[tuple[int, int], ...]:
-        """Minor columns that are the unit vector e_i at every point: an
-        unmoved constant 1, or a moved odd unit (which resolves to 1), with
-        zeros elsewhere.  Pairs (minor column, i) for linalg.solve."""
-        units = []
-        for j, (c, moved) in enumerate(self.zsel):
-            cells = [(i, row[c][0]) for i, row in enumerate(self.src.pattern)
-                     if row[c][0] != "zero"]
-            if len(cells) == 1 and cells[0][1] == ("nu1" if moved else "one"):
-                units.append((j, cells[0][0]))
-        return tuple(units)
+        """Minor columns that are the unit vector e_i at every point: source
+        identity columns (zero off row i) holding an unmoved constant 1 or a
+        moved odd unit, which resolves to 1.  Pairs (minor column, i) for
+        linalg.solve."""
+        ident = {gcol: (row, odd_unit) for row, gcol, odd_unit in self.src.identity}
+        return tuple((j, ident[c][0]) for j, (c, moved) in enumerate(self.zsel)
+                     if c in ident and ident[c][1] == moved)
 
-    @property
+    @cached_property
     def status(self) -> str:
         """Structural evaluability of this direction at generic points.
 
@@ -390,65 +368,21 @@ class HopPlan:
         'singular' the minor's body determinant vanishes identically
                    (e.g. a moved identity column, whose body the involution
                    kills), so no point of the source chart can hop this way.
+
+        The hop decides it itself: its own adjusted minor and solve run on
+        the source chart's generic Lambda_1 point (Chart.generic).
         """
-        if self._status is None:
-            self._status = self._classify()
-        return self._status
+        return self._classify()
 
     def _classify(self) -> str:
-        src = self.src
-        names = tuple(f"b_{name}" for name in src.coords)
-        R = _status_ring(names)
-        gens = {name: R.gens[i] for i, name in enumerate(src.coords)}
-        rows = []
-        for i in range(len(src.pattern)):
-            row = []
-            for c, moved in self.zsel:
-                cell = src.pattern[i][c]
-                kind = cell[0]
-                if kind == "zero":
-                    row.append(R.zero)
-                elif kind == "one":
-                    # a moved constant 1 becomes nu(1), whose body vanishes
-                    row.append(R.zero if moved else R.one)
-                elif kind == "nu1":
-                    if not moved:
-                        return "residual"
-                    row.append(R.one)
-                else:
-                    name, marked = cell[1], cell[2]
-                    eff = marked ^ moved
-                    parity = src.coord_parity[name]
-                    # body of the realized entry: an even value contributes
-                    # its own body, an involuted odd value its theta_1 part
-                    if (parity == EVEN and not eff) or (parity == ODD and eff):
-                        row.append(gens[name])
-                    else:
-                        row.append(R.zero)
-            rows.append(row)
-        return "ok" if _poly_det(rows) else "singular"
-
-
-def _poly_det(rows):
-    """Determinant by Laplace expansion; fine at desk-scale sizes."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    det = None
-    for j in range(n):
-        a = rows[0][j]
-        if not a:
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = a * _poly_det(minor)
-        if j & 1:
-            term = -term
-        det = term if det is None else det + term
-    if det is None:
-        return rows[0][0].ring.zero if hasattr(rows[0][0], "ring") else 0
-    return det
+        A, one = self.src.generic
+        try:
+            solve(_adjusted_minor(A, self.zsel, one), [[] for _ in A], self.units)
+        except ResidualNuSymbol:
+            return "residual"
+        except NotInvertible:
+            return "singular"
+        return "ok"
 
 
 def pair_defined(src: Chart, dst: Chart) -> bool:
@@ -550,45 +484,17 @@ def transition_symbolic(src: Chart, dst: Chart) -> TransitionMap:
 
 def evaluate_transition(t: TransitionMap, X: GrassPoint) -> GrassPoint:
     """Evaluate a symbolic transition at a point of the source chart."""
-    assign = dict(X.values)
-    values = {
-        name: sf.eval_grassmann(assign, X.r) for name, sf in t.assignments.items()
-    }
+    scalar = partial(GrassmannNumber.scalar, X.r)
+    values = {name: sf.substitute(X.values, scalar) for name, sf in t.assignments.items()}
     return GrassPoint(t.dst, X.r, values)
 
 
 def apply_pullback(t: TransitionMap, sf: SuperFunction) -> SuperFunction:
     """Extend the coordinate assignments of a transition to a ring morphism
     and apply it to an element of the destination chart ring."""
-    src_ctx = t.src.ctx
-    dst_ctx = t.dst.ctx
-    if sf.ctx != dst_ctx:
+    if sf.ctx != t.dst.ctx:
         raise ValueError("element does not live on the destination chart")
-
-    def eval_rf(rf):
-        num = _eval_poly_super(rf.num, dst_ctx.even_names, t.assignments, src_ctx)
-        den = _eval_poly_super(rf.den, dst_ctx.even_names, t.assignments, src_ctx)
-        return num * den.inv()
-
-    out = src_ctx.zero()
-    for mask, coeff in sf.terms.items():
-        val = eval_rf(coeff)
-        for i, name in enumerate(dst_ctx.odd_names):
-            if mask >> i & 1:
-                val = val * t.assignments[name]
-        out = out + val
-    return out
-
-
-def _eval_poly_super(p, names, assignments, src_ctx):
-    total = src_ctx.zero()
-    for exp, q in p.terms():
-        term = src_ctx.scalar(MPQ(q))
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                term = term * assignments[names[i]]
-        total = total + term
-    return total
+    return sf.substitute(t.assignments, t.src.ctx.scalar)
 
 
 def nu_equivariance_defects(t: TransitionMap) -> dict[str, SuperFunction]:

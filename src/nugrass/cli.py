@@ -130,6 +130,8 @@ def cmd_verify_cocycle(parser, args) -> int:
     _check_dims(parser, args)
     if args.r < 1:
         parser.error("the cocycle suite needs -r >= 1")
+    if args.audit_nu_triples < 0:
+        parser.error("--audit-nu-triples must be non-negative")
     rep = verify_cocycle(args.k, args.l, args.m, args.n, r=args.r,
                          samples=args.samples, seed=args.seed,
                          audit_nu_triples=args.audit_nu_triples)

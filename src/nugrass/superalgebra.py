@@ -38,16 +38,9 @@ from .errors import (
 EVEN = 0
 ODD = 1
 
-_RING_CACHE: dict[tuple[str, ...], object] = {}
-
-
+@lru_cache(maxsize=None)
 def _get_ring(names: tuple[str, ...]):
-    try:
-        return _RING_CACHE[names]
-    except KeyError:
-        R = _sym_ring(" ".join(names), QQ)[0]
-        _RING_CACHE[names] = R
-        return R
+    return _sym_ring(" ".join(names), QQ)[0]
 
 
 @lru_cache(maxsize=None)
@@ -64,19 +57,14 @@ def mono_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _poly_const(p):
-    """Constant coefficient of a PolyElement (works for zero-generator rings)."""
-    return p.const()
-
-
 def _poly_eval(p, pairs):
     """Evaluate a PolyElement fully; tolerates empty substitution lists."""
     if not pairs:
-        return _poly_const(p)
+        return p.const()
     v = p.evaluate(pairs)
     if not isinstance(v, (MPQ, int)):
         # partially evaluated polynomial left over: constant in remaining gens
-        return _poly_const(v)
+        return v.const()
     return MPQ(v)
 
 
@@ -235,12 +223,6 @@ class RationalFunction:
             raise ZeroDivisionError("denominator vanishes at the point")
         return MPQ(_poly_eval(self.num, pairs)) / MPQ(d)
 
-    def eval_grassmann(self, assign: dict[str, "GrassmannNumber"], r: int) -> "GrassmannNumber":
-        """Evaluate at even Grassmann-number arguments."""
-        num = _eval_poly_grassmann(self.num, self.names, assign, r)
-        den = _eval_poly_grassmann(self.den, self.names, assign, r)
-        return num * den.inv()
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -268,17 +250,6 @@ class RationalFunction:
         if self.den == _get_ring(self.names).one:
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _eval_poly_grassmann(p, names, assign, r):
-    total = GrassmannNumber(r, {})
-    for exp, coeff in p.terms():
-        term = GrassmannNumber.scalar(r, MPQ(coeff))
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                term = term * assign[names[i]]
-        total = total + term
-    return total
 
 
 class GeneratorContext:
@@ -543,20 +514,33 @@ class SuperFunction:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_grassmann(self, assign: dict[str, "GrassmannNumber"], r: int) -> "GrassmannNumber":
-        """Evaluate with Grassmann-number values for every generator."""
+    def substitute(self, values: dict, scalar):
+        """The image under the ring morphism that sends each generator to
+        values[name] and each rational q to scalar(q): an evaluation at a
+        Lambda_r point, or a pullback into another chart ring.  Raises
+        ZeroBody where the image of a denominator has no body."""
         ctx = self.ctx
-        total = GrassmannNumber(r, {})
+        names = ctx.even_names
+
+        def image(p):
+            total = scalar(0)
+            for exp, q in p.terms():
+                term = scalar(MPQ(q))
+                for name, k in zip(names, exp):
+                    for _ in range(k):
+                        term = term * values[name]
+                total = total + term
+            return total
+
+        total = scalar(0)
         odd_all = ctx.odd_names + ctx.aux_names
         for mask, c in self.terms.items():
-            val = c.eval_grassmann(assign, r)
-            mm = mask
-            i = 0
-            while mm:
-                if mm & 1:
-                    val = val * assign[odd_all[i]]
-                mm >>= 1
-                i += 1
+            val = image(c.num)
+            if not c.den.is_ground:  # a monic constant denominator is 1
+                val = val * image(c.den).inv()
+            for i, name in enumerate(odd_all):
+                if mask >> i & 1:
+                    val = val * values[name]
             total = total + val
         return total
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 import sympy
@@ -14,8 +15,16 @@ from nugrass.errors import (
     OverlapNotSampled,
     ResidualNuSymbol,
     UncoveredCase,
+    ZeroBody,
 )
-from nugrass.superalgebra import ODD, GrassmannNumber
+from nugrass.superalgebra import (
+    EVEN,
+    ODD,
+    GrassmannNumber,
+    RationalFunction,
+    SuperFunction,
+    _get_ring,
+)
 from nugrass.supermatrix import (
     SuperMatrix,
     minor_M,
@@ -252,7 +261,9 @@ def literal_normalization(A, dst):
 
 def slow_point_transition(X, dst):
     """Independent reference route through the public matrix operators."""
-    A = X.chart.realize_matrix(X.values, X.r)
+    idx = X.chart.index
+    A = SuperMatrix((idx.k, idx.l), (idx.m, idx.n), X.chart.realize(X.values, X.r),
+                    GrassmannNumber(X.r, {}), validate=False)
     return GrassPoint(dst, X.r, literal_normalization(A, dst))
 
 
@@ -389,6 +400,83 @@ def test_hop_statuses_are_symmetric():
                 assert there == back, f"{dims}: {a.index} -> {b.index}"
 
 
+# The per-cell body rule that decided plan statuses before the hop's own
+# minor and solve did, kept as the oracle for HopPlan.status.
+
+
+def _poly_det(rows):
+    """Determinant by Laplace expansion; fine at desk-scale sizes."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    det = None
+    for j in range(n):
+        a = rows[0][j]
+        if not a:
+            continue
+        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
+        term = a * _poly_det(minor)
+        if j & 1:
+            term = -term
+        det = term if det is None else det + term
+    if det is None:
+        return rows[0][0].ring.zero if hasattr(rows[0][0], "ring") else 0
+    return det
+
+
+def classify_reference(plan):
+    src = plan.src
+    R = _get_ring(tuple(f"b_{name}" for name in src.coords))
+    gens = {name: R.gens[i] for i, name in enumerate(src.coords)}
+    rows = []
+    for i in range(len(src.pattern)):
+        row = []
+        for c, moved in plan.zsel:
+            cell = src.pattern[i][c]
+            kind = cell[0]
+            if kind == "zero":
+                row.append(R.zero)
+            elif kind == "one":
+                # a moved constant 1 becomes nu(1), whose body vanishes
+                row.append(R.zero if moved else R.one)
+            elif kind == "nu1":
+                if not moved:
+                    return "residual"
+                row.append(R.one)
+            else:
+                name, marked = cell[1], cell[2]
+                eff = marked ^ moved
+                parity = src.coord_parity[name]
+                # body of the realized entry: an even value contributes
+                # its own body, an involuted odd value its theta_1 part
+                if (parity == EVEN and not eff) or (parity == ODD and eff):
+                    row.append(gens[name])
+                else:
+                    row.append(R.zero)
+        rows.append(row)
+    return "ok" if _poly_det(rows) else "singular"
+
+
+STATUS_ATLASES = [
+    (0, 1, 1, 2), (1, 0, 2, 1), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2), (2, 2, 3, 3),
+    (0, 2, 1, 3), (1, 1, 3, 2), (2, 1, 2, 3), (1, 3, 2, 4), (3, 1, 4, 2), (0, 0, 1, 1),
+]
+
+
+def test_plan_status_matches_the_body_rule_reference():
+    plans = [_get_plan(a, b) for dims in STATUS_ATLASES
+             for a in get_atlas(*dims).charts for b in get_atlas(*dims).charts]
+    assert len(plans) == 1166
+    seen = set()
+    for plan in plans:
+        want = classify_reference(plan)
+        assert plan.status == want, f"{plan.src.index} -> {plan.dst.index}"
+        seen.add(want)
+    assert seen == {"ok", "residual", "singular"}
+
+
 def ok_plans(dims):
     at = get_atlas(*dims)
     return [_get_plan(a, b) for a in at.charts for b in at.charts
@@ -523,6 +611,158 @@ def test_pullback_extends_multiplicatively_and_audits_equivariance():
     # ... while the identity-shaped hop into the non-standard chart is
     t13 = transition_symbolic(c1, at.chart((1,), ()))
     assert all(d.is_zero() for d in nu_equivariance_defects(t13).values())
+
+
+# The evaluation routines that SuperFunction.substitute replaced, kept as
+# its oracle: evaluation at a Lambda_r point, and the pullback along a
+# symbolic transition.
+
+
+def _eval_poly_grassmann(p, names, assign, r):
+    total = GrassmannNumber(r, {})
+    for exp, coeff in p.terms():
+        term = GrassmannNumber.scalar(r, MPQ(coeff))
+        for i, k in enumerate(exp):
+            for _ in range(k):
+                term = term * assign[names[i]]
+        total = total + term
+    return total
+
+
+def eval_grassmann_reference(sf, assign, r):
+    ctx = sf.ctx
+    total = GrassmannNumber(r, {})
+    odd_all = ctx.odd_names + ctx.aux_names
+    for mask, c in sf.terms.items():
+        num = _eval_poly_grassmann(c.num, c.names, assign, r)
+        den = _eval_poly_grassmann(c.den, c.names, assign, r)
+        val = num * den.inv()
+        mm = mask
+        i = 0
+        while mm:
+            if mm & 1:
+                val = val * assign[odd_all[i]]
+            mm >>= 1
+            i += 1
+        total = total + val
+    return total
+
+
+def _eval_poly_super(p, names, assignments, src_ctx):
+    total = src_ctx.zero()
+    for exp, q in p.terms():
+        term = src_ctx.scalar(MPQ(q))
+        for i, k in enumerate(exp):
+            for _ in range(k):
+                term = term * assignments[names[i]]
+        total = total + term
+    return total
+
+
+def apply_pullback_reference(t, sf):
+    src_ctx = t.src.ctx
+    dst_ctx = t.dst.ctx
+
+    def eval_rf(rf):
+        num = _eval_poly_super(rf.num, dst_ctx.even_names, t.assignments, src_ctx)
+        den = _eval_poly_super(rf.den, dst_ctx.even_names, t.assignments, src_ctx)
+        return num * den.inv()
+
+    out = src_ctx.zero()
+    for mask, coeff in sf.terms.items():
+        val = eval_rf(coeff)
+        for i, name in enumerate(dst_ctx.odd_names):
+            if mask >> i & 1:
+                val = val * t.assignments[name]
+        out = out + val
+    return out
+
+
+def _outcome(fn, *args):
+    """The value, or the type of the kernel error raised."""
+    try:
+        return fn(*args)
+    except ZeroBody:
+        return ZeroBody
+
+
+@st.composite
+def chart_ring_elements(draw, ctx):
+    """Sparse elements with small polynomial numerators and denominators.
+    Denominators are often one monomial, whose image has no body wherever
+    one of its variables maps to an element without body."""
+    R = _get_ring(ctx.even_names)
+    exps = st.tuples(*[st.integers(0, 2)] * len(ctx.even_names))
+
+    def poly(min_size, max_size):
+        terms = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool),
+                                     min_size=min_size, max_size=max_size))
+        return R.from_dict({e: sympy.QQ(c) for e, c in terms.items()}) if terms else R.zero
+
+    masks = draw(st.lists(st.integers(0, (1 << len(ctx.odd_names)) - 1),
+                          min_size=1, max_size=3, unique=True))
+    return SuperFunction(ctx, {
+        m: RationalFunction(ctx.even_names, poly(0, 3), poly(1, draw(st.sampled_from([1, 3]))))
+        for m in masks
+    })
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_substitute_at_a_point_matches_the_evaluation_reference(r, data):
+    chart = get_atlas(1, 2, 2, 3).chart((1,), (2, 3))
+    sf = data.draw(chart_ring_elements(chart.ctx))
+    # bodies in -2..2, zero included, so that denominators can lose theirs
+    values = {name: GrassmannNumber(r, {
+        mask: data.draw(st.integers(-2, 2)) for mask in range(1 << r)
+        if mask.bit_count() & 1 == chart.coord_parity[name]})
+        for name in chart.coords}
+    got = _outcome(sf.substitute, values, partial(GrassmannNumber.scalar, r))
+    assert got == _outcome(eval_grassmann_reference, sf, values, r)
+
+
+def _symbolic_transitions(dims):
+    at = get_atlas(*dims)
+    out = []
+    for a in at.charts:
+        for b in at.charts:
+            try:
+                out.append(transition_symbolic(a, b))
+            except (UncoveredCase, GenericallySingular, ResidualNuSymbol):
+                pass
+    return out
+
+
+TRANSITIONS_1223 = _symbolic_transitions((1, 2, 2, 3))
+# the transitions that send an even coordinate to an element without body
+BODYLESS_1223 = [t for t in TRANSITIONS_1223
+                 if any(not t.assignments[x].has_body() for x in t.dst.even_coords)]
+
+
+@given(st.one_of(st.sampled_from(TRANSITIONS_1223), st.sampled_from(BODYLESS_1223)),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_substitute_along_a_transition_matches_the_pullback_reference(t, data):
+    sf = data.draw(chart_ring_elements(t.dst.ctx))
+    got = _outcome(sf.substitute, t.assignments, t.src.ctx.scalar)
+    assert got == _outcome(apply_pullback_reference, t, sf)
+
+
+def test_substitute_raises_zero_body_where_a_denominator_image_has_none():
+    at = get_atlas(1, 2, 2, 3)
+    # x3 of {1,2}|{3} pulls back to -e1*e2, which has no body
+    t = transition_symbolic(at.chart((1,), (2, 3)), at.chart((1, 2), (3,)))
+    f = t.dst.ctx.gen("x3").inv()
+    with pytest.raises(ZeroBody):
+        f.substitute(t.assignments, t.src.ctx.scalar)
+    with pytest.raises(ZeroBody):
+        apply_pullback_reference(t, f)
+    chart = t.dst
+    values = {name: GrassmannNumber(2, {}) for name in chart.coords}
+    with pytest.raises(ZeroBody):
+        f.substitute(values, partial(GrassmannNumber.scalar, 2))
+    with pytest.raises(ZeroBody):
+        eval_grassmann_reference(f, values, 2)
 
 
 def test_cocycle_suite_small_run_passes():

@@ -42,6 +42,15 @@ def test_invalid_dimensions_exit_with_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_a_negative_nu_triple_audit_count_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-cocycle", "-k", "0", "-l", "1", "-m", "1", "-n", "2",
+              "--samples", "2", "--audit-nu-triples", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--audit-nu-triples" in captured.err and "suite" not in captured.out
+
+
 def test_transition_command_prints_the_pasting_map(capsys):
     code, out = run(capsys, "transition", "-k", "0", "-l", "1", "-m", "1", "-n", "2",
                     "--from", "{}|{1}", "--to", "{}|{2}")
