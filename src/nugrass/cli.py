@@ -17,7 +17,7 @@ from .errors import NuGrassError
 from .atlas import get_atlas, transition_symbolic, verify_cocycle
 from .action import BasePoint, verify_action_axioms, verify_action_gluing, verify_transitivity
 from .nulie import h_report
-from .reports import Report
+from .reports import Report, dumps
 
 
 def parse_index(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -60,11 +60,21 @@ def _check_dims(parser, args):
         parser.error("-r must be non-negative")
 
 
+def _write_out(args, payload: str) -> None:
+    """Write payload to --out, if given; an unwritable file is a usage error."""
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"nugrass: error: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            raise SystemExit(2) from None
+
+
 def _emit(report: Report, args) -> int:
     payload = report.to_json() + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+    _write_out(args, payload)
     if getattr(args, "format", "text") == "json":
         sys.stdout.write(payload)
     else:
@@ -90,7 +100,7 @@ def cmd_atlas(parser, args) -> int:
                 for c in atlas.charts
             ],
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(dumps(data))
     else:
         a, b = atlas.charts[0].alpha, atlas.charts[0].beta
         print(f"nu-Grassmannian {args.k}|{args.l}({args.m}|{args.n}): "
@@ -117,7 +127,7 @@ def cmd_transition(parser, args) -> int:
             "to": str(dst.index),
             "assignments": {name: t.assignments[name].to_dict() for name in dst.coords},
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(dumps(data))
     else:
         print(f"pasting map {src.index} -> {dst.index} (target coordinates in "
               f"source functions):")
@@ -173,10 +183,8 @@ def cmd_transitivity(parser, args) -> int:
 def cmd_nulie(parser, args) -> int:
     _check_dims(parser, args)
     data = h_report(args.k, args.l, args.m, args.n)
-    payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+    payload = dumps(data) + "\n"
+    _write_out(args, payload)
     if args.format == "json":
         sys.stdout.write(payload)
     else:

@@ -4,8 +4,9 @@
   entry below the rows already used is skipped, not an error.  The rank
   checks, the basis completion of the transitivity witness, the commutant's
   nullspace, span membership and the inverse-transition system use it.
-* solve works over any ring whose elements offer has_body(), inv() and
-  is_zero(): Lambda_r (GrassmannNumber) or a chart ring (SuperFunction).  It
+* solve works over any ring whose elements offer has_body(), inv(),
+  is_zero() and the fused step x.add_product(a, b, sign) = x + sign*a*b:
+  Lambda_r (GrassmannNumber) or a chart ring (SuperFunction).  It
   solves a square system and raises NotInvertible when the body of the
   matrix is singular.  Every chart normalization, every supermatrix inverse
   and every group inverse goes through it.
@@ -89,7 +90,7 @@ def solve(Z, Y, units=()):
             for j in range(t + 1, width):
                 p = prow[j]
                 if not p.is_zero():
-                    row[j] = row[j] - f * p
+                    row[j] = row[j].add_product(f, p, -1)
         pivot_row[col] = piv
     return [M[pivot_row[j]][w:] for j in range(n)]
 

@@ -15,8 +15,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import OverlapNotSampled
+
+
+def dumps(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) byte for byte, for string
+    keys, without the json module's indenting encoder: its closures leave a
+    reference cycle behind on every call."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{_quote(k)}: {dumps(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + inner + ("," + inner).join([dumps(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:  # json.dumps builds an encoder for each int and bool
+        return repr(obj)
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    return json.dumps(obj)
 
 
 def first_defined(attempt, rejects, what: str):
@@ -94,7 +114,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dumps(self.to_dict())
 
     def summary(self) -> str:
         lines = [f"suite: {self.suite}  [{'PASS' if self.ok else 'FAIL'}]"]

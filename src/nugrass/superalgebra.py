@@ -13,7 +13,8 @@ verification suites.  A GrassmannNumber stores integer numerators over one
 positive common denominator in lowest terms (no zero numerator, zero is {}
 over 1), so its arithmetic runs on Python ints and equality compares the
 stored fields; MPQ appears only at its boundary (constructor, ``terms``,
-``body``).
+``body``).  Its products run through one straight-line kernel per r, which
+the inverse and the fused step ``x.add_product(a, b, sign)`` build on.
 """
 
 from __future__ import annotations
@@ -458,6 +459,10 @@ class SuperFunction:
                 out[m] = c if s is None else s + c
         return SuperFunction(self.ctx, out)
 
+    def add_product(self, a, b, sign: int = 1) -> "SuperFunction":
+        """self + sign * a * b, through the ring's own + - *."""
+        return self + a * b if sign > 0 else self - a * b
+
     def scale(self, q) -> "SuperFunction":
         q = MPQ(q)
         if not q:
@@ -599,6 +604,11 @@ class GrassmannNumber:
     ``{}`` over 1.  The form is canonical, so equal values have equal
     ``(r, den, num)``, and ``+ - * neg nu inv`` run on Python ints.
 
+    Products of numerator dicts run through ``_product_kernel(r)``, and each
+    operation reduces once: ``x.add_product(a, b, sign) = x + sign*a*b``
+    puts x and the product over one denominator, and ``inv`` of (b + n)/D is
+    ``D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1)`` with ``n**(K+1) = 0``.
+
     The public constructor takes ``{mask: MPQ or int}``; ``terms`` is a
     read-only ``{mask: MPQ}`` view of the same value.
     """
@@ -665,33 +675,12 @@ class GrassmannNumber:
         if self.r != other.r:
             raise ContextMismatch(f"Lambda_{self.r} vs Lambda_{other.r}")
 
+    # a sum is a fused step with the factor one: one path accumulates
     def __add__(self, other):
-        return self._merge(other, 1)
+        return self.add_product(other, self.ring_one())
 
     def __sub__(self, other):
-        return self._merge(other, -1)
-
-    def _merge(self, other, sign: int) -> "GrassmannNumber":
-        """self + sign * other: numerators add directly over equal
-        denominators, otherwise over the lcm."""
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            out = dict(self.num)
-            fb = sign
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, sign * (da // g)
-            out = {m: c * fa for m, c in self.num.items()}
-            da *= fa
-        get = out.get
-        for m, c in other.num.items():
-            v = get(m, 0) + c * fb
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return _reduced(self.r, out, da)
+        return self.add_product(other, self.ring_one(), -1)
 
     def __neg__(self):
         return _gn(self.r, {m: -c for m, c in self.num.items()}, self.den)
@@ -705,40 +694,41 @@ class GrassmannNumber:
             return _reduced(self.r, {m: c * p for m, c in self.num.items()},
                             self.den * q.denominator)
         self._check(other)
-        signs = _sign_table(self.r)
-        out: dict[int, int] = {}
-        get = out.get
-        pairs = other.num.items()
-        for ma, ca in self.num.items():
-            row = signs[ma]
-            for mb, cb in pairs:
-                s = row[mb]
-                if s:
-                    m = ma | mb
-                    out[m] = get(m, 0) + (ca * cb if s > 0 else -ca * cb)
-        if 0 in out.values():
-            out = {m: c for m, c in out.items() if c}
-        return _reduced(self.r, out, self.den * other.den)
+        return _reduced(self.r, _product_kernel(self.r)(self.num, other.num),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
+    def add_product(self, a, b, sign: int = 1) -> "GrassmannNumber":
+        """self + sign * a * b: self and the product over the lcm of their
+        denominators, summed by the kernel and reduced once."""
+        if not self.r == a.r == b.r:
+            raise ContextMismatch(f"Lambda_{self.r}, Lambda_{a.r} and Lambda_{b.r}")
+        da, db = self.den, a.den * b.den
+        z, s = self.num, sign
+        if da != db:
+            g = gcd(da, db)
+            fa, s = db // g, sign * (da // g)
+            z = {m: c * fa for m, c in z.items()}
+            da *= fa
+        return _reduced(self.r, _product_kernel(self.r)(a.num, b.num, z, s), da)
+
     def inv(self) -> "GrassmannNumber":
-        """Exact inverse: for (b + n)/D it is D/b * sum (-n/b)**k, finite by
-        nilpotency."""
+        """Exact inverse of (b + n)/D: the sum over the powers of n in the
+        class docstring, in Horner form in b, with one sign fix."""
         b = self.num.get(0)
         if not b:
             raise ZeroBody("cannot invert a Grassmann number with zero body")
-        r = self.r
-        flip = -1 if b > 0 else 1  # -n/b over the positive |b|
-        minus_n = _reduced(r, {m: flip * c for m, c in self.num.items() if m}, abs(b))
-        result = _gn(r, {0: 1}, 1)
-        power = _gn(r, {0: 1}, 1)
-        for _ in range(r):
-            power = power * minus_n
-            if power.is_zero():
-                break
-            result = result + power
-        return result * MPQ(self.den, b)
+        kernel = _product_kernel(self.r)
+        minus_n = {m: -c for m, c in self.num.items() if m}
+        out, power, den = {0: 1}, {0: 1}, b
+        while power := kernel(power, minus_n):  # ends: n is nilpotent
+            out = {m: c * b for m, c in out.items()}
+            for m, c in power.items():
+                out[m] = out.get(m, 0) + c
+            den *= b
+        D = self.den if den > 0 else -self.den  # makes the denominator positive
+        return _reduced(self.r, {m: D * c for m, c in out.items() if c}, abs(den))
 
     def nu(self) -> "GrassmannNumber":
         """Odd involution on Lambda_r: toggle membership of theta_1."""
@@ -824,6 +814,33 @@ def _sign_table(r: int) -> tuple[tuple[int, ...], ...]:
                 row[b] = -s if (a >> low.bit_length()).bit_count() & 1 else s
         table.append(tuple(row))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(r: int):
+    """z + s * x * y on numerator dicts of Lambda_r (z = {} and s = 1 give
+    the product) as one straight-line function, generated once per r: result
+    mask m adds to z[m] the signed sum of x[a] * y[m ^ a] over the submasks
+    a of m, signs from _sign_table(r), so 3**r products in all.  The result
+    holds no zero."""
+    size = 1 << r
+    signs = _sign_table(r)
+    xs, ys, zs = ("".join(f"{v}{a}, " for a in range(size)) for v in "xyz")
+    lines = ["def kernel(x, y, z=MappingProxyType({}), s=1, masks=tuple(range(size)),"
+             " zeros=(0,) * size):",
+             f"    {xs}= map(x.get, masks, zeros)",
+             f"    {ys}= map(y.get, masks, zeros)",
+             f"    {zs}= map(z.get, masks, zeros) if z else zeros",
+             "    out = {}"]
+    for m in range(size):
+        # the split a = 0 comes first and has sign +
+        expr = " ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
+                        for a in range(m + 1) if a & m == a)
+        lines += [f"    c = z{m} + s * ({expr[2:]})", f"    if c: out[{m}] = c"]
+    lines.append("    return out")
+    scope = {"size": size, "MappingProxyType": MappingProxyType}
+    exec("\n".join(lines), scope)
+    return scope["kernel"]
 
 
 def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> GrassmannNumber:

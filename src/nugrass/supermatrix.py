@@ -9,8 +9,8 @@ minor_M, minor_Mprime, remainder_D, smat_inv and smat_mul spell out the
 paper's pasting normalization literally and serve as its reference.
 
 Entries are duck-typed: SuperFunction and GrassmannNumber both provide the
-required +, -, *, parity(), nu(), inv(), has_body(), is_zero(), ring_one(),
-ring_zero().
+required +, -, *, add_product(), parity(), nu(), inv(), has_body(),
+is_zero(), ring_one(), ring_zero().
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def matmul(A, B, zero):
                 elif b is NU:
                     acc = acc + a.nu()
                 elif not b.is_zero():
-                    acc = acc + a * b
+                    acc = acc.add_product(a, b)
             row.append(acc)
         out.append(row)
     return out

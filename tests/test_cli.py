@@ -156,3 +156,20 @@ def test_nu_triple_audit_past_the_smallest_atlas_exits_0(tmp_path, capsys):
     audits = [r for r in json.loads(out_file.read_text())["results"]
               if r["check"] == "nu-triple-audit"]
     assert len(audits) == 24
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-cocycle", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--samples", "1"],
+    ["verify-action", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--samples", "1"],
+    ["transitivity", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "2", "--samples", "1"],
+    ["nulie", "-k", "0", "-l", "1", "-m", "1", "-n", "2"],
+])
+def test_an_unwritable_out_file_is_a_usage_error(command, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "cannot write --out" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not target.exists()

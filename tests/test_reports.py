@@ -1,7 +1,9 @@
 """The sampling contract shared by every sampled check: one retry loop
 (first_defined) and one tally (CheckResult.record)."""
 
+import gc
 import hashlib
+import json
 import re
 
 import pytest
@@ -11,7 +13,7 @@ import nugrass.atlas as atlas
 from nugrass.errors import MinorNotInvertible, NotInvertible, OverlapNotSampled
 from nugrass.action import verify_action_axioms, verify_action_gluing, verify_transitivity
 from nugrass.atlas import get_atlas, pair_defined, verify_cocycle
-from nugrass.reports import CheckResult, first_defined
+from nugrass.reports import CheckResult, dumps, first_defined
 
 
 def test_record_builds_only_the_kept_counterexamples():
@@ -190,3 +192,32 @@ def test_failing_suite_reports_are_pinned(suite, monkeypatch):
     report = FAILING_SUITES[suite]()
     assert not report.ok
     assert _digest(report) == GOLDEN_FAILING[suite]
+
+
+def _cyclic_garbage(call) -> int:
+    """Objects that only the cycle collector could free after one call."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_to_json_is_the_indented_json_dump_and_leaves_no_cyclic_garbage():
+    rep = verify_cocycle(1, 1, 2, 2, r=2, samples=2, seed=1, audit_nu_triples=5)
+    data = rep.to_dict()
+    assert rep.to_json() == json.dumps(data, indent=2, sort_keys=True)
+    assert _cyclic_garbage(rep.to_json) == 0
+    # the json module's indenting encoder leaves its closures in a cycle
+    assert _cyclic_garbage(lambda: json.dumps(data, indent=2, sort_keys=True)) > 0
+
+
+def test_dumps_matches_the_indented_json_dump_on_nested_values():
+    data = {"b": [], "a": {}, "c": [1.5, None, True, False, -7, 10**30, "é\n\"", (1, [2, {}])],
+            "d": {"z": {"y": [[]]}, "x": float("inf")}}
+    assert dumps(data) == json.dumps(data, indent=2, sort_keys=True)
+    assert dumps([]) == "[]" and dumps("s") == '"s"'

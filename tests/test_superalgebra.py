@@ -21,6 +21,8 @@ from nugrass.superalgebra import (
     RationalFunction,
     SuperFunction,
     _get_ring,
+    _product_kernel,
+    _sign_table,
     lambda_sample,
     mono_sign,
 )
@@ -441,9 +443,10 @@ _rationals = st.one_of(
 
 
 @st.composite
-def _grassmann_pairs(draw):
-    """Coefficient dicts for one r in 0..4, zeros and empty dicts included."""
-    r = draw(st.integers(0, 4))
+def _grassmann_operands(draw, count=2, max_r=4):
+    """`count` coefficient dicts for one r in 0..max_r, zeros and empty dicts
+    included."""
+    r = draw(st.integers(0, max_r))
     masks = st.integers(0, (1 << r) - 1)
 
     def coefficients():
@@ -452,7 +455,7 @@ def _grassmann_pairs(draw):
             terms[0] = draw(_rationals.filter(bool))
         return terms
 
-    return r, coefficients(), coefficients()
+    return (r, *(coefficients() for _ in range(count)))
 
 
 def _assert_canonical(g):
@@ -471,12 +474,12 @@ def _assert_matches(g, ref):
     assert g.is_zero() == (not ref.terms)
 
 
-@given(_grassmann_pairs(), st.one_of(st.just(0), _rationals))
+@given(_grassmann_operands(3, max_r=6), st.one_of(st.just(0), _rationals))
 @settings(max_examples=300, deadline=None)
-def test_integer_layout_matches_the_mpq_reference(pair, q):
-    r, ta, tb = pair
-    a, b = GrassmannNumber(r, ta), GrassmannNumber(r, tb)
-    ra, rb = _MPQGrassmann(r, ta), _MPQGrassmann(r, tb)
+def test_integer_layout_matches_the_mpq_reference(operands, q):
+    r, ta, tb, tc = operands
+    a, b, c = GrassmannNumber(r, ta), GrassmannNumber(r, tb), GrassmannNumber(r, tc)
+    ra, rb, rc = _MPQGrassmann(r, ta), _MPQGrassmann(r, tb), _MPQGrassmann(r, tc)
     _assert_matches(a, ra)
     _assert_matches(b, rb)
     _assert_matches(a + b, ra + rb)
@@ -487,6 +490,9 @@ def test_integer_layout_matches_the_mpq_reference(pair, q):
     _assert_matches(a.soul(), ra.soul())
     _assert_matches(a * q, ra * q)
     _assert_matches(q * a, ra * q)
+    _assert_matches(c.add_product(a, b), rc + ra * rb)
+    _assert_matches(c.add_product(a, b, -1), rc - ra * rb)
+    _assert_matches(GrassmannNumber(r, {}).add_product(b, a, -1), -(rb * ra))
     if r:
         _assert_matches(a.nu(), ra.nu())
     if ra.body():
@@ -496,10 +502,10 @@ def test_integer_layout_matches_the_mpq_reference(pair, q):
             a.inv()
 
 
-@given(_grassmann_pairs())
+@given(_grassmann_operands())
 @settings(max_examples=150, deadline=None)
-def test_equal_grassmann_values_have_equal_fields_and_hashes(pair):
-    r, ta, tb = pair
+def test_equal_grassmann_values_have_equal_fields_and_hashes(operands):
+    r, ta, tb = operands
     a, b = GrassmannNumber(r, ta), GrassmannNumber(r, tb)
     # the same value reached by different routes and denominators
     for x, y in (((a + b) - b, a), (GrassmannNumber(r, dict((a * b).terms)), a * b),
@@ -510,6 +516,51 @@ def test_equal_grassmann_values_have_equal_fields_and_hashes(pair):
     # and different values differ, also when only the denominator does
     assert (a * MPQ(1, 2) == a) == a.is_zero()
     assert (a == b) == (dict(a.terms) == dict(b.terms))
+
+
+def _loop_product(r, x, y):
+    """The sign-table double loop that multiplied numerator dicts before the
+    generated kernel; the reference of the test below."""
+    signs = _sign_table(r)
+    out = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            s = signs[ma][mb]
+            if s:
+                out[ma | mb] = out.get(ma | mb, 0) + s * ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_product_kernel_matches_the_sign_table_loop(r):
+    kernel = _product_kernel(r)
+    size = 1 << r
+    for a in range(size):
+        for b in range(size):
+            assert kernel({a: 2}, {b: -3}) == _loop_product(r, {a: 2}, {b: -3})
+    rng = random.Random(r)
+    for _ in range(40):
+        x = {m: rng.randint(-5, 5) for m in range(size)}
+        y = {m: rng.randint(-5, 5) for m in rng.sample(range(size), rng.randint(0, size))}
+        x = {m: c for m, c in x.items() if c}
+        y = {m: c for m, c in y.items() if c}
+        assert kernel(x, y) == _loop_product(r, x, y)
+        assert kernel(y, x) == _loop_product(r, y, x)
+
+
+def test_add_product_keeps_the_context_check():
+    with pytest.raises(ContextMismatch):
+        GrassmannNumber(2, {}).add_product(GrassmannNumber(2, {0: 1}), GrassmannNumber(3, {0: 1}))
+    with pytest.raises(ContextMismatch):
+        GrassmannNumber(3, {}).add_product(GrassmannNumber(2, {0: 1}), GrassmannNumber(2, {0: 1}))
+
+
+def test_superfunction_add_product_is_the_plain_sum_or_difference():
+    x, e1, e2 = CTX.gen("x"), CTX.gen("e1"), CTX.gen("e2")
+    f = x + e1 * e2
+    assert f.add_product(e1, e2) == f + e1 * e2
+    assert f.add_product(e1, e2, -1) == f - e1 * e2 == x
+    assert CTX.zero().add_product(x, x) == x * x
 
 
 def test_grassmann_terms_is_a_read_only_view():
