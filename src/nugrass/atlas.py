@@ -38,6 +38,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 
 from sympy.external.gmpy import MPQ
 
@@ -342,7 +343,8 @@ def _get_plan(src: Chart, dst: Chart) -> "HopPlan":
 
 
 class HopPlan:
-    """Precomputed column selections for one source/destination chart pair."""
+    """One source/destination chart pair, computed once per process: column
+    selections, hop status, symbolic pasting map and its nu-audit verdict."""
 
     def __init__(self, src: Chart, dst: Chart):
         self.src = src
@@ -383,6 +385,26 @@ class HopPlan:
         except NotInvertible:
             return "singular"
         return "ok"
+
+    @cached_property
+    def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
+        """The pasting map between the chart rings, or its typed failure kept
+        unraised; transition_symbolic raises a fresh copy of the failure."""
+        src, dst = self.src, self.dst
+        try:
+            assignments = _normalize(src.label().entries, dst, self.units, src.nu_unit_rows)
+        except NotInvertible as exc:
+            return GenericallySingular(str(exc))
+        except ResidualNuSymbol as exc:
+            return ResidualNuSymbol(*exc.args)
+        return TransitionMap(src, dst, MappingProxyType(assignments))
+
+    @cached_property
+    def nu_equivariant(self) -> bool:
+        """Whether every nu_equivariance_defects entry of the symbolic map is
+        zero; raises as transition_symbolic does where there is no map."""
+        t = transition_symbolic(self.src, self.dst)
+        return all(d.is_zero() for d in nu_equivariance_defects(t).values())
 
 
 def pair_defined(src: Chart, dst: Chart) -> bool:
@@ -448,13 +470,14 @@ def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoi
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionMap:
-    """g*: assigns to each destination coordinate a function on the source."""
+    """g*: assigns to each destination coordinate a function on the source.
+    Read-only, as HopPlan.symbolic shares one map per pair with every caller."""
 
     src: Chart
     dst: Chart
-    assignments: dict[str, SuperFunction]
+    assignments: MappingProxyType[str, SuperFunction]
 
     def is_identity(self) -> bool:
         return all(
@@ -468,18 +491,17 @@ def transition_symbolic(src: Chart, dst: Chart) -> TransitionMap:
 
     Standard destinations require a standard source (the reverse direction
     has no closed formula here); non-standard destinations accept any source
-    whose odd units resolve under the divider move.
+    whose odd units resolve under the divider move.  The map is the pair's
+    HopPlan.symbolic, built once per process.
     """
     if dst.index.standard and not src.index.standard:
         raise UncoveredCase(
             f"no symbolic formula for non-standard {src.index} -> standard {dst.index}"
         )
-    plan = _get_plan(src, dst)
-    try:
-        assignments = _normalize(src.label().entries, dst, plan.units, src.nu_unit_rows)
-    except NotInvertible as exc:
-        raise GenericallySingular(str(exc)) from exc
-    return TransitionMap(src, dst, assignments)
+    t = _get_plan(src, dst).symbolic
+    if not isinstance(t, TransitionMap):
+        raise type(t)(*t.args)
+    return t
 
 
 def evaluate_transition(t: TransitionMap, X: GrassPoint) -> GrassPoint:
@@ -708,7 +730,9 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
                    seed: int = 0, audit_nu_triples: int = 0):
     """Check the three pasting identities on one atlas.
 
-    Identity transitions are checked symbolically on every chart.  Pair
+    Identity transitions (every chart) and the nu-equivariance audit (every
+    pair with a symbolic map) are facts of a chart pair, not of a sample:
+    they are read from the pair's HopPlan, computed once per process.  Pair
     round trips run pointwise over Lambda_r on every ordered pair with at
     least one generically evaluable direction; pairs with none are reported
     as undefined (their overlap never meets the refined cover).  Triple
@@ -752,11 +776,9 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
             if a is b or (b.index.standard and not a.index.standard):
                 continue
             try:
-                t = transition_symbolic(a, b)
+                clean = _get_plan(a, b).nu_equivariant
             except (GenericallySingular, ResidualNuSymbol):
                 continue
-            defects = nu_equivariance_defects(t)
-            clean = all(d.is_zero() for d in defects.values())
             report.results.append(
                 CheckResult(
                     "nu-equivariance-audit", f"{a.index} -> {b.index}", 1,

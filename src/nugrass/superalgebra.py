@@ -58,17 +58,6 @@ def mono_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _poly_eval(p, pairs):
-    """Evaluate a PolyElement fully; tolerates empty substitution lists."""
-    if not pairs:
-        return p.const()
-    v = p.evaluate(pairs)
-    if not isinstance(v, (MPQ, int)):
-        # partially evaluated polynomial left over: constant in remaining gens
-        return v.const()
-    return MPQ(v)
-
-
 class RationalFunction:
     """Quotient of multivariate polynomials over QQ in canonical form.
 
@@ -211,18 +200,6 @@ class RationalFunction:
         return RationalFunction(
             self.names, dn * self.den - self.num * dd, self.den * self.den
         )
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_rational(self, assign: dict[str, object]):
-        """Evaluate at exact rational arguments; returns an MPQ."""
-        R = _get_ring(self.names)
-        pairs = [(R.gens[i], QQ(MPQ(assign[n]).numerator, MPQ(assign[n]).denominator))
-                 for i, n in enumerate(self.names)]
-        d = _poly_eval(self.den, pairs)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return MPQ(_poly_eval(self.num, pairs)) / MPQ(d)
 
     # -- serialization -----------------------------------------------------
 

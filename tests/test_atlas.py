@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import random
 from functools import partial
@@ -33,6 +35,8 @@ from nugrass.supermatrix import (
     smat_inv,
     smat_mul,
 )
+import nugrass.atlas as atlas
+from nugrass.cli import main
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.reports import CheckResult
 from nugrass.atlas import (
@@ -160,10 +164,59 @@ def test_transition_into_the_non_standard_chart():
     assert t.assignments["e1"] == c1.ctx.gen("e1")
 
 
-def test_no_symbolic_formula_out_of_a_non_standard_chart():
+def test_no_symbolic_formula_out_of_a_non_standard_chart(monkeypatch):
+    monkeypatch.setattr(atlas, "_GLOBAL_PLANS", {})
     at = get_atlas(0, 1, 1, 2)
     with pytest.raises(UncoveredCase):
         transition_symbolic(at.chart((1,), ()), at.chart((), (1,)))
+    assert atlas._GLOBAL_PLANS == {}  # the check runs before any plan is built
+
+
+@pytest.mark.parametrize("dims, src, dst, exc, message", [
+    ((1, 1, 2, 2), ((1,), (1,)), ((), (1, 2)), GenericallySingular,
+     "no body-invertible pivot in column 0"),
+    ((1, 2, 2, 3), ((), (1, 2, 3)), ((1, 2), (1,)), ResidualNuSymbol,
+     "odd unit column 2 selected but not moved"),
+])
+def test_a_cached_symbolic_failure_raises_a_fresh_error_each_time(dims, src, dst, exc,
+                                                                   message):
+    at = get_atlas(*dims)
+    a, b = at.chart(*src), at.chart(*dst)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(exc) as info:
+            transition_symbolic(a, b)
+        raised.append(info.value)
+    first, second = raised
+    assert type(first) is type(second) is exc
+    assert str(first) == str(second) == message
+    assert first is not second and first is not _get_plan(a, b).symbolic
+
+
+# SHA-256 of `nugrass transition -k 1 -l 2 -m 2 -n 3 --from "{1}|{1,2}"
+# --to "{2}|{2,3}" --format json` and of verify_cocycle(1,2,2,3, r=2,
+# samples=2, audit_nu_triples=6), the same digests CI pins
+TRANSITION_PIN = "f8a714a4530272d9f08e8b2e81a5109a232186566f62318999c0d44fd29d091b"
+COCYCLE_1223_PIN = "c2955c9348a49719b2423b423306c98fb2e05921575d0728adba6b44855999a6"
+
+
+def test_a_shared_transition_map_is_read_only(capsys):
+    at = get_atlas(1, 2, 2, 3)
+    src, dst = at.chart((1,), (1, 2)), at.chart((2,), (2, 3))
+    for t in (transition_symbolic(src, dst), transition_symbolic(src, src)):
+        assert transition_symbolic(t.src, t.dst) is t
+        with pytest.raises(TypeError):
+            t.assignments["x1"] = src.ctx.zero()
+        with pytest.raises(TypeError):
+            del t.assignments["e1"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.assignments = {}
+    assert main(["transition", "-k", "1", "-l", "2", "-m", "2", "-n", "3",
+                 "--from", "{1}|{1,2}", "--to", "{2}|{2,3}", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSITION_PIN
+    rep = verify_cocycle(1, 2, 2, 3, r=2, samples=2, audit_nu_triples=6)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == COCYCLE_1223_PIN
 
 
 def test_symbolic_transitions_match_the_paper_literal_route():
@@ -551,8 +604,6 @@ def test_minor_inverse_body_matches_sympy(seed):
 
 
 def test_an_unsampleable_overlap_raises_a_typed_error(monkeypatch):
-    import nugrass.atlas as atlas
-
     at = get_atlas(0, 1, 1, 2)
     c1, c2 = at.chart((), (1,)), at.chart((), (2,))
     outside = GrassPoint(c1, 2, {"x1": GrassmannNumber(2, {}), "e1": theta(2, 1)})

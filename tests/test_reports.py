@@ -14,6 +14,7 @@ from nugrass.errors import MinorNotInvertible, NotInvertible, OverlapNotSampled
 from nugrass.action import verify_action_axioms, verify_action_gluing, verify_transitivity
 from nugrass.atlas import get_atlas, pair_defined, verify_cocycle
 from nugrass.reports import CheckResult, dumps, first_defined
+from nugrass.superalgebra import SuperFunction
 
 
 def test_record_builds_only_the_kept_counterexamples():
@@ -163,6 +164,28 @@ def _digest(report):
 @pytest.mark.parametrize("suite, dims", list(GOLDEN_REPORTS))
 def test_sampled_suite_reports_are_pinned(suite, dims):
     assert _digest(SUITES[suite](dims)) == GOLDEN_REPORTS[(suite, dims)]
+
+
+def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
+    # identity maps, audit maps and audit verdicts are facts of a chart pair:
+    # a warm call normalizes no label, and both calls give the pinned bytes
+    monkeypatch.setattr(atlas, "_GLOBAL_PLANS", {})
+    normalize = atlas._normalize
+    labels = []
+
+    def counting(A, dst, *args):
+        if any(isinstance(e, SuperFunction) for row in A for e in row):
+            labels.append(dst)
+        return normalize(A, dst, *args)
+
+    monkeypatch.setattr(atlas, "_normalize", counting)
+    for dims in [(0, 1, 1, 2), (1, 1, 2, 2)]:
+        cold = len(labels)
+        assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
+        built = [p for p in atlas._GLOBAL_PLANS.values() if "symbolic" in vars(p)]
+        assert len(labels) == len(built) > cold
+        assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
+        assert len(labels) == len(built)
 
 
 # The same suites on 1|1(2|2) with every point comparison and every witness
