@@ -60,6 +60,7 @@ from .superalgebra import (
     GeneratorContext,
     GrassmannNumber,
     SuperFunction,
+    _sf,
     lambda_sample,
 )
 from .supermatrix import NU, SuperMatrix, format_blocked, is_nu, matmul
@@ -389,7 +390,8 @@ class HopPlan:
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
         """The pasting map between the chart rings, or its typed failure kept
-        unraised; transition_symbolic raises a fresh copy of the failure."""
+        unraised; transition_symbolic raises a fresh copy of the failure.
+        Every caller shares the map, so its values' terms are read-only too."""
         src, dst = self.src, self.dst
         try:
             assignments = _normalize(src.label().entries, dst, self.units, src.nu_unit_rows)
@@ -397,7 +399,8 @@ class HopPlan:
             return GenericallySingular(str(exc))
         except ResidualNuSymbol as exc:
             return ResidualNuSymbol(*exc.args)
-        return TransitionMap(src, dst, MappingProxyType(assignments))
+        return TransitionMap(src, dst, MappingProxyType({
+            name: _sf(v.ctx, MappingProxyType(dict(v.terms))) for name, v in assignments.items()}))
 
     @cached_property
     def nu_equivariant(self) -> bool:
@@ -473,7 +476,8 @@ def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoi
 @dataclass(frozen=True)
 class TransitionMap:
     """g*: assigns to each destination coordinate a function on the source.
-    Read-only, as HopPlan.symbolic shares one map per pair with every caller."""
+    Read-only down to its values' terms, as HopPlan.symbolic shares one map
+    per pair with every caller."""
 
     src: Chart
     dst: Chart

@@ -1,8 +1,10 @@
 """Infinitesimal action of gl(m|n) and the subalgebra commuting with nu.
 
-The fundamental vector field of a Lie-algebra element is read off from the
-chart action of  Id + eps*E  with eps an adjoined square-zero parameter (a
-single odd tau for odd E, a product of two for even E).  A field's
+The fundamental vector field of a Lie-algebra element E is the eps-linear
+part of the chart action of  Id + eps*E,  eps^2 = 0, computed from its
+first-order formula in the chart ring: the chart's own label has the
+identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
+1 - N1 eps and no solve runs (see fundamental_field).  A field's
 coordinate representation either commutes with the involution or not;
 collecting the commutation defects over every chart and every odd monomial
 cuts an exact linear subspace of gl(m|n): the nu-commutant.  A field's
@@ -24,7 +26,7 @@ from .errors import InhomogeneousInput, NoOddGenerators
 from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction
 from .supermatrix import matmul
 from .linalg import rref
-from .atlas import Chart, _normalize, get_atlas
+from .atlas import Chart, _adjusted_minor, get_atlas
 from .reports import CheckResult, Report
 
 
@@ -173,47 +175,40 @@ class ChartVectorField:
 
 
 def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
-    """The chart representation of the infinitesimal action of E.
+    """The chart representation of the infinitesimal action of E: the
+    eps-linear part of the chart action of  Id + eps*E,  eps^2 = 0.
 
-    Acts with  Id + eps*E  over the chart ring extended by square-zero
-    parameters (eps = tau for odd E, tau1*tau2 for even E), renormalizes into
-    the same chart, and extracts the eps-linear part of each coordinate.
+    With L the chart's label (a formal odd unit read as nu(1)) and G = L E,
+    the acted label is  L + G eps.  The adjusted minor of L is the identity,
+    since the chart's own I u R columns hold its identity and the involution
+    resolves each moved odd unit to 1; so the minor is  Z = 1 + N1 eps  with
+    N1 the adjusted minor of G.  The free columns are  Y = Y0 + G_d eps  with
+    Y0 = L[:, dcols], and  Z^-1 Y = Y - N1 eps Y0.  The field is therefore
+    X1 = G_d - N1 sigma(Y0), read off through the chart's slots, where
+    sigma(y) = (-1)^{|y||E|} y moves eps past y; for odd E the left
+    derivative d/d eps adds a sign (-1)^{|w|} on each component w.
     """
     parity = E.parity()
     if parity is None:
         raise InhomogeneousInput("fundamental_field needs a homogeneous element")
     idx = chart.index
-    m, n = idx.m, idx.n
-    if (E.m, E.n) != (m, n):
+    if (E.m, E.n) != (idx.m, idx.n):
         raise ValueError("element and chart have mismatched shapes")
-    aux = ("t1",) if parity == ODD else ("t1", "t2")
-    ctx2 = chart.ctx.adjoin_nilpotent(aux)
-    eps = ctx2.gen("t1")
-    if parity == EVEN:
-        eps = eps * ctx2.gen("t2")
-
-    one = ctx2.one()
-    zero = ctx2.zero()
-    d = m + n
-    P = [
-        [
-            (one if i == j else zero) + eps.scale(E.coeffs.get((i + 1, j + 1), 0))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    # label (1 + eps E) is not the label, so the chart's unit columns are not
-    # known in advance: no `units` for the solve
-    W = matmul(chart.label(ctx2).entries, P, zero)
+    ctx, odd = chart.ctx, parity == ODD
+    zero = ctx.zero()
+    d = idx.m + idx.n
+    L = chart.label().entries
+    # matmul reads  1nu * c  as  nu(c) = c nu(1),  only where an odd unit occurs
+    G = matmul(L, [[ctx.scalar(c) if (c := E.coeffs.get((u, v))) else zero
+                    for v in range(1, d + 1)] for u in range(1, d + 1)], zero)
+    zsel, dcols, read = chart.dst_plan
+    sigma_Y0 = [[-Li[c] if odd and Li[c].parity() else Li[c] for c in dcols] for Li in L]
+    NY = matmul(_adjusted_minor(G, zsel, ctx.one()), sigma_Y0, zero)
     components = {}
-    for name, val in _normalize(W, chart).items():
-        if parity == ODD:
-            comp2 = val.partial("t1")
-        else:
-            comp2 = val.partial("t1").partial("t2")
-        # the extracted component is parameter-free; rebuild over the chart ring
-        assert all(mask < (1 << chart.beta) for mask in comp2.terms)
-        components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
+    for row, t, name, marked in read:
+        w = G[row][dcols[t]] - NY[row][t]
+        w = w.nu() if marked else w
+        components[name] = -w if odd and w.parity() else w
     return ChartVectorField(chart, parity, components)
 
 

@@ -101,9 +101,6 @@ class Report:
     def ok(self) -> bool:
         return all(r.failed == 0 for r in self.results if r.gating)
 
-    def gating_failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.gating and r.failed]
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

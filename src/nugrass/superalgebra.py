@@ -347,7 +347,8 @@ class SuperFunction:
     constructor drops zeros; negation, nu, odd derivatives, the soul and
     nonzero rational multiples cannot make one, so they build through
     ``_sf`` without the filter.  Values are never mutated, so a sum with a
-    zero operand is the other operand itself.
+    zero operand is the other operand itself; the values of a shared
+    TransitionMap hold their terms in a read-only view.
     """
 
     __slots__ = ("ctx", "terms")

@@ -211,6 +211,17 @@ def test_a_shared_transition_map_is_read_only(capsys):
             del t.assignments["e1"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.assignments = {}
+        # the values are shared too: their terms are read-only views
+        for value in t.assignments.values():
+            mask = next(iter(value.terms), 0)
+            with pytest.raises(AttributeError):
+                value.terms.clear()
+            with pytest.raises(AttributeError):
+                value.terms.pop(mask)
+            with pytest.raises(TypeError):
+                value.terms[mask] = RationalFunction.from_rat(src.ctx.even_names, 1)
+            with pytest.raises(TypeError):
+                del value.terms[mask]
     assert main(["transition", "-k", "1", "-l", "2", "-m", "2", "-n", "3",
                  "--from", "{1}|{1,2}", "--to", "{2}|{2,3}", "--format", "json"]) == 0
     out = capsys.readouterr().out
@@ -240,18 +251,19 @@ def test_symbolic_transitions_match_the_paper_literal_route():
 
 
 def test_fundamental_fields_match_the_paper_literal_route():
-    # fundamental_field normalizes label (1 + eps E), which is not the label,
-    # through the shared normalizer without unit columns
-    at = get_atlas(0, 1, 1, 2)
-    for chart in at.charts:
-        for E in GlElement.basis(1, 2):
+    # fundamental_field, the first-order formula in the chart ring, against
+    # the eps-linear part of D((M or M')^-1 A) for A = label (1 + eps E),
+    # built from the public matrix operators over the eps-ring
+    for dims in [(0, 1, 1, 2), (1, 2, 2, 3)]:
+        m, n = dims[2:]
+        for chart, E in itertools.product(get_atlas(*dims).charts, GlElement.basis(m, n)):
             odd = E.parity() == ODD
             ctx2 = chart.ctx.adjoin_nilpotent(("t1",) if odd else ("t1", "t2"))
             eps = ctx2.gen("t1") if odd else ctx2.gen("t1") * ctx2.gen("t2")
             one, zero = ctx2.one(), ctx2.zero()
-            P = SuperMatrix((1, 2), (1, 2), [
+            P = SuperMatrix((m, n), (m, n), [
                 [(one if i == j else zero) + eps.scale(E.coeffs.get((i + 1, j + 1), 0))
-                 for j in range(3)] for i in range(3)], zero)
+                 for j in range(m + n)] for i in range(m + n)], zero)
             want = literal_normalization(smat_mul(chart.label(ctx2), P), chart)
             field = fundamental_field(E, chart)
             for name in chart.coords:

@@ -5,8 +5,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
-from nugrass.atlas import get_atlas
-from nugrass.errors import NotInvertible
+import nugrass.atlas as atlas_module
+from nugrass.atlas import get_atlas, transition_symbolic
+from nugrass.errors import GenericallySingular, NotInvertible, ResidualNuSymbol, UncoveredCase
 from nugrass.linalg import inverse, rref, solve
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction
@@ -151,11 +152,39 @@ def test_solve_tests_pivots_without_building_the_body(seed, system):
                                      for i in range(len(Z))]
 
 
+def _symbolic_maps(charts):
+    """Every ordered pair's symbolic map, or the type of its failure."""
+    out = []
+    for a in charts:
+        for b in charts:
+            try:
+                out.append(dict(transition_symbolic(a, b).assignments))
+            except (UncoveredCase, GenericallySingular, ResidualNuSymbol) as exc:
+                out.append(type(exc))
+    return out
+
+
 def test_chart_normalization_never_builds_a_body(monkeypatch):
-    # every fundamental field normalizes through solve over a chart ring
-    atlas = get_atlas(0, 1, 1, 2)
-    basis = GlElement.basis(1, 2)
-    want = [fundamental_field(E, chart) for chart in atlas.charts for E in basis]
+    # symbolic transitions built on a fresh plan dict normalize chart labels
+    # through solve over a chart ring; fundamental fields read the adjusted
+    # minor off their first-order formula.  Neither builds a body.
+    atlases = [get_atlas(0, 1, 1, 2), get_atlas(1, 1, 2, 2)]
+    fields = [(E, chart) for at in atlases for chart in at.charts
+              for E in GlElement.basis(at.m, at.n)]
+    want = [fundamental_field(E, chart) for E, chart in fields]
+    monkeypatch.setattr(atlas_module, "_GLOBAL_PLANS", {})
+    want_maps = [_symbolic_maps(at.charts) for at in atlases]
+    monkeypatch.setattr(atlas_module, "_GLOBAL_PLANS", {})
+    solved = []
+
+    def counting_solve(Z, Y, units=()):
+        solved.append(all(isinstance(e, SuperFunction) for row in Z for e in row))
+        return solve(Z, Y, units)
+
+    monkeypatch.setattr(atlas_module, "solve", counting_solve)
     monkeypatch.setattr(SuperFunction, "body", _refuse_body)
     monkeypatch.setattr(GrassmannNumber, "body", _refuse_body)
-    assert [fundamental_field(E, chart) for chart in atlas.charts for E in basis] == want
+    assert [fundamental_field(E, chart) for E, chart in fields] == want
+    assert not solved
+    assert [_symbolic_maps(at.charts) for at in atlases] == want_maps
+    assert solved and all(solved)

@@ -24,6 +24,7 @@ from nugrass.nulie import (
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
 from nugrass.superalgebra import SuperFunction
+from paper_reference import eps_ring_fundamental_field
 
 AT = get_atlas(0, 1, 1, 2)
 C1 = AT.chart((), (1,))
@@ -88,6 +89,49 @@ def test_fundamental_field_is_linear():
     assert direct == by_parts
     zero_field = rho_field(GlElement(1, 2, {}), C1)
     assert zero_field.is_zero()
+
+
+# the eps-ring route of paper_reference against the first-order formula, on
+# every chart: odd units on non-standard charts, moved minor columns,
+# charts without odd generators, and atlases whose charts have no coordinates
+FIELD_ATLASES = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2), (0, 2, 1, 3),
+                 (2, 2, 3, 3), (1, 0, 2, 1), (0, 1, 2, 2), (1, 1, 2, 3), (1, 0, 2, 0),
+                 (0, 0, 1, 1), (1, 1, 1, 1)]
+
+
+def assert_same_field(got, want):
+    assert got == want and got.parity == want.parity
+    assert list(got.components) == list(want.components)
+    assert set(got.components) == set(got.chart.coords)
+    assert all(c.ctx == got.chart.ctx for c in got.components.values())
+
+
+@pytest.mark.parametrize("dims", FIELD_ATLASES)
+def test_fundamental_fields_match_the_eps_ring_route(dims):
+    m, n = dims[2:]
+    for chart in get_atlas(*dims).charts:
+        for E in GlElement.basis(m, n):
+            assert_same_field(fundamental_field(E, chart), eps_ring_fundamental_field(E, chart))
+
+
+def _elt(m, n, **coeffs):
+    return GlElement(m, n, {(int(k[1]), int(k[2])): MPQ(v) for k, v in coeffs.items()})
+
+
+@pytest.mark.parametrize("dims, E", [
+    ((0, 1, 1, 2), _elt(1, 2, E23=2, E32=-3)),
+    # two entries in one column: column 2, then column 1
+    ((0, 1, 1, 2), _elt(1, 2, E22="5/2", E32=-1)),
+    ((0, 1, 1, 2), _elt(1, 2, E21=1, E31=4, E13="-1/3")),
+    ((1, 2, 2, 3), _elt(2, 3, E34=2, E43=-3, E12=1, E22=7)),
+    ((1, 2, 2, 3), _elt(2, 3, E31=1, E41=-2, E13=3, E25="1/2")),
+    ((1, 1, 2, 2), _elt(2, 2, E14=-1, E24=2, E31=5, E41="3/4")),
+    ((2, 1, 3, 2), _elt(3, 2, E11=2, E21=-1, E31=3, E45=1, E55=-2)),
+])
+def test_fundamental_fields_of_combinations_match_the_eps_ring_route(dims, E):
+    assert E.parity() is not None and len(E.coeffs) > 1
+    for chart in get_atlas(*dims).charts:
+        assert_same_field(fundamental_field(E, chart), eps_ring_fundamental_field(E, chart))
 
 
 def test_regression_pair_for_the_commutation_defect():
@@ -500,6 +544,9 @@ def test_nu_defect_of_a_field_with_odd_components():
 GOLDEN_REPORTS = {
     (1, 1, 2, 2): "e20314db3221d7ca878b1e7fec23840ad941a195c97682b3ca58e14788865db4",
     (2, 1, 3, 2): "c0a128057fc03a0d4808675e90dff60cf123002ba5106cfc8f65f84ad39c9e40",
+    # recorded before fundamental fields came from their first-order formula
+    (0, 1, 1, 2): "c53aeeb8ff95a9c236247ffd87e9d9432aa9f4bb483ab9a8e2820ccc2e66845e",
+    (1, 2, 2, 3): "8dcd9670e58b1804934312650f0498ecece0b3a5465d76a23b25be8f0f438d13",
 }
 
 
