@@ -94,6 +94,11 @@ class IndexPair:
             raise ValueError("odd indices out of range")
         if len(self.I) + len(self.R) != self.k + self.l:
             raise ValueError("need p + q = k + l")
+        # index pairs key the plan and field stores on every hop: hash once
+        object.__setattr__(self, "_hash", hash((self.I, self.R, self.k, self.l, self.m, self.n)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def p(self) -> int:
@@ -327,14 +332,11 @@ def get_atlas(k: int, l: int, m: int, n: int) -> Atlas:
     return Atlas(k, l, m, n)
 
 
-_GLOBAL_PLANS: dict[tuple, "HopPlan"] = {}
+_GLOBAL_PLANS: dict[tuple[IndexPair, IndexPair], "HopPlan"] = {}
 
 
 def _get_plan(src: Chart, dst: Chart) -> "HopPlan":
-    key = (
-        src.index.k, src.index.l, src.index.m, src.index.n,
-        src.index.I, src.index.R, dst.index.I, dst.index.R,
-    )
+    key = (src.index, dst.index)
     try:
         return _GLOBAL_PLANS[key]
     except KeyError:
@@ -350,7 +352,7 @@ class HopPlan:
     def __init__(self, src: Chart, dst: Chart):
         self.src = src
         self.dst = dst
-        self.zsel, self.dcols, self.read = dst.dst_plan
+        self.zsel, self.dcols, _ = dst.dst_plan
         self.units = self._unit_columns()
 
     def _unit_columns(self) -> tuple[tuple[int, int], ...]:

@@ -7,26 +7,29 @@ identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
 1 - N1 eps and no solve runs (see fundamental_field).  A field's
 coordinate representation either commutes with the involution or not;
 collecting the commutation defects over every chart and every odd monomial
-cuts an exact linear subspace of gl(m|n): the nu-commutant.  A field's
-components are never mutated after construction, so each field object
-computes its Jacobian once and keeps it for as long as it lives.  The
-morphism check computes the two derivative terms of each unordered pair of
-basis fields once per chart, builds both bracket orders from them, and
-replays the outcomes in (E1, E2) order.
+cuts an exact linear subspace of gl(m|n): the nu-commutant.  The field of a
+basis element on a chart is a per-process fact of that pair: rho_field
+builds it once, with read-only components, and every later call reads the
+same object, whose Jacobian is computed once and lives as long as the
+process.  The morphism check computes the two derivative terms of each
+unordered pair of basis fields once per chart, builds both bracket orders
+from them, and replays the outcomes in (E1, E2) order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from types import MappingProxyType
 
 from sympy.external.gmpy import MPQ
 
 from .errors import InhomogeneousInput, NoOddGenerators
-from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction
+from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction, _sf
 from .supermatrix import matmul
 from .linalg import rref
-from .atlas import Chart, _adjusted_minor, get_atlas
+from .atlas import Chart, IndexPair, _adjusted_minor, get_atlas
 from .reports import CheckResult, Report
 
 
@@ -132,13 +135,14 @@ def superbracket(a: GlElement, b: GlElement) -> GlElement:
 class ChartVectorField:
     """A derivation on one chart, given by its value on each coordinate.
 
-    Components are never mutated after construction, so the Jacobian (the
-    nonzero  d_c X[name]) is computed once per field object, on first use,
-    and lives as long as it does; it is neither compared nor serialized."""
+    Components are never mutated after construction (fundamental_field
+    returns them in read-only views), so the Jacobian (the nonzero
+    d_c X[name]) is computed once per field object, on first use, and lives
+    as long as it does; it is neither compared nor serialized."""
 
     chart: Chart
     parity: int
-    components: dict[str, SuperFunction]
+    components: Mapping[str, SuperFunction]
 
     @cached_property
     def jacobian(self) -> dict[str, dict[str, SuperFunction]]:
@@ -208,26 +212,33 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     for row, t, name, marked in read:
         w = G[row][dcols[t]] - NY[row][t]
         w = w.nu() if marked else w
-        components[name] = -w if odd and w.parity() else w
-    return ChartVectorField(chart, parity, components)
+        w = -w if odd and w.parity() else w
+        # w owns its terms, so a read-only view of them needs no copy
+        components[name] = _sf(ctx, MappingProxyType(w.terms))
+    return ChartVectorField(chart, parity, MappingProxyType(components))
 
 
-def rho_field(Y: GlElement, chart: Chart,
-              cache: dict | None = None) -> ChartVectorField:
-    """Fundamental field of an arbitrary element, by linearity over the basis."""
+# (chart index, u, v) -> the field of E_uv there, for the life of the
+# process; IndexPair carries k|l(m|n), so atlases never share a key
+_UNIT_FIELDS: dict[tuple[IndexPair, int, int], ChartVectorField] = {}
+
+
+def rho_field(Y: GlElement, chart: Chart) -> ChartVectorField:
+    """Fundamental field of an arbitrary element, by linearity over the
+    stored basis fields; a unit coefficient hands out the stored field
+    itself.  The shape check comes first: a stored field would skip
+    fundamental_field's."""
     parity = Y.parity()
     if parity is None:
         raise InhomogeneousInput("rho needs a homogeneous element")
+    idx = chart.index
+    if (Y.m, Y.n) != (idx.m, idx.n):
+        raise ValueError("element and chart have mismatched shapes")
     total = None
     for (u, v), c in sorted(Y.coeffs.items()):
-        key = (chart.index.I, chart.index.R, u, v)
-        if cache is not None and key in cache:
-            f = cache[key]
-        else:
-            f = fundamental_field(GlElement.unit(Y.m, Y.n, u, v), chart)
-            if cache is not None:
-                cache[key] = f
-        # a unit coefficient reuses the cached field itself: callers never mutate it
+        f = _UNIT_FIELDS.get((idx, u, v))
+        if f is None:
+            f = _UNIT_FIELDS[idx, u, v] = fundamental_field(GlElement.unit(Y.m, Y.n, u, v), chart)
         part = f if c == 1 else f.scale(c)
         total = part if total is None else total + part
     if total is None:
@@ -313,12 +324,10 @@ class HBasis:
         return len(self.odd)
 
 
-def compute_h(k: int, l: int, m: int, n: int,
-              field_cache: dict | None = None) -> HBasis:
+def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     """Exact basis of the subalgebra of gl(m|n) whose fundamental fields
     commute with the involution on every chart, one parity at a time."""
     atlas = get_atlas(k, l, m, n)
-    cache = {} if field_cache is None else field_cache
     basis_all = GlElement.basis(m, n)
     result = HBasis(m, n)
     for parity, sink in ((EVEN, result.even), (ODD, result.odd)):
@@ -328,7 +337,7 @@ def compute_h(k: int, l: int, m: int, n: int,
         rows: list[list[MPQ]] = []
         for col_i, E in enumerate(columns):
             for chart in atlas.charts:
-                f = rho_field(E, chart, cache)
+                f = rho_field(E, chart)
                 for S, defect in enumerate(nu_defect(f)):
                     for mask, coeff in defect.terms.items():
                         if coeff.den != coeff.den.ring.one:
@@ -399,8 +408,7 @@ def field_bracket(X1: ChartVectorField, X2: ChartVectorField,
     return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
 
 
-def verify_rho_morphism(k: int, l: int, m: int, n: int,
-                        field_cache: dict | None = None) -> Report:
+def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
     """Exact comparison of field brackets with matrix brackets over every
     elementary basis pair, chart by chart on the standard charts.
 
@@ -416,10 +424,10 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
     once per chart and serve both bracket orders, each still compared with
     rho of its reversed bracket (built once per distinct value and chart,
     with its negation).  The outcomes are replayed in (E1, E2) order, so
-    the sign, counts and counterexamples are a pair-by-pair scan's.
+    the sign, counts and counterexamples are a pair-by-pair scan's.  The
+    basis fields and their Jacobians are per-process facts (rho_field).
     """
     atlas = get_atlas(k, l, m, n)
-    cache = {} if field_cache is None else field_cache
     basis = GlElement.basis(m, n)
     N = len(basis)
     report = Report(suite="rho-morphism", config={"k": k, "l": l, "m": m, "n": n})
@@ -430,7 +438,7 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
     keys = [frozenset(Y.coeffs.items()) for Y in reversed_brackets]
     outcomes: list[list[int | None]] = [[] for _ in range(N * N)]
     for chart in atlas.standard_charts:
-        fields = [rho_field(E, chart, cache) for E in basis]
+        fields = [rho_field(E, chart) for E in basis]
         rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho), ...)
         for i in range(N):
             for j in range(i, N):
@@ -441,7 +449,7 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
                     lhs = field_bracket(fields[a], fields[b], terms)
                     p = a * N + b
                     if keys[p] not in rho:
-                        rhs = rho_field(reversed_brackets[p], chart, cache)
+                        rhs = rho_field(reversed_brackets[p], chart)
                         rho[keys[p]] = (((0, rhs),) if rhs.is_zero()
                                         else ((1, rhs), (-1, rhs.scale(-1))))
                     outcomes[p].append(
@@ -466,15 +474,14 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int,
 def h_report(k: int, l: int, m: int, n: int) -> dict:
     """Full nu-commutant report: dimensions, basis, re-verified defects,
     bracket closure, Jacobi, and the morphism sign."""
-    cache: dict = {}
     atlas = get_atlas(k, l, m, n)
-    h = compute_h(k, l, m, n, field_cache=cache)
+    h = compute_h(k, l, m, n)
     all_basis = h.even + h.odd
 
     residual_zero = True
     for Y in all_basis:
         for chart in atlas.charts:
-            f = rho_field(Y, chart, cache)
+            f = rho_field(Y, chart)
             if any(not d.is_zero() for d in nu_defect(f)):
                 residual_zero = False
 
@@ -494,7 +501,7 @@ def h_report(k: int, l: int, m: int, n: int) -> dict:
         for a in all_basis for b in all_basis for c in all_basis
     )
 
-    morph = verify_rho_morphism(k, l, m, n, field_cache=cache)
+    morph = verify_rho_morphism(k, l, m, n)
     return {
         "dim_even": h.dim_even,
         "dim_odd": h.dim_odd,

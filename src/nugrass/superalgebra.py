@@ -167,12 +167,6 @@ class RationalFunction:
             return RationalFunction(self.names, self.num * other.num, self.den, _canonical=True)
         return RationalFunction(self.names, self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other):
-        self._check(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.names, self.num * other.den, self.den * other.num)
-
     def inv(self) -> "RationalFunction":
         if not self.num:
             raise ZeroDivisionError("inverse of zero rational function")

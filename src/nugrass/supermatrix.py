@@ -95,12 +95,6 @@ class SuperMatrix:
         entries = [[one if i == j else zero for j in range(n)] for i in range(n)]
         return cls((n0, n1), (n0, n1), entries, proto, validate=False)
 
-    @classmethod
-    def zero(cls, row_split, col_split, proto) -> "SuperMatrix":
-        z = proto.ring_zero()
-        entries = [[z] * (col_split[0] + col_split[1]) for _ in range(row_split[0] + row_split[1])]
-        return cls(row_split, col_split, entries, proto, validate=False)
-
     # -- basic structure -----------------------------------------------------
 
     def __eq__(self, other):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,11 +186,9 @@ def test_commutant_is_bracket_closed_with_exact_jacobi():
 def test_standard_charts_already_cut_the_same_commutant():
     # the non-standard chart's conditions are consistent with the cut made
     # by the standard charts alone on this atlas
-    import nugrass.nulie as nl
     from nugrass.superalgebra import EVEN, ODD
 
-    cache = {}
-    h_all = compute_h(0, 1, 1, 2, field_cache=cache)
+    h_all = compute_h(0, 1, 1, 2)
     # re-run the cut keeping only standard-chart rows
     basis_all = GlElement.basis(1, 2)
     for parity, expected in ((EVEN, h_all.even), (ODD, h_all.odd)):
@@ -198,7 +197,7 @@ def test_standard_charts_already_cut_the_same_commutant():
         row_index = {}
         for col_i, E in enumerate(columns):
             for chart in AT.standard_charts:
-                f = rho_field(E, chart, cache)
+                f = rho_field(E, chart)
                 for S, defect in enumerate(nu_defect(f)):
                     for mask, coeff in defect.terms.items():
                         for exp, q in coeff.num.terms():
@@ -221,9 +220,8 @@ def test_bracket_compatibility_sign_is_globally_consistent():
 
 
 def test_field_bracket_matches_hand_computation():
-    cache = {}
-    f12 = rho_field(GlElement.unit(1, 2, 1, 2), C1, cache)
-    f21 = rho_field(GlElement.unit(1, 2, 2, 1), C1, cache)
+    f12 = rho_field(GlElement.unit(1, 2, 1, 2), C1)
+    f21 = rho_field(GlElement.unit(1, 2, 2, 1), C1)
     br = field_bracket(f12, f21)
     # x e d/dx against d/de: the anticommutator is x d/dx
     assert br.components["x1"] == C1.ctx.gen("x1")
@@ -240,16 +238,19 @@ def test_h_report_contents():
     assert data["basis_even"] == [{"1,1": "1", "2,2": "1", "3,3": "1"}]
 
 
-def test_rho_field_leaves_the_shared_cache_intact():
-    # rho_field hands out the cached field itself for a unit coefficient,
+def test_rho_field_leaves_the_shared_cache_intact(monkeypatch):
+    # rho_field hands out the stored field itself for a unit coefficient,
     # so no caller may mutate a field it gets back
-    cache = {}
-    assert verify_rho_morphism(0, 1, 1, 2, field_cache=cache).ok
-    assert len(cache) == len(AT.standard_charts) * 9
-    for (I, R, u, v), cached in cache.items():
-        fresh = fundamental_field(GlElement.unit(1, 2, u, v), AT.chart(I, R))
-        assert cached == fresh
-        assert cached.parity == fresh.parity
+    store = {}
+    monkeypatch.setattr(nl, "_UNIT_FIELDS", store)
+    assert verify_rho_morphism(0, 1, 1, 2).ok
+    assert len(store) == len(AT.standard_charts) * 9
+    per_chart = Counter(index for index, _, _ in store)
+    assert per_chart == {chart.index: 9 for chart in AT.standard_charts}
+    for (index, u, v), stored in store.items():
+        fresh = fundamental_field(GlElement.unit(1, 2, u, v), AT.chart(index.I, index.R))
+        assert stored == fresh
+        assert stored.parity == fresh.parity
 
 
 def test_nu_defect_embeds_each_component_once(monkeypatch):
@@ -259,7 +260,7 @@ def test_nu_defect_embeds_each_component_once(monkeypatch):
     embed = GeneratorContext.embed
     monkeypatch.setattr(GeneratorContext, "embed",
                         lambda self, sf: calls.append(sf) or embed(self, sf))
-    field = rho_field(GlElement.unit(1, 2, 1, 2), C1, {})
+    field = rho_field(GlElement.unit(1, 2, 1, 2), C1)
     defects = nu_defect(field)
     assert len(defects) == 1 << len(C1.odd_coords)
     assert len(calls) == len(field.components)
@@ -337,11 +338,10 @@ def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
     return defects
 
 
-def verify_rho_morphism_reference(k, l, m, n, field_cache=None) -> Report:
+def verify_rho_morphism_reference(k, l, m, n) -> Report:
     """The pair-by-pair scan: every ordered pair (E1, E2) in turn, each
     bracket and each rho built afresh, the sign matched on scaled copies."""
     atlas = get_atlas(k, l, m, n)
-    cache = {} if field_cache is None else field_cache
     basis = GlElement.basis(m, n)
     report = Report(suite="rho-morphism", config={"k": k, "l": l, "m": m, "n": n})
     sign = None
@@ -353,8 +353,8 @@ def verify_rho_morphism_reference(k, l, m, n, field_cache=None) -> Report:
             B_rev = superbracket(E2, E1)
             ok_pair = True
             for chart in atlas.standard_charts:
-                lhs = field_bracket(rho_field(E1, chart, cache), rho_field(E2, chart, cache))
-                rhs = rho_field(B_rev, chart, cache)
+                lhs = field_bracket(rho_field(E1, chart), rho_field(E2, chart))
+                rhs = rho_field(B_rev, chart)
                 if rhs.is_zero():
                     if not lhs.is_zero():
                         ok_pair = False
@@ -395,23 +395,21 @@ CORRUPTIONS = [(0, (1, 1), 2), (0, (1, 1), -1), (0, (1, 2), -1), (-1, (2, 1), 3)
 
 @pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
 @pytest.mark.parametrize("corruption", [None] + CORRUPTIONS)
-def test_rho_morphism_replay_matches_the_pair_by_pair_scan(dims, corruption):
-    # a scaled basis field in the shared cache makes some pairs fail, or
-    # match with the other sign; the replayed outcomes must report the same
-    # counts, counterexamples and sign as the scan in (E1, E2) order
+def test_rho_morphism_replay_matches_the_pair_by_pair_scan(monkeypatch, dims, corruption):
+    # a scaled basis field in the store makes some pairs fail, or match with
+    # the other sign; the replayed outcomes must report the same counts,
+    # counterexamples and sign as the scan in (E1, E2) order
     m, n = dims[2:]
     charts = get_atlas(*dims).standard_charts
-    cache = {}
     for chart in charts:
         for E in GlElement.basis(m, n):
-            rho_field(E, chart, cache)
+            rho_field(E, chart)
     if corruption is not None:
         at, (u, v), q = corruption
-        index = charts[at].index
-        key = (index.I, index.R, u, v)
-        cache[key] = cache[key].scale(q)
-    got = verify_rho_morphism(*dims, field_cache=dict(cache))
-    want = verify_rho_morphism_reference(*dims, field_cache=dict(cache))
+        key = (charts[at].index, u, v)
+        monkeypatch.setitem(nl._UNIT_FIELDS, key, nl._UNIT_FIELDS[key].scale(q))
+    got = verify_rho_morphism(*dims)
+    want = verify_rho_morphism_reference(*dims)
     assert got.results == want.results
     assert got.notes == want.notes
     assert got.to_json() == want.to_json()
@@ -422,10 +420,9 @@ def test_rho_morphism_replay_matches_the_pair_by_pair_scan(dims, corruption):
 # the Jacobian bracket against the reference
 # ---------------------------------------------------------------------------
 
-BRACKET_DIMS = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)]
-# one field cache per atlas, shared by every example: later examples bracket
+# rho_field's store is shared by every example: later examples bracket
 # fields whose Jacobians earlier ones computed, as h_report's pair loop does
-_SHARED_FIELDS: dict[tuple, dict] = {}
+BRACKET_DIMS = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)]
 
 
 @st.composite
@@ -458,13 +455,12 @@ def test_field_bracket_matches_the_apply_reference(data):
     m, n = dims[2:]
     E1 = data.draw(homogeneous_elements(m, n))
     E2 = data.draw(homogeneous_elements(m, n))
-    cache = _SHARED_FIELDS.setdefault(dims, {})
     for chart in get_atlas(*dims).standard_charts:
         # the elementary parts carry their Jacobians before the combinations
         # are built from them by scale and +
         for u, v in list(E1.coeffs) + list(E2.coeffs):
-            rho_field(GlElement.unit(m, n, u, v), chart, cache).jacobian
-        X1, X2 = rho_field(E1, chart, cache), rho_field(E2, chart, cache)
+            rho_field(GlElement.unit(m, n, u, v), chart).jacobian
+        X1, X2 = rho_field(E1, chart), rho_field(E2, chart)
         want = bracket_reference(X1, X2)
         first = field_bracket(X1, X2)
         assert first == want and first.parity == want.parity
@@ -476,15 +472,16 @@ def test_field_bracket_matches_the_apply_reference(data):
 
 
 def test_every_elementary_bracket_matches_the_reference_twice():
-    cache = {}
     basis = GlElement.basis(1, 2)
+    seen = []
     for chart in AT.standard_charts:
-        fields = [rho_field(E, chart, cache) for E in basis]
+        fields = [rho_field(E, chart) for E in basis]
+        seen += fields
         for _ in range(2):
             for X1 in fields:
                 for X2 in fields:
                     assert field_bracket(X1, X2) == bracket_reference(X1, X2)
-    for X in cache.values():
+    for X in seen:
         assert_jacobian_is_fresh(X)
 
 
@@ -554,3 +551,74 @@ GOLDEN_REPORTS = {
 def test_h_report_bytes_are_pinned(dims):
     text = json.dumps(h_report(*dims), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[dims]
+
+
+# ---------------------------------------------------------------------------
+# the per-process store of basis fields
+# ---------------------------------------------------------------------------
+
+
+def test_a_warm_h_report_builds_no_field_and_repeats_the_cold_bytes(monkeypatch):
+    monkeypatch.setattr(nl, "_UNIT_FIELDS", {})
+    calls = []
+    build = nl.fundamental_field
+    monkeypatch.setattr(nl, "fundamental_field", lambda *a: calls.append(a) or build(*a))
+    dims = (1, 2, 2, 3)
+    cold = json.dumps(h_report(*dims), indent=2, sort_keys=True)
+    assert len(calls) == 25 * len(get_atlas(*dims).charts)
+    calls.clear()
+    warm = json.dumps(h_report(*dims), indent=2, sort_keys=True)
+    assert calls == []
+    assert warm == cold
+    assert hashlib.sha256(cold.encode()).hexdigest() == GOLDEN_REPORTS[dims]
+
+
+def test_charts_with_the_same_index_sets_keep_their_own_fields(monkeypatch):
+    # every (I, R) of 1|1(2|2) is also a chart of 1|1(2|3), and the units
+    # E_uv with u, v <= 4 exist in both, of the same parity: a key without
+    # k|l(m|n) would hand the first atlas's field to the second
+    monkeypatch.setattr(nl, "_UNIT_FIELDS", {})
+    small, large = get_atlas(1, 1, 2, 2), get_atlas(1, 1, 2, 3)
+    for a in small.charts:
+        b = large.chart(a.index.I, a.index.R)
+        for u in range(1, 5):
+            for v in range(1, 5):
+                Ea, Eb = GlElement.unit(2, 2, u, v), GlElement.unit(2, 3, u, v)
+                fa, fb = rho_field(Ea, a), rho_field(Eb, b)
+                assert fa != fb
+                assert fa == fundamental_field(Ea, a)
+                assert fb == fundamental_field(Eb, b)
+                assert fb.chart.index == b.index and set(fb.components) == set(b.coords)
+
+
+def test_a_stored_field_does_not_skip_the_shape_check():
+    chart = get_atlas(1, 2, 2, 3).charts[0]
+    rho_field(GlElement.unit(2, 3, 1, 1), chart)  # the store now holds E11 here
+    with pytest.raises(ValueError):
+        rho_field(GlElement.unit(1, 1, 1, 1), chart)
+    with pytest.raises(ValueError):
+        rho_field(GlElement(1, 1, {}), chart)
+
+
+def test_stored_fields_are_read_only():
+    for chart in AT.charts:
+        for E in GlElement.basis(1, 2):
+            field = rho_field(E, chart)
+            assert rho_field(E, chart) is field
+            for name, comp in field.components.items():
+                with pytest.raises(TypeError):
+                    field.components[name] = chart.ctx.zero()
+                with pytest.raises(TypeError):
+                    del field.components[name]
+                with pytest.raises(AttributeError):
+                    comp.terms.clear()
+                with pytest.raises(AttributeError):
+                    comp.terms.pop(0, None)
+                with pytest.raises(TypeError):
+                    comp.terms[0] = chart.ctx.one().body()
+                for mask in comp.terms:
+                    with pytest.raises(TypeError):
+                        del comp.terms[mask]
+    # every attempt above failed, so the process's fields still give the pin
+    text = json.dumps(h_report(0, 1, 1, 2), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[(0, 1, 1, 2)]
