@@ -35,7 +35,6 @@ from .atlas import (
     enumerate_charts,
     evaluate_transition,
     get_atlas,
-    invert_transition_at_point,
     pair_defined,
     point_transition,
     sample_point,

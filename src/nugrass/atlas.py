@@ -26,10 +26,6 @@ of a minor at any Lambda_r point is a specialization of its body there, so
 that solve fails exactly where no point can hop.  Every grid (a label over
 a chart ring, a Lambda_r point, the generic point) comes from one
 realizer, Chart.grid.
-
-invert_transition_at_point solves the pasting equation of a direction as an
-exact linear system.  It realizes no direction; it is the independent
-oracle that checks forward hops.
 """
 
 from __future__ import annotations
@@ -40,19 +36,15 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
-from sympy.external.gmpy import MPQ
-
 from .errors import (
-    BodySolveFailed,
     GenericallySingular,
     MinorNotInvertible,
     NotInvertible,
     OverlapNotSampled,
     ResidualNuSymbol,
-    SingularJacobian,
     UncoveredCase,
 )
-from .linalg import inverse, rref, solve
+from .linalg import inverse, solve
 from .reports import CheckResult, Report, first_defined
 from .superalgebra import (
     EVEN,
@@ -63,7 +55,7 @@ from .superalgebra import (
     _sf,
     lambda_sample,
 )
-from .supermatrix import NU, SuperMatrix, format_blocked, is_nu, matmul
+from .supermatrix import NU, SuperMatrix, format_blocked, is_nu
 
 # the square inverse under the name the tests and bench/tracer.py look up here
 _lam_gauss_inv = inverse
@@ -615,86 +607,6 @@ def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
     except NotInvertible as exc:
         raise MinorNotInvertible(f"{src.index} -> {dst.index}: {exc}") from exc
     return _point(dst, X.r, values)
-
-
-def _coeff_basis(chart: Chart, r: int):
-    """Unknown slots (coord, mask) respecting coordinate parity."""
-    out = []
-    for name in chart.coords:
-        parity = chart.coord_parity[name]
-        for mask in range(1 << r):
-            if mask.bit_count() & 1 == parity:
-                out.append((name, mask))
-    return out
-
-
-def invert_transition_at_point(
-    target: GrassPoint, src_chart: Chart, dst_chart: Chart
-) -> GrassPoint:
-    """Find the source point the forward pasting sends to target, exactly.
-
-    The pasting equation  M'([Q]) [target] = [Q]  is affine in the rational
-    coefficients of Q, so one exact linear solve plus a forward post-check
-    inverts the direction without a closed formula.  No hop uses it: it is
-    the oracle that checks forward hops against their inverse.
-    """
-    if target.chart.index != dst_chart.index:
-        raise ValueError("target must live in the destination chart")
-    r = target.r
-    plan = _get_plan(src_chart, dst_chart)
-    zero = GrassmannNumber(r, {})
-    one = GrassmannNumber.scalar(r, 1)
-    src_nu_rows = src_chart.nu_unit_rows
-    # the destination's free columns of [T]; at a source odd-unit column the
-    # product twists through the involution, so the constraint there reads
-    # Z nu(T_col) = e_u
-    T = target.chart.realize(target.values, r)
-    Tfree = [[Ti[c].nu() if c in src_nu_rows else Ti[c] for c in plan.dcols] for Ti in T]
-
-    def residual(values) -> list[MPQ]:
-        """Coefficients of the pasting equation  Z(Q) [T] = [Q]  at the
-        destination's free columns (label columns hold identically)."""
-        A = src_chart.realize(values, r)
-        ZT = matmul(_adjusted_minor(A, plan.zsel, one), Tfree, zero)
-        out = []
-        for t, c in enumerate(plan.dcols):
-            unit_row = src_nu_rows.get(c)
-            for i, Ai in enumerate(A):
-                acc = ZT[i][t]
-                if unit_row is None:
-                    acc = acc - Ai[c]
-                elif i == unit_row:
-                    acc = acc - one
-                terms = acc.terms
-                out.extend(terms.get(mask, MPQ(0)) for mask in range(1 << r))
-        return out
-
-    basis = _coeff_basis(src_chart, r)
-    zero_vals = {name: zero for name in src_chart.coords}
-    b0 = residual(zero_vals)
-    cols = len(basis)
-    Amat = []
-    for name, mask in basis:
-        col = residual({**zero_vals, name: GrassmannNumber(r, {mask: MPQ(1)})})
-        Amat.append([x - y for x, y in zip(col, b0)])
-    # solve A q = -b0 exactly
-    M, pivots = rref([[col[i] for col in Amat] + [-y] for i, y in enumerate(b0)], cols)
-    if any(row[cols] for row in M[len(pivots):]):
-        raise BodySolveFailed("inconsistent inverse-transition system")
-    if len(pivots) < cols:
-        raise SingularJacobian("inverse-transition system is underdetermined")
-    values = dict(zero_vals)
-    for (name, mask), row in zip(basis, M):
-        if row[cols]:
-            values[name] = values[name] + GrassmannNumber(r, {mask: row[cols]})
-    Q = GrassPoint(src_chart, r, values)
-    try:
-        back = point_transition(Q, dst_chart)
-    except (MinorNotInvertible, ResidualNuSymbol) as exc:
-        raise BodySolveFailed(f"solution lies outside the overlap: {exc}") from exc
-    if back != target:
-        raise BodySolveFailed("post-check failed: forward image differs from target")
-    return Q
 
 
 # ---------------------------------------------------------------------------

@@ -53,14 +53,6 @@ class MinorNotInvertible(NuGrassError):
     """The evaluated minor is singular at this point (outside the overlap)."""
 
 
-class BodySolveFailed(NuGrassError):
-    """The inverse-transition system has no admissible solution."""
-
-
-class SingularJacobian(NuGrassError):
-    """The inverse-transition system is degenerate at the body solution."""
-
-
 class OverlapNotSampled(NuGrassError):
     """Every draw of a sampling loop fell outside the set being sampled."""
 

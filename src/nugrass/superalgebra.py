@@ -9,11 +9,12 @@ differentiation; nu never touches them.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
-verification suites.  A GrassmannNumber stores integer numerators over one
-positive common denominator in lowest terms (no zero numerator, zero is {}
-over 1), so its arithmetic runs on Python ints and equality compares the
-stored fields; MPQ appears only at its boundary (constructor, ``terms``,
-``body``).  Its products run through one straight-line kernel per r, which
+verification suites.  A GrassmannNumber stores a dense tuple of 2**r
+integer numerators, indexed by monomial bitmask, over one positive common
+denominator in lowest terms (zero is the zero tuple over 1), so its
+arithmetic runs on Python ints and equality compares the stored fields; MPQ
+appears only at its boundary (constructor, ``terms``, ``body``).  Its
+products run through one straight-line kernel per r on those tuples, which
 the inverse and the fused step ``x.add_product(a, b, sign)`` build on.
 """
 
@@ -22,7 +23,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd, lcm
+from operator import neg
 from types import MappingProxyType
+from typing import NamedTuple
 
 from sympy import QQ
 from sympy.external.gmpy import MPQ
@@ -570,70 +573,81 @@ def _sf(ctx: GeneratorContext, terms: dict[int, RationalFunction]) -> SuperFunct
 class GrassmannNumber:
     """Element of the finite Grassmann algebra Lambda_r over QQ.
 
-    Layout: integer numerators over one shared denominator.  ``num`` maps
-    each monomial bitmask to a nonzero int, ``den`` is a positive int, and
-    the pair is in lowest terms: ``gcd(den, *num.values()) == 1``.  Zero is
-    ``{}`` over 1.  The form is canonical, so equal values have equal
+    Layout: integer numerators over one shared denominator.  ``num`` is a
+    tuple of ``2**r`` ints, slot m holding the numerator of the monomial with
+    bitmask m (0 where the coefficient is zero); ``den`` is a positive int,
+    and the pair is in lowest terms: ``gcd(den, *num) == 1``.  Zero is the
+    zero tuple over 1.  The form is canonical, so equal values have equal
     ``(r, den, num)``, and ``+ - * neg nu inv`` run on Python ints.
 
-    Products of numerator dicts run through ``_product_kernel(r)``, and each
+    Products of numerator tuples run through ``_product_kernel(r)``, and each
     operation reduces once: ``x.add_product(a, b, sign) = x + sign*a*b``
     puts x and the product over one denominator, and ``inv`` of (b + n)/D is
     ``D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1)`` with ``n**(K+1) = 0``.
 
-    The public constructor takes ``{mask: MPQ or int}``; ``terms`` is a
-    read-only ``{mask: MPQ}`` view of the same value.
+    The public constructor takes ``{mask: MPQ or int}`` with every mask in
+    ``range(2**r)``; ``terms`` is a read-only ``{mask: MPQ}`` view of the
+    nonzero slots.
     """
 
     __slots__ = ("r", "num", "den")
 
     def __init__(self, r: int, terms: dict):
         self.r = r
-        # an int is its own numerator over 1
-        fracs = [(m, c if isinstance(c, int) else MPQ(c)) for m, c in terms.items() if c]
+        size = 1 << r
+        fracs = []
+        for m, c in terms.items():
+            if not 0 <= m < size:
+                raise UnknownVariable(f"monomial mask {m} outside Lambda_{r}")
+            if c:  # an int is its own numerator over 1
+                fracs.append((m, c if isinstance(c, int) else MPQ(c)))
         # over the lcm of reduced denominators no common factor is left: a
         # prime at its highest power in den divides no numerator of a term
         # that brings that power
         self.den = den = lcm(*(q.denominator for _, q in fracs))
-        self.num = {m: q.numerator * (den // q.denominator) for m, q in fracs}
+        num = [0] * size
+        for m, q in fracs:
+            num[m] = q.numerator * (den // q.denominator)
+        self.num = tuple(num)
 
     @classmethod
     def scalar(cls, r: int, q) -> "GrassmannNumber":
         q = MPQ(q)
-        return _gn(r, {0: q.numerator}, q.denominator) if q else _gn(r, {}, 1)
+        zero = _layout(r).zero
+        return _gn(r, (q.numerator,) + zero[1:], q.denominator) if q else _gn(r, zero, 1)
 
     @classmethod
     def theta(cls, r: int, i: int) -> "GrassmannNumber":
         """The i-th odd generator, 1-based."""
         if not 1 <= i <= r:
             raise UnknownVariable(f"theta_{i} outside Lambda_{r}")
-        return _gn(r, {1 << (i - 1): 1}, 1)
+        num = list(_layout(r).zero)
+        num[1 << (i - 1)] = 1
+        return _gn(r, tuple(num), 1)
 
     @property
     def terms(self):
-        """Read-only view {mask: MPQ} of the coefficients."""
+        """Read-only view {mask: MPQ} of the nonzero coefficients."""
         den = self.den
-        return MappingProxyType({m: MPQ(c, den) for m, c in self.num.items()})
+        return MappingProxyType({m: MPQ(c, den) for m, c in enumerate(self.num) if c})
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not any(self.num)
 
     def has_body(self) -> bool:
-        return 0 in self.num  # num holds no zero numerator
+        return self.num[0] != 0
 
     def body(self) -> MPQ:
-        return MPQ(self.num.get(0, 0), self.den)
+        return MPQ(self.num[0], self.den)
 
     def soul(self) -> "GrassmannNumber":
-        return _reduced(self.r, {m: c for m, c in self.num.items() if m}, self.den)
+        return _reduced(self.r, (0,) + self.num[1:], self.den)
 
     def parity(self):
-        if not self.num:
-            return EVEN
-        parities = {m.bit_count() & 1 for m in self.num}
+        parities = {m.bit_count() & 1 for m, c in enumerate(self.num) if c}
         if len(parities) == 1:
             return parities.pop()
-        return None
+        return None if parities else EVEN
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannNumber):
@@ -641,7 +655,7 @@ class GrassmannNumber:
         return self.r == other.r and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.r, self.den, frozenset(self.num.items())))
+        return hash((self.r, self.den, self.num))
 
     def _check(self, other):
         if self.r != other.r:
@@ -655,16 +669,15 @@ class GrassmannNumber:
         return self.add_product(other, self.ring_one(), -1)
 
     def __neg__(self):
-        return _gn(self.r, {m: -c for m, c in self.num.items()}, self.den)
+        return _gn(self.r, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, MPQ)):
             q = MPQ(other)
             if not q:
-                return _gn(self.r, {}, 1)
+                return self.ring_zero()
             p = q.numerator
-            return _reduced(self.r, {m: c * p for m, c in self.num.items()},
-                            self.den * q.denominator)
+            return _reduced(self.r, tuple([c * p for c in self.num]), self.den * q.denominator)
         self._check(other)
         return _reduced(self.r, _product_kernel(self.r)(self.num, other.num),
                         self.den * other.den)
@@ -681,38 +694,39 @@ class GrassmannNumber:
         if da != db:
             g = gcd(da, db)
             fa, s = db // g, sign * (da // g)
-            z = {m: c * fa for m, c in z.items()}
+            z = tuple([c * fa for c in z])
             da *= fa
         return _reduced(self.r, _product_kernel(self.r)(a.num, b.num, z, s), da)
 
     def inv(self) -> "GrassmannNumber":
         """Exact inverse of (b + n)/D: the sum over the powers of n in the
         class docstring, in Horner form in b, with one sign fix."""
-        b = self.num.get(0)
+        num = self.num
+        b = num[0]
         if not b:
             raise ZeroBody("cannot invert a Grassmann number with zero body")
         kernel = _product_kernel(self.r)
-        minus_n = {m: -c for m, c in self.num.items() if m}
-        out, power, den = {0: 1}, {0: 1}, b
-        while power := kernel(power, minus_n):  # ends: n is nilpotent
-            out = {m: c * b for m, c in out.items()}
-            for m, c in power.items():
-                out[m] = out.get(m, 0) + c
+        minus_n = (0,) + tuple(map(neg, num[1:]))
+        out = power = _layout(self.r).one
+        den = b
+        while any(power := kernel(power, minus_n)):  # ends: n is nilpotent
+            out = tuple([c * b + p for c, p in zip(out, power)])
             den *= b
         D = self.den if den > 0 else -self.den  # makes the denominator positive
-        return _reduced(self.r, {m: D * c for m, c in out.items() if c}, abs(den))
+        return _reduced(self.r, tuple([D * c for c in out]), abs(den))
 
     def nu(self) -> "GrassmannNumber":
         """Odd involution on Lambda_r: toggle membership of theta_1."""
         if self.r < 1:
             raise NoOddGenerators("nu on Lambda_r needs r >= 1")
-        return _gn(self.r, {m ^ 1: c for m, c in self.num.items()}, self.den)
+        return _gn(self.r, tuple(map(self.num.__getitem__, _layout(self.r).nu_slots)),
+                   self.den)
 
     def ring_zero(self) -> "GrassmannNumber":
-        return _gn(self.r, {}, 1)
+        return _gn(self.r, _layout(self.r).zero, 1)
 
     def ring_one(self) -> "GrassmannNumber":
-        return _gn(self.r, {0: 1}, 1)
+        return _gn(self.r, _layout(self.r).one, 1)
 
     def to_dict(self) -> dict:
         return {
@@ -727,14 +741,17 @@ class GrassmannNumber:
             mask = 0
             if key:
                 for tok in key.split(","):
-                    mask |= 1 << (int(tok) - 1)
+                    i = int(tok)
+                    if not 1 <= i <= r:
+                        raise UnknownVariable(f"theta_{i} outside Lambda_{r}")
+                    mask |= 1 << (i - 1)
             terms[mask] = MPQ(cstr)
         return cls(r, terms)
 
     def __repr__(self):
-        if not self.num:
-            return "0"
         terms = self.terms
+        if not terms:
+            return "0"
         parts = []
         for mask in sorted(terms):
             c = terms[mask]
@@ -748,7 +765,7 @@ class GrassmannNumber:
         return " + ".join(parts)
 
 
-def _gn(r: int, num: dict[int, int], den: int) -> GrassmannNumber:
+def _gn(r: int, num: tuple[int, ...], den: int) -> GrassmannNumber:
     """A GrassmannNumber from numerators already in canonical form."""
     g = object.__new__(GrassmannNumber)
     g.r = r
@@ -757,14 +774,30 @@ def _gn(r: int, num: dict[int, int], den: int) -> GrassmannNumber:
     return g
 
 
-def _reduced(r: int, num: dict[int, int], den: int) -> GrassmannNumber:
-    """num over den > 0 in lowest terms; num holds no zero."""
+def _reduced(r: int, num: tuple[int, ...], den: int) -> GrassmannNumber:
+    """num over den > 0 in lowest terms."""
     if den != 1:
-        g = gcd(den, *num.values())
+        g = gcd(den, *num)
         if g != 1:
             den //= g
-            num = {m: c // g for m, c in num.items()}
+            num = tuple([c // g for c in num])
     return _gn(r, num, den)
+
+
+class _Layout(NamedTuple):
+    zero: tuple[int, ...]  # the numerators of 0 and of 1
+    one: tuple[int, ...]
+    nu_slots: tuple[int, ...]  # slot m of nu(x) is slot m ^ 1 of x
+    by_parity: tuple[tuple[int, ...], tuple[int, ...]]  # even masks, odd masks
+
+
+@lru_cache(maxsize=None)
+def _layout(r: int) -> _Layout:
+    """The per-r constants of the numerator tuples of Lambda_r."""
+    masks = range(1 << r)
+    zero = (0,) * len(masks)
+    return _Layout(zero, (1,) + zero[1:], tuple(m ^ 1 for m in masks),
+                   tuple(tuple(m for m in masks if m.bit_count() & 1 == p) for p in (0, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -790,27 +823,24 @@ def _sign_table(r: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _product_kernel(r: int):
-    """z + s * x * y on numerator dicts of Lambda_r (z = {} and s = 1 give
-    the product) as one straight-line function, generated once per r: result
-    mask m adds to z[m] the signed sum of x[a] * y[m ^ a] over the submasks
-    a of m, signs from _sign_table(r), so 3**r products in all.  The result
-    holds no zero."""
+    """z + s * x * y on numerator tuples of Lambda_r (no z gives the product)
+    as one straight-line function, generated once per r: slot m of the
+    result adds to z[m] the signed sum of x[a] * y[m ^ a] over the submasks
+    a of m, signs from _sign_table(r), so 3**r products in all."""
     size = 1 << r
     signs = _sign_table(r)
-    xs, ys, zs = ("".join(f"{v}{a}, " for a in range(size)) for v in "xyz")
-    lines = ["def kernel(x, y, z=MappingProxyType({}), s=1, masks=tuple(range(size)),"
-             " zeros=(0,) * size):",
-             f"    {xs}= map(x.get, masks, zeros)",
-             f"    {ys}= map(y.get, masks, zeros)",
-             f"    {zs}= map(z.get, masks, zeros) if z else zeros",
-             "    out = {}"]
-    for m in range(size):
-        # the split a = 0 comes first and has sign +
-        expr = " ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
-                        for a in range(m + 1) if a & m == a)
-        lines += [f"    c = z{m} + s * ({expr[2:]})", f"    if c: out[{m}] = c"]
-    lines.append("    return out")
-    scope = {"size": size, "MappingProxyType": MappingProxyType}
+    # the split a = 0 comes first and has sign +
+    sums = [" ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
+                     for a in range(m + 1) if a & m == a)[2:] for m in range(size)]
+    x, y, z = ("".join(f"{v}{a}, " for a in range(size)) for v in "xyz")
+    lines = ["def kernel(x, y, z=None, s=1):",
+             f"    {x}= x",
+             f"    {y}= y",
+             "    if z is None:",
+             f"        return ({''.join(f'{e}, ' for e in sums)})",
+             f"    {z}= z",
+             f"    return ({''.join(f'z{m} + s * ({e}), ' for m, e in enumerate(sums))})"]
+    scope = {}
     exec("\n".join(lines), scope)
     return scope["kernel"]
 
@@ -823,14 +853,14 @@ def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> Grass
     from that stream (one worker per stream).
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    masks = [mask for mask in range(1 << r) if mask.bit_count() & 1 == parity]
-    terms: dict[int, int] = {}
-    while masks and not terms:
+    layout = _layout(r)
+    masks = layout.by_parity[parity]
+    num = list(layout.zero)
+    while masks and not any(num):
         for mask in masks:
             c = rng.randint(lo, hi)
             if mask == 0:
                 while c == 0:
                     c = rng.randint(lo, hi)
-            if c:
-                terms[mask] = c
-    return _gn(r, terms, 1)
+            num[mask] = c
+    return _gn(r, tuple(num), 1)

