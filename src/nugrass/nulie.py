@@ -6,8 +6,11 @@ first-order formula in the chart ring: the chart's own label has the
 identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
 1 - N1 eps and no solve runs (see fundamental_field).  A field's
 coordinate representation either commutes with the involution or not;
-collecting the commutation defects over every chart and every odd monomial
-cuts an exact linear subspace of gl(m|n): the nu-commutant.  The field of a
+collecting the commutation defects over every chart and odd monomial cuts
+an exact linear subspace of gl(m|n): the nu-commutant.  By the graded
+Leibniz rule each defect coefficient is a signed, shifted copy of a field
+component's, so the cut runs on chart-ring coefficients with no product and
+no formal ring (see _defect_coefficients).  The field of a
 basis element on a chart is a per-process fact of that pair: rho_field
 builds it once, with read-only components, and every later call reads the
 same object, whose Jacobian is computed once and lives as long as the
@@ -26,7 +29,7 @@ from types import MappingProxyType
 from sympy.external.gmpy import MPQ
 
 from .errors import InhomogeneousInput, NoOddGenerators
-from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction, _sf
+from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction, _sf, mono_sign
 from .supermatrix import matmul
 from .linalg import rref
 from .atlas import Chart, IndexPair, _adjusted_minor, get_atlas
@@ -257,36 +260,55 @@ def _formal_context(chart: Chart) -> GeneratorContext:
     return chart.ctx.extend_even(names)
 
 
-def _apply_formal(chart: Chart, comps: dict[str, SuperFunction], Xf: SuperFunction,
-                  F: SuperFunction) -> SuperFunction:
-    """X(F) for F = f e_S, with components `comps` embedded in ctxF and
-    Xf = X(f).  F has no explicit dependence on a chart coordinate, so
-    X(f e_S) = X(f) e_S + sum_theta X[theta] d_theta(f e_S)."""
-    out = Xf * F.partial("f")
-    for name in chart.odd_coords:
-        comp = comps[name]
-        if not comp.is_zero():
-            out = out + comp * F.partial(name)
-    return out
+def _defect_coefficients(field: ChartVectorField) -> dict[int, dict]:
+    """{S: {(phi, mask): chart-ring coefficient}} of nu_defect's D_S for the
+    S with bit 0 clear, phi being "f" or an "f_x"; D_{S^1} = -nu(D_S).
+
+    A derivation is fixed by its values on the coordinates and the graded
+    Leibniz rule, so  X(f e_S) = sum_phi phi A_phi(S)  with
+    A_{f_x}(S) = X[x] e_S  and  A_f(S) = sum_{theta in S} X[theta] d_theta e_S,
+    and the phi coefficient of D_S is  A_phi(S^1) - nu A_phi(S):  signed,
+    monomial-shifted copies of the components' coefficients, no product."""
+    chart = field.chart
+    if not chart.odd_coords:
+        raise NoOddGenerators("the chart carries no odd generators")
+    comps = field.components
+    # (phi, bit of theta or 0 for an f_x, the terms of the component)
+    parts = [(f"f_{x}", 0, comps[x].terms) for x in chart.even_coords]
+    parts += [("f", 1 << j, comps[name].terms) for j, name in enumerate(chart.odd_coords)]
+    defects = {}
+    for S in range(0, 1 << len(chart.odd_coords), 2):
+        out = {}
+        for T, sign, flip in ((S | 1, 1, 0), (S, -1, 1)):
+            for phi, bit, terms in parts:
+                if terms and T & bit == bit:
+                    rest = T ^ bit  # d_theta e_T = mono_sign(bit, rest) e_rest
+                    s = sign * mono_sign(bit, rest)
+                    for m, c in terms.items():
+                        if not m & rest:
+                            key = (phi, (m | rest) ^ flip)
+                            c = c if s * mono_sign(m, rest) > 0 else -c
+                            old = out.get(key)
+                            out[key] = c if old is None else old + c
+        defects[S] = {key: c for key, c in out.items() if c}
+    return defects
 
 
 def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
     """Commutation defects  X(nu(f e_S)) - nu(X(f e_S))  for every odd
-    monomial e_S, with f a generic coefficient symbol.  The field commutes
-    with the involution iff every entry vanishes identically."""
-    chart = field.chart
-    if not chart.odd_coords:
-        raise NoOddGenerators("the chart carries no odd generators")
-    ctxF = _formal_context(chart)
-    comps = {name: ctxF.embed(c) for name, c in field.components.items()}
-    # f depends on the even coordinates only, with formal partials f_x
-    Xf = sum((comps[x] * ctxF.gen(f"f_{x}") for x in chart.even_coords
-              if not comps[x].is_zero()), ctxF.zero())
-    f_rf = ctxF.gen("f").body()
-    applied = [_apply_formal(chart, comps, Xf, SuperFunction(ctxF, {S: f_rf}))
-               for S in range(1 << len(chart.odd_coords))]
-    # nu(f e_S) = f e_{S^1}, so X(nu(f e_S)) is the application for S^1
-    return [applied[S ^ 1] - X_S.nu() for S, X_S in enumerate(applied)]
+    monomial e_S, f a generic function of the even coordinates, over the
+    chart ring extended by f and its partials f_x: by Leibniz,
+    X(f e_S) = sum_x X[x] f_x e_S + f sum_theta X[theta] d_theta e_S.  The
+    field commutes with the involution iff every entry vanishes; the entries
+    are lifted from _defect_coefficients, the odd S as -nu(D_{S^1})."""
+    ctxF = _formal_context(field.chart)
+    defects = []
+    for S, coeffs in _defect_coefficients(field).items():
+        D = ctxF.zero()
+        for (phi, mask), c in coeffs.items():
+            D = D + ctxF.embed(SuperFunction(field.chart.ctx, {mask: c})) * ctxF.gen(phi)
+        defects += [D, -D.nu()]
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +348,27 @@ class HBasis:
 
 def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     """Exact basis of the subalgebra of gl(m|n) whose fundamental fields
-    commute with the involution on every chart, one parity at a time."""
+    commute with the involution on every chart, one parity at a time: one
+    row per (chart, S, phi, odd mask, even exponent) of _defect_coefficients,
+    S without e1 only, since D_{S^1} = -nu(D_S) repeats its rows up to sign."""
     atlas = get_atlas(k, l, m, n)
     basis_all = GlElement.basis(m, n)
     result = HBasis(m, n)
     for parity, sink in ((EVEN, result.even), (ODD, result.odd)):
         columns = [E for E in basis_all if E.parity() == parity]
-        # positions: (chart, monomial S, odd mask, even-poly exponent) -> row
         row_index: dict[tuple, int] = {}
         rows: list[list[MPQ]] = []
         for col_i, E in enumerate(columns):
             for chart in atlas.charts:
                 f = rho_field(E, chart)
-                for S, defect in enumerate(nu_defect(f)):
-                    for mask, coeff in defect.terms.items():
+                for S, defect in _defect_coefficients(f).items():
+                    for (phi, mask), coeff in defect.items():
                         if coeff.den != coeff.den.ring.one:
                             raise ArithmeticError(
                                 "defect coefficients are expected polynomial"
                             )
                         for exp, q in coeff.num.terms():
-                            key = (chart.index.I, chart.index.R, S, mask, exp)
+                            key = (chart.index.I, chart.index.R, S, phi, mask, exp)
                             i = row_index.get(key)
                             if i is None:
                                 i = len(rows)
@@ -482,7 +505,7 @@ def h_report(k: int, l: int, m: int, n: int) -> dict:
     for Y in all_basis:
         for chart in atlas.charts:
             f = rho_field(Y, chart)
-            if any(not d.is_zero() for d in nu_defect(f)):
+            if any(_defect_coefficients(f).values()):
                 residual_zero = False
 
     closed = True

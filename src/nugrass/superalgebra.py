@@ -61,6 +61,20 @@ def mono_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
+def _key_mask(key: str, count: int) -> int:
+    """The bitmask of a ``to_dict`` monomial key: strictly increasing
+    generator numbers in 1..count joined by commas, '' for the body."""
+    mask = last = 0
+    for tok in key.split(",") if key else ():
+        i = int(tok)
+        if not 1 <= i <= count:
+            raise UnknownVariable(f"odd generator {i} outside 1..{count}")
+        if i <= last:
+            raise ValueError(f"monomial key {key!r} is not strictly increasing")
+        mask, last = mask | 1 << (i - 1), i
+    return mask
+
+
 class RationalFunction:
     """Quotient of multivariate polynomials over QQ in canonical form.
 
@@ -351,6 +365,9 @@ class SuperFunction:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: GeneratorContext, terms: dict[int, RationalFunction]):
+        """Masks are not checked against the odd generators: this runs about
+        29k times per h_report(1,2,2,3), on masks the ring built; from_dict
+        checks the keys it reads."""
         self.ctx = ctx
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -536,14 +553,8 @@ class SuperFunction:
 
     @classmethod
     def from_dict(cls, ctx: GeneratorContext, data: dict) -> "SuperFunction":
-        terms = {}
-        for key, cdata in data.items():
-            mask = 0
-            if key:
-                for tok in key.split(","):
-                    mask |= 1 << (int(tok) - 1)
-            terms[mask] = RationalFunction.from_dict(cdata)
-        return cls(ctx, terms)
+        return cls(ctx, {_key_mask(key, ctx.odd_total): RationalFunction.from_dict(cdata)
+                         for key, cdata in data.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -736,17 +747,7 @@ class GrassmannNumber:
 
     @classmethod
     def from_dict(cls, r: int, data: dict) -> "GrassmannNumber":
-        terms = {}
-        for key, cstr in data.items():
-            mask = 0
-            if key:
-                for tok in key.split(","):
-                    i = int(tok)
-                    if not 1 <= i <= r:
-                        raise UnknownVariable(f"theta_{i} outside Lambda_{r}")
-                    mask |= 1 << (i - 1)
-            terms[mask] = MPQ(cstr)
-        return cls(r, terms)
+        return cls(r, {_key_mask(key, r): MPQ(cstr) for key, cstr in data.items()})
 
     def __repr__(self):
         terms = self.terms

@@ -148,6 +148,16 @@ def test_kernel_errors_exit_3_with_a_json_line(capsys):
     assert "{1}|{}" in error["message"]
 
 
+def test_nulie_on_an_atlas_without_odd_coordinates_exits_3(capsys):
+    code = main(["nulie", "-k", "0", "-l", "1", "-m", "0", "-n", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "NoOddGenerators"
+
+
 def test_nu_triple_audit_past_the_smallest_atlas_exits_0(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _ = run(capsys, "verify-cocycle", "-k", "1", "-l", "1", "-m", "2", "-n", "2",

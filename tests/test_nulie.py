@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
-from nugrass.errors import InhomogeneousInput
+from nugrass.errors import InhomogeneousInput, NoOddGenerators
 from nugrass.atlas import get_atlas
 from nugrass.nulie import (
     ChartVectorField,
@@ -24,7 +24,7 @@ from nugrass.nulie import (
 )
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
-from nugrass.superalgebra import SuperFunction
+from nugrass.superalgebra import EVEN, ODD, SuperFunction
 from paper_reference import eps_ring_fundamental_field
 
 AT = get_atlas(0, 1, 1, 2)
@@ -166,6 +166,15 @@ def test_commutant_of_the_small_atlas_is_the_scalar_line():
     assert h.even[0] == scalar
 
 
+@pytest.mark.parametrize("dims", [(0, 1, 0, 2), (0, 2, 0, 3)])
+def test_the_commutant_of_an_atlas_without_odd_coordinates_raises(dims):
+    assert not any(chart.odd_coords for chart in get_atlas(*dims).charts)
+    with pytest.raises(NoOddGenerators):
+        compute_h(*dims)
+    with pytest.raises(NoOddGenerators):
+        h_report(*dims)
+
+
 def test_commutant_defects_vanish_on_every_chart():
     h = compute_h(0, 1, 1, 2)
     for Y in h.even + h.odd:
@@ -186,30 +195,9 @@ def test_commutant_is_bracket_closed_with_exact_jacobi():
 def test_standard_charts_already_cut_the_same_commutant():
     # the non-standard chart's conditions are consistent with the cut made
     # by the standard charts alone on this atlas
-    from nugrass.superalgebra import EVEN, ODD
-
     h_all = compute_h(0, 1, 1, 2)
-    # re-run the cut keeping only standard-chart rows
-    basis_all = GlElement.basis(1, 2)
-    for parity, expected in ((EVEN, h_all.even), (ODD, h_all.odd)):
-        columns = [E for E in basis_all if E.parity() == parity]
-        rows = []
-        row_index = {}
-        for col_i, E in enumerate(columns):
-            for chart in AT.standard_charts:
-                f = rho_field(E, chart)
-                for S, defect in enumerate(nu_defect(f)):
-                    for mask, coeff in defect.terms.items():
-                        for exp, q in coeff.num.terms():
-                            key = (chart.index.I, chart.index.R, S, mask, exp)
-                            i = row_index.get(key)
-                            if i is None:
-                                i = len(rows)
-                                row_index[key] = i
-                                rows.append([MPQ(0)] * len(columns))
-                            rows[i][col_i] = MPQ(q)
-        got = nl._nullspace(rows, len(columns))
-        assert len(got) == len(expected)
+    even, odd = commutant_reference((0, 1, 1, 2), AT.standard_charts, nu_defect)
+    assert (len(even), len(odd)) == (h_all.dim_even, h_all.dim_odd)
 
 
 def test_bracket_compatibility_sign_is_globally_consistent():
@@ -253,30 +241,23 @@ def test_rho_field_leaves_the_shared_cache_intact(monkeypatch):
         assert stored.parity == fresh.parity
 
 
-def test_nu_defect_embeds_each_component_once(monkeypatch):
+def test_a_warm_commutant_multiplies_and_embeds_nothing(monkeypatch):
+    # the defects are signed, shifted copies of the field's coefficients:
+    # once the fields are stored, the cut makes no ring product and no
+    # formal context
     from nugrass.superalgebra import GeneratorContext
 
-    calls = []
-    embed = GeneratorContext.embed
-    monkeypatch.setattr(GeneratorContext, "embed",
-                        lambda self, sf: calls.append(sf) or embed(self, sf))
-    field = rho_field(GlElement.unit(1, 2, 1, 2), C1)
-    defects = nu_defect(field)
-    assert len(defects) == 1 << len(C1.odd_coords)
-    assert len(calls) == len(field.components)
-
-
-@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)])
-def test_nu_defect_applies_the_field_once_per_odd_monomial(monkeypatch, dims):
-    # X(nu(f e_S)) = X(f e_{S^1}): the nu-partners share their applications
-    calls = []
-    apply = nl._apply_formal
-    monkeypatch.setattr(nl, "_apply_formal", lambda *a: calls.append(a) or apply(*a))
-    m, n = dims[2:]
-    for chart in get_atlas(*dims).charts:
-        calls.clear()
-        nu_defect(fundamental_field(GlElement.unit(m, n, 1, m + 1), chart))
-        assert len(calls) == 1 << len(chart.odd_coords)
+    compute_h(1, 2, 2, 3)
+    calls = Counter()
+    for cls, name in ((SuperFunction, "__mul__"), (GeneratorContext, "embed"),
+                      (GeneratorContext, "extend_even")):
+        def counted(*args, _name=name, _orig=getattr(cls, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(cls, name, counted)
+    h = compute_h(1, 2, 2, 3)
+    assert (h.dim_even, h.dim_odd) == (2, 0)
+    assert calls == {}
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +317,27 @@ def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
         rhs = apply_formal_reference(chart, comps, T, ctxF).nu()
         defects.append(lhs - rhs)
     return defects
+
+
+def commutant_reference(dims, charts=None, defects=nu_defect_reference):
+    """The cut over every odd monomial S of the given charts (all by
+    default), one row per (chart, S, odd mask, exponent over the even
+    coordinates and the formal symbols); returns the even and odd bases."""
+    m, n = dims[2:]
+    bases = []
+    for parity in (EVEN, ODD):
+        columns = [E for E in GlElement.basis(m, n) if E.parity() == parity]
+        rows = {}
+        for col_i, E in enumerate(columns):
+            for chart in charts or get_atlas(*dims).charts:
+                for S, defect in enumerate(defects(rho_field(E, chart))):
+                    for mask, coeff in defect.terms.items():
+                        for exp, q in coeff.num.terms():
+                            key = (chart.index.I, chart.index.R, S, mask, exp)
+                            rows.setdefault(key, [MPQ(0)] * len(columns))[col_i] = MPQ(q)
+        bases.append([GlElement(m, n, {uv: c for E, c in zip(columns, vec) for uv in E.coeffs})
+                      for vec in nl._nullspace(list(rows.values()), len(columns))])
+    return bases
 
 
 def verify_rho_morphism_reference(k, l, m, n) -> Report:
@@ -512,14 +514,19 @@ def test_nu_defect_matches_the_chain_rule_on_every_basis_field(dims):
             assert nu_defect(field) == nu_defect_reference(field)
 
 
-def test_nu_defect_of_a_field_with_odd_components():
-    # X = e1 d/dx1 + x2 d/de2 on a chart of 1|1(2|2): odd, with an odd
-    # partial whose sign shows, worked out by hand from
-    # X(f e_S) = X(f) e_S + f X(e_S),  X(f) = e1 f_x1,  X(e1 e2) = -x2 e1
+def odd_component_field() -> ChartVectorField:
+    """X = e1 d/dx1 + x2 d/de2 on a chart of 1|1(2|2): odd, with an odd
+    partial whose sign shows."""
     chart = get_atlas(1, 1, 2, 2).chart((1,), (1,))
     ctx = chart.ctx
-    field = ChartVectorField(chart, 1, {"x1": ctx.gen("e1"), "x2": ctx.zero(),
-                                        "e1": ctx.zero(), "e2": ctx.gen("x2")})
+    return ChartVectorField(chart, 1, {"x1": ctx.gen("e1"), "x2": ctx.zero(),
+                                       "e1": ctx.zero(), "e2": ctx.gen("x2")})
+
+
+def test_nu_defect_of_a_field_with_odd_components():
+    # worked out by hand from
+    # X(f e_S) = X(f) e_S + f X(e_S),  X(f) = e1 f_x1,  X(e1 e2) = -x2 e1
+    field = odd_component_field()
     defects = nu_defect(field)
     assert defects == nu_defect_reference(field)
     g = defects[0].ctx.gen
@@ -530,6 +537,30 @@ def test_nu_defect_of_a_field_with_odd_components():
         (x2 * f * e1).scale(-2) - fx1 * e2,
         fx1 * e1 * e2 + (x2 * f).scale(2),
     ]
+
+
+def assert_nu_partners_are_determined(defects):
+    # D_{S^1} = X(f e_S) - nu X(f e_{S^1}) = -nu(D_S): half the odd
+    # monomials carry every condition
+    assert len(defects) % 2 == 0
+    for S in range(0, len(defects), 2):
+        assert defects[S + 1] == -defects[S].nu()
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
+def test_the_chain_rule_defects_of_nu_partners_are_determined(dims):
+    m, n = dims[2:]
+    for chart in get_atlas(*dims).charts:
+        for E in GlElement.basis(m, n):
+            assert_nu_partners_are_determined(nu_defect_reference(fundamental_field(E, chart)))
+    assert_nu_partners_are_determined(nu_defect_reference(odd_component_field()))
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2),
+                                  (1, 1, 1, 3), (0, 1, 2, 2)])
+def test_the_commutant_matches_the_cut_over_every_odd_monomial(dims):
+    h = compute_h(*dims)
+    assert [h.even, h.odd] == commutant_reference(dims)
 
 
 # ---------------------------------------------------------------------------

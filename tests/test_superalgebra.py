@@ -211,6 +211,11 @@ def test_superfunction_serialization_round_trip():
     x = CTX.gen("x")
     a = x * CTX.gen("e1") + CTX.gen("e2").scale(MPQ(-3, 7)) + x.inv()
     assert SuperFunction.from_dict(CTX, a.to_dict()) == a
+    # an auxiliary generator numbers after the odd ones
+    ctx = CTX.adjoin_nilpotent(("t1",))
+    b = ctx.gen("e2") * ctx.gen("t1") + ctx.gen("e1").scale(5) + ctx.gen("x")
+    assert set(b.to_dict()) == {"", "1", "2,3"}
+    assert SuperFunction.from_dict(ctx, b.to_dict()) == b
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +621,30 @@ def test_grassmann_constructor_rejects_masks_outside_lambda_r(terms):
 def test_grassmann_from_dict_rejects_generators_outside_lambda_r(key):
     with pytest.raises(UnknownVariable):
         GrassmannNumber.from_dict(2, {key: "1"})
+
+
+@pytest.mark.parametrize("key", ["1,1", "2,1", "2,2", "1,2,1"])
+def test_grassmann_from_dict_rejects_repeated_or_unordered_generators(key):
+    # theta_1 theta_1 = 0 and theta_2 theta_1 = -theta_1 theta_2: to_dict
+    # writes neither, so reading one as a monomial would change the value
+    with pytest.raises(ValueError):
+        GrassmannNumber.from_dict(3, {key: "1"})
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_grassmann_from_dict_reads_every_key_to_dict_writes(r):
+    a = GrassmannNumber(r, {m: MPQ(m + 1, 3) for m in range(1 << r)})
+    assert GrassmannNumber.from_dict(r, a.to_dict()) == a
+
+
+@pytest.mark.parametrize("key", ["3", "0", "1,3", "4"])
+def test_superfunction_from_dict_rejects_generators_outside_the_context(key):
+    # CTX has two odd generators: '3' must not read as the body
+    with pytest.raises(UnknownVariable):
+        SuperFunction.from_dict(CTX, {key: CTX.one().body().to_dict()})
+
+
+@pytest.mark.parametrize("key", ["1,1", "2,1"])
+def test_superfunction_from_dict_rejects_repeated_or_unordered_generators(key):
+    with pytest.raises(ValueError):
+        SuperFunction.from_dict(CTX, {key: CTX.one().body().to_dict()})
