@@ -7,9 +7,9 @@ diagonal (p != k), and whose remaining columns are filled top to bottom,
 left to right, by the chart coordinates in a fixed global ordering, with the
 involution applied to any symbol landing in a block of the opposite parity.
 
-Transitions come in two flavours, both computed by one normalizer
-(_normalize), which evaluates the pasting normalization D((M or M')^-1 A) as
-one exact solve:
+Transitions come in two flavours, both computed from the pair's compiled
+pasting system (PastingSystem, held by the pair's HopPlan), which evaluates
+the pasting normalization D((M or M')^-1 A) as one exact solve:
 
 * symbolic, between charts of the structure rings; only the
   standard-to-standard and arbitrary-to-non-standard directions admit a
@@ -19,13 +19,18 @@ one exact solve:
   evaluable; hop statuses are symmetric on every tested atlas, so a pair
   is either evaluable both ways or not at all.
 
-A direction's plan status comes from the hop's own adjusted minor and
-solve, run once at the generic Lambda_1 point of the source chart (even
+Where each entry of the system comes from (a constant, or a coordinate with
+or without the involution) is a fact of the chart pair, so it is compiled
+once per process from the source label's pattern and the destination's
+plan; a hop fills it straight from the coordinate values and builds no
+grid.  A direction's plan status comes from the same system's minor,
+solved once at the generic Lambda_1 point of the source chart (even
 coordinates b_c, odd ones b_c*theta, each b_c an indeterminate).  The body
 of a minor at any Lambda_r point is a specialization of its body there, so
-that solve fails exactly where no point can hop.  Every grid (a label over
-a chart ring, a Lambda_r point, the generic point) comes from one
-realizer, Chart.grid.
+that solve fails exactly where no point can hop.  The grids that are still
+built (a label over a chart ring, a realized Lambda_r point to act on) come
+from one realizer, Chart.grid; _normalize brings a matrix that is not a
+chart grid, such as an acted point [X]P, into a chart.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import (
     GenericallySingular,
@@ -52,6 +58,7 @@ from .superalgebra import (
     GeneratorContext,
     GrassmannNumber,
     SuperFunction,
+    _layout,
     _sf,
     lambda_sample,
 )
@@ -262,7 +269,8 @@ class Chart:
 
     @cached_property
     def generic(self):
-        """The label at the generic Lambda_1 point, and that ring's 1.
+        """The coordinate values of the generic Lambda_1 point, and that
+        ring's 1.
 
         The ring has one indeterminate b_c per coordinate c and the odd
         generator theta of Lambda_1; an even coordinate is b_c, an odd one
@@ -275,8 +283,7 @@ class Chart:
         for name in self.coords:
             b = ctx.gen(f"b_{name}")
             values[name] = b * theta if self.coord_parity[name] == ODD else b
-        one = ctx.one()
-        return self.grid(values, one, ctx.zero()), one
+        return values, ctx.one()
 
     def realize(self, values: dict[str, GrassmannNumber], r: int):
         """Raw grid of the point matrix; formal odd units stay symbolic."""
@@ -337,9 +344,81 @@ def _get_plan(src: Chart, dst: Chart) -> "HopPlan":
         return pl
 
 
+class PastingSystem(NamedTuple):
+    """Where each entry of a chart pair's system  Z X = Y  comes from.
+
+    Every entry is a slot of a palette that PastingSystem.palette builds
+    from one point's coordinate values: slot 0 is the ring's 0, slot 1 its
+    1, slot 2 nu(1) (an unmoved constant 1 in a moved column; None unless
+    one occurs) and slot 3 + i the value of coords[i] = (name, apply nu).
+    A coordinate takes nu where its label mark differs from its column's
+    move, because nu o nu = id.  `minor` holds the rows of Z (unit columns
+    included, as the constants they are), `free` the rows of Y, whose
+    twisted odd-unit columns are e_u, and `read` the read-off slots (row,
+    column of X, name, apply nu), the nu flag combining the label mark with
+    the twist of the odd-unit rule  x 1nu = nu(x).
+    """
+
+    minor: tuple[tuple[int, ...], ...]
+    free: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[str, bool], ...]
+    read: tuple[tuple[int, int, str, bool], ...]
+    nu_one: bool
+
+    def palette(self, values: dict, one) -> list:
+        pal = [one.ring_zero(), one, one.nu() if self.nu_one else None]
+        pal += [values[name].nu() if flag else values[name] for name, flag in self.coords]
+        return pal
+
+
+def _compile(src: Chart, dst: Chart) -> PastingSystem:
+    """The pasting system of a chart pair from the source pattern and the
+    destination's plan; raises ResidualNuSymbol where a source odd unit
+    lands in an unmoved selected column, at the first such entry by rows."""
+    zsel, dcols, read = dst.dst_plan
+    coords = []
+
+    def entry(cell, moved):
+        kind = cell[0]
+        if kind == "zero":
+            return 0
+        if kind == "one":
+            return 2 if moved else 1
+        coords.append((cell[1], cell[2] != moved))
+        return len(coords) + 2
+
+    minor = []
+    for row in src.pattern:
+        zrow = []
+        for c, moved in zsel:
+            if row[c][0] == "nu1":
+                if not moved:
+                    raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
+                zrow.append(1)
+            else:
+                zrow.append(entry(row[c], moved))
+        minor.append(tuple(zrow))
+    unit_rows = src.nu_unit_rows
+    twisted = {t for t, c in enumerate(dcols) if c in unit_rows}
+    free = tuple(  # a twisted column is e_u: slot 1 (one) in row u, slot 0 elsewhere
+        tuple(int(i == unit_rows[c]) if t in twisted else entry(row[c], False)
+              for t, c in enumerate(dcols))
+        for i, row in enumerate(src.pattern))
+    return PastingSystem(tuple(minor), free, tuple(coords),
+                         tuple((row, t, name, marked != (t in twisted))
+                               for row, t, name, marked in read),
+                         any(2 in zrow for zrow in minor))
+
+
+def _rows(index_rows, palette) -> list[list]:
+    return [[palette[k] for k in row] for row in index_rows]
+
+
 class HopPlan:
     """One source/destination chart pair, computed once per process: column
-    selections, hop status, symbolic pasting map and its nu-audit verdict."""
+    selections, the compiled pasting system, hop status, symbolic pasting
+    map and its nu-audit verdict.  The pointwise hop, the symbolic map and
+    the status all fill the one PastingSystem."""
 
     def __init__(self, src: Chart, dst: Chart):
         self.src = src
@@ -366,20 +445,49 @@ class HopPlan:
                    (e.g. a moved identity column, whose body the involution
                    kills), so no point of the source chart can hop this way.
 
-        The hop decides it itself: its own adjusted minor and solve run on
-        the source chart's generic Lambda_1 point (Chart.generic).
+        The hop decides it itself: the minor of its own pasting system is
+        solved at the source chart's generic Lambda_1 point (Chart.generic).
         """
         return self._classify()
 
-    def _classify(self) -> str:
-        A, one = self.src.generic
+    @cached_property
+    def system(self) -> PastingSystem | ResidualNuSymbol:
+        """The pair's PastingSystem, compiled once; a ResidualNuSymbol is kept
+        unraised (a cached_property keeps no raised error), and transition
+        raises a fresh copy of it."""
         try:
-            solve(_adjusted_minor(A, self.zsel, one), [[] for _ in A], self.units)
-        except ResidualNuSymbol:
+            return _compile(self.src, self.dst)
+        except ResidualNuSymbol as exc:
+            return ResidualNuSymbol(*exc.args)
+
+    def _classify(self) -> str:
+        system = self.system
+        if isinstance(system, ResidualNuSymbol):
             return "residual"
+        values, one = self.src.generic
+        try:
+            solve(_rows(system.minor, system.palette(values, one)),
+                  [[] for _ in system.minor], self.units)
         except NotInvertible:
             return "singular"
         return "ok"
+
+    def transition(self, values: dict) -> dict:
+        """Destination coordinates of the source point with these coordinate
+        values, from any ring with an involution (a chart ring, Lambda_r);
+        0 and 1 come from the values' own ring.  One exact solve of the
+        pasting system.  Raises ResidualNuSymbol where the pair has no
+        system, NotInvertible where the minor is singular."""
+        system = self.system
+        if isinstance(system, ResidualNuSymbol):
+            raise ResidualNuSymbol(*system.args)
+        proto = next(iter(values.values()), None)
+        if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
+            return {}
+        palette = system.palette(values, proto.ring_one())
+        X = solve(_rows(system.minor, palette), _rows(system.free, palette), self.units)
+        return {name: X[row][t].nu() if flag else X[row][t]
+                for row, t, name, flag in system.read}
 
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
@@ -388,7 +496,7 @@ class HopPlan:
         Every caller shares the map, so its values' terms are read-only too."""
         src, dst = self.src, self.dst
         try:
-            assignments = _normalize(src.label().entries, dst, self.units, src.nu_unit_rows)
+            assignments = self.transition({name: src.ctx.gen(name) for name in src.coords})
         except NotInvertible as exc:
             return GenericallySingular(str(exc))
         except ResidualNuSymbol as exc:
@@ -424,8 +532,9 @@ class GrassPoint:
     def __post_init__(self):
         for name, v in self.values.items():
             want = self.chart.coord_parity[name]
-            p = v.parity()
-            if p is None or (p != want and not v.is_zero()):
+            slots = _layout(v.r).by_parity
+            if any(map(v.num.__getitem__, slots[1 - want])):
+                p = None if any(map(v.num.__getitem__, slots[want])) else 1 - want
                 raise ValueError(f"coordinate {name} has parity {p}, wants {want}")
 
     def __eq__(self, other):
@@ -557,11 +666,13 @@ def _adjusted_minor(A, zsel, one):
 
 
 def _normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
-    """Destination coordinates of the row space of a grid A, the pasting
-    normalization D((M or M')^-1 A) of every transition and action.
+    """Destination coordinates of the row space of a matrix A, the pasting
+    normalization D((M or M')^-1 A) of a matrix that is not a chart grid:
+    an acted point [X]P.  Hops between charts fill their pair's compiled
+    PastingSystem instead; this route on a realized grid is their oracle.
 
-    A holds Lambda_r values (a realized point) or chart-ring elements (a
-    label); 0 and 1 come from the entries' own ring.  One exact solve
+    A holds Lambda_r values or chart-ring elements; 0 and 1 come from the
+    entries' own ring.  One exact solve
     Z X = Y  with Z the adjusted minor and Y the columns free in the
     destination, read off through the destination's slots.  `unit_rows`
     maps a column of A that holds a formal odd unit to its row u; that
@@ -597,13 +708,12 @@ def _normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
 
 
 def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
-    """Move a Lambda_r point into the destination chart via the pasting
-    normalization, the involution acting on Lambda_r values."""
+    """Move a Lambda_r point into the destination chart: the pair's compiled
+    pasting system, filled straight from the point's coordinate values (the
+    involution acting on Lambda_r values), and one solve."""
     src = X.chart
-    plan = _get_plan(src, dst)
-    A = src.realize(X.values, X.r)
     try:
-        values = _normalize(A, dst, plan.units, src.nu_unit_rows)
+        values = _get_plan(src, dst).transition(X.values)
     except NotInvertible as exc:
         raise MinorNotInvertible(f"{src.index} -> {dst.index}: {exc}") from exc
     return _point(dst, X.r, values)

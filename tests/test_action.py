@@ -3,7 +3,7 @@ import random
 import pytest
 from sympy.external.gmpy import MPQ
 
-from nugrass.errors import RankDeficient
+from nugrass.errors import MinorNotInvertible, RankDeficient
 from nugrass.superalgebra import GrassmannNumber
 from nugrass.atlas import GrassPoint, get_atlas, point_transition
 from nugrass.action import (
@@ -169,3 +169,16 @@ def test_stabilizer_is_closed_under_product_and_inverse():
     assert stabilizer_membership(Q, BASE)
     assert stabilizer_membership(P * Q, BASE)
     assert stabilizer_membership(P.inv(), BASE)
+
+
+def test_a_group_point_whose_action_leaves_the_base_chart_is_not_in_the_stabilizer():
+    # swapping the odd columns moves the base point into chart {}|{2}, at a
+    # point outside the overlap with the base chart: the hop back is undefined
+    one, zero = gn(2, 1), GrassmannNumber(2, {})
+    swap = GLPoint(1, 2, 2, [[one, zero, zero], [zero, zero, one], [zero, one, zero]])
+    base = BASE.as_point(2)
+    moved = act(base, swap)
+    assert moved.chart != base.chart
+    with pytest.raises(MinorNotInvertible):
+        point_transition(moved, base.chart)
+    assert not stabilizer_membership(swap, BASE)

@@ -42,6 +42,7 @@ from nugrass.atlas import (
     GrassPoint,
     _adjusted_minor,
     _get_plan,
+    _normalize,
     _lam_gauss_inv,
     _cycle_check,
     chart_dims,
@@ -577,6 +578,72 @@ def test_structured_hop_matches_inverse_then_multiply(dims, r, seed):
         assert point_transition(X, plan.dst) == slow
 
 
+# The route every hop and symbolic map took before the pasting systems were
+# compiled, kept as their oracle: realize the whole grid (a Lambda_r point
+# or a chart label), then normalize it.
+
+COMPILED_ATLASES = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2)]
+
+
+def grid_route(plan, A):
+    return _normalize(A, plan.dst, plan.units, plan.src.nu_unit_rows)
+
+
+@pytest.mark.parametrize("dims", COMPILED_ATLASES)
+@given(st.integers(1, 4), st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_compiled_hop_matches_the_realized_grid_route(dims, r, seed):
+    rng = random.Random(seed)
+    plans = ok_plans(dims)
+    assert any(not p.src.index.standard for p in plans)
+    for plan in plans:
+        X = draw_point(plan.src, r, rng)
+        try:
+            want = grid_route(plan, plan.src.realize(X.values, r))
+        except NotInvertible:
+            with pytest.raises(MinorNotInvertible):
+                point_transition(X, plan.dst)
+            continue
+        assert point_transition(X, plan.dst) == GrassPoint(plan.dst, r, want)
+
+
+def _symbolic_kinds_match(charts):
+    """Check every ordered pair's symbolic map, or its failure, against the
+    normalized label; returns the kinds of outcome seen."""
+    kinds = set()
+    for a, b in itertools.product(charts, charts):
+        plan = _get_plan(a, b)
+        try:
+            want = grid_route(plan, a.label().entries)
+        except NotInvertible as exc:
+            want = GenericallySingular(str(exc))
+        except ResidualNuSymbol as exc:
+            want = exc
+        got = plan.symbolic
+        kinds.add(type(want))
+        if isinstance(want, dict):
+            assert dict(got.assignments) == want, f"{a.index} -> {b.index}"
+        else:
+            assert (type(got), got.args) == (type(want), want.args)
+        if b.index.standard and not a.index.standard:
+            continue
+        if isinstance(want, dict):
+            assert transition_symbolic(a, b) is got
+        else:
+            with pytest.raises(type(want)) as info:
+                transition_symbolic(a, b)
+            assert info.value.args == want.args
+    return kinds
+
+
+def test_compiled_symbolic_maps_match_the_normalized_labels():
+    kinds = set()
+    for dims in COMPILED_ATLASES:
+        charts = get_atlas(*dims).charts
+        kinds |= _symbolic_kinds_match(charts)
+    assert kinds == {dict, GenericallySingular, ResidualNuSymbol}
+
+
 def sampled_minor(seed):
     """A random square Lambda_r matrix, or the minor of a hop at a point."""
     rng = random.Random(seed)
@@ -635,6 +702,27 @@ def test_point_parity_validation():
     c1 = at.chart((), (1,))
     with pytest.raises(ValueError):
         GrassPoint(c1, 2, {"x1": theta(2, 1), "e1": theta(2, 1)})
+
+
+def test_point_parity_validation_messages():
+    # mixed values and nonzero values of the wrong pure parity are refused
+    # with the same message; a zero value has every parity
+    c1 = get_atlas(0, 1, 1, 2).chart((), (1,))
+    mixed, zero = gn(2, 1) + theta(2, 1), GrassmannNumber(2, {})
+    cases = [
+        ({"x1": mixed, "e1": theta(2, 1)}, "coordinate x1 has parity None, wants 0"),
+        ({"x1": gn(2, 1), "e1": mixed}, "coordinate e1 has parity None, wants 1"),
+        ({"x1": theta(2, 2), "e1": theta(2, 1)}, "coordinate x1 has parity 1, wants 0"),
+        ({"x1": gn(2, 1), "e1": theta(2, 1) * theta(2, 2)},
+         "coordinate e1 has parity 0, wants 1"),
+        ({"x1": mixed, "e1": mixed}, "coordinate x1 has parity None, wants 0"),
+    ]
+    for values, message in cases:
+        with pytest.raises(ValueError) as info:
+            GrassPoint(c1, 2, values)
+        assert str(info.value) == message
+    assert GrassPoint(c1, 2, {"x1": zero, "e1": zero}).values == {"x1": zero, "e1": zero}
+    assert GrassPoint(c1, 4, {"x1": GrassmannNumber(4, {}), "e1": theta(4, 3)}).r == 4
 
 
 def test_grass_point_from_dict_rejects_a_wrong_parity_coordinate():
@@ -860,3 +948,27 @@ def test_nu_triple_audit_reports_undefined_triples_without_sampling():
     assert all(r.samples == 0 for r in undefined)
     assert all(r.note.endswith((" is singular", " is residual")) for r in undefined)
     assert sum(r.samples == 2 for r in audits) == 4
+
+
+def test_a_nu_triple_audit_cycle_with_no_evaluable_sample_is_reported(monkeypatch):
+    # every draw of the 4 sampled audit cycles of 1|1(2|2) falls outside the
+    # overlap; the pair round trips and triple cycles are left alone
+    cycle_check = atlas._cycle_check
+
+    def outside(X, dst):
+        raise MinorNotInvertible("outside the overlap")
+
+    def audited(result, charts, *args):
+        if result.check != "nu-triple-audit":
+            return cycle_check(result, charts, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(atlas, "point_transition", outside)
+            return cycle_check(result, charts, *args)
+
+    monkeypatch.setattr(atlas, "_cycle_check", audited)
+    rep = verify_cocycle(1, 1, 2, 2, r=2, samples=2, seed=1, audit_nu_triples=24)
+    assert rep.ok
+    audits = [r for r in rep.results if r.check == "nu-triple-audit"]
+    unsampled = [r for r in audits if r.note == "no evaluable samples"]
+    assert len(audits) == 24 and len(unsampled) == 4
+    assert all(r.samples == 0 and not r.gating and not r.counterexamples for r in unsampled)

@@ -119,6 +119,19 @@ def test_nulie_command(capsys):
     assert data["defect_residual"] == "0"
 
 
+def test_nulie_command_text_output(capsys):
+    code, out = run(capsys, "nulie", "-k", "0", "-l", "1", "-m", "1", "-n", "2")
+    assert code == 0
+    assert out == (
+        "nu-commutant of gl(1|2) acting on 0|1(1|2):\n"
+        "  dim even = 1, dim odd = 0\n"
+        "  even basis: {'1,1': '1', '2,2': '1', '3,3': '1'}\n"
+        "  defect residual: 0\n"
+        "  bracket closed: True, Jacobi exact: True\n"
+        "  bracket-compatibility sign: -1\n"
+    )
+
+
 def test_exit_code_contract_for_identity_failures(capsys):
     import argparse
 

@@ -165,9 +165,10 @@ def _symbolic_maps(charts):
 
 
 def test_chart_normalization_never_builds_a_body(monkeypatch):
-    # symbolic transitions built on a fresh plan dict normalize chart labels
-    # through solve over a chart ring; fundamental fields read the adjusted
-    # minor off their first-order formula.  Neither builds a body.
+    # symbolic transitions built on a fresh plan dict fill each pair's
+    # pasting system with the source chart's generators and solve it over
+    # that chart ring; fundamental fields read the adjusted minor off their
+    # first-order formula.  Neither builds a body.
     atlases = [get_atlas(0, 1, 1, 2), get_atlas(1, 1, 2, 2)]
     fields = [(E, chart) for at in atlases for chart in at.charts
               for E in GlElement.basis(at.m, at.n)]
@@ -181,10 +182,22 @@ def test_chart_normalization_never_builds_a_body(monkeypatch):
         solved.append(all(isinstance(e, SuperFunction) for row in Z for e in row))
         return solve(Z, Y, units)
 
+    transition = atlas_module.HopPlan.transition
+    filled = []
+
+    def counting_transition(plan, values):
+        filled.append(all(v.ctx == plan.src.ctx for v in values.values()))
+        return transition(plan, values)
+
     monkeypatch.setattr(atlas_module, "solve", counting_solve)
+    monkeypatch.setattr(atlas_module.HopPlan, "transition", counting_transition)
     monkeypatch.setattr(SuperFunction, "body", _refuse_body)
     monkeypatch.setattr(GrassmannNumber, "body", _refuse_body)
     assert [fundamental_field(E, chart) for E, chart in fields] == want
-    assert not solved
+    assert not solved and not filled
     assert [_symbolic_maps(at.charts) for at in atlases] == want_maps
     assert solved and all(solved)
+    # every solve is the compiled system of a pair, filled with the source
+    # chart's generators; the residual pairs stop before their solve
+    residual = sum(m is ResidualNuSymbol for maps in want_maps for m in maps)
+    assert filled and all(filled) and len(solved) == len(filled) - residual

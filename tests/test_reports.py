@@ -168,17 +168,18 @@ def test_sampled_suite_reports_are_pinned(suite, dims):
 
 def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
     # identity maps, audit maps and audit verdicts are facts of a chart pair:
-    # a warm call normalizes no label, and both calls give the pinned bytes
+    # a warm call fills no pasting system with a chart's generators, and
+    # both calls give the pinned bytes
     monkeypatch.setattr(atlas, "_GLOBAL_PLANS", {})
-    normalize = atlas._normalize
+    transition = atlas.HopPlan.transition
     labels = []
 
-    def counting(A, dst, *args):
-        if any(isinstance(e, SuperFunction) for row in A for e in row):
-            labels.append(dst)
-        return normalize(A, dst, *args)
+    def counting(plan, values):
+        if any(isinstance(v, SuperFunction) for v in values.values()):
+            labels.append(plan.dst)
+        return transition(plan, values)
 
-    monkeypatch.setattr(atlas, "_normalize", counting)
+    monkeypatch.setattr(atlas.HopPlan, "transition", counting)
     for dims in [(0, 1, 1, 2), (1, 1, 2, 2)]:
         cold = len(labels)
         assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
