@@ -15,7 +15,10 @@ denominator in lowest terms (zero is the zero tuple over 1), so its
 arithmetic runs on Python ints and equality compares the stored fields; MPQ
 appears only at its boundary (constructor, ``terms``, ``body``).  Its
 products run through one straight-line kernel per r on those tuples, which
-the inverse and the fused step ``x.add_product(a, b, sign)`` build on.
+the inverse and the fused step ``x.add_product(a, b, sign)`` build on.  The
+kernel follows the Z/2 grading of Lambda_r: a product of two homogeneous
+operands computes only the slots of its parity, from the terms of its
+parity pair, and any other product takes the full 3**r-term body.
 """
 
 from __future__ import annotations
@@ -827,20 +830,46 @@ def _product_kernel(r: int):
     """z + s * x * y on numerator tuples of Lambda_r (no z gives the product)
     as one straight-line function, generated once per r: slot m of the
     result adds to z[m] the signed sum of x[a] * y[m ^ a] over the submasks
-    a of m, signs from _sign_table(r), so 3**r products in all."""
+    a of m, signs from _sign_table(r), so 3**r products in the full body.
+
+    Lambda_r is Z/2-graded, so for r >= 1 four branches come first, one per
+    parity pair (px, py): when the slots of x of parity 1 - px and those of
+    y of parity 1 - py are all zero, only the slots m of parity px ^ py are
+    computed, each from the submasks a of parity px; every other slot is 0
+    (z[m] when z is given).  At r = 4 that is 21 products for even * even
+    and 20 for each other pair, against 81.  A zero operand passes either
+    parity test, and an operand with nonzero slots of both parities falls
+    through to the full body, so every value of Lambda_r is multiplied
+    right."""
     size = 1 << r
     signs = _sign_table(r)
-    # the split a = 0 comes first and has sign +
-    sums = [" ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
-                     for a in range(m + 1) if a & m == a)[2:] for m in range(size)]
+    by_parity = _layout(r).by_parity
+
+    def terms(m, masks):
+        # the split a = 0 comes first and has sign +
+        return " ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
+                        for a in masks if a & m == a)[2:]
+
     x, y, z = ("".join(f"{v}{a}, " for a in range(size)) for v in "xyz")
-    lines = ["def kernel(x, y, z=None, s=1):",
-             f"    {x}= x",
-             f"    {y}= y",
-             "    if z is None:",
-             f"        return ({''.join(f'{e}, ' for e in sums)})",
-             f"    {z}= z",
-             f"    return ({''.join(f'z{m} + s * ({e}), ' for m, e in enumerate(sums))})"]
+
+    def returns(pad, sums):
+        # an empty sum leaves its slot 0, or z[m]
+        plain = "".join(f"{e or 0}, " for e in sums)
+        fused = "".join(f"z{m} + s * ({e}), " if e else f"z{m}, " for m, e in enumerate(sums))
+        return [f"{pad}if z is None:", f"{pad}    return ({plain})",
+                f"{pad}{z}= z", f"{pad}return ({fused})"]
+
+    def all_zero(v, masks):
+        return f"not ({' or '.join(f'{v}{a}' for a in masks)})"
+
+    lines = ["def kernel(x, y, z=None, s=1):", f"    {x}= x", f"    {y}= y"]
+    for px in (0, 1) if r else ():
+        lines.append(f"    {('if', 'elif')[px]} {all_zero('x', by_parity[1 - px])}:")
+        for py in (0, 1):
+            lines.append(f"        {('if', 'elif')[py]} {all_zero('y', by_parity[1 - py])}:")
+            lines += returns(" " * 12, [terms(m, by_parity[px]) if m.bit_count() & 1 == px ^ py
+                                        else "" for m in range(size)])
+    lines += returns(" " * 4, [terms(m, range(m + 1)) for m in range(size)])
     scope = {}
     exec("\n".join(lines), scope)
     return scope["kernel"]

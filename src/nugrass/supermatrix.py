@@ -157,26 +157,29 @@ def matmul(A, B, zero):
     """Row-by-column product of nested lists, the one product of the kernel.
 
     A formal odd unit multiplies by  z 1nu = 1nu z = nu(z);  two odd units
-    never meet.  Zero factors are skipped.
+    never meet.  Zero factors are skipped: each entry of B is tested once
+    per product, and the zero entries of a row of A are dropped once per row.
     """
     ncols = len(B[0]) if B else 0
+    # row k of B with None in place of its zero entries
+    live = [[b if b is NU or not b.is_zero() else None for b in brow] for brow in B]
     out = []
     for i, arow in enumerate(A):
+        factors = [(a, brow) for a, brow in zip(arow, live) if a is NU or not a.is_zero()]
         row = []
         for j in range(ncols):
             acc = zero
-            for a, brow in zip(arow, B):
+            for a, brow in factors:
                 b = brow[j]
+                if b is None:
+                    continue
                 if a is NU:
                     if b is NU:
                         raise DoubleNu(f"two odd units meet at ({i},{j})")
-                    if not b.is_zero():
-                        acc = acc + b.nu()
-                elif a.is_zero():
-                    continue
+                    acc = acc + b.nu()
                 elif b is NU:
                     acc = acc + a.nu()
-                elif not b.is_zero():
+                else:
                     acc = acc.add_product(a, b)
             row.append(acc)
         out.append(row)

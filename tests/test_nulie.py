@@ -226,6 +226,22 @@ def test_h_report_contents():
     assert data["basis_even"] == [{"1,1": "1", "2,2": "1", "3,3": "1"}]
 
 
+def test_h_report_rechecks_the_defects_of_the_basis_it_reports(monkeypatch):
+    # compute_h keeps its true basis E11 + E22 + E33, but the stored field
+    # of E11 on one chart also carries E22, which does not commute with nu
+    # there: the re-check reads that field through rho_field and must flag it
+    h = compute_h(0, 1, 1, 2)
+    monkeypatch.setattr(nl, "compute_h", lambda *dims: h)
+    E22 = GlElement.unit(1, 2, 2, 2)
+    chart = next(c for c in AT.charts
+                 if any(nl._defect_coefficients(rho_field(E22, c)).values()))
+    bad = rho_field(GlElement.unit(1, 2, 1, 1), chart) + rho_field(E22, chart)
+    monkeypatch.setitem(nl._UNIT_FIELDS, (chart.index, 1, 1), bad)
+    data = h_report(0, 1, 1, 2)
+    assert data["defect_residual"] == "nonzero"
+    assert data["basis_even"] == [{"1,1": "1", "2,2": "1", "3,3": "1"}]
+
+
 def test_rho_field_leaves_the_shared_cache_intact(monkeypatch):
     # rho_field hands out the stored field itself for a unit coefficient,
     # so no caller may mutate a field it gets back

@@ -572,6 +572,82 @@ def test_product_kernel_matches_the_sign_table_loop(r):
         assert kernel(X, Y, _layout(r).zero, 1) == kernel(X, Y)
 
 
+def _operand(rng, r, kind):
+    """A random {mask: int} of one kind: "even", "odd", "zero", or "mixed"
+    (an even or odd operand with one nonzero slot of the other parity)."""
+    by_parity = _layout(r).by_parity
+    if kind == "zero":
+        return {}
+    if kind == "mixed":
+        p = rng.randint(0, 1)
+        out = _operand(rng, r, ("even", "odd")[p])
+        out[rng.choice(by_parity[1 - p])] = rng.choice((-2, -1, 1, 3))
+        return out
+    masks = by_parity[kind == "odd"]
+    out = {}
+    while masks and not out:  # sparse, but not zero
+        out = {m: c for m in masks if (c := rng.choice((0, 0, -4, -1, 1, 2, 5)))}
+    return out
+
+
+# the four parity pairs, then a zero and a mixed operand on either side
+KINDS = [(a, b) for a in ("even", "odd") for b in ("even", "odd")] + sorted(
+    {(a, b) for c in ("zero", "mixed") for o in ("even", "odd", c) for a, b in ((c, o), (o, c))})
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_product_kernel_matches_the_loop_on_every_parity_class(r):
+    # homogeneous operands take the parity branches, zero ones read as either
+    # parity, and an operand with slots of both parities takes the full body;
+    # each must agree with the sign-table loop, with and without z
+    kernel = _product_kernel(r)
+    size = 1 << r
+    rng = random.Random(r)
+    for kinds in KINDS:
+        if r == 0 and "mixed" in kinds:
+            continue  # Lambda_0 has no odd slot
+        for _ in range(12):
+            x, y = (_operand(rng, r, kind) for kind in kinds)
+            X, Y = _dense(r, x), _dense(r, y)
+            xy = _dense(r, _loop_product(r, x, y))
+            assert kernel(X, Y) == xy, kinds
+            assert kernel(X, Y, None, rng.choice((-3, -1, 1, 2))) == xy, kinds
+            for z in (_layout(r).zero, tuple(rng.randint(-5, 5) for _ in range(size))):
+                for s in (-3, -1, 1, 2):
+                    assert kernel(X, Y, z, s) == tuple(c + s * p for c, p in zip(z, xy)), kinds
+
+
+def test_the_suites_multiply_only_homogeneous_operands(monkeypatch):
+    # the parity branches of the kernel are the fast path only while every
+    # product the suites make has homogeneous operands (zero counts as either
+    # parity); a mixed operand would still be right, only slower
+    from nugrass import superalgebra
+    from nugrass.action import verify_action_gluing
+    from nugrass.atlas import verify_cocycle
+
+    build = superalgebra._product_kernel
+    operands = []
+
+    def spy(r):
+        kernel = build(r)
+
+        def counted(x, y, *rest):
+            operands.append((r, x, y))
+            return kernel(x, y, *rest)
+        return counted
+
+    monkeypatch.setattr(superalgebra, "_product_kernel", spy)
+    counts = []
+    for suite in (lambda: verify_action_gluing(1, 2, 2, 3, r=4, samples=5),
+                  lambda: verify_cocycle(1, 2, 2, 3, r=2, samples=2)):
+        assert suite().ok
+        counts.append(len(operands) - sum(counts))
+    assert min(counts) > 100
+    for r, x, y in operands:
+        for v in (x, y):
+            assert not all(any(v[m] for m in masks) for masks in _layout(r).by_parity), (r, v)
+
+
 @pytest.mark.parametrize("r", range(7))
 def test_every_numerator_tuple_has_one_slot_per_mask(r):
     rng = random.Random(r)

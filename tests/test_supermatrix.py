@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
+from nugrass.action import sample_gl
 from nugrass.errors import DoubleNu, NotInvertible, NuEntriesPresent, ResidualNuSymbol
 from nugrass.superalgebra import GeneratorContext, GrassmannNumber
 from nugrass.supermatrix import (
     NU,
     SuperMatrix,
+    matmul,
     minor_M,
     minor_Mprime,
     remainder_D,
@@ -223,3 +227,49 @@ def test_parity_validation_rejects_misplaced_entries():
     with pytest.raises(ValueError):
         SuperMatrix((1, 1), (1, 1), [[NU, CTX.gen("e1")],
                                      [CTX.gen("e1"), CTX.one()]], CTX.zero())
+
+
+def _plain_matmul(A, B, zero):
+    """The triple loop with no zero test: the reference of matmul."""
+    out = []
+    for i, arow in enumerate(A):
+        row = []
+        for j in range(len(B[0])):
+            acc = zero
+            for a, brow in zip(arow, B):
+                b = brow[j]
+                if a is NU and b is NU:
+                    raise DoubleNu(f"two odd units meet at ({i},{j})")
+                acc = acc + (b.nu() if a is NU else a.nu() if b is NU else a * b)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _outcome(product, A, B, zero):
+    try:
+        return product(A, B, zero)
+    except DoubleNu as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matmul_matches_the_plain_triple_loop(seed):
+    # dense and sparse r = 4 group points of gl(2|3), and odd units in the
+    # odd blocks of either factor or of both (where two may meet)
+    rng = random.Random(seed)
+    zero = GrassmannNumber(4, {})
+    A, B = (sample_gl(2, 3, 4, rng).entries for _ in range(2))
+    odd_block = [(i, j) for i in range(5) for j in range(5) if (i < 2) != (j < 2)]
+    sparse = [[zero if rng.random() < 0.4 else e for e in row] for row in A]
+    cases = [(A, B, ()), (sparse, B, ()), (B, sparse, ())]
+    for sides in ((0,), (1,), (0, 1)):
+        P, Q = [row[:] for row in sparse], [row[:] for row in B]
+        for side in sides:
+            for i, j in rng.sample(odd_block, 3):
+                (P, Q)[side][i][j] = NU
+        cases.append((P, Q, sides))
+    for P, Q, sides in cases:
+        got = _outcome(matmul, P, Q, zero)
+        assert got == _outcome(_plain_matmul, P, Q, zero)
+        assert isinstance(got, list) or sides == (0, 1)
