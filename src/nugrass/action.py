@@ -20,7 +20,7 @@ from .errors import (
     NotInvertible,
     RankDeficient,
 )
-from .superalgebra import EVEN, GrassmannNumber, lambda_sample
+from .superalgebra import EVEN, GrassmannNumber, _gn, _layout, lambda_sample
 from .supermatrix import matmul
 from .linalg import inverse, rref, solve
 from .atlas import (
@@ -107,19 +107,16 @@ def sample_gl(m: int, n: int, r: int, rng: random.Random) -> GLPoint:
     """Random group point built as (unit lower) * diag(units) * (unit upper),
     hence invertible by construction."""
     d = m + n
+    layout = _layout(r)
 
     def entry(parity, diag_unit=False):
         if diag_unit:
-            g = lambda_sample(r, EVEN, rng, lo=-2, hi=2)
-            return g
-        terms = {}
-        for mask in range(1 << r):
-            if mask.bit_count() & 1 != parity:
-                continue
-            c = rng.randint(-2, 2)
-            if c:
-                terms[mask] = c
-        return GrassmannNumber(r, terms)
+            return lambda_sample(r, EVEN, rng, lo=-2, hi=2)
+        # int numerators over 1, drawn in ascending mask order
+        num = list(layout.zero)
+        for mask in layout.by_parity[parity]:
+            num[mask] = rng.randint(-2, 2)
+        return _gn(r, tuple(num), 1)
 
     one = GrassmannNumber.scalar(r, 1)
     zero = GrassmannNumber(r, {})

@@ -39,6 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -50,7 +51,7 @@ from .errors import (
     ResidualNuSymbol,
     UncoveredCase,
 )
-from .linalg import inverse, solve
+from .linalg import inverse, lambda_solve, solve
 from .reports import CheckResult, Report, first_defined
 from .superalgebra import (
     EVEN,
@@ -59,6 +60,7 @@ from .superalgebra import (
     GrassmannNumber,
     SuperFunction,
     _layout,
+    _reduced,
     _sf,
     lambda_sample,
 )
@@ -356,7 +358,9 @@ class PastingSystem(NamedTuple):
     included, as the constants they are), `free` the rows of Y, whose
     twisted odd-unit columns are e_u, and `read` the read-off slots (row,
     column of X, name, apply nu), the nu flag combining the label mark with
-    the twist of the odd-unit rule  x 1nu = nu(x).
+    the twist of the odd-unit rule  x 1nu = nu(x).  `aug` holds the rows
+    that linalg.lambda_solve eliminates: each row of Z without the pair's
+    unit columns (HopPlan.units), then the row of Y.
     """
 
     minor: tuple[tuple[int, ...], ...]
@@ -364,6 +368,7 @@ class PastingSystem(NamedTuple):
     coords: tuple[tuple[str, bool], ...]
     read: tuple[tuple[int, int, str, bool], ...]
     nu_one: bool
+    aug: tuple[tuple[int, ...], ...]
 
     def palette(self, values: dict, one) -> list:
         pal = [one.ring_zero(), one, one.nu() if self.nu_one else None]
@@ -371,10 +376,11 @@ class PastingSystem(NamedTuple):
         return pal
 
 
-def _compile(src: Chart, dst: Chart) -> PastingSystem:
-    """The pasting system of a chart pair from the source pattern and the
-    destination's plan; raises ResidualNuSymbol where a source odd unit
-    lands in an unmoved selected column, at the first such entry by rows."""
+def _compile(src: Chart, dst: Chart, units) -> PastingSystem:
+    """The pasting system of a chart pair from the source pattern, the
+    destination's plan and the pair's unit columns; raises ResidualNuSymbol
+    where a source odd unit lands in an unmoved selected column, at the
+    first such entry by rows."""
     zsel, dcols, read = dst.dst_plan
     coords = []
 
@@ -404,10 +410,13 @@ def _compile(src: Chart, dst: Chart) -> PastingSystem:
         tuple(int(i == unit_rows[c]) if t in twisted else entry(row[c], False)
               for t, c in enumerate(dcols))
         for i, row in enumerate(src.pattern))
+    unit_cols = {j for j, _ in units}
     return PastingSystem(tuple(minor), free, tuple(coords),
                          tuple((row, t, name, marked != (t in twisted))
                                for row, t, name, marked in read),
-                         any(2 in zrow for zrow in minor))
+                         any(2 in zrow for zrow in minor),
+                         tuple(tuple(k for j, k in enumerate(zrow) if j not in unit_cols) + yrow
+                               for zrow, yrow in zip(minor, free)))
 
 
 def _rows(index_rows, palette) -> list[list]:
@@ -456,7 +465,7 @@ class HopPlan:
         unraised (a cached_property keeps no raised error), and transition
         raises a fresh copy of it."""
         try:
-            return _compile(self.src, self.dst)
+            return _compile(self.src, self.dst, self.units)
         except ResidualNuSymbol as exc:
             return ResidualNuSymbol(*exc.args)
 
@@ -476,18 +485,53 @@ class HopPlan:
         """Destination coordinates of the source point with these coordinate
         values, from any ring with an involution (a chart ring, Lambda_r);
         0 and 1 come from the values' own ring.  One exact solve of the
-        pasting system.  Raises ResidualNuSymbol where the pair has no
-        system, NotInvertible where the minor is singular."""
+        pasting system: on numerator tuples over Lambda_r, through the
+        palette of the values themselves over any other ring.  Raises
+        ResidualNuSymbol where the pair has no system, NotInvertible where
+        the minor is singular."""
         system = self.system
         if isinstance(system, ResidualNuSymbol):
             raise ResidualNuSymbol(*system.args)
         proto = next(iter(values.values()), None)
         if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
             return {}
+        if isinstance(proto, GrassmannNumber) and proto.r:
+            return self._lambda_transition(system, values, proto.r)
+        # a chart ring, or Lambda_0, where any nu raises NoOddGenerators
         palette = system.palette(values, proto.ring_one())
         X = solve(_rows(system.minor, palette), _rows(system.free, palette), self.units)
         return {name: X[row][t].nu() if flag else X[row][t]
                 for row, t, name, flag in system.read}
+
+    def _lambda_transition(self, system: PastingSystem, values: dict, r: int) -> dict:
+        """transition over Lambda_r (r >= 1) on numerator tuples: the
+        palette holds each slot's numerators and denominator, nu permutes
+        the numerators by _layout(r).nu, each row of system.aug goes over
+        the lcm of its denominators, and linalg.lambda_solve eliminates;
+        only the read-off builds values, one _reduced each."""
+        layout = _layout(r)
+        nu = layout.nu
+        nums = [layout.zero, layout.one, nu(layout.one)]
+        dens = [1, 1, 1]
+        for name, flag in system.coords:
+            v = values[name]
+            nums.append(nu(v.num) if flag else v.num)
+            dens.append(v.den)
+        M, row_dens = [], []
+        for row in system.aug:
+            den = lcm(*map(dens.__getitem__, row))
+            M.append(list(map(nums.__getitem__, row)) if den == 1 else
+                     [nums[k] if dens[k] == den else
+                      tuple([den // dens[k] * c for c in nums[k]]) for k in row])
+            row_dens.append(den)
+        pivot = lambda_solve(r, M, row_dens, self.units)
+        w = len(self.zsel) - len(self.units)  # X starts past the eliminated columns
+        out = {}
+        for row, t, name, flag in system.read:
+            i = pivot[row]
+            num = M[i][w + t]
+            out[name] = _reduced(r, nu(num) if flag else num, row_dens[i])
+        return out
 
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":

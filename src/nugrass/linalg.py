@@ -1,27 +1,37 @@
-"""The exact linear algebra of the kernel: two eliminations.
+"""The exact linear algebra of the kernel: rref over QQ and solve.
 
 * rref works over QQ.  It is rank-revealing: a column without a nonzero
   entry below the rows already used is skipped, not an error.  The rank
   checks, the basis completion of the transitivity witness, the commutant's
   nullspace, span membership and the inverse-transition system use it.
-* solve works over any ring whose elements offer has_body(), inv(),
-  is_zero() and the fused step x.add_product(a, b, sign) = x + sign*a*b:
-  Lambda_r (GrassmannNumber) or a chart ring (SuperFunction).  It
-  solves a square system and raises NotInvertible when the body of the
-  matrix is singular.  Every chart normalization, every supermatrix inverse
-  and every group inverse goes through it.
+* solve solves a square system and raises NotInvertible when the body of
+  the matrix is singular.  Every chart normalization, every supermatrix
+  inverse and every group inverse goes through it.  It runs one of two
+  eliminations, which take the same pivots:
+  - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
+    numerator tuples over one int denominator each, fused product-kernel
+    steps and no GrassmannNumber until the solution.  The pointwise hop
+    (atlas.HopPlan.transition) fills its rows itself and calls it directly.
+  - ring_solve on a chart ring (SuperFunction), through the ring's own
+    has_body(), inv(), is_zero() and add_product(); the tests also run it
+    on Lambda_r as lambda_solve's oracle.
 
-The two stay apart on purpose: one skips columns and reports the rank, the
-other must find a pivot in every column.
+The two kinds stay apart on purpose: rref skips columns and reports the
+rank, solve must find a pivot in every column.
 
 The one matrix product, with the odd-unit rule, is supermatrix.matmul.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import lcm
+
 from sympy.external.gmpy import MPQ
 
+from . import superalgebra
 from .errors import NotInvertible
+from .superalgebra import GrassmannNumber, _inverse_num, _reduced
 
 
 def rref(rows, ncols: int):
@@ -60,16 +70,98 @@ def solve(Z, Y, units=()):
     pivoted on row i first, which costs nothing, so only the remaining block
     is eliminated.  Raises NotInvertible exactly when the body of Z is
     singular, whatever the pivot order.
+
+    Lambda_r input is eliminated on integer rows (lambda_solve), any other
+    ring by ring_solve.  Both take the same pivots and give the same X.
     """
-    n = len(Z)
-    pivot_row = dict(units)
-    free = [i for i in range(n) if i not in pivot_row.values()]
-    cols = [j for j in range(n) if j not in pivot_row]
+    if not (Z and isinstance(Z[0][0], GrassmannNumber)):
+        return ring_solve(Z, Y, units)
+    r = Z[0][0].r
+    units = tuple(units)
+    cols = _pivot_plan(len(Z), units)[0]
+    M, dens = [], []
+    for zrow, yrow in zip(Z, Y):
+        row = [zrow[j] for j in cols] + list(yrow)
+        den = lcm(*[e.den for e in row])
+        M.append([e.num if e.den == den else tuple([den // e.den * c for c in e.num])
+                  for e in row])
+        dens.append(den)
+    w = len(cols)
+    return [[_reduced(r, num, dens[i]) for num in M[i][w:]]
+            for i in lambda_solve(r, M, dens, units)]
+
+
+@lru_cache(maxsize=None)
+def _pivot_plan(n: int, units: tuple) -> tuple:
+    """For an n x n system with these unit columns: the columns to
+    eliminate, the rows free to pivot on, and the pivot row of each column
+    (its unit's row, None where the elimination picks it)."""
+    pivot = [None] * n
+    for j, i in units:
+        pivot[j] = i
+    return (tuple(j for j in range(n) if pivot[j] is None),
+            tuple(i for i in range(n) if i not in pivot), tuple(pivot))
+
+
+def lambda_solve(r: int, M, dens, units=()) -> list[int]:
+    """solve on Lambda_r, in place on integer rows: row i of the system is
+    the numerator tuples M[i] over the int dens[i] > 0, M[i] holding the
+    columns of Z that `units` does not name, in order, and then Y.
+
+    The pivot row of a column is multiplied by h / e, the inverse of its
+    pivot numerator from _inverse_num, which drops the row's own
+    denominator; each other row i with a nonzero entry f in that column
+    becomes  e * row_i - f * pivot row  over  e * dens[i], one fused kernel
+    call per entry and no reduction.  Returns, for each column j of Z, the
+    row i that holds X[j]: M[i] past the eliminated columns over dens[i],
+    unreduced.
+    """
+    cols, free, pivot = _pivot_plan(len(M), tuple(units))
+    free, pivot = list(free), list(pivot)
+    width = len(M[0]) if M else 0
+    # looked up at each call, so a spy on the kernel sees these products
+    kernel = superalgebra._product_kernel(r)
+    for t, col in enumerate(cols):
+        for piv in free:
+            if M[piv][t][0]:
+                break
+        else:
+            raise NotInvertible(f"no body-invertible pivot in column {col}")
+        free.remove(piv)
+        prow = M[piv]
+        h, e = _inverse_num(r, prow[t])
+        live = []  # the columns where the pivot row is nonzero
+        for j in range(t + 1, width):
+            if any(prow[j]):
+                prow[j] = kernel(h, prow[j])
+                live.append(j)
+        dens[piv] = e
+        for i, row in enumerate(M):
+            f = row[t]
+            if i == piv or not any(f):
+                continue
+            if e != 1:
+                dens[i] *= e
+                for j in range(t + 1, width):
+                    row[j] = tuple([e * c for c in row[j]])
+            for j in live:
+                row[j] = kernel(f, prow[j], row[j], -1)
+        pivot[col] = piv
+    return pivot
+
+
+def ring_solve(Z, Y, units=()):
+    """solve over any ring whose elements offer has_body(), inv(),
+    is_zero() and the fused step x.add_product(a, b, sign) = x + sign*a*b:
+    the elimination of the chart rings, and the tests' oracle for
+    lambda_solve."""
+    cols, free, pivot = _pivot_plan(len(Z), tuple(units))
+    free, pivot = list(free), list(pivot)
     w = len(cols)
     # each row keeps only the columns still to be eliminated, then Y; the
     # unit columns stay untouched because their other entries are zero
-    M = [[Z[i][j] for j in cols] + list(Y[i]) for i in range(n)]
-    width = w + (len(Y[0]) if n else 0)
+    M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]
+    width = len(M[0]) if M else 0
     for t, col in enumerate(cols):
         for piv in free:
             if M[piv][t].has_body():
@@ -82,8 +174,7 @@ def solve(Z, Y, units=()):
         for j in range(t + 1, width):
             if not prow[j].is_zero():
                 prow[j] = pinv * prow[j]
-        for i in range(n):
-            row = M[i]
+        for i, row in enumerate(M):
             f = row[t]
             if i == piv or f.is_zero():
                 continue
@@ -91,8 +182,8 @@ def solve(Z, Y, units=()):
                 p = prow[j]
                 if not p.is_zero():
                     row[j] = row[j].add_product(f, p, -1)
-        pivot_row[col] = piv
-    return [M[pivot_row[j]][w:] for j in range(n)]
+        pivot[col] = piv
+    return [M[i][w:] for i in pivot]
 
 
 def inverse(Z):

@@ -19,6 +19,8 @@ the inverse and the fused step ``x.add_product(a, b, sign)`` build on.  The
 kernel follows the Z/2 grading of Lambda_r: a product of two homogeneous
 operands computes only the slots of its parity, from the terms of its
 parity pair, and any other product takes the full 3**r-term body.
+linalg.lambda_solve eliminates on the same numerator tuples, with the same
+kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd, lcm
-from operator import neg
+from operator import itemgetter, neg
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from sympy import QQ
 from sympy.external.gmpy import MPQ
@@ -597,7 +599,8 @@ class GrassmannNumber:
     Products of numerator tuples run through ``_product_kernel(r)``, and each
     operation reduces once: ``x.add_product(a, b, sign) = x + sign*a*b``
     puts x and the product over one denominator, and ``inv`` of (b + n)/D is
-    ``D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1)`` with ``n**(K+1) = 0``.
+    ``D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1)`` with ``n**(K+1) = 0``
+    (``_inverse_num``).
 
     The public constructor takes ``{mask: MPQ or int}`` with every mask in
     ``range(2**r)``; ``terms`` is a read-only ``{mask: MPQ}`` view of the
@@ -713,28 +716,17 @@ class GrassmannNumber:
         return _reduced(self.r, _product_kernel(self.r)(a.num, b.num, z, s), da)
 
     def inv(self) -> "GrassmannNumber":
-        """Exact inverse of (b + n)/D: the sum over the powers of n in the
-        class docstring, in Horner form in b, with one sign fix."""
-        num = self.num
-        b = num[0]
-        if not b:
+        """Exact inverse of (b + n)/D: D times the inverse of b + n that
+        _inverse_num builds on the numerators."""
+        if not self.num[0]:
             raise ZeroBody("cannot invert a Grassmann number with zero body")
-        kernel = _product_kernel(self.r)
-        minus_n = (0,) + tuple(map(neg, num[1:]))
-        out = power = _layout(self.r).one
-        den = b
-        while any(power := kernel(power, minus_n)):  # ends: n is nilpotent
-            out = tuple([c * b + p for c, p in zip(out, power)])
-            den *= b
-        D = self.den if den > 0 else -self.den  # makes the denominator positive
-        return _reduced(self.r, tuple([D * c for c in out]), abs(den))
+        return _reduced(self.r, *_inverse_num(self.r, self.num, self.den))
 
     def nu(self) -> "GrassmannNumber":
         """Odd involution on Lambda_r: toggle membership of theta_1."""
         if self.r < 1:
             raise NoOddGenerators("nu on Lambda_r needs r >= 1")
-        return _gn(self.r, tuple(map(self.num.__getitem__, _layout(self.r).nu_slots)),
-                   self.den)
+        return _gn(self.r, _layout(self.r).nu(self.num), self.den)
 
     def ring_zero(self) -> "GrassmannNumber":
         return _gn(self.r, _layout(self.r).zero, 1)
@@ -788,11 +780,33 @@ def _reduced(r: int, num: tuple[int, ...], den: int) -> GrassmannNumber:
     return _gn(r, num, den)
 
 
+def _inverse_num(r: int, num: tuple[int, ...], scale: int = 1) -> tuple[tuple[int, ...], int]:
+    """(h, d) with h / d = scale / (b + n) on numerator tuples of Lambda_r,
+    for b = num[0] != 0 and n the soul; d > 0, not reduced.  The one
+    inverse formula: GrassmannNumber.inv and linalg.lambda_solve's pivots.
+
+    With n**(K+1) = 0, 1 / (b + n) = sum_{k<=K} (-n)**k b**(K-k) / b**(K+1):
+    the sum in Horner form in b, then one sign fix that makes d positive."""
+    kernel = _product_kernel(r)
+    b = num[0]
+    minus_n = (0,) + tuple(map(neg, num[1:]))
+    out = power = _layout(r).one
+    den = b
+    while any(power := kernel(power, minus_n)):  # ends: n is nilpotent
+        out = tuple([c * b + p for c, p in zip(out, power)])
+        den *= b
+    if den < 0:
+        scale, den = -scale, -den
+    if scale != 1:
+        out = tuple([scale * c for c in out])
+    return out, den
+
+
 class _Layout(NamedTuple):
     zero: tuple[int, ...]  # the numerators of 0 and of 1
     one: tuple[int, ...]
-    nu_slots: tuple[int, ...]  # slot m of nu(x) is slot m ^ 1 of x
     by_parity: tuple[tuple[int, ...], tuple[int, ...]]  # even masks, odd masks
+    nu: Callable  # the numerators of nu(x) from those of x: slot m is slot m ^ 1 (r >= 1)
 
 
 @lru_cache(maxsize=None)
@@ -800,8 +814,9 @@ def _layout(r: int) -> _Layout:
     """The per-r constants of the numerator tuples of Lambda_r."""
     masks = range(1 << r)
     zero = (0,) * len(masks)
-    return _Layout(zero, (1,) + zero[1:], tuple(m ^ 1 for m in masks),
-                   tuple(tuple(m for m in masks if m.bit_count() & 1 == p) for p in (0, 1)))
+    return _Layout(zero, (1,) + zero[1:],
+                   tuple(tuple(m for m in masks if m.bit_count() & 1 == p) for p in (0, 1)),
+                   itemgetter(*(m ^ 1 for m in masks)))
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,8 @@
 The library evaluates a chart-ring element at a point through one ring
 substitution, SuperFunction.substitute, and builds a fundamental field from
 its first-order formula.  The routines here are independent routes kept as
-test oracles; nothing in ``nugrass`` calls them.  invert_transition_at_point
+test oracles; nothing in ``nugrass`` calls them.  palette_hop is the
+pointwise hop on value objects, the oracle of the hop on numerator tuples.  invert_transition_at_point
 solves the pasting equation of a direction as an exact linear system over
 QQ; it realizes no direction and checks forward hops against their inverse.
 """
@@ -17,6 +18,7 @@ from nugrass.atlas import (
     _adjusted_minor,
     _get_plan,
     _normalize,
+    _rows,
     point_transition,
 )
 from nugrass.errors import (
@@ -25,7 +27,7 @@ from nugrass.errors import (
     NuGrassError,
     ResidualNuSymbol,
 )
-from nugrass.linalg import rref
+from nugrass.linalg import ring_solve, rref
 from nugrass.nulie import ChartVectorField
 from nugrass.superalgebra import EVEN, ODD, GrassmannNumber, SuperFunction, _get_ring
 from nugrass.supermatrix import matmul
@@ -94,6 +96,23 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
         assert all(mask < (1 << chart.beta) for mask in comp2.terms)
         components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
     return ChartVectorField(chart, parity, components)
+
+
+def palette_hop(plan, values: dict) -> dict:
+    """HopPlan.transition through value objects: the compiled system filled
+    from its palette of the values themselves (nu by the values' own nu),
+    solved by the ring-generic elimination and read off with nu where the
+    read-off is flagged.  Raises as the hop does."""
+    system = plan.system
+    if isinstance(system, ResidualNuSymbol):
+        raise ResidualNuSymbol(*system.args)
+    proto = next(iter(values.values()), None)
+    if proto is None:
+        return {}
+    palette = system.palette(values, proto.ring_one())
+    X = ring_solve(_rows(system.minor, palette), _rows(system.free, palette), plan.units)
+    return {name: X[row][t].nu() if flag else X[row][t]
+            for row, t, name, flag in system.read}
 
 
 def gating_failures(report):

@@ -55,7 +55,7 @@ from nugrass.atlas import (
     transition_symbolic,
     verify_cocycle,
 )
-from paper_reference import BodySolveFailed, invert_transition_at_point
+from paper_reference import BodySolveFailed, invert_transition_at_point, palette_hop
 
 
 def gn(r, q):
@@ -605,6 +605,48 @@ def test_compiled_hop_matches_the_realized_grid_route(dims, r, seed):
                 point_transition(X, plan.dst)
             continue
         assert point_transition(X, plan.dst) == GrassPoint(plan.dst, r, want)
+
+
+def _hop_outcome(hop, plan, values):
+    try:
+        return hop(plan, values)
+    except (NotInvertible, ResidualNuSymbol) as exc:
+        return type(exc), exc.args
+
+
+def second_hop_values(chart, r, rng):
+    """The coordinate values of a point hopped into chart from another chart,
+    so that their denominators are mostly not 1; None where no draw hops."""
+    charts = get_atlas(chart.index.k, chart.index.l, chart.index.m, chart.index.n).charts
+    for c in rng.sample(charts, len(charts)):
+        if c is not chart and _get_plan(c, chart).status == "ok":
+            try:
+                return point_transition(draw_point(c, r, rng), chart).values
+            except MinorNotInvertible:
+                continue
+    return None
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(1, 2, 2, 3), (2, 2, 3, 3)])
+def test_the_hop_on_numerator_tuples_matches_the_palette_route(dims, r):
+    # every ordered pair, at a drawn point (some minors singular) and at a
+    # point that a hop brought in (rational coordinates)
+    rng = random.Random(100 * r + sum(dims))
+    charts = get_atlas(*dims).charts
+    kinds, rational = set(), 0
+    for a, b in itertools.product(charts, charts):
+        plan = _get_plan(a, b)
+        for values in (draw_point(a, r, rng).values, second_hop_values(a, r, rng)):
+            if values is None:
+                continue
+            rational += any(v.den != 1 for v in values.values())
+            want = _hop_outcome(palette_hop, plan, values)
+            assert _hop_outcome(atlas.HopPlan.transition, plan, values) == want, \
+                f"{a.index} -> {b.index}"
+            kinds.add(want[0] if isinstance(want, tuple) else dict)
+    assert kinds == {dict, NotInvertible, ResidualNuSymbol}
+    assert rational > len(charts) ** 2 // 2
 
 
 def _symbolic_kinds_match(charts):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 import sympy
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 import nugrass.atlas as atlas_module
+from nugrass import superalgebra
 from nugrass.atlas import get_atlas, transition_symbolic
 from nugrass.errors import GenericallySingular, NotInvertible, ResidualNuSymbol, UncoveredCase
-from nugrass.linalg import inverse, rref, solve
+from nugrass.linalg import inverse, ring_solve, rref, solve
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction
 
@@ -92,11 +94,13 @@ def _product(Z, X):
 
 
 def _grassmann_system(rng):
-    """Z (n x n) and Y (n x 2) over Lambda_r with bodies often zero."""
-    r, n = rng.randint(0, 2), rng.randint(1, 3)
+    """Z (n x n) and Y (n x 2) over Lambda_r with bodies often zero and
+    rational coefficients."""
+    r, n = rng.randint(0, 4), rng.randint(1, 3)
 
     def entry(body_zero):
-        terms = {mask: rng.randint(-2, 2) for mask in range(1 << r)}
+        terms = {mask: MPQ(rng.randint(-2, 2), rng.choice([1, 1, 2, 3]))
+                 for mask in range(1 << r)}
         if body_zero:
             terms[0] = 0
         return GrassmannNumber(r, terms)
@@ -150,6 +154,129 @@ def test_solve_tests_pivots_without_building_the_body(seed, system):
         one, zero = Z[0][0].ring_one(), Z[0][0].ring_zero()
         assert _product(Z, Zinv) == [[one if i == j else zero for j in range(len(Z))]
                                      for i in range(len(Z))]
+
+
+def _lambda_entry(rng, r, parity):
+    """A Lambda_r value of the given parity (None: mixed), with rational
+    coefficients; an even one has a zero body a quarter of the time."""
+    masks = [m for m in range(1 << r) if parity is None or m.bit_count() & 1 == parity]
+    terms = {m: MPQ(rng.randint(-3, 3), rng.choice([1, 1, 2, 3, 4])) for m in masks}
+    if 0 in terms and rng.random() < 0.25:
+        terms[0] = 0
+    return GrassmannNumber(r, terms)
+
+
+def _lambda_system(rng):
+    """Z (n x n), Y (n x 0-2) and units over Lambda_r, r <= 4, n <= 5: unit
+    columns e_i at random rows, and the other entries all homogeneous (the
+    parity of a supermatrix block) or any mix of parities, some with zero
+    bodies.  Returns Z, Y, units and whether the body of Z is singular."""
+    r, n = rng.randint(0, 4), rng.randint(1, 5)
+    split = rng.randint(0, n)
+    mixed = rng.random() < 0.3
+
+    def parity(i, j):
+        return None if mixed else int((i < split) != (j < split))
+
+    Z = [[_lambda_entry(rng, r, parity(i, j)) for j in range(n)] for i in range(n)]
+    rows = rng.sample(range(n), rng.randint(0, n))
+    units = tuple(zip(rng.sample(range(n), len(rows)), rows))
+    one, zero = GrassmannNumber.scalar(r, 1), GrassmannNumber(r, {})
+    for j, i in units:
+        for u in range(n):
+            Z[u][j] = one if u == i else zero
+    width = rng.randint(0, 2)
+    Y = [[_lambda_entry(rng, r, None) for _ in range(width)] for _ in range(n)]
+    singular = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(Z[i][j].body()))).det() == 0
+    return Z, Y, units, singular
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except NotInvertible as exc:
+        return NotInvertible, exc.args
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_the_integer_rows_match_the_ring_elimination(seed):
+    # solve eliminates Lambda_r on numerator rows; ring_solve is the
+    # elimination through GrassmannNumber's own arithmetic
+    Z, Y, units, singular = _lambda_system(random.Random(seed))
+    want = _outcome(ring_solve, Z, Y, units)
+    assert _outcome(solve, Z, Y, units) == want
+    assert (want[0] is NotInvertible) == singular
+    if not singular:
+        # the unit columns only skip work
+        assert solve(Z, Y) == want
+        if Y[0]:
+            assert _product(Z, want) == Y
+
+
+@pytest.mark.parametrize("r, pivot, inverse", [
+    # no soul: the inverse of -2 has the denominator 2 after the sign fix
+    (1, {0: -2}, {0: MPQ(-1, 2)}),
+    # n = O1*O2 + O3*O4 has n*n = 2*O1*O2*O3*O4, so 1 / (-2 + n) is
+    # -1/2 - n/4 - (n*n)/8 over the denominator (-2)**3 before the fix
+    (4, {0: -2, 3: 1, 12: 1}, {0: MPQ(-1, 2), 3: MPQ(-1, 4), 12: MPQ(-1, 4), 15: MPQ(-1, 4)}),
+])
+def test_the_integer_rows_scale_by_the_pivot_denominator_and_fix_its_sign(r, pivot, inverse):
+    # the pivot has a negative body; the other row has a nonzero entry in
+    # the pivot column, so it is scaled by the pivot row's denominator
+    g = partial(GrassmannNumber, r)
+    Z = [[g(pivot), g({})], [g({0: MPQ(1, 3), 1: 1}), g({0: 1})]]
+    Y = [[g({0: 1})], [g({1: MPQ(1, 2)})]]
+    X = solve(Z, Y, [(1, 1)])
+    assert X == ring_solve(Z, Y, [(1, 1)])
+    assert X[0] == [g(inverse)]
+    assert _product(Z, X) == Y
+
+
+def test_the_lambda_r_routes_build_values_only_for_their_outputs(monkeypatch):
+    # the integer elimination and the hop on numerator tuples combine no
+    # GrassmannNumber: the only values they build are their outputs
+    rng = random.Random(11)
+    systems = [_lambda_system(rng) for _ in range(40)]
+    plans = [atlas_module._get_plan(a, b) for at in (get_atlas(1, 2, 2, 3),)
+             for a in at.charts for b in at.charts]
+    plans = [p for p in plans if p.status == "ok"]
+    points = [(p, atlas_module.sample_point(p.src, 2, rng).values) for p in plans]
+    built = []
+    gn = superalgebra._gn
+
+    def counted(r, num, den):
+        built.append(r)
+        return gn(r, num, den)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GrassmannNumber was built or combined")
+
+    monkeypatch.setattr(superalgebra, "_gn", counted)
+    for name in ("__init__", "__mul__", "__add__", "__sub__", "__neg__", "add_product",
+                 "inv", "nu", "soul", "ring_one", "ring_zero"):
+        monkeypatch.setattr(GrassmannNumber, name, refuse)
+    solved = hopped = 0
+    for Z, Y, units, singular in systems:
+        del built[:]
+        if singular:
+            with pytest.raises(NotInvertible):
+                solve(Z, Y, units)
+            assert not built
+        else:
+            X = solve(Z, Y, units)
+            assert len(built) == sum(map(len, X)) == len(Z) * len(Y[0])
+            solved += 1
+    for plan, values in points:
+        del built[:]
+        try:
+            out = plan.transition(values)
+        except NotInvertible:
+            assert not built
+            continue
+        assert len(built) == len(out)
+        hopped += 1
+    assert solved > 10 and hopped > 20
 
 
 def _symbolic_maps(charts):
