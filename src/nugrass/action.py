@@ -4,8 +4,9 @@ A group point is an invertible even m|n x m|n supermatrix over Lambda_r.
 Acting on a chart point X means multiplying its realized matrix by the
 group matrix on the right and re-normalizing into some chart of the refined
 cover: the first chart (standard charts first) whose adjusted minor is
-body-invertible.  Well-definedness across chart choices is what
-verify_action_gluing samples, not an assumption.
+body-invertible, through each candidate's Chart.plain_plan.
+Well-definedness across chart choices is what verify_action_gluing
+samples, not an assumption.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .atlas import (
     Atlas,
     Chart,
     GrassPoint,
-    _normalize,
+    _cells,
     _point,
     get_atlas,
     point_transition,
@@ -157,11 +158,14 @@ def _acted_matrix(X: GrassPoint, P: GLPoint):
 
 
 def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None) -> GrassPoint:
-    """Normalize a plain k|l x m|n matrix over Lambda_r into a chart point."""
+    """Normalize a plain k|l x m|n matrix over Lambda_r into a chart point:
+    its entries, keyed once, fill each candidate chart's plain pasting
+    system (Chart.plain_plan)."""
+    cells = _cells(W)
     candidates = [target] if target is not None else atlas.act_order
     for dst in candidates:
         try:
-            values = _normalize(W, dst)
+            values = dst.plain_plan.transition(cells)
         except NotInvertible:
             if target is not None:
                 raise MinorNotInvertible(f"minor for {dst.index} is singular here")

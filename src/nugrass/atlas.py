@@ -27,10 +27,13 @@ grid.  A direction's plan status comes from the same system's minor,
 solved once at the generic Lambda_1 point of the source chart (even
 coordinates b_c, odd ones b_c*theta, each b_c an indeterminate).  The body
 of a minor at any Lambda_r point is a specialization of its body there, so
-that solve fails exactly where no point can hop.  The grids that are still
-built (a label over a chart ring, a realized Lambda_r point to act on) come
-from one realizer, Chart.grid; _normalize brings a matrix that is not a
-chart grid, such as an acted point [X]P, into a chart.
+that solve fails exactly where no point can hop.  A matrix that is not a
+chart grid (an acted point [X]P, the acted label L E of a fundamental
+field) is plain: every entry is a coordinate of its own.  It fills the
+system compiled from a plain source into its destination chart
+(Chart.plain_plan), so every pasting normalization runs through _compile.
+The grids that are still built (a label over a chart ring, a realized
+Lambda_r point to act on) come from one realizer, Chart.grid.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import lcm
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 from .errors import (
@@ -64,7 +67,7 @@ from .superalgebra import (
     _sf,
     lambda_sample,
 )
-from .supermatrix import NU, SuperMatrix, format_blocked, is_nu
+from .supermatrix import NU, SuperMatrix, format_blocked
 
 # the square inverse under the name the tests and bench/tracer.py look up here
 _lam_gauss_inv = inverse
@@ -213,6 +216,18 @@ class Chart:
         read = [(row, dpos[gcol], name, marked) for row, gcol, name, marked in self.slots]
         return zsel, dcols, read
 
+    @cached_property
+    def plain_plan(self) -> "HopPlan":
+        """The HopPlan into this chart from a plain k|l x m|n matrix, one
+        whose every entry (i, j) is a coordinate: no identity, no odd unit.
+        An acted point [X]P or acted label L E fills its system with the
+        matrix's _cells."""
+        plain = SimpleNamespace(
+            pattern=[[("coord", (i, j), False) for j in range(self.ncols)]
+                     for i in range(len(self.pattern))],
+            identity=(), nu_unit_rows={})
+        return HopPlan(plain, self)
+
     # -- views ---------------------------------------------------------------
 
     @property
@@ -347,7 +362,8 @@ def _get_plan(src: Chart, dst: Chart) -> "HopPlan":
 
 
 class PastingSystem(NamedTuple):
-    """Where each entry of a chart pair's system  Z X = Y  comes from.
+    """Where each entry of a pasting system  Z X = Y  comes from, for a
+    chart pair or for a plain matrix into a chart (Chart.plain_plan).
 
     Every entry is a slot of a palette that PastingSystem.palette builds
     from one point's coordinate values: slot 0 is the ring's 0, slot 1 its
@@ -360,7 +376,9 @@ class PastingSystem(NamedTuple):
     column of X, name, apply nu), the nu flag combining the label mark with
     the twist of the odd-unit rule  x 1nu = nu(x).  `aug` holds the rows
     that linalg.lambda_solve eliminates: each row of Z without the pair's
-    unit columns (HopPlan.units), then the row of Y.
+    unit columns (HopPlan.units), then the row of Y.  A plain source has no
+    constants and no odd unit: each entry (i, j) is a coordinate, with nu
+    where its column moves, so `minor` is the divider-adjusted minor.
     """
 
     minor: tuple[tuple[int, ...], ...]
@@ -376,9 +394,10 @@ class PastingSystem(NamedTuple):
         return pal
 
 
-def _compile(src: Chart, dst: Chart, units) -> PastingSystem:
+def _compile(src, dst: Chart, units) -> PastingSystem:
     """The pasting system of a chart pair from the source pattern, the
-    destination's plan and the pair's unit columns; raises ResidualNuSymbol
+    destination's plan and the pair's unit columns (the source may be the
+    plain one of Chart.plain_plan); raises ResidualNuSymbol
     where a source odd unit lands in an unmoved selected column, at the
     first such entry by rows."""
     zsel, dcols, read = dst.dst_plan
@@ -423,13 +442,20 @@ def _rows(index_rows, palette) -> list[list]:
     return [[palette[k] for k in row] for row in index_rows]
 
 
+def _cells(A) -> dict:
+    """The entries of a plain matrix, keyed (i, j) as the coordinates of
+    Chart.plain_plan."""
+    return {(i, j): e for i, row in enumerate(A) for j, e in enumerate(row)}
+
+
 class HopPlan:
     """One source/destination chart pair, computed once per process: column
     selections, the compiled pasting system, hop status, symbolic pasting
     map and its nu-audit verdict.  The pointwise hop, the symbolic map and
-    the status all fill the one PastingSystem."""
+    the status all fill the one PastingSystem.  The source may also be the
+    plain matrix of Chart.plain_plan, whose plan is only ever filled."""
 
-    def __init__(self, src: Chart, dst: Chart):
+    def __init__(self, src, dst: Chart):
         self.src = src
         self.dst = dst
         self.zsel, self.dcols, _ = dst.dst_plan
@@ -686,69 +712,8 @@ def nu_equivariance_defects(t: TransitionMap) -> dict[str, SuperFunction]:
 
 
 # ---------------------------------------------------------------------------
-# the chart normalizer and pointwise transitions over Lambda_r
+# pointwise transitions over Lambda_r
 # ---------------------------------------------------------------------------
-
-
-def _adjusted_minor(A, zsel, one):
-    """The pasting minor of a grid: the selected columns, with the
-    involution applied to the moved ones.  A formal odd unit resolves to 1
-    in a moved column; in an unmoved one it has no value."""
-    Z = []
-    for Ai in A:
-        zrow = []
-        for c, moved in zsel:
-            e = Ai[c]
-            if is_nu(e):
-                if not moved:
-                    raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
-                zrow.append(one)
-            else:
-                zrow.append(e.nu() if moved else e)
-        Z.append(zrow)
-    return Z
-
-
-def _normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
-    """Destination coordinates of the row space of a matrix A, the pasting
-    normalization D((M or M')^-1 A) of a matrix that is not a chart grid:
-    an acted point [X]P.  Hops between charts fill their pair's compiled
-    PastingSystem instead; this route on a realized grid is their oracle.
-
-    A holds Lambda_r values or chart-ring elements; 0 and 1 come from the
-    entries' own ring.  One exact solve
-    Z X = Y  with Z the adjusted minor and Y the columns free in the
-    destination, read off through the destination's slots.  `unit_rows`
-    maps a column of A that holds a formal odd unit to its row u; that
-    column of Y is e_u and its solution column is twisted by the involution
-    (the odd-unit rule  x 1nu = nu(x)).  `units` lists minor columns known
-    to be unit vectors for linalg.solve; they must hold for A itself.
-    Raises NotInvertible where the minor is singular.
-    """
-    zsel, dcols, read = dst.dst_plan
-    proto = next((e for row in A for e in row if not is_nu(e)), None)
-    if proto is None:  # no rows: the charts of 0|0(m|n) have no coordinates
-        return {}
-    one, zero = proto.ring_one(), proto.ring_zero()
-    unit_rows = unit_rows or {}
-    Z = _adjusted_minor(A, zsel, one)
-    Y = [[] for _ in A]
-    twisted = set()
-    for t, c in enumerate(dcols):
-        u = unit_rows.get(c)
-        if u is None:
-            for yrow, Ai in zip(Y, A):
-                yrow.append(Ai[c])
-        else:
-            twisted.add(t)
-            for i, yrow in enumerate(Y):
-                yrow.append(one if i == u else zero)
-    X = solve(Z, Y, units)
-    values = {}
-    for row, t, name, marked in read:
-        v = X[row][t]
-        values[name] = v.nu() if marked != (t in twisted) else v
-    return values
 
 
 def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
@@ -769,10 +734,12 @@ def point_transition(X: GrassPoint, dst: Chart) -> GrassPoint:
 
 
 def sample_point(chart: Chart, r: int, rng: random.Random) -> GrassPoint:
+    """A random point of the chart; lambda_sample draws each value with its
+    coordinate's parity, so the point skips the parity check."""
     values = {
         name: lambda_sample(r, chart.coord_parity[name], rng) for name in chart.coords
     }
-    return GrassPoint(chart, r, values)
+    return _point(chart, r, values)
 
 
 # ---------------------------------------------------------------------------

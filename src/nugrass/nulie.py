@@ -32,7 +32,7 @@ from .errors import InhomogeneousInput, NoOddGenerators
 from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction, _sf, mono_sign
 from .supermatrix import matmul
 from .linalg import rref
-from .atlas import Chart, IndexPair, _adjusted_minor, get_atlas
+from .atlas import Chart, IndexPair, _cells, _rows, get_atlas
 from .reports import CheckResult, Report
 
 
@@ -106,14 +106,6 @@ class GlElement:
 
     def to_dict(self) -> dict:
         return {f"{u},{v}": str(c) for (u, v), c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_dict(cls, m: int, n: int, data: dict) -> "GlElement":
-        coeffs = {}
-        for key, cstr in data.items():
-            u, v = key.split(",")
-            coeffs[(int(u), int(v))] = MPQ(cstr)
-        return cls(m, n, coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -189,11 +181,13 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     the acted label is  L + G eps.  The adjusted minor of L is the identity,
     since the chart's own I u R columns hold its identity and the involution
     resolves each moved odd unit to 1; so the minor is  Z = 1 + N1 eps  with
-    N1 the adjusted minor of G.  The free columns are  Y = Y0 + G_d eps  with
-    Y0 = L[:, dcols], and  Z^-1 Y = Y - N1 eps Y0.  The field is therefore
-    X1 = G_d - N1 sigma(Y0), read off through the chart's slots, where
-    sigma(y) = (-1)^{|y||E|} y moves eps past y; for odd E the left
-    derivative d/d eps adds a sign (-1)^{|w|} on each component w.
+    N1 the adjusted minor of G: the minor of the chart's plain pasting
+    system (Chart.plain_plan) filled with G.  The free columns are
+    Y = Y0 + G_d eps  with Y0 = L[:, dcols], and  Z^-1 Y = Y - N1 eps Y0.
+    The field is therefore  X1 = G_d - N1 sigma(Y0),  read off through the
+    chart's slots, where sigma(y) = (-1)^{|y||E|} y moves eps past y; for
+    odd E the left derivative d/d eps adds a sign (-1)^{|w|} on each
+    component w.
     """
     parity = E.parity()
     if parity is None:
@@ -208,9 +202,10 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     # matmul reads  1nu * c  as  nu(c) = c nu(1),  only where an odd unit occurs
     G = matmul(L, [[ctx.scalar(c) if (c := E.coeffs.get((u, v))) else zero
                     for v in range(1, d + 1)] for u in range(1, d + 1)], zero)
-    zsel, dcols, read = chart.dst_plan
+    _, dcols, read = chart.dst_plan
     sigma_Y0 = [[-Li[c] if odd and Li[c].parity() else Li[c] for c in dcols] for Li in L]
-    NY = matmul(_adjusted_minor(G, zsel, ctx.one()), sigma_Y0, zero)
+    system = chart.plain_plan.system
+    NY = matmul(_rows(system.minor, system.palette(_cells(G), ctx.one())), sigma_Y0, zero)
     components = {}
     for row, t, name, marked in read:
         w = G[row][dcols[t]] - NY[row][t]

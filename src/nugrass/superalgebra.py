@@ -390,9 +390,6 @@ class SuperFunction:
             return RationalFunction.from_rat(self.ctx.even_names, 0)
         return c
 
-    def soul(self) -> "SuperFunction":
-        return _sf(self.ctx, {m: c for m, c in self.terms.items() if m})
-
     def parity(self):
         """0 for even, 1 for odd, None for mixed; zero counts as both."""
         if not self.terms:

@@ -3,10 +3,12 @@
 The library evaluates a chart-ring element at a point through one ring
 substitution, SuperFunction.substitute, and builds a fundamental field from
 its first-order formula.  The routines here are independent routes kept as
-test oracles; nothing in ``nugrass`` calls them.  palette_hop is the
-pointwise hop on value objects, the oracle of the hop on numerator tuples.  invert_transition_at_point
-solves the pasting equation of a direction as an exact linear system over
-QQ; it realizes no direction and checks forward hops against their inverse.
+test oracles; nothing in ``nugrass`` calls them.  grid_normalize is the
+pasting normalization of a realized grid, the oracle of every compiled
+pasting system.  palette_hop is the pointwise hop on value objects, the
+oracle of the hop on numerator tuples.  invert_transition_at_point solves
+the pasting equation of a direction as an exact linear system over QQ; it
+realizes no direction and checks forward hops against their inverse.
 """
 
 from sympy import QQ
@@ -15,9 +17,7 @@ from sympy.external.gmpy import MPQ
 from nugrass.atlas import (
     Chart,
     GrassPoint,
-    _adjusted_minor,
     _get_plan,
-    _normalize,
     _rows,
     point_transition,
 )
@@ -27,10 +27,10 @@ from nugrass.errors import (
     NuGrassError,
     ResidualNuSymbol,
 )
-from nugrass.linalg import ring_solve, rref
+from nugrass.linalg import ring_solve, rref, solve
 from nugrass.nulie import ChartVectorField
 from nugrass.superalgebra import EVEN, ODD, GrassmannNumber, SuperFunction, _get_ring
-from nugrass.supermatrix import matmul
+from nugrass.supermatrix import is_nu, matmul
 
 
 def _poly_eval(p, pairs):
@@ -53,6 +53,66 @@ def eval_rational(rf, assign: dict[str, object]):
     if not d:
         raise ZeroDivisionError("denominator vanishes at the point")
     return MPQ(_poly_eval(rf.num, pairs)) / MPQ(d)
+
+
+def adjusted_minor(A, zsel, one):
+    """The pasting minor of a grid: the selected columns, with the
+    involution applied to the moved ones.  A formal odd unit resolves to 1
+    in a moved column; in an unmoved one it has no value."""
+    Z = []
+    for Ai in A:
+        zrow = []
+        for c, moved in zsel:
+            e = Ai[c]
+            if is_nu(e):
+                if not moved:
+                    raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
+                zrow.append(one)
+            else:
+                zrow.append(e.nu() if moved else e)
+        Z.append(zrow)
+    return Z
+
+
+def grid_normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
+    """Destination coordinates of the row space of a grid A, the pasting
+    normalization D((M or M')^-1 A) on the realized grid: the oracle of the
+    compiled pasting systems (chart hops, symbolic maps, acted points).
+
+    A holds Lambda_r values or chart-ring elements, and may hold the formal
+    odd unit; 0 and 1 come from the entries' own ring.  One exact solve
+    Z X = Y  with Z the adjusted minor and Y the columns free in the
+    destination, read off through the destination's slots.  `unit_rows`
+    maps a column of A that holds a formal odd unit to its row u; that
+    column of Y is e_u and its solution column is twisted by the involution
+    (the odd-unit rule  x 1nu = nu(x)).  `units` lists minor columns known
+    to be unit vectors for linalg.solve; they must hold for A itself.
+    Raises NotInvertible where the minor is singular.
+    """
+    zsel, dcols, read = dst.dst_plan
+    proto = next((e for row in A for e in row if not is_nu(e)), None)
+    if proto is None:  # no rows: the charts of 0|0(m|n) have no coordinates
+        return {}
+    one, zero = proto.ring_one(), proto.ring_zero()
+    unit_rows = unit_rows or {}
+    Z = adjusted_minor(A, zsel, one)
+    Y = [[] for _ in A]
+    twisted = set()
+    for t, c in enumerate(dcols):
+        u = unit_rows.get(c)
+        if u is None:
+            for yrow, Ai in zip(Y, A):
+                yrow.append(Ai[c])
+        else:
+            twisted.add(t)
+            for i, yrow in enumerate(Y):
+                yrow.append(one if i == u else zero)
+    X = solve(Z, Y, units)
+    values = {}
+    for row, t, name, marked in read:
+        v = X[row][t]
+        values[name] = v.nu() if marked != (t in twisted) else v
+    return values
 
 
 def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
@@ -87,7 +147,7 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
     # known in advance: no `units` for the solve
     W = matmul(chart.label(ctx2).entries, P, zero)
     components = {}
-    for name, val in _normalize(W, chart).items():
+    for name, val in grid_normalize(W, chart).items():
         if parity == ODD:
             comp2 = val.partial("t1")
         else:
@@ -166,7 +226,7 @@ def invert_transition_at_point(
         """Coefficients of the pasting equation  Z(Q) [T] = [Q]  at the
         destination's free columns (label columns hold identically)."""
         A = src_chart.realize(values, r)
-        ZT = matmul(_adjusted_minor(A, plan.zsel, one), Tfree, zero)
+        ZT = matmul(adjusted_minor(A, plan.zsel, one), Tfree, zero)
         out = []
         for t, c in enumerate(plan.dcols):
             unit_row = src_nu_rows.get(c)

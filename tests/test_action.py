@@ -1,15 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
-from nugrass.errors import MinorNotInvertible, RankDeficient
+import nugrass.atlas as atlas_module
+from nugrass.errors import (
+    MinorNotInvertible,
+    NoChartFound,
+    NoOddGenerators,
+    NotInvertible,
+    RankDeficient,
+)
 from nugrass.superalgebra import GrassmannNumber
-from nugrass.atlas import GrassPoint, get_atlas, point_transition
+from nugrass.atlas import GrassPoint, get_atlas, point_transition, sample_point
 from nugrass.action import (
     BasePoint,
     GLPoint,
+    _acted_matrix,
     act,
+    grass_point_from_matrix,
     sample_gl,
     stabilizer_membership,
     transitivity_witness,
@@ -17,6 +27,7 @@ from nugrass.action import (
     verify_action_gluing,
     verify_transitivity,
 )
+from paper_reference import grid_normalize
 
 
 def gn(r, q):
@@ -99,6 +110,82 @@ def test_trivial_quadruple_reduces_to_one_leg():
     direct = act(X, P, target=C2)
     via = point_transition(act(X, P, target=C2), C2)
     assert direct == via
+
+
+def _outcome(normalize):
+    try:
+        return normalize()
+    except (MinorNotInvertible, NotInvertible):
+        return "singular"
+    except NoOddGenerators:
+        return "no odd generators"
+    except NoChartFound:
+        return "no chart"
+
+
+def acted_matrix(atlas, r, rng, degenerate):
+    """[X]P at a random point (a standard one at r = 0, whose label has no
+    odd unit for the product to resolve); `degenerate` strips the body off
+    one column, so that every minor selecting it is singular."""
+    charts = atlas.charts if r else atlas.standard_charts
+    X = sample_point(rng.choice(charts), r, rng)
+    W = _acted_matrix(X, sample_gl(atlas.m, atlas.n, r, rng))
+    if degenerate:
+        c = rng.randrange(atlas.m + atlas.n)
+        for row in W:
+            row[c] = row[c] - GrassmannNumber.scalar(r, row[c].body())
+    return W
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2, 3), (2, 1, 3, 2), (2, 2, 3, 3)])
+@given(st.integers(0, 4), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_acted_points_match_the_grid_normalizer(dims, r, seed, degenerate):
+    # the plain pasting system of every chart, filled with [X]P, against the
+    # normalization of the grid itself: the same point, or the same failure
+    atlas = get_atlas(*dims)
+    W = acted_matrix(atlas, r, random.Random(seed), degenerate)
+    for dst in atlas.charts:
+        want = _outcome(lambda: GrassPoint(dst, r, grid_normalize(W, dst)))
+        assert _outcome(lambda: grass_point_from_matrix(W, atlas, r, target=dst)) == want, \
+            str(dst.index)
+    # the untargeted search takes the first chart of act_order that admits W
+    for dst in atlas.act_order:
+        want = _outcome(lambda: GrassPoint(dst, r, grid_normalize(W, dst)))
+        if want != "singular":
+            break
+    else:
+        want = "no chart"
+    assert _outcome(lambda: grass_point_from_matrix(W, atlas, r)) == want
+
+
+def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkeypatch):
+    # at r >= 1 an acted matrix fills the numerator rows of its destination's
+    # plain pasting system and goes straight to linalg.lambda_solve
+    eliminated = []
+    lambda_solve = atlas_module.lambda_solve
+
+    def counted(*args):
+        eliminated.append(args[0])
+        return lambda_solve(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("act ran atlas.solve")
+
+    monkeypatch.setattr(atlas_module, "lambda_solve", counted)
+    monkeypatch.setattr(atlas_module, "solve", refuse)
+    rng = random.Random(19)
+    atlas = get_atlas(1, 2, 2, 3)
+    for r in (1, 2, 4):
+        X = sample_point(rng.choice(atlas.standard_charts), r, rng)
+        P = sample_gl(2, 3, r, rng)
+        act(X, P)
+        for dst in atlas.charts:
+            try:
+                act(X, P, target=dst)
+            except MinorNotInvertible:
+                pass
+    assert set(eliminated) == {1, 2, 4}
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ from nugrass.nulie import GlElement, fundamental_field
 from nugrass.reports import CheckResult
 from nugrass.atlas import (
     GrassPoint,
-    _adjusted_minor,
     _get_plan,
-    _normalize,
     _lam_gauss_inv,
     _cycle_check,
     chart_dims,
@@ -55,7 +53,13 @@ from nugrass.atlas import (
     transition_symbolic,
     verify_cocycle,
 )
-from paper_reference import BodySolveFailed, invert_transition_at_point, palette_hop
+from paper_reference import (
+    BodySolveFailed,
+    adjusted_minor,
+    grid_normalize,
+    invert_transition_at_point,
+    palette_hop,
+)
 
 
 def gn(r, q):
@@ -586,7 +590,7 @@ COMPILED_ATLASES = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2)]
 
 
 def grid_route(plan, A):
-    return _normalize(A, plan.dst, plan.units, plan.src.nu_unit_rows)
+    return grid_normalize(A, plan.dst, plan.units, plan.src.nu_unit_rows)
 
 
 @pytest.mark.parametrize("dims", COMPILED_ATLASES)
@@ -698,7 +702,7 @@ def sampled_minor(seed):
     plan = rng.choice(ok_plans(rng.choice([(1, 2, 2, 3), (2, 1, 3, 2)])))
     X = draw_point(plan.src, r, rng)
     A = plan.src.realize(X.values, r)
-    return r, _adjusted_minor(A, plan.zsel, GrassmannNumber.scalar(r, 1))
+    return r, adjusted_minor(A, plan.zsel, GrassmannNumber.scalar(r, 1))
 
 
 @given(st.integers(0, 10**6))
