@@ -19,9 +19,6 @@ from .supermatrix import (
     NuSymbol,
     SuperMatrix,
     is_nu,
-    minor_M,
-    minor_Mprime,
-    remainder_D,
     smat_inv,
     smat_mul,
 )

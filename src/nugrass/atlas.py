@@ -600,6 +600,11 @@ class GrassPoint:
     values: dict[str, GrassmannNumber]
 
     def __post_init__(self):
+        missing = [name for name in self.chart.coords if name not in self.values]
+        unknown = sorted(set(self.values) - set(self.chart.coords))
+        if missing or unknown:
+            raise ValueError(f"point on {self.chart.index}: missing coordinates "
+                             f"{missing}, unknown coordinates {unknown}")
         for name, v in self.values.items():
             want = self.chart.coord_parity[name]
             slots = _layout(v.r).by_parity

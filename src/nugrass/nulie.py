@@ -7,10 +7,11 @@ identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
 1 - N1 eps and no solve runs (see fundamental_field).  A field's
 coordinate representation either commutes with the involution or not;
 collecting the commutation defects over every chart and odd monomial cuts
-an exact linear subspace of gl(m|n): the nu-commutant.  By the graded
-Leibniz rule each defect coefficient is a signed, shifted copy of a field
-component's, so the cut runs on chart-ring coefficients with no product and
-no formal ring (see _defect_coefficients).  The field of a
+an exact linear subspace of gl(m|n): the nu-commutant.  nu_defect is the
+one defect function: by the graded Leibniz rule each defect coefficient is
+a signed, shifted copy of a field component's, keyed by the generic symbol
+f or a partial f_x, so the cut runs on chart-ring coefficients with no
+product and no ring extended by f.  The field of a
 basis element on a chart is a per-process fact of that pair: rho_field
 builds it once, with read-only components, and every later call reads the
 same object, whose Jacobian is computed once and lives as long as the
@@ -29,7 +30,7 @@ from types import MappingProxyType
 from sympy.external.gmpy import MPQ
 
 from .errors import InhomogeneousInput, NoOddGenerators
-from .superalgebra import EVEN, ODD, GeneratorContext, SuperFunction, _sf, mono_sign
+from .superalgebra import EVEN, ODD, SuperFunction, _sf, mono_sign
 from .supermatrix import matmul
 from .linalg import rref
 from .atlas import Chart, IndexPair, _cells, _rows, get_atlas
@@ -250,20 +251,20 @@ def rho_field(Y: GlElement, chart: Chart) -> ChartVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _formal_context(chart: Chart) -> GeneratorContext:
-    names = ("f",) + tuple(f"f_{x}" for x in chart.even_coords)
-    return chart.ctx.extend_even(names)
-
-
-def _defect_coefficients(field: ChartVectorField) -> dict[int, dict]:
-    """{S: {(phi, mask): chart-ring coefficient}} of nu_defect's D_S for the
-    S with bit 0 clear, phi being "f" or an "f_x"; D_{S^1} = -nu(D_S).
+def nu_defect(field: ChartVectorField) -> dict[int, dict]:
+    """Commutation defects  D_S = X(nu(f e_S)) - nu(X(f e_S))  of the field
+    X, f a generic function of the even coordinates: for every odd monomial
+    e_S without e1, {S: {(phi, mask): chart-ring coefficient}}, phi being
+    "f" or one of its partials "f_x".  D_{S^1} = -nu(D_S), so these S carry
+    every condition: the field commutes with the involution iff every
+    entry is empty.
 
     A derivation is fixed by its values on the coordinates and the graded
     Leibniz rule, so  X(f e_S) = sum_phi phi A_phi(S)  with
     A_{f_x}(S) = X[x] e_S  and  A_f(S) = sum_{theta in S} X[theta] d_theta e_S,
     and the phi coefficient of D_S is  A_phi(S^1) - nu A_phi(S):  signed,
-    monomial-shifted copies of the components' coefficients, no product."""
+    monomial-shifted copies of the components' coefficients, no product and
+    no ring extended by f."""
     chart = field.chart
     if not chart.odd_coords:
         raise NoOddGenerators("the chart carries no odd generators")
@@ -286,23 +287,6 @@ def _defect_coefficients(field: ChartVectorField) -> dict[int, dict]:
                             old = out.get(key)
                             out[key] = c if old is None else old + c
         defects[S] = {key: c for key, c in out.items() if c}
-    return defects
-
-
-def nu_defect(field: ChartVectorField) -> list[SuperFunction]:
-    """Commutation defects  X(nu(f e_S)) - nu(X(f e_S))  for every odd
-    monomial e_S, f a generic function of the even coordinates, over the
-    chart ring extended by f and its partials f_x: by Leibniz,
-    X(f e_S) = sum_x X[x] f_x e_S + f sum_theta X[theta] d_theta e_S.  The
-    field commutes with the involution iff every entry vanishes; the entries
-    are lifted from _defect_coefficients, the odd S as -nu(D_{S^1})."""
-    ctxF = _formal_context(field.chart)
-    defects = []
-    for S, coeffs in _defect_coefficients(field).items():
-        D = ctxF.zero()
-        for (phi, mask), c in coeffs.items():
-            D = D + ctxF.embed(SuperFunction(field.chart.ctx, {mask: c})) * ctxF.gen(phi)
-        defects += [D, -D.nu()]
     return defects
 
 
@@ -344,8 +328,8 @@ class HBasis:
 def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     """Exact basis of the subalgebra of gl(m|n) whose fundamental fields
     commute with the involution on every chart, one parity at a time: one
-    row per (chart, S, phi, odd mask, even exponent) of _defect_coefficients,
-    S without e1 only, since D_{S^1} = -nu(D_S) repeats its rows up to sign."""
+    row per (chart, S, phi, odd mask, even exponent) of nu_defect, whose S
+    carry every condition since D_{S^1} = -nu(D_S) repeats its rows up to sign."""
     atlas = get_atlas(k, l, m, n)
     basis_all = GlElement.basis(m, n)
     result = HBasis(m, n)
@@ -356,7 +340,7 @@ def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
         for col_i, E in enumerate(columns):
             for chart in atlas.charts:
                 f = rho_field(E, chart)
-                for S, defect in _defect_coefficients(f).items():
+                for S, defect in nu_defect(f).items():
                     for (phi, mask), coeff in defect.items():
                         if coeff.den != coeff.den.ring.one:
                             raise ArithmeticError(
@@ -500,7 +484,7 @@ def h_report(k: int, l: int, m: int, n: int) -> dict:
     for Y in all_basis:
         for chart in atlas.charts:
             f = rho_field(Y, chart)
-            if any(_defect_coefficients(f).values()):
+            if any(nu_defect(f).values()):
                 residual_zero = False
 
     closed = True

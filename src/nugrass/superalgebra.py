@@ -5,7 +5,8 @@ rational function over QQ in declared even indeterminates and e_S is a
 monomial in anticommuting odd generators.  The first odd generator carries
 the odd involution nu (toggle membership of e_1, left insertion, no sign).
 Auxiliary odd generators (tau's) can be adjoined for first-order nilpotent
-differentiation; nu never touches them.
+differentiation; nu never touches them.  They are the only way a generator
+context grows: its even indeterminates are fixed when it is declared.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
@@ -251,7 +252,8 @@ class GeneratorContext:
 
     even_names are the commuting indeterminates of the coefficient field,
     odd_names the exterior generators the involution acts on, aux_names
-    adjoined nilpotent odd parameters that nu ignores.
+    adjoined nilpotent odd parameters that nu ignores.  A context grows only
+    by those parameters (adjoin_nilpotent); its coefficient field is fixed.
     """
 
     __slots__ = ("even_names", "odd_names", "aux_names")
@@ -326,34 +328,6 @@ class GeneratorContext:
             if n in existing:
                 raise NameClash(n)
         return GeneratorContext(self.even_names, self.odd_names, self.aux_names + names)
-
-    def extend_even(self, names) -> "GeneratorContext":
-        """Extend the coefficient field with fresh even indeterminates."""
-        names = tuple(names)
-        existing = set(self.even_names + self.odd_names + self.aux_names)
-        for n in names:
-            if n in existing:
-                raise NameClash(n)
-        return GeneratorContext(self.even_names + names, self.odd_names, self.aux_names)
-
-    def embed(self, sf: "SuperFunction") -> "SuperFunction":
-        """Re-context an element of a sub-context (same odd part, fewer evens;
-        or same evens, fewer auxiliaries) into this context."""
-        src = sf.ctx
-        if src.odd_names != self.odd_names or not set(src.aux_names) <= set(self.aux_names):
-            raise ContextMismatch("odd parts must agree for embedding")
-        if tuple(self.even_names[: len(src.even_names)]) != src.even_names:
-            raise ContextMismatch("even names must be a prefix for embedding")
-        if src.aux_names != self.aux_names[: len(src.aux_names)]:
-            raise ContextMismatch("aux names must be a prefix for embedding")
-        R = _get_ring(self.even_names)
-        pad = len(self.even_names) - len(src.even_names)
-        terms = {}
-        for mask, c in sf.terms.items():
-            num = R.from_dict({exp + (0,) * pad: co for exp, co in c.num.terms()})
-            den = R.from_dict({exp + (0,) * pad: co for exp, co in c.den.terms()})
-            terms[mask] = RationalFunction(self.even_names, num, den, _canonical=True)
-        return SuperFunction(self, terms)
 
 
 class SuperFunction:

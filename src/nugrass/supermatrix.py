@@ -5,8 +5,9 @@ A matrix carries a row split r0|r1 and a column split c0|c1.  Blocks B1
 odd entries.  Besides plain ring elements an entry may be the formal symbol
 1nu, which multiplies by the rule  z * 1nu = 1nu * z = nu(z).  matmul, on
 nested lists, is the kernel's one matrix product and carries that rule;
-minor_M, minor_Mprime, remainder_D, smat_inv and smat_mul spell out the
-paper's pasting normalization literally and serve as its reference.
+smat_mul and smat_inv are the product and inverse on SuperMatrix.  The
+paper's column operators (the minors M and M' and the remainder D) are
+test references, in tests/paper_reference.py.
 
 Entries are duck-typed: SuperFunction and GrassmannNumber both provide the
 required +, -, *, add_product(), parity(), nu(), inv(), has_body(),
@@ -15,11 +16,7 @@ is_zero(), ring_one(), ring_zero().
 
 from __future__ import annotations
 
-from .errors import (
-    DoubleNu,
-    NuEntriesPresent,
-    ResidualNuSymbol,
-)
+from .errors import DoubleNu, NuEntriesPresent
 from .linalg import inverse
 
 
@@ -113,13 +110,6 @@ class SuperMatrix:
     def has_nu(self) -> bool:
         return any(is_nu(e) for row in self.entries for e in row)
 
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.entries]
-
-    def take_columns(self, indices, col_split) -> "SuperMatrix":
-        entries = [[row[j] for j in indices] for row in self.entries]
-        return SuperMatrix(self.row_split, col_split, entries, self.proto, validate=False)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
@@ -201,65 +191,6 @@ def smat_inv(A: SuperMatrix) -> SuperMatrix:
     if A.has_nu():
         raise NuEntriesPresent("route odd units away before inverting")
     return SuperMatrix(A.row_split, A.col_split, inverse(A.entries), A.proto, validate=False)
-
-
-def minor_M(A: SuperMatrix, J, S) -> SuperMatrix:
-    """Columns of A with even indices in J and odd indices in S, sides kept."""
-    c0, c1 = A.col_split
-    J = sorted(J)
-    S = sorted(S)
-    for j in J:
-        if not 1 <= j <= c0:
-            raise IndexError(f"even column {j} out of range")
-    for s in S:
-        if not 1 <= s <= c1:
-            raise IndexError(f"odd column {s} out of range")
-    indices = [j - 1 for j in J] + [c0 + s - 1 for s in S]
-    return A.take_columns(indices, (len(J), len(S)))
-
-
-def remainder_D(A: SuperMatrix, J, S) -> SuperMatrix:
-    """A with the J|S columns omitted, remaining columns keeping order and sides."""
-    c0, c1 = A.col_split
-    Jset = set(J)
-    Sset = set(S)
-    even_keep = [j for j in range(c0) if (j + 1) not in Jset]
-    odd_keep = [c0 + s for s in range(c1) if (s + 1) not in Sset]
-    return A.take_columns(even_keep + odd_keep, (len(even_keep), len(odd_keep)))
-
-
-def minor_Mprime(A: SuperMatrix, J, S, target) -> SuperMatrix:
-    """The divider-adjusted minor for pasting into the chart indexed by target.
-
-    target is the IndexPair of the destination chart; its non-standard
-    identity dictates which selected columns cross the divider line and pick
-    up the involution.  For a standard target this is minor_M.
-    """
-    k, l = target.k, target.l
-    p, q = target.p, target.q
-    M = minor_M(A, J, S)
-    if p == k:
-        return M
-    one = A.proto.ring_one()
-
-    def nu_entry(e):
-        return one if is_nu(e) else e.nu()
-
-    cols = [M.column(j) for j in range(M.ncols)]
-    if p > k:
-        moved = [[nu_entry(e) for e in cols[j]] for j in range(k, p)]
-        even_cols = cols[:k]
-        odd_cols = moved + cols[p:]
-    else:
-        moved = [[nu_entry(e) for e in cols[p + j]] for j in range(k - p)]
-        even_cols = cols[:p] + moved
-        odd_cols = cols[p + (k - p):]
-    all_cols = even_cols + odd_cols
-    entries = [[all_cols[j][i] for j in range(len(all_cols))] for i in range(M.nrows)]
-    out = SuperMatrix(M.row_split, (k, l), entries, A.proto, validate=False)
-    if out.has_nu():
-        raise ResidualNuSymbol("an odd unit survives in an unmoved column")
-    return out
 
 
 def format_blocked(tokens, r0: int, c0: int) -> str:

@@ -5,10 +5,15 @@ substitution, SuperFunction.substitute, and builds a fundamental field from
 its first-order formula.  The routines here are independent routes kept as
 test oracles; nothing in ``nugrass`` calls them.  grid_normalize is the
 pasting normalization of a realized grid, the oracle of every compiled
-pasting system.  palette_hop is the pointwise hop on value objects, the
-oracle of the hop on numerator tuples.  invert_transition_at_point solves
-the pasting equation of a direction as an exact linear system over QQ; it
-realizes no direction and checks forward hops against their inverse.
+pasting system.  minor_M, remainder_D and minor_Mprime spell out the
+paper's minors M, M' and remainder D on a SuperMatrix, column by column.
+palette_hop is the pointwise hop on value objects, the oracle of the hop on
+numerator tuples.  invert_transition_at_point solves the pasting equation
+of a direction as an exact linear system over QQ; it realizes no direction
+and checks forward hops against their inverse.  nu_defect_reference applies
+the generic chain rule over the chart ring extended by a symbol f and its
+partials f_x (formal_context); lift carries nulie.nu_defect's coefficient
+form into that ring, so the two compare as ring elements.
 """
 
 from sympy import QQ
@@ -29,8 +34,16 @@ from nugrass.errors import (
 )
 from nugrass.linalg import ring_solve, rref, solve
 from nugrass.nulie import ChartVectorField
-from nugrass.superalgebra import EVEN, ODD, GrassmannNumber, SuperFunction, _get_ring
-from nugrass.supermatrix import is_nu, matmul
+from nugrass.superalgebra import (
+    EVEN,
+    ODD,
+    GeneratorContext,
+    GrassmannNumber,
+    RationalFunction,
+    SuperFunction,
+    _get_ring,
+)
+from nugrass.supermatrix import SuperMatrix, is_nu, matmul
 
 
 def _poly_eval(p, pairs):
@@ -115,6 +128,74 @@ def grid_normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
     return values
 
 
+def column(A: SuperMatrix, j: int) -> list:
+    return [row[j] for row in A.entries]
+
+
+def take_columns(A: SuperMatrix, indices, col_split) -> SuperMatrix:
+    entries = [[row[j] for j in indices] for row in A.entries]
+    return SuperMatrix(A.row_split, col_split, entries, A.proto, validate=False)
+
+
+def minor_M(A: SuperMatrix, J, S) -> SuperMatrix:
+    """Columns of A with even indices in J and odd indices in S, sides kept."""
+    c0, c1 = A.col_split
+    J = sorted(J)
+    S = sorted(S)
+    for j in J:
+        if not 1 <= j <= c0:
+            raise IndexError(f"even column {j} out of range")
+    for s in S:
+        if not 1 <= s <= c1:
+            raise IndexError(f"odd column {s} out of range")
+    indices = [j - 1 for j in J] + [c0 + s - 1 for s in S]
+    return take_columns(A, indices, (len(J), len(S)))
+
+
+def remainder_D(A: SuperMatrix, J, S) -> SuperMatrix:
+    """A with the J|S columns omitted, remaining columns keeping order and sides."""
+    c0, c1 = A.col_split
+    Jset = set(J)
+    Sset = set(S)
+    even_keep = [j for j in range(c0) if (j + 1) not in Jset]
+    odd_keep = [c0 + s for s in range(c1) if (s + 1) not in Sset]
+    return take_columns(A, even_keep + odd_keep, (len(even_keep), len(odd_keep)))
+
+
+def minor_Mprime(A: SuperMatrix, J, S, target) -> SuperMatrix:
+    """The divider-adjusted minor for pasting into the chart indexed by target.
+
+    target is the IndexPair of the destination chart; its non-standard
+    identity dictates which selected columns cross the divider line and pick
+    up the involution.  For a standard target this is minor_M.
+    """
+    k, l = target.k, target.l
+    p, q = target.p, target.q
+    M = minor_M(A, J, S)
+    if p == k:
+        return M
+    one = A.proto.ring_one()
+
+    def nu_entry(e):
+        return one if is_nu(e) else e.nu()
+
+    cols = [column(M, j) for j in range(M.ncols)]
+    if p > k:
+        moved = [[nu_entry(e) for e in cols[j]] for j in range(k, p)]
+        even_cols = cols[:k]
+        odd_cols = moved + cols[p:]
+    else:
+        moved = [[nu_entry(e) for e in cols[p + j]] for j in range(k - p)]
+        even_cols = cols[:p] + moved
+        odd_cols = cols[p + (k - p):]
+    all_cols = even_cols + odd_cols
+    entries = [[all_cols[j][i] for j in range(len(all_cols))] for i in range(M.nrows)]
+    out = SuperMatrix(M.row_split, (k, l), entries, A.proto, validate=False)
+    if out.has_nu():
+        raise ResidualNuSymbol("an odd unit survives in an unmoved column")
+    return out
+
+
 def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
     """The fundamental field of E over the eps-ring, the Lie-correspondence
     route: act with  Id + eps*E  over the chart ring extended by square-zero
@@ -156,6 +237,74 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
         assert all(mask < (1 << chart.beta) for mask in comp2.terms)
         components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
     return ChartVectorField(chart, parity, components)
+
+
+def formal_context(chart: Chart) -> GeneratorContext:
+    """The chart ring extended by the generic symbol f and its partials f_x."""
+    ctx = chart.ctx
+    names = ("f",) + tuple(f"f_{x}" for x in chart.even_coords)
+    return GeneratorContext(ctx.even_names + names, ctx.odd_names, ctx.aux_names)
+
+
+def embed(ctxF: GeneratorContext, sf: SuperFunction) -> SuperFunction:
+    """A chart-ring element read in the ring of formal_context: its
+    exponents padded with zeros for the trailing formal symbols."""
+    R = _get_ring(ctxF.even_names)
+    pad = (0,) * (len(ctxF.even_names) - len(sf.ctx.even_names))
+    terms = {}
+    for mask, c in sf.terms.items():
+        num = R.from_dict({exp + pad: co for exp, co in c.num.terms()})
+        den = R.from_dict({exp + pad: co for exp, co in c.den.terms()})
+        terms[mask] = RationalFunction(ctxF.even_names, num, den, _canonical=True)
+    return SuperFunction(ctxF, terms)
+
+
+def lift(chart: Chart, defects: dict) -> list[SuperFunction]:
+    """nu_defect's coefficient form as ring elements of formal_context, one
+    per odd monomial in ascending order: D_S = sum (phi, mask) c e_mask phi
+    for S without e1, and D_{S^1} = -nu(D_S) after it."""
+    ctxF = formal_context(chart)
+    out = []
+    for coeffs in defects.values():
+        D = ctxF.zero()
+        for (phi, mask), c in coeffs.items():
+            D = D + embed(ctxF, SuperFunction(chart.ctx, {mask: c})) * ctxF.gen(phi)
+        out += [D, -D.nu()]
+    return out
+
+
+def apply_formal_reference(chart, comps, F, ctxF):
+    """Generic chain rule: every coordinate partial of F, with the symbol f
+    depending on the even coordinates through formal partials f_x."""
+    out = ctxF.zero()
+    for name in chart.even_coords:
+        comp = comps[name]
+        if comp.is_zero():
+            continue
+        dF = F.partial(name) + ctxF.gen(f"f_{name}") * F.partial("f")
+        out = out + comp * dF
+    for name in chart.odd_coords:
+        comp = comps[name]
+        if comp.is_zero():
+            continue
+        out = out + comp * F.partial(name)
+    return out
+
+
+def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
+    """The defects  X(nu(f e_S)) - nu(X(f e_S))  for every odd monomial e_S,
+    by the chain rule over formal_context."""
+    chart = field.chart
+    ctxF = formal_context(chart)
+    comps = {name: embed(ctxF, c) for name, c in field.components.items()}
+    f_rf = ctxF.gen("f").body()
+    defects = []
+    for S in range(1 << len(chart.odd_coords)):
+        T = SuperFunction(ctxF, {S: f_rf})
+        lhs = apply_formal_reference(chart, comps, T.nu(), ctxF)
+        rhs = apply_formal_reference(chart, comps, T, ctxF).nu()
+        defects.append(lhs - rhs)
+    return defects
 
 
 def palette_hop(plan, values: dict) -> dict:

@@ -213,8 +213,8 @@ def test_criterion_8_defect_regression_pair():
     ctx = chart.ctx
     xdx = ChartVectorField(chart, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
     ede = ChartVectorField(chart, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
-    ok = all(d.is_zero() for d in nu_defect(xdx))
-    ok &= any(not d.is_zero() for d in nu_defect(ede))
+    ok = not any(nu_defect(xdx).values())
+    ok &= any(nu_defect(ede).values())
     verdict(8, ok, "x d/dx commutes with the involution, e d/de does not",
             time.monotonic() - t0)
 

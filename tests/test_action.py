@@ -84,6 +84,17 @@ def test_group_point_validation_and_inverse():
         GLPoint(1, 1, 2, [[theta(2, 1), gn(2, 1)], [gn(2, 1), gn(2, 1)]])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: GLPoint(1, 1, 2, [[gn(2, 1), theta(2, 1)]]), "shape mismatch"),
+    (lambda: GLPoint(1, 1, 2, [[gn(2, 1)], [gn(2, 1)]]), "shape mismatch"),
+    (lambda: GLPoint.identity(1, 2, 2) * GLPoint.identity(1, 2, 4), "group context mismatch"),
+    (lambda: GLPoint.identity(1, 2, 2) * GLPoint.identity(2, 1, 2), "group context mismatch"),
+])
+def test_group_points_reject_mismatched_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_gl_serialization_round_trip():
     rng = random.Random(2)
     P = sample_gl(2, 1, 2, rng)

@@ -26,20 +26,14 @@ from nugrass.superalgebra import (
     SuperFunction,
     _get_ring,
 )
-from nugrass.supermatrix import (
-    SuperMatrix,
-    minor_M,
-    minor_Mprime,
-    remainder_D,
-    smat_inv,
-    smat_mul,
-)
+from nugrass.supermatrix import SuperMatrix, smat_inv, smat_mul
 import nugrass.atlas as atlas
 from nugrass.cli import main
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.reports import CheckResult
 from nugrass.atlas import (
     GrassPoint,
+    IndexPair,
     _get_plan,
     _lam_gauss_inv,
     _cycle_check,
@@ -58,7 +52,10 @@ from paper_reference import (
     adjusted_minor,
     grid_normalize,
     invert_transition_at_point,
+    minor_M,
+    minor_Mprime,
     palette_hop,
+    remainder_D,
 )
 
 
@@ -784,6 +781,49 @@ def test_grass_point_from_dict_rejects_a_wrong_parity_coordinate():
         bad = dict(data, coords=dict(data["coords"], **{name: wrong.to_dict()}))
         with pytest.raises(ValueError, match=f"coordinate {name} has parity"):
             GrassPoint.from_dict(at, bad)
+
+
+def test_grass_point_from_dict_rejects_a_missing_coordinate():
+    # the check runs before the parity check: the second x1 has the wrong parity
+    at = get_atlas(0, 1, 1, 2)
+    for x1 in (gn(2, 1), theta(2, 1)):
+        data = {"chart": {"I": [], "R": [1]}, "r": 2, "coords": {"x1": x1.to_dict()}}
+        with pytest.raises(ValueError) as info:
+            GrassPoint.from_dict(at, data)
+        assert str(info.value) == ("point on {}|{1}: missing coordinates ['e1'], "
+                                   "unknown coordinates []")
+
+
+def test_grass_point_rejects_an_unknown_coordinate():
+    c1 = get_atlas(0, 1, 1, 2).chart((), (1,))
+    values = {"x1": gn(2, 1), "e1": theta(2, 1), "x2": theta(2, 2)}
+    with pytest.raises(ValueError) as info:
+        GrassPoint(c1, 2, values)
+    assert str(info.value) == "point on {}|{1}: missing coordinates [], unknown coordinates ['x2']"
+
+
+@pytest.mark.parametrize("args, message", [
+    (((2, 1), (), 1, 0, 2, 1), "index sets must be strictly increasing"),
+    (((1, 1), (), 2, 0, 2, 1), "index sets must be strictly increasing"),
+    (((), (2, 1), 0, 2, 1, 2), "index sets must be strictly increasing"),
+    (((3,), (), 1, 0, 2, 1), "even indices out of range"),
+    (((0,), (), 1, 0, 2, 1), "even indices out of range"),
+    (((), (2,), 0, 1, 1, 1), "odd indices out of range"),
+    (((1,), (1,), 1, 0, 1, 1), r"need p \+ q = k \+ l"),
+])
+def test_index_pair_rejects_a_malformed_index(args, message):
+    with pytest.raises(ValueError, match=message):
+        IndexPair(*args)
+
+
+def test_the_one_chart_atlas_hops_by_the_identity():
+    # 1|1(1|1) has the one chart {1}|{1}, without coordinates
+    (chart,) = get_atlas(1, 1, 1, 1).charts
+    assert chart.coords == ()
+    X = GrassPoint(chart, 2, {})
+    assert point_transition(X, chart) == X
+    rep = verify_cocycle(1, 1, 1, 1)
+    assert rep.ok and [r.check for r in rep.results] == ["identity-symbolic"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from nugrass.nulie import (
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
 from nugrass.superalgebra import EVEN, ODD, SuperFunction
-from paper_reference import eps_ring_fundamental_field
+from paper_reference import eps_ring_fundamental_field, lift, nu_defect_reference
 
 AT = get_atlas(0, 1, 1, 2)
 C1 = AT.chart((), (1,))
@@ -49,6 +49,24 @@ def test_elementary_brackets():
     assert superbracket(E12, E21) == GlElement.unit(1, 2, 1, 1) + GlElement.unit(1, 2, 2, 2)
     with pytest.raises(InhomogeneousInput):
         superbracket(E11 + E12, E11)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GlElement(1, 2, {(1, 4): 1}), ValueError, r"index \(1,4\) outside gl\(1\|2\)"),
+    (lambda: GlElement(1, 2, {(0, 1): 1}), ValueError, r"index \(0,1\) outside gl\(1\|2\)"),
+    (lambda: fundamental_field(_elt(1, 2, E11=1, E12=1), C1), InhomogeneousInput,
+     "fundamental_field needs a homogeneous element"),
+    (lambda: fundamental_field(GlElement.unit(2, 1, 1, 1), C1), ValueError,
+     "element and chart have mismatched shapes"),
+    (lambda: rho_field(_elt(1, 2, E11=1, E12=1), C1), InhomogeneousInput,
+     "rho needs a homogeneous element"),
+    (lambda: field_bracket(rho_field(GlElement.unit(1, 2, 1, 1), AT.charts[0]),
+                           rho_field(GlElement.unit(1, 2, 1, 1), AT.charts[1])),
+     ValueError, "fields live on different charts"),
+])
+def test_gl_elements_and_fields_reject_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_even_chain_bracket():
@@ -138,9 +156,9 @@ def test_fundamental_fields_of_combinations_match_the_eps_ring_route(dims, E):
 def test_regression_pair_for_the_commutation_defect():
     ctx = C1.ctx
     xdx = ChartVectorField(C1, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
-    assert all(d.is_zero() for d in nu_defect(xdx))
+    assert all(d.is_zero() for d in lift(C1, nu_defect(xdx)))
     ede = ChartVectorField(C1, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
-    defects = nu_defect(ede)
+    defects = lift(C1, nu_defect(ede))
     assert any(not d.is_zero() for d in defects)
     # the defect on the plain generic symbol is f*e, exactly
     ctxF = defects[0].ctx
@@ -150,7 +168,7 @@ def test_regression_pair_for_the_commutation_defect():
 def test_zero_field_has_no_defect():
     ctx = C1.ctx
     zero = ChartVectorField(C1, 0, {"x1": ctx.zero(), "e1": ctx.zero()})
-    assert all(d.is_zero() for d in nu_defect(zero))
+    assert all(d.is_zero() for d in lift(C1, nu_defect(zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +197,7 @@ def test_commutant_defects_vanish_on_every_chart():
     h = compute_h(0, 1, 1, 2)
     for Y in h.even + h.odd:
         for chart in AT.charts:
-            assert all(d.is_zero() for d in nu_defect(rho_field(Y, chart)))
+            assert all(d.is_zero() for d in lift(chart, nu_defect(rho_field(Y, chart))))
 
 
 def test_commutant_is_bracket_closed_with_exact_jacobi():
@@ -196,7 +214,8 @@ def test_standard_charts_already_cut_the_same_commutant():
     # the non-standard chart's conditions are consistent with the cut made
     # by the standard charts alone on this atlas
     h_all = compute_h(0, 1, 1, 2)
-    even, odd = commutant_reference((0, 1, 1, 2), AT.standard_charts, nu_defect)
+    even, odd = commutant_reference((0, 1, 1, 2), AT.standard_charts,
+                                    lambda f: lift(f.chart, nu_defect(f)))
     assert (len(even), len(odd)) == (h_all.dim_even, h_all.dim_odd)
 
 
@@ -234,7 +253,7 @@ def test_h_report_rechecks_the_defects_of_the_basis_it_reports(monkeypatch):
     monkeypatch.setattr(nl, "compute_h", lambda *dims: h)
     E22 = GlElement.unit(1, 2, 2, 2)
     chart = next(c for c in AT.charts
-                 if any(nl._defect_coefficients(rho_field(E22, c)).values()))
+                 if any(nu_defect(rho_field(E22, c)).values()))
     bad = rho_field(GlElement.unit(1, 2, 1, 1), chart) + rho_field(E22, chart)
     monkeypatch.setitem(nl._UNIT_FIELDS, (chart.index, 1, 1), bad)
     data = h_report(0, 1, 1, 2)
@@ -259,21 +278,36 @@ def test_rho_field_leaves_the_shared_cache_intact(monkeypatch):
 
 def test_a_warm_commutant_multiplies_and_embeds_nothing(monkeypatch):
     # the defects are signed, shifted copies of the field's coefficients:
-    # once the fields are stored, the cut makes no ring product and no
-    # formal context
+    # once the fields are stored, the cut makes no ring product and builds
+    # no generator context
     from nugrass.superalgebra import GeneratorContext
 
     compute_h(1, 2, 2, 3)
     calls = Counter()
-    for cls, name in ((SuperFunction, "__mul__"), (GeneratorContext, "embed"),
-                      (GeneratorContext, "extend_even")):
-        def counted(*args, _name=name, _orig=getattr(cls, name)):
+    for cls, name in ((SuperFunction, "__mul__"), (GeneratorContext, "__init__")):
+        def counted(*args, _name=name, _orig=getattr(cls, name), **kwargs):
             calls[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
     h = compute_h(1, 2, 2, 3)
     assert (h.dim_even, h.dim_odd) == (2, 0)
     assert calls == {}
+
+
+def test_the_cut_and_the_recheck_run_through_nu_defect(monkeypatch):
+    # 25 basis fields on 10 charts in the cut, the 2 basis elements of h on
+    # the same charts in the re-check; a cold store changes neither count
+    dims = (1, 2, 2, 3)
+    assert len(get_atlas(*dims).charts) == 10
+    calls = []
+    defect = nl.nu_defect
+    monkeypatch.setattr(nl, "nu_defect", lambda f: calls.append(f) or defect(f))
+    for run, want in ((compute_h, 250), (h_report, 270)):
+        monkeypatch.setattr(nl, "_UNIT_FIELDS", {})
+        for _ in ("cold", "warm"):
+            calls.clear()
+            run(*dims)
+            assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +317,11 @@ def test_a_warm_commutant_multiplies_and_embeds_nothing(monkeypatch):
 
 def apply_reference(X: ChartVectorField, F: SuperFunction) -> SuperFunction:
     """X(F) = sum_c X[c] * d_c F, differentiating F afresh."""
-    ctx = F.ctx
-    out = ctx.zero()
+    out = F.ctx.zero()
     for name, comp in X.components.items():
         if comp.is_zero():
             continue
-        c = comp if comp.ctx == ctx else ctx.embed(comp)
-        out = out + c * F.partial(name)
+        out = out + comp * F.partial(name)
     return out
 
 
@@ -301,38 +333,6 @@ def bracket_reference(X1: ChartVectorField, X2: ChartVectorField) -> ChartVector
         b = apply_reference(X2, X1.components[name])
         comps[name] = a + b if both_odd else a - b
     return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
-
-
-def apply_formal_reference(chart, comps, F, ctxF):
-    """Generic chain rule: every coordinate partial of F, with the symbol f
-    depending on the even coordinates through formal partials f_x."""
-    out = ctxF.zero()
-    for name in chart.even_coords:
-        comp = comps[name]
-        if comp.is_zero():
-            continue
-        dF = F.partial(name) + ctxF.gen(f"f_{name}") * F.partial("f")
-        out = out + comp * dF
-    for name in chart.odd_coords:
-        comp = comps[name]
-        if comp.is_zero():
-            continue
-        out = out + comp * F.partial(name)
-    return out
-
-
-def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
-    chart = field.chart
-    ctxF = nl._formal_context(chart)
-    comps = {name: ctxF.embed(c) for name, c in field.components.items()}
-    f_rf = ctxF.gen("f").body()
-    defects = []
-    for S in range(1 << len(chart.odd_coords)):
-        T = SuperFunction(ctxF, {S: f_rf})
-        lhs = apply_formal_reference(chart, comps, T.nu(), ctxF)
-        rhs = apply_formal_reference(chart, comps, T, ctxF).nu()
-        defects.append(lhs - rhs)
-    return defects
 
 
 def commutant_reference(dims, charts=None, defects=nu_defect_reference):
@@ -527,7 +527,7 @@ def test_nu_defect_matches_the_chain_rule_on_every_basis_field(dims):
     for chart in atlas.charts:
         for E in GlElement.basis(m, n):
             field = fundamental_field(E, chart)
-            assert nu_defect(field) == nu_defect_reference(field)
+            assert lift(chart, nu_defect(field)) == nu_defect_reference(field)
 
 
 def odd_component_field() -> ChartVectorField:
@@ -543,7 +543,7 @@ def test_nu_defect_of_a_field_with_odd_components():
     # worked out by hand from
     # X(f e_S) = X(f) e_S + f X(e_S),  X(f) = e1 f_x1,  X(e1 e2) = -x2 e1
     field = odd_component_field()
-    defects = nu_defect(field)
+    defects = lift(field.chart, nu_defect(field))
     assert defects == nu_defect_reference(field)
     g = defects[0].ctx.gen
     f, fx1, x2, e1, e2 = g("f"), g("f_x1"), g("x2"), g("e1"), g("e2")

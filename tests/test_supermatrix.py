@@ -5,17 +5,9 @@ import pytest
 from nugrass.action import sample_gl
 from nugrass.errors import DoubleNu, NotInvertible, NuEntriesPresent, ResidualNuSymbol
 from nugrass.superalgebra import GeneratorContext, GrassmannNumber
-from nugrass.supermatrix import (
-    NU,
-    SuperMatrix,
-    matmul,
-    minor_M,
-    minor_Mprime,
-    remainder_D,
-    smat_inv,
-    smat_mul,
-)
+from nugrass.supermatrix import NU, SuperMatrix, matmul, smat_inv, smat_mul
 from nugrass.atlas import Atlas
+from paper_reference import minor_M, minor_Mprime, remainder_D
 
 CTX = GeneratorContext(("x",), ("e1", "e2"))
 
