@@ -58,6 +58,8 @@ class GLPoint:
             for j in range(d):
                 want = int((i >= self.m) ^ (j >= self.m))
                 e = self.entries[i][j]
+                if e.r != self.r:
+                    raise ValueError(f"entry ({i},{j}) is in Lambda_{e.r}, not Lambda_{self.r}")
                 p = e.parity()
                 if p is None or (p != want and not e.is_zero()):
                     raise ValueError(f"entry ({i},{j}) has parity {p}, block wants {want}")

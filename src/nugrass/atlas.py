@@ -22,8 +22,9 @@ the pasting normalization D((M or M')^-1 A) as one exact solve:
 Where each entry of the system comes from (a constant, or a coordinate with
 or without the involution) is a fact of the chart pair, so it is compiled
 once per process from the source label's pattern and the destination's
-plan; a hop fills it straight from the coordinate values and builds no
-grid.  A direction's plan status comes from the same system's minor,
+plan, into one row table in the layout of both of linalg's eliminations;
+a hop fills it straight from the coordinate values and builds no grid.
+A direction's plan status comes from the minor part of the same rows,
 solved once at the generic Lambda_1 point of the source chart (even
 coordinates b_c, odd ones b_c*theta, each b_c an indeterminate).  The body
 of a minor at any Lambda_r point is a specialization of its body there, so
@@ -54,7 +55,7 @@ from .errors import (
     ResidualNuSymbol,
     UncoveredCase,
 )
-from .linalg import inverse, lambda_solve, solve
+from .linalg import inverse, lambda_solve, ring_solve
 from .reports import CheckResult, Report, first_defined
 from .superalgebra import (
     EVEN,
@@ -370,23 +371,21 @@ class PastingSystem(NamedTuple):
     1, slot 2 nu(1) (an unmoved constant 1 in a moved column; None unless
     one occurs) and slot 3 + i the value of coords[i] = (name, apply nu).
     A coordinate takes nu where its label mark differs from its column's
-    move, because nu o nu = id.  `minor` holds the rows of Z (unit columns
-    included, as the constants they are), `free` the rows of Y, whose
-    twisted odd-unit columns are e_u, and `read` the read-off slots (row,
+    move, because nu o nu = id.  `rows` is the one row table, the layout
+    that both eliminations of linalg take: each row of Z without the
+    pair's unit columns (HopPlan.units), then the row of Y, whose twisted
+    odd-unit columns are e_u.  `read` holds the read-off slots (row,
     column of X, name, apply nu), the nu flag combining the label mark with
-    the twist of the odd-unit rule  x 1nu = nu(x).  `aug` holds the rows
-    that linalg.lambda_solve eliminates: each row of Z without the pair's
-    unit columns (HopPlan.units), then the row of Y.  A plain source has no
-    constants and no odd unit: each entry (i, j) is a coordinate, with nu
-    where its column moves, so `minor` is the divider-adjusted minor.
+    the twist of the odd-unit rule  x 1nu = nu(x).  A plain source has no
+    constants, no odd unit and so no unit column: each entry (i, j) is a
+    coordinate, with nu where its column moves, so the first k+l entries of
+    each row are the divider-adjusted minor.
     """
 
-    minor: tuple[tuple[int, ...], ...]
-    free: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     coords: tuple[tuple[str, bool], ...]
     read: tuple[tuple[int, int, str, bool], ...]
     nu_one: bool
-    aug: tuple[tuple[int, ...], ...]
 
     def palette(self, values: dict, one) -> list:
         pal = [one.ring_zero(), one, one.nu() if self.nu_one else None]
@@ -399,8 +398,11 @@ def _compile(src, dst: Chart, units) -> PastingSystem:
     destination's plan and the pair's unit columns (the source may be the
     plain one of Chart.plain_plan); raises ResidualNuSymbol
     where a source odd unit lands in an unmoved selected column, at the
-    first such entry by rows."""
+    first such entry by rows.  A moved odd unit resolves to 1, so it only
+    occurs in a unit column."""
     zsel, dcols, read = dst.dst_plan
+    unit_cols = {j for j, _ in units}
+    unit_rows = src.nu_unit_rows
     coords = []
 
     def entry(cell, moved):
@@ -412,30 +414,21 @@ def _compile(src, dst: Chart, units) -> PastingSystem:
         coords.append((cell[1], cell[2] != moved))
         return len(coords) + 2
 
-    minor = []
-    for row in src.pattern:
+    rows = []
+    for i, row in enumerate(src.pattern):
         zrow = []
-        for c, moved in zsel:
-            if row[c][0] == "nu1":
-                if not moved:
-                    raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
-                zrow.append(1)
-            else:
+        for j, (c, moved) in enumerate(zsel):
+            if row[c][0] == "nu1" and not moved:
+                raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
+            if j not in unit_cols:
                 zrow.append(entry(row[c], moved))
-        minor.append(tuple(zrow))
-    unit_rows = src.nu_unit_rows
-    twisted = {t for t, c in enumerate(dcols) if c in unit_rows}
-    free = tuple(  # a twisted column is e_u: slot 1 (one) in row u, slot 0 elsewhere
-        tuple(int(i == unit_rows[c]) if t in twisted else entry(row[c], False)
-              for t, c in enumerate(dcols))
-        for i, row in enumerate(src.pattern))
-    unit_cols = {j for j, _ in units}
-    return PastingSystem(tuple(minor), free, tuple(coords),
-                         tuple((row, t, name, marked != (t in twisted))
+        # a twisted column is e_u: slot 1 (one) in row u, slot 0 elsewhere
+        rows.append(tuple(zrow) + tuple(int(i == unit_rows[c]) if c in unit_rows
+                                        else entry(row[c], False) for c in dcols))
+    return PastingSystem(tuple(rows), tuple(coords),
+                         tuple((row, t, name, marked != (dcols[t] in unit_rows))
                                for row, t, name, marked in read),
-                         any(2 in zrow for zrow in minor),
-                         tuple(tuple(k for j, k in enumerate(zrow) if j not in unit_cols) + yrow
-                               for zrow, yrow in zip(minor, free)))
+                         any(2 in row for row in rows))
 
 
 def _rows(index_rows, palette) -> list[list]:
@@ -460,12 +453,13 @@ class HopPlan:
         self.dst = dst
         self.zsel, self.dcols, _ = dst.dst_plan
         self.units = self._unit_columns()
+        self.width = len(self.zsel) - len(self.units)  # X starts past these columns
 
     def _unit_columns(self) -> tuple[tuple[int, int], ...]:
         """Minor columns that are the unit vector e_i at every point: source
         identity columns (zero off row i) holding an unmoved constant 1 or a
         moved odd unit, which resolves to 1.  Pairs (minor column, i) for
-        linalg.solve."""
+        linalg's eliminations."""
         ident = {gcol: (row, odd_unit) for row, gcol, odd_unit in self.src.identity}
         return tuple((j, ident[c][0]) for j, (c, moved) in enumerate(self.zsel)
                      if c in ident and ident[c][1] == moved)
@@ -500,9 +494,10 @@ class HopPlan:
         if isinstance(system, ResidualNuSymbol):
             return "residual"
         values, one = self.src.generic
+        w = self.width
         try:
-            solve(_rows(system.minor, system.palette(values, one)),
-                  [[] for _ in system.minor], self.units)
+            ring_solve(_rows([row[:w] for row in system.rows], system.palette(values, one)),
+                       self.units)
         except NotInvertible:
             return "singular"
         return "ok"
@@ -524,15 +519,18 @@ class HopPlan:
         if isinstance(proto, GrassmannNumber) and proto.r:
             return self._lambda_transition(system, values, proto.r)
         # a chart ring, or Lambda_0, where any nu raises NoOddGenerators
-        palette = system.palette(values, proto.ring_one())
-        X = solve(_rows(system.minor, palette), _rows(system.free, palette), self.units)
-        return {name: X[row][t].nu() if flag else X[row][t]
-                for row, t, name, flag in system.read}
+        M = _rows(system.rows, system.palette(values, proto.ring_one()))
+        pivot = ring_solve(M, self.units)
+        out = {}
+        for row, t, name, flag in system.read:
+            v = M[pivot[row]][self.width + t]
+            out[name] = v.nu() if flag else v
+        return out
 
     def _lambda_transition(self, system: PastingSystem, values: dict, r: int) -> dict:
         """transition over Lambda_r (r >= 1) on numerator tuples: the
         palette holds each slot's numerators and denominator, nu permutes
-        the numerators by _layout(r).nu, each row of system.aug goes over
+        the numerators by _layout(r).nu, each row of system.rows goes over
         the lcm of its denominators, and linalg.lambda_solve eliminates;
         only the read-off builds values, one _reduced each."""
         layout = _layout(r)
@@ -544,14 +542,14 @@ class HopPlan:
             nums.append(nu(v.num) if flag else v.num)
             dens.append(v.den)
         M, row_dens = [], []
-        for row in system.aug:
+        for row in system.rows:
             den = lcm(*map(dens.__getitem__, row))
             M.append(list(map(nums.__getitem__, row)) if den == 1 else
                      [nums[k] if dens[k] == den else
                       tuple([den // dens[k] * c for c in nums[k]]) for k in row])
             row_dens.append(den)
         pivot = lambda_solve(r, M, row_dens, self.units)
-        w = len(self.zsel) - len(self.units)  # X starts past the eliminated columns
+        w = self.width
         out = {}
         for row, t, name, flag in system.read:
             i = pivot[row]
@@ -606,6 +604,8 @@ class GrassPoint:
             raise ValueError(f"point on {self.chart.index}: missing coordinates "
                              f"{missing}, unknown coordinates {unknown}")
         for name, v in self.values.items():
+            if v.r != self.r:
+                raise ValueError(f"coordinate {name} is in Lambda_{v.r}, not Lambda_{self.r}")
             want = self.chart.coord_parity[name]
             slots = _layout(v.r).by_parity
             if any(map(v.num.__getitem__, slots[1 - want])):

@@ -5,16 +5,19 @@
   checks, the basis completion of the transitivity witness, the commutant's
   nullspace, span membership and the inverse-transition system use it.
 * solve solves a square system and raises NotInvertible when the body of
-  the matrix is singular.  Every chart normalization, every supermatrix
-  inverse and every group inverse goes through it.  It runs one of two
-  eliminations, which take the same pivots:
+  the matrix is singular.  Every supermatrix inverse and every group
+  inverse goes through it.  It strips the unit columns and runs one of two
+  eliminations, which take one row layout (each row of Z without its unit
+  columns, then the row of Y), eliminate in place, pick the same pivots and
+  return the row that holds each column's solution:
   - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
     numerator tuples over one int denominator each, fused product-kernel
-    steps and no GrassmannNumber until the solution.  The pointwise hop
-    (atlas.HopPlan.transition) fills its rows itself and calls it directly.
-  - ring_solve on a chart ring (SuperFunction), through the ring's own
-    has_body(), inv(), is_zero() and add_product(); the tests also run it
-    on Lambda_r as lambda_solve's oracle.
+    steps and no GrassmannNumber until the solution.
+  - ring_solve on any other ring (SuperFunction, Lambda_0 at a hop),
+    through the ring's own has_body(), inv(), is_zero() and add_product();
+    the tests also run it on Lambda_r as lambda_solve's oracle.
+  A chart normalization fills the rows of its compiled pasting system
+  (atlas.PastingSystem) in that layout and calls one of them directly.
 
 The two kinds stay apart on purpose: rref skips columns and reports the
 rank, solve must find a pivot in every column.
@@ -71,22 +74,21 @@ def solve(Z, Y, units=()):
     is eliminated.  Raises NotInvertible exactly when the body of Z is
     singular, whatever the pivot order.
 
+    This is the one place that strips the unit columns from a dense system:
+    both eliminations take each row of Z without them, then the row of Y.
     Lambda_r input is eliminated on integer rows (lambda_solve), any other
     ring by ring_solve.  Both take the same pivots and give the same X.
     """
-    if not (Z and isinstance(Z[0][0], GrassmannNumber)):
-        return ring_solve(Z, Y, units)
-    r = Z[0][0].r
     units = tuple(units)
     cols = _pivot_plan(len(Z), units)[0]
-    M, dens = [], []
-    for zrow, yrow in zip(Z, Y):
-        row = [zrow[j] for j in cols] + list(yrow)
-        den = lcm(*[e.den for e in row])
-        M.append([e.num if e.den == den else tuple([den // e.den * c for c in e.num])
-                  for e in row])
-        dens.append(den)
+    M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]
     w = len(cols)
+    if not (Z and isinstance(Z[0][0], GrassmannNumber)):
+        return [M[i][w:] for i in ring_solve(M, units)]
+    r = Z[0][0].r
+    dens = [lcm(*[e.den for e in row]) for row in M]
+    M = [[e.num if e.den == den else tuple([den // e.den * c for c in e.num]) for e in row]
+         for row, den in zip(M, dens)]
     return [[_reduced(r, num, dens[i]) for num in M[i][w:]]
             for i in lambda_solve(r, M, dens, units)]
 
@@ -150,17 +152,17 @@ def lambda_solve(r: int, M, dens, units=()) -> list[int]:
     return pivot
 
 
-def ring_solve(Z, Y, units=()):
+def ring_solve(M, units=()) -> list[int]:
     """solve over any ring whose elements offer has_body(), inv(),
     is_zero() and the fused step x.add_product(a, b, sign) = x + sign*a*b:
     the elimination of the chart rings, and the tests' oracle for
-    lambda_solve."""
-    cols, free, pivot = _pivot_plan(len(Z), tuple(units))
+    lambda_solve.  It runs in place on the rows lambda_solve takes, the
+    columns of Z that `units` does not name and then Y, and returns, as
+    lambda_solve does, the row that holds X[j] past the eliminated columns
+    for each column j of Z; the unit columns stay untouched because their
+    other entries are zero."""
+    cols, free, pivot = _pivot_plan(len(M), tuple(units))
     free, pivot = list(free), list(pivot)
-    w = len(cols)
-    # each row keeps only the columns still to be eliminated, then Y; the
-    # unit columns stay untouched because their other entries are zero
-    M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]
     width = len(M[0]) if M else 0
     for t, col in enumerate(cols):
         for piv in free:
@@ -183,7 +185,7 @@ def ring_solve(Z, Y, units=()):
                 if not p.is_zero():
                     row[j] = row[j].add_product(f, p, -1)
         pivot[col] = piv
-    return [M[i][w:] for i in pivot]
+    return pivot
 
 
 def inverse(Z):

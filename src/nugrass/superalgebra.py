@@ -4,9 +4,6 @@ Elements are finite sums  sum_S  c_S * e_S  where each coefficient c_S is a
 rational function over QQ in declared even indeterminates and e_S is a
 monomial in anticommuting odd generators.  The first odd generator carries
 the odd involution nu (toggle membership of e_1, left insertion, no sign).
-Auxiliary odd generators (tau's) can be adjoined for first-order nilpotent
-differentiation; nu never touches them.  They are the only way a generator
-context grows: its even indeterminates are fixed when it is declared.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
@@ -248,49 +245,35 @@ class RationalFunction:
 
 
 class GeneratorContext:
-    """Declares the generators of one structure ring.
+    """Declares the generators of one structure ring: even_names are the
+    commuting indeterminates of the coefficient field, odd_names the
+    exterior generators, the first of which carries the involution."""
 
-    even_names are the commuting indeterminates of the coefficient field,
-    odd_names the exterior generators the involution acts on, aux_names
-    adjoined nilpotent odd parameters that nu ignores.  A context grows only
-    by those parameters (adjoin_nilpotent); its coefficient field is fixed.
-    """
+    __slots__ = ("even_names", "odd_names")
 
-    __slots__ = ("even_names", "odd_names", "aux_names")
-
-    def __init__(self, even_names=(), odd_names=(), aux_names=()):
+    def __init__(self, even_names, odd_names):
         even_names = tuple(even_names)
         odd_names = tuple(odd_names)
-        aux_names = tuple(aux_names)
-        all_names = even_names + odd_names + aux_names
+        all_names = even_names + odd_names
         if len(set(all_names)) != len(all_names):
             raise NameClash(f"duplicate generator name in {all_names}")
         self.even_names = even_names
         self.odd_names = odd_names
-        self.aux_names = aux_names
 
     @property
     def beta(self) -> int:
         return len(self.odd_names)
 
-    @property
-    def odd_total(self) -> int:
-        return len(self.odd_names) + len(self.aux_names)
-
     def __eq__(self, other):
         if not isinstance(other, GeneratorContext):
             return NotImplemented
-        return (
-            self.even_names == other.even_names
-            and self.odd_names == other.odd_names
-            and self.aux_names == other.aux_names
-        )
+        return self.even_names == other.even_names and self.odd_names == other.odd_names
 
     def __hash__(self):
-        return hash((self.even_names, self.odd_names, self.aux_names))
+        return hash((self.even_names, self.odd_names))
 
     def __repr__(self):
-        return f"GeneratorContext(even={self.even_names}, odd={self.odd_names}, aux={self.aux_names})"
+        return f"GeneratorContext(even={self.even_names}, odd={self.odd_names})"
 
     # -- element builders ---------------------------------------------------
 
@@ -304,30 +287,13 @@ class GeneratorContext:
         c = RationalFunction.from_rat(self.even_names, q)
         return SuperFunction(self, {0: c} if c else {})
 
-    def coeff(self, rf: RationalFunction) -> "SuperFunction":
-        if rf.names != self.even_names:
-            raise ContextMismatch("coefficient from a different even context")
-        return SuperFunction(self, {0: rf} if rf else {})
-
     def gen(self, name: str) -> "SuperFunction":
         if name in self.even_names:
-            return self.coeff(RationalFunction.gen(self.even_names, name))
-        odd_all = self.odd_names + self.aux_names
-        if name in odd_all:
-            bit = 1 << odd_all.index(name)
+            return SuperFunction(self, {0: RationalFunction.gen(self.even_names, name)})
+        if name in self.odd_names:
+            bit = 1 << self.odd_names.index(name)
             return SuperFunction(self, {bit: RationalFunction.from_rat(self.even_names, 1)})
         raise UnknownVariable(name)
-
-    # -- context surgery ----------------------------------------------------
-
-    def adjoin_nilpotent(self, names) -> "GeneratorContext":
-        """Extend with fresh auxiliary odd parameters."""
-        names = tuple(names)
-        existing = set(self.even_names + self.odd_names + self.aux_names)
-        for n in names:
-            if n in existing:
-                raise NameClash(n)
-        return GeneratorContext(self.even_names, self.odd_names, self.aux_names + names)
 
 
 class SuperFunction:
@@ -448,7 +414,7 @@ class SuperFunction:
         )
         result = self.ctx.one()
         power = self.ctx.one()
-        for _ in range(self.ctx.odd_total):
+        for _ in range(self.ctx.beta):
             power = power * minus_n
             if power.is_zero():
                 break
@@ -467,10 +433,9 @@ class SuperFunction:
         ctx = self.ctx
         if name in ctx.even_names:
             return SuperFunction(ctx, {m: c.diff(name) for m, c in self.terms.items()})
-        odd_all = ctx.odd_names + ctx.aux_names
-        if name not in odd_all:
+        if name not in ctx.odd_names:
             raise UnknownVariable(name)
-        bit = 1 << odd_all.index(name)
+        bit = 1 << ctx.odd_names.index(name)
         out = {}
         for m, c in self.terms.items():
             if not (m & bit):
@@ -506,12 +471,11 @@ class SuperFunction:
             return total
 
         total = scalar(0)
-        odd_all = ctx.odd_names + ctx.aux_names
         for mask, c in self.terms.items():
             val = image(c.num)
             if not c.den.is_ground:  # a monic constant denominator is 1
                 val = val * image(c.den).inv()
-            for i, name in enumerate(odd_all):
+            for i, name in enumerate(ctx.odd_names):
                 if mask >> i & 1:
                     val = val * values[name]
             total = total + val
@@ -521,25 +485,24 @@ class SuperFunction:
 
     def to_dict(self) -> dict:
         out = {}
-        odd_all = self.ctx.odd_names + self.ctx.aux_names
         for mask in sorted(self.terms):
-            idx = [str(i + 1) for i in range(len(odd_all)) if mask >> i & 1]
+            idx = [str(i + 1) for i in range(self.ctx.beta) if mask >> i & 1]
             out[",".join(idx)] = self.terms[mask].to_dict()
         return out
 
     @classmethod
     def from_dict(cls, ctx: GeneratorContext, data: dict) -> "SuperFunction":
-        return cls(ctx, {_key_mask(key, ctx.odd_total): RationalFunction.from_dict(cdata)
+        return cls(ctx, {_key_mask(key, ctx.beta): RationalFunction.from_dict(cdata)
                          for key, cdata in data.items()})
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        odd_all = self.ctx.odd_names + self.ctx.aux_names
+        odd = self.ctx.odd_names
         parts = []
         for mask in sorted(self.terms):
             c = repr(self.terms[mask])
-            gens = "*".join(odd_all[i] for i in range(len(odd_all)) if mask >> i & 1)
+            gens = "*".join(odd[i] for i in range(len(odd)) if mask >> i & 1)
             if not gens:
                 parts.append(c)
             elif c == "1":

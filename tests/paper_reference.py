@@ -8,9 +8,13 @@ pasting normalization of a realized grid, the oracle of every compiled
 pasting system.  minor_M, remainder_D and minor_Mprime spell out the
 paper's minors M, M' and remainder D on a SuperMatrix, column by column.
 palette_hop is the pointwise hop on value objects, the oracle of the hop on
-numerator tuples.  invert_transition_at_point solves the pasting equation
-of a direction as an exact linear system over QQ; it realizes no direction
-and checks forward hops against their inverse.  nu_defect_reference applies
+numerator tuples; ring_route is linalg.solve through ring_solve, the oracle
+of its integer rows.  Both eliminations take one row layout: each row of Z
+without its unit columns, then the row of Y.  The eps-ring of
+eps_ring_fundamental_field is a context it builds itself, with the eps
+parameters as trailing odd generators.  invert_transition_at_point solves
+the pasting equation of a direction as an exact linear system over QQ; it
+realizes no direction and checks forward hops against their inverse.  nu_defect_reference applies
 the generic chain rule over the chart ring extended by a symbol f and its
 partials f_x (formal_context); lift carries nulie.nu_defect's coefficient
 form into that ring, so the two compare as ring elements.
@@ -199,9 +203,15 @@ def minor_Mprime(A: SuperMatrix, J, S, target) -> SuperMatrix:
 def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
     """The fundamental field of E over the eps-ring, the Lie-correspondence
     route: act with  Id + eps*E  over the chart ring extended by square-zero
-    parameters (eps = tau for odd E, tau1*tau2 for even E), renormalize into
+    parameters (eps = t1 for odd E, t1*t2 for even E), renormalize into
     the same chart by the full solve, and extract the eps-linear part of
-    each coordinate."""
+    each coordinate.
+
+    The eps-ring is a context built here, with the t's as trailing odd
+    generators.  nu toggles only the first odd generator, so on a chart
+    with an odd coordinate it never touches a t.  A chart with no odd
+    coordinate has no marks and no odd units, so nothing there applies
+    nu, and t1 never stands in as the first odd generator."""
     parity = E.parity()
     if parity is None:
         raise InhomogeneousInput("fundamental_field needs a homogeneous element")
@@ -209,8 +219,9 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
     m, n = idx.m, idx.n
     if (E.m, E.n) != (m, n):
         raise ValueError("element and chart have mismatched shapes")
-    aux = ("t1",) if parity == ODD else ("t1", "t2")
-    ctx2 = chart.ctx.adjoin_nilpotent(aux)
+    ctx = chart.ctx
+    ctx2 = GeneratorContext(ctx.even_names,
+                            ctx.odd_names + (("t1",) if parity == ODD else ("t1", "t2")))
     eps = ctx2.gen("t1")
     if parity == EVEN:
         eps = eps * ctx2.gen("t2")
@@ -243,7 +254,7 @@ def formal_context(chart: Chart) -> GeneratorContext:
     """The chart ring extended by the generic symbol f and its partials f_x."""
     ctx = chart.ctx
     names = ("f",) + tuple(f"f_{x}" for x in chart.even_coords)
-    return GeneratorContext(ctx.even_names + names, ctx.odd_names, ctx.aux_names)
+    return GeneratorContext(ctx.even_names + names, ctx.odd_names)
 
 
 def embed(ctxF: GeneratorContext, sf: SuperFunction) -> SuperFunction:
@@ -308,9 +319,9 @@ def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
 
 
 def palette_hop(plan, values: dict) -> dict:
-    """HopPlan.transition through value objects: the compiled system filled
-    from its palette of the values themselves (nu by the values' own nu),
-    solved by the ring-generic elimination and read off with nu where the
+    """HopPlan.transition through value objects: the rows of the compiled
+    system filled from its palette of the values themselves (nu by the
+    values' own nu), eliminated by ring_solve and read off with nu where the
     read-off is flagged.  Raises as the hop does."""
     system = plan.system
     if isinstance(system, ResidualNuSymbol):
@@ -318,10 +329,20 @@ def palette_hop(plan, values: dict) -> dict:
     proto = next(iter(values.values()), None)
     if proto is None:
         return {}
-    palette = system.palette(values, proto.ring_one())
-    X = ring_solve(_rows(system.minor, palette), _rows(system.free, palette), plan.units)
+    M = _rows(system.rows, system.palette(values, proto.ring_one()))
+    X = [M[i][plan.width:] for i in ring_solve(M, plan.units)]
     return {name: X[row][t].nu() if flag else X[row][t]
             for row, t, name, flag in system.read}
+
+
+def ring_route(Z, Y, units=()):
+    """linalg.solve through ring_solve on any ring, Lambda_r included: the
+    oracle of the integer rows.  It strips the unit columns from the rows
+    of Z itself, as linalg.solve does, and returns X."""
+    named = {j for j, _ in units}
+    cols = [j for j in range(len(Z)) if j not in named]
+    M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]
+    return [M[i][len(cols):] for i in ring_solve(M, units)]
 
 
 def gating_failures(report):

@@ -95,6 +95,16 @@ def test_group_points_reject_mismatched_shapes(build, message):
         build()
 
 
+def test_group_point_rejects_an_entry_from_another_lambda_r():
+    # such entries used to pass; act then raised ContextMismatch and the
+    # serialization round trip UnknownVariable.  validate=False stays unchecked.
+    entries = sample_gl(2, 3, 3, random.Random(4)).entries
+    with pytest.raises(ValueError) as info:
+        GLPoint(2, 3, 2, entries)
+    assert str(info.value) == "entry (0,0) is in Lambda_3, not Lambda_2"
+    assert GLPoint(2, 3, 2, entries, validate=False).r == 2
+
+
 def test_gl_serialization_round_trip():
     rng = random.Random(2)
     P = sample_gl(2, 1, 2, rng)
@@ -181,10 +191,10 @@ def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkey
         return lambda_solve(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("act ran atlas.solve")
+        raise AssertionError("act ran atlas.ring_solve")
 
     monkeypatch.setattr(atlas_module, "lambda_solve", counted)
-    monkeypatch.setattr(atlas_module, "solve", refuse)
+    monkeypatch.setattr(atlas_module, "ring_solve", refuse)
     rng = random.Random(19)
     atlas = get_atlas(1, 2, 2, 3)
     for r in (1, 2, 4):

@@ -21,6 +21,7 @@ from nugrass.errors import (
 from nugrass.superalgebra import (
     EVEN,
     ODD,
+    GeneratorContext,
     GrassmannNumber,
     RationalFunction,
     SuperFunction,
@@ -259,7 +260,8 @@ def test_fundamental_fields_match_the_paper_literal_route():
         m, n = dims[2:]
         for chart, E in itertools.product(get_atlas(*dims).charts, GlElement.basis(m, n)):
             odd = E.parity() == ODD
-            ctx2 = chart.ctx.adjoin_nilpotent(("t1",) if odd else ("t1", "t2"))
+            ctx2 = GeneratorContext(chart.ctx.even_names,
+                                    chart.ctx.odd_names + (("t1",) if odd else ("t1", "t2")))
             eps = ctx2.gen("t1") if odd else ctx2.gen("t1") * ctx2.gen("t2")
             one, zero = ctx2.one(), ctx2.zero()
             P = SuperMatrix((m, n), (m, n), [
@@ -768,6 +770,18 @@ def test_point_parity_validation_messages():
     assert GrassPoint(c1, 4, {"x1": GrassmannNumber(4, {}), "e1": theta(4, 3)}).r == 4
 
 
+def test_grass_point_rejects_a_value_from_another_lambda_r():
+    # such a value used to pass, and the next hop crashed in the product
+    # kernel; points the kernel builds (_point) stay unchecked
+    at = get_atlas(0, 1, 1, 2)
+    c1, c2 = at.chart((), (1,)), at.chart((), (2,))
+    values = {"x1": GrassmannNumber.scalar(3, 2), "e1": theta(2, 1)}
+    with pytest.raises(ValueError) as info:
+        GrassPoint(c1, 2, values)
+    assert str(info.value) == "coordinate x1 is in Lambda_3, not Lambda_2"
+    assert point_transition(GrassPoint(c1, 2, dict(values, x1=gn(2, 2))), c2).r == 2
+
+
 def test_grass_point_from_dict_rejects_a_wrong_parity_coordinate():
     # points the kernel builds skip the parity check; a point read from
     # outside still gets it
@@ -868,7 +882,6 @@ def _eval_poly_grassmann(p, names, assign, r):
 def eval_grassmann_reference(sf, assign, r):
     ctx = sf.ctx
     total = GrassmannNumber(r, {})
-    odd_all = ctx.odd_names + ctx.aux_names
     for mask, c in sf.terms.items():
         num = _eval_poly_grassmann(c.num, c.names, assign, r)
         den = _eval_poly_grassmann(c.den, c.names, assign, r)
@@ -877,7 +890,7 @@ def eval_grassmann_reference(sf, assign, r):
         i = 0
         while mm:
             if mm & 1:
-                val = val * assign[odd_all[i]]
+                val = val * assign[ctx.odd_names[i]]
             mm >>= 1
             i += 1
         total = total + val

@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from math import lcm
 
 import pytest
 import sympy
@@ -10,9 +11,10 @@ import nugrass.atlas as atlas_module
 from nugrass import superalgebra
 from nugrass.atlas import get_atlas, transition_symbolic
 from nugrass.errors import GenericallySingular, NotInvertible, ResidualNuSymbol, UncoveredCase
-from nugrass.linalg import inverse, ring_solve, rref, solve
+from nugrass.linalg import inverse, lambda_solve, ring_solve, rref, solve
 from nugrass.nulie import GlElement, fundamental_field
-from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction
+from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction, _reduced
+from paper_reference import ring_route
 
 
 def rational_matrix(seed):
@@ -201,10 +203,10 @@ def _outcome(route, *args):
 @given(st.integers(0, 10**6))
 @settings(max_examples=200, deadline=None)
 def test_the_integer_rows_match_the_ring_elimination(seed):
-    # solve eliminates Lambda_r on numerator rows; ring_solve is the
+    # solve eliminates Lambda_r on numerator rows; ring_route is the
     # elimination through GrassmannNumber's own arithmetic
     Z, Y, units, singular = _lambda_system(random.Random(seed))
-    want = _outcome(ring_solve, Z, Y, units)
+    want = _outcome(ring_route, Z, Y, units)
     assert _outcome(solve, Z, Y, units) == want
     assert (want[0] is NotInvertible) == singular
     if not singular:
@@ -212,6 +214,27 @@ def test_the_integer_rows_match_the_ring_elimination(seed):
         assert solve(Z, Y) == want
         if Y[0]:
             assert _product(Z, want) == Y
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_both_eliminations_take_one_row_layout_and_pick_the_same_pivots(seed):
+    # the rows of Z without the unit columns, then Y: as values for
+    # ring_solve, as numerator tuples over each row's lcm for lambda_solve
+    Z, Y, units, singular = _lambda_system(random.Random(seed))
+    r, named = Z[0][0].r, {j for j, _ in units}
+    values = [[e for j, e in enumerate(zrow) if j not in named] + yrow
+              for zrow, yrow in zip(Z, Y)]
+    dens = [lcm(*[e.den for e in row]) for row in values]
+    nums = [[tuple([den // e.den * c for c in e.num]) for e in row]
+            for row, den in zip(values, dens)]
+    want = _outcome(ring_solve, values, units)
+    assert _outcome(lambda_solve, r, nums, dens, units) == want
+    assert (want[0] is NotInvertible) == singular
+    if not singular:
+        w = len(Z) - len(units)
+        assert ([[_reduced(r, num, dens[i]) for num in nums[i][w:]] for i in want]
+                == [values[i][w:] for i in want])
 
 
 @pytest.mark.parametrize("r, pivot, inverse", [
@@ -228,7 +251,7 @@ def test_the_integer_rows_scale_by_the_pivot_denominator_and_fix_its_sign(r, piv
     Z = [[g(pivot), g({})], [g({0: MPQ(1, 3), 1: 1}), g({0: 1})]]
     Y = [[g({0: 1})], [g({1: MPQ(1, 2)})]]
     X = solve(Z, Y, [(1, 1)])
-    assert X == ring_solve(Z, Y, [(1, 1)])
+    assert X == ring_route(Z, Y, [(1, 1)])
     assert X[0] == [g(inverse)]
     assert _product(Z, X) == Y
 
@@ -305,9 +328,9 @@ def test_chart_normalization_never_builds_a_body(monkeypatch):
     monkeypatch.setattr(atlas_module, "_GLOBAL_PLANS", {})
     solved = []
 
-    def counting_solve(Z, Y, units=()):
-        solved.append(all(isinstance(e, SuperFunction) for row in Z for e in row))
-        return solve(Z, Y, units)
+    def counting_solve(M, units=()):
+        solved.append(all(isinstance(e, SuperFunction) for row in M for e in row))
+        return ring_solve(M, units)
 
     transition = atlas_module.HopPlan.transition
     filled = []
@@ -316,7 +339,7 @@ def test_chart_normalization_never_builds_a_body(monkeypatch):
         filled.append(all(v.ctx == plan.src.ctx for v in values.values()))
         return transition(plan, values)
 
-    monkeypatch.setattr(atlas_module, "solve", counting_solve)
+    monkeypatch.setattr(atlas_module, "ring_solve", counting_solve)
     monkeypatch.setattr(atlas_module.HopPlan, "transition", counting_transition)
     monkeypatch.setattr(SuperFunction, "body", _refuse_body)
     monkeypatch.setattr(GrassmannNumber, "body", _refuse_body)

@@ -185,7 +185,8 @@ def test_partial_derivatives():
 
 
 def test_adjoined_parameters_square_to_zero_and_extract():
-    ctx2 = CTX.adjoin_nilpotent(("t1", "t2"))
+    # square-zero parameters are trailing odd generators of a context
+    ctx2 = GeneratorContext(CTX.even_names, CTX.odd_names + ("t1", "t2"))
     t1, t2 = ctx2.gen("t1"), ctx2.gen("t2")
     assert (t1 * t1).is_zero()
     eps = t1 * t2
@@ -195,10 +196,10 @@ def test_adjoined_parameters_square_to_zero_and_extract():
     b = ctx2.gen("e1") + ctx2.gen("y")
     combo = a + t1 * b
     assert combo.partial("t1") == b
-    # the involution never touches adjoined parameters
+    # the involution toggles only the first odd generator, never a trailing one
     assert t1.nu() == ctx2.gen("e1") * t1
     with pytest.raises(NameClash):
-        CTX.adjoin_nilpotent(("x",))
+        GeneratorContext(CTX.even_names, CTX.odd_names + ("x",))
 
 
 def test_context_mismatch_is_rejected():
@@ -211,8 +212,8 @@ def test_superfunction_serialization_round_trip():
     x = CTX.gen("x")
     a = x * CTX.gen("e1") + CTX.gen("e2").scale(MPQ(-3, 7)) + x.inv()
     assert SuperFunction.from_dict(CTX, a.to_dict()) == a
-    # an auxiliary generator numbers after the odd ones
-    ctx = CTX.adjoin_nilpotent(("t1",))
+    # a trailing odd generator numbers after the others
+    ctx = GeneratorContext(CTX.even_names, CTX.odd_names + ("t1",))
     b = ctx.gen("e2") * ctx.gen("t1") + ctx.gen("e1").scale(5) + ctx.gen("x")
     assert set(b.to_dict()) == {"", "1", "2,3"}
     assert SuperFunction.from_dict(ctx, b.to_dict()) == b
