@@ -506,19 +506,19 @@ class HopPlan:
         """Destination coordinates of the source point with these coordinate
         values, from any ring with an involution (a chart ring, Lambda_r);
         0 and 1 come from the values' own ring.  One exact solve of the
-        pasting system: on numerator tuples over Lambda_r, through the
-        palette of the values themselves over any other ring.  Raises
-        ResidualNuSymbol where the pair has no system, NotInvertible where
-        the minor is singular."""
+        pasting system: on numerator tuples over every Lambda_r, Lambda_0
+        included, and through the palette of the values themselves over a
+        chart ring.  Raises ResidualNuSymbol where the pair has no system,
+        NotInvertible where the minor is singular, and NoOddGenerators where
+        Lambda_0 would need nu."""
         system = self.system
         if isinstance(system, ResidualNuSymbol):
             raise ResidualNuSymbol(*system.args)
         proto = next(iter(values.values()), None)
         if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
             return {}
-        if isinstance(proto, GrassmannNumber) and proto.r:
+        if isinstance(proto, GrassmannNumber):
             return self._lambda_transition(system, values, proto.r)
-        # a chart ring, or Lambda_0, where any nu raises NoOddGenerators
         M = _rows(system.rows, system.palette(values, proto.ring_one()))
         pivot = ring_solve(M, self.units)
         out = {}
@@ -528,14 +528,15 @@ class HopPlan:
         return out
 
     def _lambda_transition(self, system: PastingSystem, values: dict, r: int) -> dict:
-        """transition over Lambda_r (r >= 1) on numerator tuples: the
-        palette holds each slot's numerators and denominator, nu permutes
-        the numerators by _layout(r).nu, each row of system.rows goes over
-        the lcm of its denominators, and linalg.lambda_solve eliminates;
-        only the read-off builds values, one _reduced each."""
+        """transition over Lambda_r on numerator tuples: the palette holds
+        each slot's numerators and denominator (slot 2, nu(1), only where
+        the system has it), nu permutes the numerators by _layout(r).nu,
+        each row of system.rows goes over the lcm of its denominators, and
+        linalg.lambda_solve eliminates; only the read-off builds values, one
+        _reduced each."""
         layout = _layout(r)
         nu = layout.nu
-        nums = [layout.zero, layout.one, nu(layout.one)]
+        nums = [layout.zero, layout.one, nu(layout.one) if system.nu_one else None]
         dens = [1, 1, 1]
         for name, flag in system.coords:
             v = values[name]
@@ -606,10 +607,8 @@ class GrassPoint:
         for name, v in self.values.items():
             if v.r != self.r:
                 raise ValueError(f"coordinate {name} is in Lambda_{v.r}, not Lambda_{self.r}")
-            want = self.chart.coord_parity[name]
-            slots = _layout(v.r).by_parity
-            if any(map(v.num.__getitem__, slots[1 - want])):
-                p = None if any(map(v.num.__getitem__, slots[want])) else 1 - want
+            want, p = self.chart.coord_parity[name], v.parity()
+            if p != want and not v.is_zero():
                 raise ValueError(f"coordinate {name} has parity {p}, wants {want}")
 
     def __eq__(self, other):

@@ -170,7 +170,7 @@ def cmd_transitivity(parser, args) -> int:
             p1 = json.loads(args.base1) if args.base1 else []
             p2 = json.loads(args.base2) if args.base2 else []
             base = BasePoint(p1, p2, m=args.m, n=args.n)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             parser.error(f"bad base point: {exc}")
     try:
         rep = verify_transitivity(args.k, args.l, args.m, args.n, r=args.r,

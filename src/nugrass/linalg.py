@@ -13,9 +13,9 @@
   - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
     numerator tuples over one int denominator each, fused product-kernel
     steps and no GrassmannNumber until the solution.
-  - ring_solve on any other ring (SuperFunction, Lambda_0 at a hop),
-    through the ring's own has_body(), inv(), is_zero() and add_product();
-    the tests also run it on Lambda_r as lambda_solve's oracle.
+  - ring_solve on any other ring (SuperFunction: the chart rings), through
+    the ring's own has_body(), inv(), is_zero() and add_product(); the
+    tests also run it on Lambda_r as lambda_solve's oracle.
   A chart normalization fills the rows of its compiled pasting system
   (atlas.PastingSystem) in that layout and calls one of them directly.
 

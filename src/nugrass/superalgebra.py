@@ -19,6 +19,12 @@ operands computes only the slots of its parity, from the terms of its
 parity pair, and any other product takes the full 3**r-term body.
 linalg.lambda_solve eliminates on the same numerator tuples, with the same
 kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
+
+Each rule of the Grassmann algebra is written once here: the Koszul sign
+of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table`` and the
+odd derivative read it), nu on numerator tuples is ``_layout(r).nu`` at
+every r, and a monomial key of ``to_dict`` is ``_mask_key``, which
+``_key_mask`` parses back.
 """
 
 from __future__ import annotations
@@ -78,6 +84,12 @@ def _key_mask(key: str, count: int) -> int:
     return mask
 
 
+def _mask_key(mask: int) -> str:
+    """The ``to_dict`` key of a monomial bitmask, the inverse of _key_mask:
+    its generator numbers, ascending from 1, joined by commas."""
+    return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 class RationalFunction:
     """Quotient of multivariate polynomials over QQ in canonical form.
 
@@ -132,9 +144,6 @@ class RationalFunction:
         return cls(names, R.from_dict({exp: QQ(1)}), R.one, _canonical=True)
 
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -436,13 +445,8 @@ class SuperFunction:
         if name not in ctx.odd_names:
             raise UnknownVariable(name)
         bit = 1 << ctx.odd_names.index(name)
-        out = {}
-        for m, c in self.terms.items():
-            if not (m & bit):
-                continue
-            pos = (m & (bit - 1)).bit_count()
-            out[m ^ bit] = -c if pos & 1 else c
-        return _sf(ctx, out)
+        return _sf(ctx, {m ^ bit: c if mono_sign(bit, m ^ bit) > 0 else -c
+                         for m, c in self.terms.items() if m & bit})
 
     def ring_zero(self) -> "SuperFunction":
         return SuperFunction(self.ctx, {})
@@ -484,11 +488,7 @@ class SuperFunction:
     # -- serialization / display ---------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {}
-        for mask in sorted(self.terms):
-            idx = [str(i + 1) for i in range(self.ctx.beta) if mask >> i & 1]
-            out[",".join(idx)] = self.terms[mask].to_dict()
-        return out
+        return {_mask_key(mask): self.terms[mask].to_dict() for mask in sorted(self.terms)}
 
     @classmethod
     def from_dict(cls, ctx: GeneratorContext, data: dict) -> "SuperFunction":
@@ -658,8 +658,6 @@ class GrassmannNumber:
 
     def nu(self) -> "GrassmannNumber":
         """Odd involution on Lambda_r: toggle membership of theta_1."""
-        if self.r < 1:
-            raise NoOddGenerators("nu on Lambda_r needs r >= 1")
         return _gn(self.r, _layout(self.r).nu(self.num), self.den)
 
     def ring_zero(self) -> "GrassmannNumber":
@@ -669,10 +667,7 @@ class GrassmannNumber:
         return _gn(self.r, _layout(self.r).one, 1)
 
     def to_dict(self) -> dict:
-        return {
-            ",".join(str(i + 1) for i in range(self.r) if m >> i & 1): str(c)
-            for m, c in sorted(self.terms.items())
-        }
+        return {_mask_key(m): str(c) for m, c in sorted(self.terms.items())}
 
     @classmethod
     def from_dict(cls, r: int, data: dict) -> "GrassmannNumber":
@@ -740,38 +735,29 @@ class _Layout(NamedTuple):
     zero: tuple[int, ...]  # the numerators of 0 and of 1
     one: tuple[int, ...]
     by_parity: tuple[tuple[int, ...], tuple[int, ...]]  # even masks, odd masks
-    nu: Callable  # the numerators of nu(x) from those of x: slot m is slot m ^ 1 (r >= 1)
+    nu: Callable  # the numerators of nu(x) from those of x: slot m is slot m ^ 1
+
+
+def _no_nu(num):
+    raise NoOddGenerators("nu on Lambda_r needs r >= 1")
 
 
 @lru_cache(maxsize=None)
 def _layout(r: int) -> _Layout:
-    """The per-r constants of the numerator tuples of Lambda_r."""
+    """The per-r constants of the numerator tuples of Lambda_r; Lambda_0 has
+    no theta_1, so its nu raises NoOddGenerators."""
     masks = range(1 << r)
     zero = (0,) * len(masks)
     return _Layout(zero, (1,) + zero[1:],
                    tuple(tuple(m for m in masks if m.bit_count() & 1 == p) for p in (0, 1)),
-                   itemgetter(*(m ^ 1 for m in masks)))
+                   itemgetter(*(m ^ 1 for m in masks)) if r else _no_nu)
 
 
 @lru_cache(maxsize=None)
 def _sign_table(r: int) -> tuple[tuple[int, ...], ...]:
-    """S[a][b]: the sign of e_a * e_b in Lambda_r, 0 where a and b overlap.
-
-    Row a is filled by the lowest bit j of b: moving e_j to its place past
-    e_a costs one transposition per generator of a above j.
-    """
-    size = 1 << r
-    table = []
-    for a in range(size):
-        row = [0] * size
-        row[0] = 1
-        for b in range(1, size):
-            if not a & b:
-                low = b & -b
-                s = row[b ^ low]
-                row[b] = -s if (a >> low.bit_length()).bit_count() & 1 else s
-        table.append(tuple(row))
-    return tuple(table)
+    """S[a][b]: mono_sign(a, b) in Lambda_r, 0 where a and b overlap."""
+    masks = range(1 << r)
+    return tuple(tuple(0 if a & b else mono_sign(a, b) for b in masks) for a in masks)
 
 
 @lru_cache(maxsize=None)

@@ -110,11 +110,6 @@ class SuperMatrix:
     def has_nu(self) -> bool:
         return any(is_nu(e) for row in self.entries for e in row)
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
-        return smat_mul(self, other)
-
     def __repr__(self):
         return format_blocked(
             [[repr(e) for e in row] for row in self.entries],

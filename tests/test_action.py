@@ -181,8 +181,9 @@ def test_acted_points_match_the_grid_normalizer(dims, r, seed, degenerate):
 
 
 def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkeypatch):
-    # at r >= 1 an acted matrix fills the numerator rows of its destination's
-    # plain pasting system and goes straight to linalg.lambda_solve
+    # at every r, r = 0 included, an acted matrix fills the numerator rows of
+    # its destination's plain pasting system and goes straight to
+    # linalg.lambda_solve; on Lambda_0 a destination that needs nu raises
     eliminated = []
     lambda_solve = atlas_module.lambda_solve
 
@@ -197,7 +198,7 @@ def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkey
     monkeypatch.setattr(atlas_module, "ring_solve", refuse)
     rng = random.Random(19)
     atlas = get_atlas(1, 2, 2, 3)
-    for r in (1, 2, 4):
+    for r in (1, 2, 4, 0):
         X = sample_point(rng.choice(atlas.standard_charts), r, rng)
         P = sample_gl(2, 3, r, rng)
         act(X, P)
@@ -206,7 +207,9 @@ def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkey
                 act(X, P, target=dst)
             except MinorNotInvertible:
                 pass
-    assert set(eliminated) == {1, 2, 4}
+            except NoOddGenerators:
+                assert r == 0
+    assert set(eliminated) == {0, 1, 2, 4}
 
 
 # ---------------------------------------------------------------------------

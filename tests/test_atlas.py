@@ -12,6 +12,7 @@ from sympy.external.gmpy import MPQ
 from nugrass.errors import (
     GenericallySingular,
     MinorNotInvertible,
+    NoOddGenerators,
     NotInvertible,
     OverlapNotSampled,
     ResidualNuSymbol,
@@ -613,28 +614,30 @@ def test_compiled_hop_matches_the_realized_grid_route(dims, r, seed):
 def _hop_outcome(hop, plan, values):
     try:
         return hop(plan, values)
-    except (NotInvertible, ResidualNuSymbol) as exc:
+    except (NotInvertible, ResidualNuSymbol, NoOddGenerators) as exc:
         return type(exc), exc.args
 
 
 def second_hop_values(chart, r, rng):
     """The coordinate values of a point hopped into chart from another chart,
-    so that their denominators are mostly not 1; None where no draw hops."""
+    so that their denominators are mostly not 1; None where no draw hops
+    (on Lambda_0 a hop that needs nu does not)."""
     charts = get_atlas(chart.index.k, chart.index.l, chart.index.m, chart.index.n).charts
     for c in rng.sample(charts, len(charts)):
         if c is not chart and _get_plan(c, chart).status == "ok":
             try:
                 return point_transition(draw_point(c, r, rng), chart).values
-            except MinorNotInvertible:
+            except (MinorNotInvertible, NoOddGenerators):
                 continue
     return None
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("dims", [(1, 2, 2, 3), (2, 2, 3, 3)])
 def test_the_hop_on_numerator_tuples_matches_the_palette_route(dims, r):
     # every ordered pair, at a drawn point (some minors singular) and at a
-    # point that a hop brought in (rational coordinates)
+    # point that a hop brought in (rational coordinates); on Lambda_0 a hop
+    # that needs nu raises NoOddGenerators on both routes
     rng = random.Random(100 * r + sum(dims))
     charts = get_atlas(*dims).charts
     kinds, rational = set(), 0
@@ -648,8 +651,30 @@ def test_the_hop_on_numerator_tuples_matches_the_palette_route(dims, r):
             assert _hop_outcome(atlas.HopPlan.transition, plan, values) == want, \
                 f"{a.index} -> {b.index}"
             kinds.add(want[0] if isinstance(want, tuple) else dict)
-    assert kinds == {dict, NotInvertible, ResidualNuSymbol}
-    assert rational > len(charts) ** 2 // 2
+    assert kinds == {dict, NotInvertible, ResidualNuSymbol} | ({NoOddGenerators} if r == 0 else set())
+    # on Lambda_0 about half of the hops need nu, so fewer points hop in
+    assert rational > len(charts) ** 2 // (4 if r == 0 else 2)
+
+
+def test_hops_on_lambda_0_eliminate_integer_rows(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(atlas, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in ("lambda_solve", "ring_solve"):
+        monkeypatch.setattr(atlas, name, spy(name))
+    rng = random.Random(0)
+    charts = get_atlas(1, 2, 2, 3).charts
+    hopped = sum(isinstance(_hop_outcome(atlas.HopPlan.transition, _get_plan(a, b),
+                                         draw_point(a, 0, rng).values), dict)
+                 for a, b in itertools.product(charts, charts))
+    assert hopped and calls and set(calls) == {"lambda_solve"}
 
 
 def _symbolic_kinds_match(charts):

@@ -100,6 +100,8 @@ def test_transitivity_command(capsys):
     ["--base1", "[[1,0],[0]]", "--base2", "[[1,0]]"],    # ragged rows
     ["--base1", "[[1,0,0]]", "--base2", "[[1,0]]"],      # p1 wider than m
     ["--base1", "[[1,0]]"],                              # no p2 row for l = 1
+    ["--base1", "[[1e400, 0]]", "--base2", "[[1, 0]]"],  # an infinite entry
+    ["--base1", '[["1/0", 0]]', "--base2", "[[1, 0]]"],  # a zero denominator
 ])
 def test_a_base_point_that_does_not_fit_exits_2(capsys, base):
     with pytest.raises(SystemExit) as exc:

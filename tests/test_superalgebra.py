@@ -367,6 +367,40 @@ def test_mono_sign_counts_transpositions():
     assert mono_sign(0b101, 0b010) == -1  # e1e3 * e2: one swap past e3
 
 
+def _bubble_sign(a, b):
+    """The sign of e_a * e_b by bubble-sorting the generator list of a then
+    b and counting the swaps; 0 where a and b share a generator."""
+    if a & b:
+        return 0
+    gens = [i for i in range(a.bit_length()) if a >> i & 1]
+    gens += [i for i in range(b.bit_length()) if b >> i & 1]
+    swaps = 0
+    for end in range(len(gens) - 1, 0, -1):
+        for i in range(end):
+            if gens[i] > gens[i + 1]:
+                gens[i], gens[i + 1] = gens[i + 1], gens[i]
+                swaps += 1
+    return -1 if swaps & 1 else 1
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_the_koszul_sign_and_its_table_match_a_bubble_sort(r):
+    table = _sign_table(r)
+    for a in range(1 << r):
+        for b in range(1 << r):
+            want = _bubble_sign(a, b)
+            assert table[a][b] == want, (a, b)
+            if want:
+                assert mono_sign(a, b) == want, (a, b)
+
+
+def test_nu_on_lambda_0_raises_no_odd_generators():
+    with pytest.raises(NoOddGenerators):
+        _layout(0).nu((1,))
+    with pytest.raises(NoOddGenerators):
+        GrassmannNumber.scalar(0, 3).nu()
+
+
 # ---------------------------------------------------------------------------
 # the integer layout of GrassmannNumber against the MPQ-dict reference
 # ---------------------------------------------------------------------------
