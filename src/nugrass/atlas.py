@@ -7,9 +7,9 @@ diagonal (p != k), and whose remaining columns are filled top to bottom,
 left to right, by the chart coordinates in a fixed global ordering, with the
 involution applied to any symbol landing in a block of the opposite parity.
 
-Transitions come in two flavours, both computed from the pair's compiled
-pasting system (PastingSystem, held by the pair's HopPlan), which evaluates
-the pasting normalization D((M or M')^-1 A) as one exact solve:
+Transitions come in two flavours, both computed from the pasting system
+that the pair's HopPlan compiles, which evaluates the pasting normalization
+D((M or M')^-1 A) as one exact solve:
 
 * symbolic, between charts of the structure rings; only the
   standard-to-standard and arbitrary-to-non-standard directions admit a
@@ -32,7 +32,8 @@ that solve fails exactly where no point can hop.  A matrix that is not a
 chart grid (an acted point [X]P, the acted label L E of a fundamental
 field) is plain: every entry is a coordinate of its own.  It fills the
 system compiled from a plain source into its destination chart
-(Chart.plain_plan), so every pasting normalization runs through _compile.
+(Chart.plain_plan), so every pasting normalization runs through
+HopPlan._compile.
 The grids that are still built (a label over a chart ring, a realized
 Lambda_r point to act on) come from one realizer, Chart.grid.
 """
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import lcm
 from types import MappingProxyType, SimpleNamespace
-from typing import NamedTuple
 
 from .errors import (
     GenericallySingular,
@@ -329,16 +329,11 @@ class Atlas:
         self.k, self.l, self.m, self.n = k, l, m, n
         self.charts = enumerate_charts(k, l, m, n)
         self._by_index = {(c.index.I, c.index.R): c for c in self.charts}
-
-    @property
-    def standard_charts(self) -> list[Chart]:
-        return [c for c in self.charts if c.index.standard]
-
-    @property
-    def act_order(self) -> list[Chart]:
-        """Chart preference for the group action: standard charts first, so
-        results stay in the plain rational regime whenever possible."""
-        return self.standard_charts + [c for c in self.charts if not c.index.standard]
+        self.standard_charts = [c for c in self.charts if c.index.standard]
+        # chart preference for the group action: standard charts first, so
+        # results stay in the plain rational regime whenever possible
+        self.act_order = self.standard_charts + [c for c in self.charts
+                                                 if not c.index.standard]
 
     def chart(self, I, R) -> Chart:
         return self._by_index[(tuple(I), tuple(R))]
@@ -362,75 +357,6 @@ def _get_plan(src: Chart, dst: Chart) -> "HopPlan":
         return pl
 
 
-class PastingSystem(NamedTuple):
-    """Where each entry of a pasting system  Z X = Y  comes from, for a
-    chart pair or for a plain matrix into a chart (Chart.plain_plan).
-
-    Every entry is a slot of a palette that PastingSystem.palette builds
-    from one point's coordinate values: slot 0 is the ring's 0, slot 1 its
-    1, slot 2 nu(1) (an unmoved constant 1 in a moved column; None unless
-    one occurs) and slot 3 + i the value of coords[i] = (name, apply nu).
-    A coordinate takes nu where its label mark differs from its column's
-    move, because nu o nu = id.  `rows` is the one row table, the layout
-    that both eliminations of linalg take: each row of Z without the
-    pair's unit columns (HopPlan.units), then the row of Y, whose twisted
-    odd-unit columns are e_u.  `read` holds the read-off slots (row,
-    column of X, name, apply nu), the nu flag combining the label mark with
-    the twist of the odd-unit rule  x 1nu = nu(x).  A plain source has no
-    constants, no odd unit and so no unit column: each entry (i, j) is a
-    coordinate, with nu where its column moves, so the first k+l entries of
-    each row are the divider-adjusted minor.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[str, bool], ...]
-    read: tuple[tuple[int, int, str, bool], ...]
-    nu_one: bool
-
-    def palette(self, values: dict, one) -> list:
-        pal = [one.ring_zero(), one, one.nu() if self.nu_one else None]
-        pal += [values[name].nu() if flag else values[name] for name, flag in self.coords]
-        return pal
-
-
-def _compile(src, dst: Chart, units) -> PastingSystem:
-    """The pasting system of a chart pair from the source pattern, the
-    destination's plan and the pair's unit columns (the source may be the
-    plain one of Chart.plain_plan); raises ResidualNuSymbol
-    where a source odd unit lands in an unmoved selected column, at the
-    first such entry by rows.  A moved odd unit resolves to 1, so it only
-    occurs in a unit column."""
-    zsel, dcols, read = dst.dst_plan
-    unit_cols = {j for j, _ in units}
-    unit_rows = src.nu_unit_rows
-    coords = []
-
-    def entry(cell, moved):
-        kind = cell[0]
-        if kind == "zero":
-            return 0
-        if kind == "one":
-            return 2 if moved else 1
-        coords.append((cell[1], cell[2] != moved))
-        return len(coords) + 2
-
-    rows = []
-    for i, row in enumerate(src.pattern):
-        zrow = []
-        for j, (c, moved) in enumerate(zsel):
-            if row[c][0] == "nu1" and not moved:
-                raise ResidualNuSymbol(f"odd unit column {c} selected but not moved")
-            if j not in unit_cols:
-                zrow.append(entry(row[c], moved))
-        # a twisted column is e_u: slot 1 (one) in row u, slot 0 elsewhere
-        rows.append(tuple(zrow) + tuple(int(i == unit_rows[c]) if c in unit_rows
-                                        else entry(row[c], False) for c in dcols))
-    return PastingSystem(tuple(rows), tuple(coords),
-                         tuple((row, t, name, marked != (dcols[t] in unit_rows))
-                               for row, t, name, marked in read),
-                         any(2 in row for row in rows))
-
-
 def _rows(index_rows, palette) -> list[list]:
     return [[palette[k] for k in row] for row in index_rows]
 
@@ -443,10 +369,28 @@ def _cells(A) -> dict:
 
 class HopPlan:
     """One source/destination chart pair, computed once per process: column
-    selections, the compiled pasting system, hop status, symbolic pasting
-    map and its nu-audit verdict.  The pointwise hop, the symbolic map and
-    the status all fill the one PastingSystem.  The source may also be the
-    plain matrix of Chart.plain_plan, whose plan is only ever filled."""
+    selections, the compiled pasting system  Z X = Y, hop status, symbolic
+    pasting map and its nu-audit verdict.  The pointwise hop, the symbolic
+    map and the status all fill the one row table.  The source may also be
+    the plain matrix of Chart.plain_plan, whose plan is only ever filled.
+
+    Every entry of the system is a slot of the palette that palette builds
+    from one point's coordinate values: slot 0 is the ring's 0, slot 1 its
+    1, slot 2 nu(1) (an unmoved constant 1 in a moved column; None unless
+    nu_one) and slot 3 + i the value of coords[i] = (name, apply nu).  A
+    coordinate takes nu where its label mark differs from its column's
+    move, because nu o nu = id.  `rows` is the one row table, the layout
+    that both eliminations of linalg take: each row of Z without the pair's
+    unit columns (units), then the row of Y, whose twisted odd-unit columns
+    are e_u.  `read` holds the read-off slots (row, column of X, name,
+    apply nu), the nu flag combining the label mark with the twist of the
+    odd-unit rule  x 1nu = nu(x).  A plain source has no constants, no odd
+    unit and so no unit column: each entry (i, j) is a coordinate, with nu
+    where its column moves, so the first k+l entries of each row are the
+    divider-adjusted minor.  Where a source odd unit lands in an unmoved
+    selected column the pair has no system: `rows` is empty and `residual`
+    holds the message of the ResidualNuSymbol that transition raises.
+    """
 
     def __init__(self, src, dst: Chart):
         self.src = src
@@ -454,6 +398,7 @@ class HopPlan:
         self.zsel, self.dcols, _ = dst.dst_plan
         self.units = self._unit_columns()
         self.width = len(self.zsel) - len(self.units)  # X starts past these columns
+        self.rows, self.coords, self.read, self.nu_one, self.residual = self._compile()
 
     def _unit_columns(self) -> tuple[tuple[int, int], ...]:
         """Minor columns that are the unit vector e_i at every point: source
@@ -463,6 +408,45 @@ class HopPlan:
         ident = {gcol: (row, odd_unit) for row, gcol, odd_unit in self.src.identity}
         return tuple((j, ident[c][0]) for j, (c, moved) in enumerate(self.zsel)
                      if c in ident and ident[c][1] == moved)
+
+    def _compile(self):
+        """rows, coords, read, nu_one and residual, from the source pattern,
+        the destination's plan and the pair's unit columns.  The first
+        source odd unit, by rows, in an unmoved selected column leaves no
+        system, only its residual message; a moved odd unit resolves to 1,
+        so it only occurs in a unit column."""
+        unit_cols = {j for j, _ in self.units}
+        unit_rows = self.src.nu_unit_rows
+        coords = []
+
+        def entry(cell, moved):
+            kind = cell[0]
+            if kind == "zero":
+                return 0
+            if kind == "one":
+                return 2 if moved else 1
+            coords.append((cell[1], cell[2] != moved))
+            return len(coords) + 2
+
+        rows = []
+        for i, row in enumerate(self.src.pattern):
+            zrow = []
+            for j, (c, moved) in enumerate(self.zsel):
+                if row[c][0] == "nu1" and not moved:
+                    return (), (), (), False, f"odd unit column {c} selected but not moved"
+                if j not in unit_cols:
+                    zrow.append(entry(row[c], moved))
+            # a twisted column is e_u: slot 1 (one) in row u, slot 0 elsewhere
+            rows.append(tuple(zrow) + tuple(int(i == unit_rows[c]) if c in unit_rows
+                                            else entry(row[c], False) for c in self.dcols))
+        read = tuple((row, t, name, marked != (self.dcols[t] in unit_rows))
+                     for row, t, name, marked in self.dst.dst_plan[2])
+        return tuple(rows), tuple(coords), read, any(2 in row for row in rows), None
+
+    def palette(self, values: dict, one) -> list:
+        pal = [one.ring_zero(), one, one.nu() if self.nu_one else None]
+        pal += [values[name].nu() if flag else values[name] for name, flag in self.coords]
+        return pal
 
     @cached_property
     def status(self) -> str:
@@ -479,24 +463,13 @@ class HopPlan:
         """
         return self._classify()
 
-    @cached_property
-    def system(self) -> PastingSystem | ResidualNuSymbol:
-        """The pair's PastingSystem, compiled once; a ResidualNuSymbol is kept
-        unraised (a cached_property keeps no raised error), and transition
-        raises a fresh copy of it."""
-        try:
-            return _compile(self.src, self.dst, self.units)
-        except ResidualNuSymbol as exc:
-            return ResidualNuSymbol(*exc.args)
-
     def _classify(self) -> str:
-        system = self.system
-        if isinstance(system, ResidualNuSymbol):
+        if self.residual is not None:
             return "residual"
         values, one = self.src.generic
         w = self.width
         try:
-            ring_solve(_rows([row[:w] for row in system.rows], system.palette(values, one)),
+            ring_solve(_rows([row[:w] for row in self.rows], self.palette(values, one)),
                        self.units)
         except NotInvertible:
             return "singular"
@@ -511,39 +484,38 @@ class HopPlan:
         chart ring.  Raises ResidualNuSymbol where the pair has no system,
         NotInvertible where the minor is singular, and NoOddGenerators where
         Lambda_0 would need nu."""
-        system = self.system
-        if isinstance(system, ResidualNuSymbol):
-            raise ResidualNuSymbol(*system.args)
+        if self.residual is not None:
+            raise ResidualNuSymbol(self.residual)
         proto = next(iter(values.values()), None)
         if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
             return {}
         if isinstance(proto, GrassmannNumber):
-            return self._lambda_transition(system, values, proto.r)
-        M = _rows(system.rows, system.palette(values, proto.ring_one()))
+            return self._lambda_transition(values, proto.r)
+        M = _rows(self.rows, self.palette(values, proto.ring_one()))
         pivot = ring_solve(M, self.units)
         out = {}
-        for row, t, name, flag in system.read:
+        for row, t, name, flag in self.read:
             v = M[pivot[row]][self.width + t]
             out[name] = v.nu() if flag else v
         return out
 
-    def _lambda_transition(self, system: PastingSystem, values: dict, r: int) -> dict:
+    def _lambda_transition(self, values: dict, r: int) -> dict:
         """transition over Lambda_r on numerator tuples: the palette holds
         each slot's numerators and denominator (slot 2, nu(1), only where
-        the system has it), nu permutes the numerators by _layout(r).nu,
-        each row of system.rows goes over the lcm of its denominators, and
+        the plan has it), nu permutes the numerators by _layout(r).nu, each
+        row of rows goes over the lcm of its denominators, and
         linalg.lambda_solve eliminates; only the read-off builds values, one
         _reduced each."""
         layout = _layout(r)
         nu = layout.nu
-        nums = [layout.zero, layout.one, nu(layout.one) if system.nu_one else None]
+        nums = [layout.zero, layout.one, nu(layout.one) if self.nu_one else None]
         dens = [1, 1, 1]
-        for name, flag in system.coords:
+        for name, flag in self.coords:
             v = values[name]
             nums.append(nu(v.num) if flag else v.num)
             dens.append(v.den)
         M, row_dens = [], []
-        for row in system.rows:
+        for row in self.rows:
             den = lcm(*map(dens.__getitem__, row))
             M.append(list(map(nums.__getitem__, row)) if den == 1 else
                      [nums[k] if dens[k] == den else
@@ -552,7 +524,7 @@ class HopPlan:
         pivot = lambda_solve(r, M, row_dens, self.units)
         w = self.width
         out = {}
-        for row, t, name, flag in system.read:
+        for row, t, name, flag in self.read:
             i = pivot[row]
             num = M[i][w + t]
             out[name] = _reduced(r, nu(num) if flag else num, row_dens[i])
@@ -574,10 +546,13 @@ class HopPlan:
             name: _sf(v.ctx, MappingProxyType(dict(v.terms))) for name, v in assignments.items()}))
 
     @cached_property
-    def nu_equivariant(self) -> bool:
+    def nu_equivariant(self) -> bool | None:
         """Whether every nu_equivariance_defects entry of the symbolic map is
-        zero; raises as transition_symbolic does where there is no map."""
-        t = transition_symbolic(self.src, self.dst)
+        zero; None where the pair has no symbolic map, or no odd coordinate
+        for the involution to act on."""
+        t = self.symbolic
+        if not self.src.odd_coords or not isinstance(t, TransitionMap):
+            return None
         return all(d.is_zero() for d in nu_equivariance_defects(t).values())
 
 
@@ -774,11 +749,13 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
     """Check the three pasting identities on one atlas.
 
     Identity transitions (every chart) and the nu-equivariance audit (every
-    pair with a symbolic map) are facts of a chart pair, not of a sample:
-    they are read from the pair's HopPlan, computed once per process.  Pair
-    round trips run pointwise over Lambda_r on every ordered pair with at
-    least one generically evaluable direction; pairs with none are reported
-    as undefined (their overlap never meets the refined cover).  Triple
+    pair with a symbolic map, on atlases with an odd coordinate; a note
+    stands in for it on the others) are facts of a chart pair, not of a
+    sample: they are read from the pair's HopPlan, computed once per
+    process.  Pair round trips run pointwise over Lambda_r on every ordered
+    pair with at least one generically evaluable direction; pairs with none
+    are reported as undefined (their overlap never meets the refined
+    cover).  Triple
     cycles run on ordered triples of distinct standard charts, where the
     composite stays inside plain rational algebra; cycles through
     non-standard charts do not close exactly under the concrete involution
@@ -797,49 +774,30 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
             CheckResult("identity-symbolic", str(c.index), 1, int(ok), int(not ok))
         )
 
-    for a in atlas.charts:
-        for b in atlas.charts:
-            if a is b:
-                continue
-            inst = f"{a.index} <-> {b.index}"
-            if not pair_defined(a, b):
-                report.results.append(
-                    CheckResult(
-                        "pair-round-trip", inst,
-                        note="undefined: both directions structurally singular",
-                    )
-                )
-                continue
-            report.results.append(
-                _cycle_check(CheckResult("pair-round-trip", inst), [a, b], r, samples, rng)
-            )
+    pairs = list(itertools.permutations(atlas.charts, 2))
+    for a, b in pairs:
+        result = CheckResult("pair-round-trip", f"{a.index} <-> {b.index}")
+        if pair_defined(a, b):
+            _cycle_check(result, [a, b], r, samples, rng)
+        else:
+            result.note = "undefined: both directions structurally singular"
+        report.results.append(result)
 
-    for a in atlas.charts:
-        for b in atlas.charts:
-            if a is b or (b.index.standard and not a.index.standard):
-                continue
-            try:
-                clean = _get_plan(a, b).nu_equivariant
-            except (GenericallySingular, ResidualNuSymbol):
-                continue
-            report.results.append(
-                CheckResult(
-                    "nu-equivariance-audit", f"{a.index} -> {b.index}", 1,
-                    int(clean), int(not clean),
-                    note="pullback intertwines the involutions"
-                    if clean else "pullback does not intertwine the involutions",
-                    gating=False,
-                )
-            )
+    if pairs and not atlas.charts[0].odd_coords:
+        report.notes.append("no odd coordinate: the nu-equivariance audit does not apply")
+    for a, b in pairs:
+        if b.index.standard and not a.index.standard:
+            continue
+        clean = _get_plan(a, b).nu_equivariant
+        if clean is not None:
+            report.results.append(CheckResult(
+                "nu-equivariance-audit", f"{a.index} -> {b.index}", 1, int(clean), int(not clean),
+                note="pullback intertwines the involutions" if clean
+                else "pullback does not intertwine the involutions",
+                gating=False))
 
     std = atlas.standard_charts
-    triples = [
-        (a, b, c)
-        for a in std
-        for b in std
-        for c in std
-        if a is not b and b is not c and a is not c
-    ]
+    triples = list(itertools.permutations(std, 3))
     if not triples:
         report.notes.append(
             "no triple of distinct standard charts at this size; triple check vacuous"
@@ -850,44 +808,30 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
             _cycle_check(CheckResult("triple-cycle", inst), [a, c, b], r, samples, rng)
         )
 
-    if audit_nu_triples:
-        nonstd = [c for c in atlas.charts if not c.index.standard]
-        audited = 0
-        for mid in nonstd:
-            for a in std:
-                for b in std:
-                    if a is b or audited >= audit_nu_triples:
-                        continue
-                    audited += 1
-                    inst = f"{a.index} -> {mid.index} -> {b.index} -> {a.index}"
-                    blocked = [(x, y) for x, y in ((a, mid), (mid, b), (b, a))
-                               if _get_plan(x, y).status != "ok"]
-                    if blocked:
-                        x, y = blocked[0]
-                        report.results.append(
-                            CheckResult("nu-triple-audit", inst,
-                                        note=f"undefined: hop {x.index} -> {y.index} "
-                                             f"is {_get_plan(x, y).status}",
-                                        gating=False)
-                        )
-                        continue
-                    audit = CheckResult(
-                        "nu-triple-audit", inst,
-                        note="cycle through a non-standard chart; "
-                             "exactness not implied by the concrete involution",
-                        gating=False,
-                    )
-                    try:
-                        _cycle_check(audit, [a, mid, b], r, min(samples, 10), rng)
-                        audit.counterexamples = []  # informational: it keeps no examples
-                    except OverlapNotSampled:
-                        audit = CheckResult("nu-triple-audit", inst,
-                                            note="no evaluable samples", gating=False)
-                    report.results.append(audit)
-        if audited:
-            report.notes.append(
-                "nu-triple audit is informational: such cycles pick up soul-order "
-                "corrections because the involution on Lambda_r is not linear over "
-                "the even part"
-            )
+    nu_triples = [(a, mid, b) for mid in atlas.charts if not mid.index.standard
+                  for a, b in itertools.permutations(std, 2)][:audit_nu_triples]
+    for a, mid, b in nu_triples:
+        inst = f"{a.index} -> {mid.index} -> {b.index} -> {a.index}"
+        audit = CheckResult("nu-triple-audit", inst, gating=False)
+        blocked = next(((x, y) for x, y in ((a, mid), (mid, b), (b, a))
+                        if _get_plan(x, y).status != "ok"), None)
+        if blocked:
+            x, y = blocked
+            audit.note = f"undefined: hop {x.index} -> {y.index} is {_get_plan(x, y).status}"
+        else:
+            try:
+                _cycle_check(audit, [a, mid, b], r, min(samples, 10), rng)
+                audit.counterexamples = []  # informational: it keeps no examples
+                audit.note = ("cycle through a non-standard chart; "
+                              "exactness not implied by the concrete involution")
+            except OverlapNotSampled:  # drop the tally of the samples drawn so far
+                audit = CheckResult("nu-triple-audit", inst, note="no evaluable samples",
+                                    gating=False)
+        report.results.append(audit)
+    if nu_triples:
+        report.notes.append(
+            "nu-triple audit is informational: such cycles pick up soul-order "
+            "corrections because the involution on Lambda_r is not linear over "
+            "the even part"
+        )
     return report

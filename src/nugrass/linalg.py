@@ -16,8 +16,9 @@
   - ring_solve on any other ring (SuperFunction: the chart rings), through
     the ring's own has_body(), inv(), is_zero() and add_product(); the
     tests also run it on Lambda_r as lambda_solve's oracle.
-  A chart normalization fills the rows of its compiled pasting system
-  (atlas.PastingSystem) in that layout and calls one of them directly.
+  A chart normalization fills the rows of its pair's compiled pasting
+  system (atlas.HopPlan.rows) in that layout and calls one of them
+  directly.
 
 The two kinds stay apart on purpose: rref skips columns and reports the
 rank, solve must find a pivot in every column.

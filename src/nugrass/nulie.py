@@ -182,8 +182,8 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     the acted label is  L + G eps.  The adjusted minor of L is the identity,
     since the chart's own I u R columns hold its identity and the involution
     resolves each moved odd unit to 1; so the minor is  Z = 1 + N1 eps  with
-    N1 the adjusted minor of G: the first k+l entries of each row of the
-    chart's plain pasting system (Chart.plain_plan), filled with G.  The
+    N1 the adjusted minor of G: the first k+l entries of each of the rows
+    of the chart's plain HopPlan (Chart.plain_plan), filled with G.  The
     free columns are  Y = Y0 + G_d eps  with Y0 = L[:, dcols], and
     Z^-1 Y = Y - N1 eps Y0.  The field is therefore  X1 = G_d - N1 sigma(Y0),
     read off through the chart's slots, where sigma(y) = (-1)^{|y||E|} y
@@ -205,8 +205,8 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
                     for v in range(1, d + 1)] for u in range(1, d + 1)], zero)
     _, dcols, read = chart.dst_plan
     sigma_Y0 = [[-Li[c] if odd and Li[c].parity() else Li[c] for c in dcols] for Li in L]
-    system = chart.plain_plan.system  # square k+l, no unit column
-    N1 = _rows([row[:len(L)] for row in system.rows], system.palette(_cells(G), ctx.one()))
+    plan = chart.plain_plan  # square k+l, no unit column
+    N1 = _rows([row[:len(L)] for row in plan.rows], plan.palette(_cells(G), ctx.one()))
     NY = matmul(N1, sigma_Y0, zero)
     components = {}
     for row, t, name, marked in read:

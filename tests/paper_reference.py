@@ -323,16 +323,15 @@ def palette_hop(plan, values: dict) -> dict:
     system filled from its palette of the values themselves (nu by the
     values' own nu), eliminated by ring_solve and read off with nu where the
     read-off is flagged.  Raises as the hop does."""
-    system = plan.system
-    if isinstance(system, ResidualNuSymbol):
-        raise ResidualNuSymbol(*system.args)
+    if plan.residual is not None:
+        raise ResidualNuSymbol(plan.residual)
     proto = next(iter(values.values()), None)
     if proto is None:
         return {}
-    M = _rows(system.rows, system.palette(values, proto.ring_one()))
+    M = _rows(plan.rows, plan.palette(values, proto.ring_one()))
     X = [M[i][plan.width:] for i in ring_solve(M, plan.units)]
     return {name: X[row][t].nu() if flag else X[row][t]
-            for row, t, name, flag in system.read}
+            for row, t, name, flag in plan.read}
 
 
 def ring_route(Z, Y, units=()):

@@ -546,6 +546,32 @@ def test_plan_status_matches_the_body_rule_reference():
     assert seen == {"ok", "residual", "singular"}
 
 
+def test_a_plan_keeps_its_residual_and_its_audit_verdict_as_values():
+    # a residual pair keeps its message and no rows, and raises a fresh
+    # error from it on every hop; the nu-audit verdict is None, not an
+    # error, where there is no symbolic map or no odd coordinate
+    plans = [_get_plan(a, b) for dims in STATUS_ATLASES
+             for a in get_atlas(*dims).charts for b in get_atlas(*dims).charts]
+    verdicts = set()
+    for plan in plans:
+        assert (plan.residual is not None) == (plan.status == "residual")
+        if plan.residual is not None:
+            assert plan.rows == ()
+            values = {name: plan.src.ctx.gen(name) for name in plan.src.coords}
+            raised = []
+            for _ in range(2):
+                with pytest.raises(ResidualNuSymbol) as info:
+                    plan.transition(values)
+                raised.append(info.value)
+            first, second = raised
+            assert first is not second and str(first) == str(second) == plan.residual
+        has_map = isinstance(plan.symbolic, atlas.TransitionMap)
+        want_none = not has_map or not plan.src.odd_coords
+        assert (plan.nu_equivariant is None) == want_none
+        verdicts.add((plan.nu_equivariant, has_map))
+    assert verdicts == {(True, True), (False, True), (None, True), (None, False)}
+
+
 def ok_plans(dims):
     at = get_atlas(*dims)
     return [_get_plan(a, b) for a in at.charts for b in at.charts

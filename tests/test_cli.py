@@ -173,6 +173,18 @@ def test_nulie_on_an_atlas_without_odd_coordinates_exits_3(capsys):
     assert json.loads(lines[0])["error"] == "NoOddGenerators"
 
 
+@pytest.mark.parametrize("dims", [["-k", "1", "-l", "0", "-m", "2", "-n", "0"],
+                                  ["-k", "0", "-l", "2", "-m", "0", "-n", "4"]])
+def test_verify_cocycle_on_an_atlas_without_odd_coordinates_exits_0(dims, capsys):
+    # the non-gating nu-equivariance audit does not apply there, and says so
+    code, out = run(capsys, "verify-cocycle", *dims, "--samples", "3", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ok"]
+    assert "no odd coordinate: the nu-equivariance audit does not apply" in data["notes"]
+    assert not any(r["check"] == "nu-equivariance-audit" for r in data["results"])
+
+
 def test_nu_triple_audit_past_the_smallest_atlas_exits_0(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _ = run(capsys, "verify-cocycle", "-k", "1", "-l", "1", "-m", "2", "-n", "2",

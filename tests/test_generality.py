@@ -3,6 +3,8 @@ different sizes, including degenerate ones, run every suite clean."""
 
 import random
 
+import pytest
+
 from nugrass.atlas import get_atlas, sample_point, verify_cocycle
 from nugrass.action import verify_action_axioms, verify_action_gluing, verify_transitivity
 from nugrass.nulie import h_report
@@ -53,6 +55,19 @@ def test_atlas_without_even_coordinates_at_all():
     assert at.chart((1,), ()).label_tokens() == [["1", "e1"]]
     assert at.chart((), (1,)).label_tokens() == [["nu(e1)", "1nu"]]
     assert verify_cocycle(1, 0, 1, 1, r=2, samples=15, seed=3).ok
+
+
+@pytest.mark.parametrize("dims", [(1, 0, 2, 0), (1, 0, 3, 0), (2, 0, 4, 0), (0, 2, 0, 4)])
+def test_atlases_without_odd_coordinates_run_every_sampled_suite(dims):
+    # beta = 0: nu has nothing to act on, so the non-gating nu-equivariance
+    # audit gives way to a note and every gating check still samples
+    assert get_atlas(*dims).charts[0].beta == 0
+    rep = verify_cocycle(*dims, r=2, samples=3, seed=5)
+    assert rep.ok and all(r.samples for r in rep.results)
+    assert "no odd coordinate: the nu-equivariance audit does not apply" in rep.notes
+    assert verify_action_gluing(*dims, r=2, samples=3, seed=5).ok
+    assert verify_action_axioms(*dims, r=2, samples=3, seed=5).ok
+    assert verify_transitivity(*dims, r=2, count=3, seed=5).ok
 
 
 def test_point_sampling_works_on_every_chart_of_a_mixed_atlas():

@@ -168,25 +168,35 @@ def test_sampled_suite_reports_are_pinned(suite, dims):
 
 def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
     # identity maps, audit maps and audit verdicts are facts of a chart pair:
-    # a warm call fills no pasting system with a chart's generators, and
-    # both calls give the pinned bytes
+    # a warm call fills no pasting system with a chart's generators, asks
+    # transition_symbolic only for each chart's identity map (a pair without
+    # a map keeps its verdict, None, and raises nothing), and both calls
+    # give the pinned bytes
     monkeypatch.setattr(atlas, "_GLOBAL_PLANS", {})
     transition = atlas.HopPlan.transition
-    labels = []
+    transition_symbolic = atlas.transition_symbolic
+    labels, symbolic = [], []
 
     def counting(plan, values):
         if any(isinstance(v, SuperFunction) for v in values.values()):
             labels.append(plan.dst)
         return transition(plan, values)
 
+    def asked(src, dst):
+        symbolic.append((src, dst))
+        return transition_symbolic(src, dst)
+
     monkeypatch.setattr(atlas.HopPlan, "transition", counting)
+    monkeypatch.setattr(atlas, "transition_symbolic", asked)
     for dims in [(0, 1, 1, 2), (1, 1, 2, 2)]:
         cold = len(labels)
         assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
         built = [p for p in atlas._GLOBAL_PLANS.values() if "symbolic" in vars(p)]
         assert len(labels) == len(built) > cold
+        symbolic.clear()
         assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
         assert len(labels) == len(built)
+        assert symbolic == [(c, c) for c in get_atlas(*dims).charts]
 
 
 # The same suites on 1|1(2|2) with every point comparison and every witness
