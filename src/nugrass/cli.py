@@ -1,7 +1,13 @@
 """Batch driver: construction printouts and the verification suites.
 
+Each subcommand is one row of build_parser's table.  main checks the
+arguments of every subcommand once, in _check_dims, and every handler
+prints through _emit.
+
 Exit codes: 0 all checks pass, 1 an exact identity failed, 2 usage error,
-3 the kernel raised an error (one JSON line on stderr names it).
+3 the kernel raised an error (one JSON line on stderr names it), 141 the
+reader closed stdout early (the status a shell reports for a writer that
+SIGPIPE killed).
 Reports carry no timestamps, so a fixed configuration always produces
 byte-identical output.
 """
@@ -10,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -18,6 +25,11 @@ from .atlas import get_atlas, transition_symbolic, verify_cocycle
 from .action import BasePoint, verify_action_axioms, verify_action_gluing, verify_transitivity
 from .nulie import h_report
 from .reports import Report, dumps
+
+# The Lambda_r product kernel is generated code with 3**r products, so each
+# step of r triples it; a process that builds the r = 10 kernel already peaks
+# above 300 MB.
+MAX_R = 10
 
 
 def parse_index(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -38,58 +50,53 @@ def parse_index(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return side(parts[0]), side(parts[1])
 
 
-def _add_dims(p: argparse.ArgumentParser):
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-
-
-def _add_sampling(p: argparse.ArgumentParser, default_r: int = 2):
-    p.add_argument("-r", type=int, default=default_r, help="odd probe dimension")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-
-
 def _check_dims(parser, args):
     if not (0 <= args.k <= args.m and 0 <= args.l <= args.n):
         parser.error(f"need 0 <= k <= m and 0 <= l <= n, got {args.k}|{args.l}({args.m}|{args.n})")
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be at least 1")
-    if getattr(args, "r", 0) < 0:
+    r = getattr(args, "r", 0)
+    if r < 0:
         parser.error("-r must be non-negative")
+    if args.r_suite and r < 1:
+        parser.error(f"the {args.r_suite} suite needs -r >= 1")
+    if r > MAX_R:
+        parser.error(f"-r must be at most {MAX_R}")
+    if getattr(args, "audit_nu_triples", 0) < 0:
+        parser.error("--audit-nu-triples must be non-negative")
 
 
-def _write_out(args, payload: str) -> None:
-    """Write payload to --out, if given; an unwritable file is a usage error."""
-    if getattr(args, "out", None):
+def _emit(args, payload, text, ok=True) -> int:
+    """Write the JSON payload to --out, if given, print the payload
+    (--format json) or the text, and return 1 if not ok, else 0.
+
+    payload and text are callables returning a string without its final
+    newline, so only the forms that are written get built.  An unwritable
+    --out is a usage error and prints nothing to stdout.
+    """
+    out = getattr(args, "out", None)
+    data = payload() + "\n" if args.format == "json" or out else None
+    if out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
+            with open(out, "w") as fh:
+                fh.write(data)
         except OSError as exc:
-            print(f"nugrass: error: cannot write --out {args.out}: {exc.strerror or exc}",
+            print(f"nugrass: error: cannot write --out {out}: {exc.strerror or exc}",
                   file=sys.stderr)
             raise SystemExit(2) from None
-
-
-def _emit(report: Report, args) -> int:
-    payload = report.to_json() + "\n"
-    _write_out(args, payload)
-    if getattr(args, "format", "text") == "json":
-        sys.stdout.write(payload)
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
+    sys.stdout.write(data if args.format == "json" else text() + "\n")
+    return 0 if ok else 1
 
 
 def cmd_atlas(parser, args) -> int:
-    _check_dims(parser, args)
     atlas = get_atlas(args.k, args.l, args.m, args.n)
-    if args.format == "json":
-        data = {
+    a, b = atlas.charts[0].alpha, atlas.charts[0].beta
+
+    def payload():
+        return dumps({
             "k": args.k, "l": args.l, "m": args.m, "n": args.n,
-            "alpha": atlas.charts[0].alpha,
-            "beta": atlas.charts[0].beta,
+            "alpha": a,
+            "beta": b,
             "charts": [
                 {
                     "I": list(c.index.I),
@@ -99,21 +106,19 @@ def cmd_atlas(parser, args) -> int:
                 }
                 for c in atlas.charts
             ],
-        }
-        print(dumps(data))
-    else:
-        a, b = atlas.charts[0].alpha, atlas.charts[0].beta
-        print(f"nu-Grassmannian {args.k}|{args.l}({args.m}|{args.n}): "
-              f"{len(atlas.charts)} charts, each of dimension {a}|{b}")
-        for c in atlas.charts:
-            kind = "standard" if c.index.standard else "non-standard"
-            print(f"\nchart {c.index}  ({kind})")
-            print(c.pretty_label())
-    return 0
+        })
+
+    def text():
+        head = (f"nu-Grassmannian {args.k}|{args.l}({args.m}|{args.n}): "
+                f"{len(atlas.charts)} charts, each of dimension {a}|{b}")
+        return head + "".join(
+            f"\n\nchart {c.index}  ({'standard' if c.index.standard else 'non-standard'})"
+            f"\n{c.pretty_label()}" for c in atlas.charts)
+
+    return _emit(args, payload, text)
 
 
 def cmd_transition(parser, args) -> int:
-    _check_dims(parser, args)
     atlas = get_atlas(args.k, args.l, args.m, args.n)
     try:
         src = atlas.chart(*parse_index(args.src))
@@ -121,37 +126,29 @@ def cmd_transition(parser, args) -> int:
     except (ValueError, KeyError) as exc:
         parser.error(f"bad chart index: {exc}")
     t = transition_symbolic(src, dst)
-    if args.format == "json":
-        data = {
+
+    def payload():
+        return dumps({
             "from": str(src.index),
             "to": str(dst.index),
             "assignments": {name: t.assignments[name].to_dict() for name in dst.coords},
-        }
-        print(dumps(data))
-    else:
-        print(f"pasting map {src.index} -> {dst.index} (target coordinates in "
-              f"source functions):")
-        for name in dst.coords:
-            print(f"  {name} -> {t.assignments[name]!r}")
-    return 0
+        })
+
+    def text():
+        head = f"pasting map {src.index} -> {dst.index} (target coordinates in source functions):"
+        return "\n".join([head] + [f"  {name} -> {t.assignments[name]!r}" for name in dst.coords])
+
+    return _emit(args, payload, text)
 
 
 def cmd_verify_cocycle(parser, args) -> int:
-    _check_dims(parser, args)
-    if args.r < 1:
-        parser.error("the cocycle suite needs -r >= 1")
-    if args.audit_nu_triples < 0:
-        parser.error("--audit-nu-triples must be non-negative")
     rep = verify_cocycle(args.k, args.l, args.m, args.n, r=args.r,
                          samples=args.samples, seed=args.seed,
                          audit_nu_triples=args.audit_nu_triples)
-    return _emit(rep, args)
+    return _emit(args, rep.to_json, rep.summary, rep.ok)
 
 
 def cmd_verify_action(parser, args) -> int:
-    _check_dims(parser, args)
-    if args.r < 1:
-        parser.error("the action suite needs -r >= 1")
     glue = verify_action_gluing(args.k, args.l, args.m, args.n, r=args.r,
                                 samples=args.samples, seed=args.seed)
     axioms = verify_action_axioms(args.k, args.l, args.m, args.n, r=args.r,
@@ -159,17 +156,15 @@ def cmd_verify_action(parser, args) -> int:
     merged = Report(suite="action", config=glue.config,
                     results=glue.results + axioms.results,
                     notes=glue.notes + axioms.notes)
-    return _emit(merged, args)
+    return _emit(args, merged.to_json, merged.summary, merged.ok)
 
 
 def cmd_transitivity(parser, args) -> int:
-    _check_dims(parser, args)
     base = None
     if args.base1 or args.base2:
         try:
-            p1 = json.loads(args.base1) if args.base1 else []
-            p2 = json.loads(args.base2) if args.base2 else []
-            base = BasePoint(p1, p2, m=args.m, n=args.n)
+            base = BasePoint(json.loads(args.base1 or "[]"), json.loads(args.base2 or "[]"),
+                             m=args.m, n=args.n)
         except (ValueError, TypeError, ArithmeticError) as exc:
             parser.error(f"bad base point: {exc}")
     try:
@@ -177,35 +172,22 @@ def cmd_transitivity(parser, args) -> int:
                                   count=args.samples, seed=args.seed, base=base)
     except ValueError as exc:  # the base point does not fit the atlas
         parser.error(f"bad base point: {exc}")
-    return _emit(rep, args)
+    return _emit(args, rep.to_json, rep.summary, rep.ok)
 
 
 def cmd_nulie(parser, args) -> int:
-    _check_dims(parser, args)
     data = h_report(args.k, args.l, args.m, args.n)
-    payload = dumps(data) + "\n"
-    _write_out(args, payload)
-    if args.format == "json":
-        sys.stdout.write(payload)
-    else:
-        print(f"nu-commutant of gl({args.m}|{args.n}) acting on "
-              f"{args.k}|{args.l}({args.m}|{args.n}):")
-        print(f"  dim even = {data['dim_even']}, dim odd = {data['dim_odd']}")
-        for Y in data["basis_even"]:
-            print(f"  even basis: {Y}")
-        for Y in data["basis_odd"]:
-            print(f"  odd basis: {Y}")
-        print(f"  defect residual: {data['defect_residual']}")
-        print(f"  bracket closed: {data['bracket_closed']}, "
-              f"Jacobi exact: {data['jacobi_exact']}")
-        print(f"  bracket-compatibility sign: {data['sign_s']}")
-    ok = (
-        data["defect_residual"] == "0"
-        and data["bracket_closed"]
-        and data["jacobi_exact"]
-        and data["rho_morphism_ok"]
-    )
-    return 0 if ok else 1
+    ok = data["defect_residual"] == "0" and all(
+        data[key] for key in ("bracket_closed", "jacobi_exact", "rho_morphism_ok"))
+    return _emit(args, lambda: dumps(data), lambda: "\n".join([
+        f"nu-commutant of gl({args.m}|{args.n}) acting on {args.k}|{args.l}({args.m}|{args.n}):",
+        f"  dim even = {data['dim_even']}, dim odd = {data['dim_odd']}",
+        *(f"  even basis: {Y}" for Y in data["basis_even"]),
+        *(f"  odd basis: {Y}" for Y in data["basis_odd"]),
+        f"  defect residual: {data['defect_residual']}",
+        f"  bracket closed: {data['bracket_closed']}, Jacobi exact: {data['jacobi_exact']}",
+        f"  bracket-compatibility sign: {data['sign_s']}",
+    ]), ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,51 +198,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("atlas", help="list charts, dimensions and labels")
-    _add_dims(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_atlas)
-
-    p = sub.add_parser("transition", help="print one symbolic pasting map")
-    _add_dims(p)
-    p.add_argument("--from", dest="src", required=True,
-                   help='source index, e.g. "{}|{1}"')
-    p.add_argument("--to", dest="dst", required=True,
-                   help='destination index, e.g. "{}|{2}"')
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_transition)
-
-    p = sub.add_parser("verify-cocycle", help="identity, pair and triple pasting checks")
-    _add_dims(p)
-    _add_sampling(p)
-    p.add_argument("--audit-nu-triples", type=int, default=0,
-                   help="additionally sample this many non-gating cycles "
-                        "through non-standard charts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify_cocycle)
-
-    p = sub.add_parser("verify-action", help="gluing square and action axioms")
-    _add_dims(p)
-    _add_sampling(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify_action)
-
-    p = sub.add_parser("transitivity", help="construct and post-check witnesses")
-    _add_dims(p)
-    _add_sampling(p, default_r=4)
-    p.add_argument("--base1", help="JSON rows of the even base block")
-    p.add_argument("--base2", help="JSON rows of the odd base block")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_transitivity)
-
-    p = sub.add_parser("nulie", help="compute the nu-commutant subalgebra")
-    _add_dims(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_nulie)
+    # Every subcommand takes the dims and --format.  A row gives its name,
+    # handler and help; for a sampled suite, the default -r and the suite
+    # name that _check_dims gives when -r >= 1 is needed; whether it writes
+    # --out; and its own options.
+    table = (
+        ("atlas", cmd_atlas, "list charts, dimensions and labels", None, False, {}),
+        ("transition", cmd_transition, "print one symbolic pasting map", None, False, {
+            "--from": dict(dest="src", required=True, help='source index, e.g. "{}|{1}"'),
+            "--to": dict(dest="dst", required=True, help='destination index, e.g. "{}|{2}"')}),
+        ("verify-cocycle", cmd_verify_cocycle, "identity, pair and triple pasting checks",
+         (2, "cocycle"), True, {"--audit-nu-triples": dict(
+             type=int, default=0, help="additionally sample this many non-gating cycles "
+                                       "through non-standard charts")}),
+        ("verify-action", cmd_verify_action, "gluing square and action axioms",
+         (2, "action"), True, {}),
+        ("transitivity", cmd_transitivity, "construct and post-check witnesses", (4, None), True, {
+            "--base1": dict(help="JSON rows of the even base block"),
+            "--base2": dict(help="JSON rows of the odd base block")}),
+        ("nulie", cmd_nulie, "compute the nu-commutant subalgebra", None, True, {}),
+    )
+    for name, func, help_, sampled, out, extras in table:
+        p = sub.add_parser(name, help=help_)
+        for dim in "klmn":
+            p.add_argument(f"-{dim}", type=int, required=True)
+        if sampled:
+            p.add_argument("-r", type=int, default=sampled[0], help="odd probe dimension")
+            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--seed", type=int, default=0)
+        for flag, kwargs in extras.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if out:
+            p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(func=func, r_suite=sampled and sampled[1])
 
     return parser
 
@@ -268,12 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_dims(parser, args)
     t0 = time.time()
     try:
         code = args.func(parser, args)
+        sys.stdout.flush()
     except NuGrassError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout: send what is still buffered to devnull,
+        # so that the interpreter's final flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     print(f"[{args.command}: {time.time() - t0:.2f}s]", file=sys.stderr)
     return code
 

@@ -1,8 +1,15 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nugrass.cli import main, parse_index
+from nugrass import cli
+from nugrass.cli import build_parser, main, parse_index
+from nugrass.nulie import h_report
 
 
 def run(capsys, *argv):
@@ -135,19 +142,28 @@ def test_nulie_command_text_output(capsys):
 
 
 def test_exit_code_contract_for_identity_failures(capsys):
-    import argparse
-
     from nugrass.cli import _emit
     from nugrass.reports import CheckResult, Report
 
     args = argparse.Namespace(out=None, format="text")
     healthy = Report(suite="demo", config={},
                      results=[CheckResult("a", "i", 3, 3, 0)])
-    assert _emit(healthy, args) == 0
+    assert _emit(args, healthy.to_json, healthy.summary, healthy.ok) == 0
     broken = Report(suite="demo", config={},
                     results=[CheckResult("a", "i", 3, 1, 2)])
-    assert _emit(broken, args) == 1
+    assert _emit(args, broken.to_json, broken.summary, broken.ok) == 1
     capsys.readouterr()
+
+
+def test_a_nulie_report_with_an_open_bracket_exits_1(monkeypatch, tmp_path, capsys):
+    healthy = h_report(0, 1, 1, 2)
+    monkeypatch.setattr(cli, "h_report", lambda *dims: {**healthy, "bracket_closed": False})
+    out_file = tmp_path / "report.json"
+    code, out = run(capsys, "nulie", "-k", "0", "-l", "1", "-m", "1", "-n", "2",
+                    "--format", "json", "--out", str(out_file))
+    assert code == 1
+    assert out == out_file.read_text()
+    assert json.loads(out)["bracket_closed"] is False
 
 
 def test_kernel_errors_exit_3_with_a_json_line(capsys):
@@ -210,3 +226,102 @@ def test_an_unwritable_out_file_is_a_usage_error(command, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "cannot write --out" in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not target.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["atlas", "-k", "2", "-l", "1", "-m", "1", "-n", "2"],
+     "need 0 <= k <= m and 0 <= l <= n, got 2|1(1|2)"),
+    (["verify-action", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["transitivity", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "-1"],
+     "-r must be non-negative"),
+    (["verify-cocycle", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "0"],
+     "the cocycle suite needs -r >= 1"),
+    (["verify-action", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "0"],
+     "the action suite needs -r >= 1"),
+    # the Lambda_r product kernel has 3**r products, so -r is bounded before
+    # any kernel is built
+    (["verify-cocycle", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "11"],
+     "-r must be at most 10"),
+    (["verify-action", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "11"],
+     "-r must be at most 10"),
+    (["transitivity", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "-r", "11"],
+     "-r must be at most 10"),
+    (["transition", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--from", "{1", "--to", "{}|{2}"],
+     "bad chart index: expected I|R syntax, got '{1'"),
+])
+def test_usage_errors_exit_2_with_their_message(command, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"nugrass: error: {message}\n")
+    assert captured.out == ""
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141():
+    # 141 is what a shell reports for a writer that SIGPIPE killed; the
+    # interpreter must not add a traceback or an "Exception ignored" line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nugrass.cli", "atlas", "-k", "0", "-l", "1", "-m", "1", "-n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+DIMS = [
+    (("-k",), "k", None, True, None, int, None),
+    (("-l",), "l", None, True, None, int, None),
+    (("-m",), "m", None, True, None, int, None),
+    (("-n",), "n", None, True, None, int, None),
+]
+HELP = [(("-h", "--help"), "help", "==SUPPRESS==", False, None, None,
+         "show this help message and exit")]
+FORMAT = [(("--format",), "format", "text", False, ("text", "json"), None, None)]
+OUT = [(("--out",), "out", None, False, None, None, "write the JSON report here")]
+
+
+def sampling(r):
+    return [(("-r",), "r", r, False, None, int, "odd probe dimension"),
+            (("--samples",), "samples", 100, False, None, int, None),
+            (("--seed",), "seed", 0, False, None, int, None)]
+
+
+# Every subcommand's help and options as the CLI has had them: (flags, dest,
+# default, required, choices, type, help), compared in dest order.
+SUBCOMMANDS = {
+    "atlas": ("list charts, dimensions and labels", DIMS + HELP + FORMAT),
+    "transition": ("print one symbolic pasting map", DIMS + HELP + FORMAT + [
+        (("--from",), "src", None, True, None, None, 'source index, e.g. "{}|{1}"'),
+        (("--to",), "dst", None, True, None, None, 'destination index, e.g. "{}|{2}"'),
+    ]),
+    "verify-cocycle": ("identity, pair and triple pasting checks",
+                       DIMS + HELP + FORMAT + OUT + sampling(2) + [
+        (("--audit-nu-triples",), "audit_nu_triples", 0, False, None, int,
+         "additionally sample this many non-gating cycles through non-standard charts"),
+    ]),
+    "verify-action": ("gluing square and action axioms",
+                      DIMS + HELP + FORMAT + OUT + sampling(2)),
+    "transitivity": ("construct and post-check witnesses",
+                     DIMS + HELP + FORMAT + OUT + sampling(4) + [
+        (("--base1",), "base1", None, False, None, None, "JSON rows of the even base block"),
+        (("--base2",), "base2", None, False, None, None, "JSON rows of the odd base block"),
+    ]),
+    "nulie": ("compute the nu-commutant subalgebra", DIMS + HELP + FORMAT + OUT),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        name: help_ for name, (help_, _) in SUBCOMMANDS.items()}
+    for name, parser in sub.choices.items():
+        got = [(tuple(a.option_strings), a.dest, a.default, a.required, a.choices, a.type, a.help)
+               for a in sorted(parser._actions, key=lambda a: a.dest)]
+        assert got == sorted(SUBCOMMANDS[name][1], key=lambda opt: opt[1]), name
