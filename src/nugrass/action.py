@@ -1,6 +1,8 @@
 """The right GL(m|n) action on Lambda_r-valued points of the atlas.
 
-A group point is an invertible even m|n x m|n supermatrix over Lambda_r.
+A group point (GLPoint) is an invertible even m|n x m|n supermatrix over
+Lambda_r: the Lambda_r case of supermatrix.SuperMatrix, whose constructor
+checks shape, ring and block parity and GLPoint's invertibility.
 Acting on a chart point X means multiplying its realized matrix by the
 group matrix on the right and re-normalizing into some chart of the refined
 cover: the first chart (standard charts first) whose adjusted minor is
@@ -19,10 +21,11 @@ from .errors import (
     MinorNotInvertible,
     NoChartFound,
     NotInvertible,
+    NuEntriesPresent,
     RankDeficient,
 )
 from .superalgebra import EVEN, GrassmannNumber, _gn, _layout, lambda_sample
-from .supermatrix import matmul
+from .supermatrix import SuperMatrix, is_nu, matmul
 from .linalg import inverse, rref, solve
 from .atlas import (
     Atlas,
@@ -37,57 +40,43 @@ from .atlas import (
 from .reports import CheckResult, Report, first_defined
 
 
-class GLPoint:
-    """An invertible even m|n x m|n supermatrix over Lambda_r."""
+class GLPoint(SuperMatrix):
+    """An invertible even m|n x m|n supermatrix over Lambda_r: the Lambda_r
+    case of SuperMatrix, whose splits give m|n and whose proto gives r."""
 
-    __slots__ = ("m", "n", "r", "entries")
+    __slots__ = ()
 
-    def __init__(self, m: int, n: int, r: int, entries, validate: bool = True):
-        self.m = m
-        self.n = n
-        self.r = r
-        self.entries = [list(row) for row in entries]
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        d = self.m + self.n
-        if len(self.entries) != d or any(len(row) != d for row in self.entries):
-            raise ValueError("shape mismatch")
-        for i in range(d):
-            for j in range(d):
-                want = int((i >= self.m) ^ (j >= self.m))
-                e = self.entries[i][j]
-                if e.r != self.r:
-                    raise ValueError(f"entry ({i},{j}) is in Lambda_{e.r}, not Lambda_{self.r}")
-                p = e.parity()
-                if p is None or (p != want and not e.is_zero()):
-                    raise ValueError(f"entry ({i},{j}) has parity {p}, block wants {want}")
+    def __init__(self, m: int, n: int, r: int, entries):
+        super().__init__((m, n), (m, n), entries, GrassmannNumber(r, {}))
+        if any(is_nu(e) for row in self.entries for e in row):
+            raise NuEntriesPresent("a group point has no odd unit")
         inverse(self.entries)  # raises NotInvertible if singular
+
+    @property
+    def m(self) -> int:
+        return self.row_split[0]
+
+    @property
+    def n(self) -> int:
+        return self.row_split[1]
+
+    @property
+    def r(self) -> int:
+        return self.proto.r
 
     @classmethod
     def identity(cls, m: int, n: int, r: int) -> "GLPoint":
-        one = GrassmannNumber.scalar(r, 1)
-        zero = GrassmannNumber(r, {})
-        d = m + n
-        return cls(m, n, r, [[one if i == j else zero for j in range(d)] for i in range(d)],
-                   validate=False)
+        return super().identity(m, n, GrassmannNumber(r, {}))
 
+    # defined on GLPoint itself: bench/tracer.py wraps vars(GLPoint)["__mul__"]
     def __mul__(self, other: "GLPoint") -> "GLPoint":
         if (self.m, self.n, self.r) != (other.m, other.n, other.r):
             raise ValueError("group context mismatch")
-        out = matmul(self.entries, other.entries, GrassmannNumber(self.r, {}))
-        return GLPoint(self.m, self.n, self.r, out, validate=False)
+        out = matmul(self.entries, other.entries, self.proto)
+        return GLPoint._of(self.row_split, self.col_split, out, self.proto)
 
     def inv(self) -> "GLPoint":
-        return GLPoint(self.m, self.n, self.r, inverse(self.entries), validate=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, GLPoint):
-            return NotImplemented
-        return (self.m, self.n, self.r) == (other.m, other.n, other.r) and all(
-            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        return GLPoint._of(self.row_split, self.col_split, inverse(self.entries), self.proto)
 
     def to_dict(self) -> dict:
         return {
@@ -112,37 +101,23 @@ def sample_gl(m: int, n: int, r: int, rng: random.Random) -> GLPoint:
     d = m + n
     layout = _layout(r)
 
-    def entry(parity, diag_unit=False):
-        if diag_unit:
-            return lambda_sample(r, EVEN, rng, lo=-2, hi=2)
+    def entry(parity):
         # int numerators over 1, drawn in ascending mask order
         num = list(layout.zero)
         for mask in layout.by_parity[parity]:
             num[mask] = rng.randint(-2, 2)
         return _gn(r, tuple(num), 1)
 
-    one = GrassmannNumber.scalar(r, 1)
-    zero = GrassmannNumber(r, {})
-
     def unit_triangular(upper: bool):
-        rows = []
+        U = GLPoint.identity(m, n, r)
         for i in range(d):
-            row = []
-            for j in range(d):
-                if i == j:
-                    row.append(one)
-                elif (j > i) == upper:
-                    row.append(entry((i >= m) ^ (j >= m)))
-                else:
-                    row.append(zero)
-            rows.append(row)
-        return GLPoint(m, n, r, rows, validate=False)
+            for j in range(i + 1, d) if upper else range(i):
+                U.entries[i][j] = entry((i >= m) ^ (j >= m))
+        return U
 
-    diag = GLPoint(
-        m, n, r,
-        [[entry(0, diag_unit=True) if i == j else zero for j in range(d)] for i in range(d)],
-        validate=False,
-    )
+    diag = GLPoint.identity(m, n, r)
+    for i in range(d):
+        diag.entries[i][i] = lambda_sample(r, EVEN, rng, lo=-2, hi=2)
     return unit_triangular(False) * diag * unit_triangular(True)
 
 
@@ -156,7 +131,7 @@ def _acted_matrix(X: GrassPoint, P: GLPoint):
     chart = X.chart
     if (chart.index.m, chart.index.n) != (P.m, P.n) or X.r != P.r:
         raise ValueError("group context mismatch")
-    return matmul(chart.realize(X.values, X.r), P.entries, GrassmannNumber(X.r, {}))
+    return matmul(chart.realize(X.values, X.r), P.entries, P.proto)
 
 
 def grass_point_from_matrix(W, atlas: Atlas, r: int, target: Chart | None = None) -> GrassPoint:

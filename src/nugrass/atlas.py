@@ -241,7 +241,7 @@ class Chart:
         zero = ctx.zero()
         grid = self.grid({name: ctx.gen(name) for name in self.coords}, ctx.one(), zero)
         idx = self.index
-        return SuperMatrix((idx.k, idx.l), (idx.m, idx.n), grid, zero, validate=False)
+        return SuperMatrix._of((idx.k, idx.l), (idx.m, idx.n), grid, zero)
 
     def label_tokens(self) -> list[list[str]]:
         toks = []

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .errors import NuGrassError
+from .errors import NuGrassError, RankDeficient
 from .atlas import get_atlas, transition_symbolic, verify_cocycle
 from .action import BasePoint, verify_action_axioms, verify_action_gluing, verify_transitivity
 from .nulie import h_report
@@ -118,13 +118,29 @@ def cmd_atlas(parser, args) -> int:
     return _emit(args, payload, text)
 
 
+def _chart(parser, atlas, text: str):
+    """The chart an --from/--to index names, or a usage error."""
+    try:
+        return atlas.chart(*parse_index(text))
+    except ValueError as exc:
+        parser.error(f"bad chart index: {exc}")
+    except KeyError:
+        parser.error(f"bad chart index: no chart {text} in "
+                     f"{atlas.k}|{atlas.l}({atlas.m}|{atlas.n})")
+
+
+def _exact_rows(text: str | None):
+    """JSON rows of a base block; a float literal would bring a binary
+    fraction into the exact verifier, so it is refused."""
+    def refuse(literal):
+        raise ValueError(f"{literal} is a JSON float; write it as a string such as \"1/10\"")
+    return json.loads(text or "[]", parse_float=refuse)
+
+
 def cmd_transition(parser, args) -> int:
     atlas = get_atlas(args.k, args.l, args.m, args.n)
-    try:
-        src = atlas.chart(*parse_index(args.src))
-        dst = atlas.chart(*parse_index(args.dst))
-    except (ValueError, KeyError) as exc:
-        parser.error(f"bad chart index: {exc}")
+    src = _chart(parser, atlas, args.src)
+    dst = _chart(parser, atlas, args.dst)
     t = transition_symbolic(src, dst)
 
     def payload():
@@ -163,9 +179,10 @@ def cmd_transitivity(parser, args) -> int:
     base = None
     if args.base1 or args.base2:
         try:
-            base = BasePoint(json.loads(args.base1 or "[]"), json.loads(args.base2 or "[]"),
-                             m=args.m, n=args.n)
-        except (ValueError, TypeError, ArithmeticError) as exc:
+            base = BasePoint(_exact_rows(args.base1), _exact_rows(args.base2), m=args.m, n=args.n)
+        except ZeroDivisionError:
+            parser.error("bad base point: an entry has a zero denominator")
+        except (ValueError, TypeError, ArithmeticError, RankDeficient) as exc:
             parser.error(f"bad base point: {exc}")
     try:
         rep = verify_transitivity(args.k, args.l, args.m, args.n, r=args.r,

@@ -3,11 +3,14 @@
 A matrix carries a row split r0|r1 and a column split c0|c1.  Blocks B1
 (even rows x even cols) and B4 (odd x odd) hold even entries, B2 and B3 hold
 odd entries.  Besides plain ring elements an entry may be the formal symbol
-1nu, which multiplies by the rule  z * 1nu = 1nu * z = nu(z).  matmul, on
-nested lists, is the kernel's one matrix product and carries that rule;
-smat_mul and smat_inv are the product and inverse on SuperMatrix.  The
-paper's column operators (the minors M and M' and the remainder D) are
-test references, in tests/paper_reference.py.
+1nu, which multiplies by the rule  z * 1nu = 1nu * z = nu(z).  SuperMatrix
+is the one matrix type: a chart label over the chart ring, and, as its
+subclass action.GLPoint, a point of GL(m|n) over Lambda_r.  Its constructor
+checks what it is given; SuperMatrix._of takes a value the kernel built.
+matmul, on nested lists, is the kernel's one matrix product and carries the
+odd-unit rule; smat_mul and smat_inv are the product and inverse on
+SuperMatrix.  The paper's column operators (the minors M and M' and the
+remainder D) are test references, in tests/paper_reference.py.
 
 Entries are duck-typed: SuperFunction and GrassmannNumber both provide the
 required +, -, *, add_product(), parity(), nu(), inv(), has_body(),
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from .errors import DoubleNu, NuEntriesPresent
 from .linalg import inverse
+from .superalgebra import GrassmannNumber
 
 
 class NuSymbol:
@@ -42,73 +46,58 @@ def is_nu(entry) -> bool:
 
 
 class SuperMatrix:
+    """A block supermatrix: row split r0|r1, column split c0|c1, entries as
+    a list of rows, and proto, a zero of the entry ring (used to mint 0 and
+    1).  The constructor checks the shape, the ring of each entry and its
+    block parity; values the kernel builds come through _of unchecked."""
+
     __slots__ = ("row_split", "col_split", "entries", "proto")
 
-    def __init__(self, row_split, col_split, entries, proto, validate=True):
-        """proto: any zero element of the entry ring (used to mint 0 and 1)."""
+    def __init__(self, row_split, col_split, entries, proto):
         self.row_split = (int(row_split[0]), int(row_split[1]))
         self.col_split = (int(col_split[0]), int(col_split[1]))
-        self.entries = [list(row) for row in entries]
+        self.entries = entries = [list(row) for row in entries]
         self.proto = proto
-        if validate:
-            self._validate()
-
-    @property
-    def nrows(self) -> int:
-        return self.row_split[0] + self.row_split[1]
-
-    @property
-    def ncols(self) -> int:
-        return self.col_split[0] + self.col_split[1]
-
-    def block_parity(self, i: int, j: int) -> int:
-        return int((i >= self.row_split[0]) ^ (j >= self.col_split[0]))
-
-    def _validate(self):
-        if len(self.entries) != self.nrows:
-            raise ValueError("row count mismatch")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.ncols:
-                raise ValueError("column count mismatch")
+        r0, c0 = self.row_split[0], self.col_split[0]
+        ncols = sum(self.col_split)
+        if len(entries) != sum(self.row_split) or any(len(row) != ncols for row in entries):
+            raise ValueError("shape mismatch")
+        for i, row in enumerate(entries):
             for j, e in enumerate(row):
-                want = self.block_parity(i, j)
+                want = int((i >= r0) ^ (j >= c0))
                 if is_nu(e):
                     if want != 1:
                         raise ValueError(f"1nu in an even block at ({i},{j})")
                     continue
+                if e.ring_zero() != proto:
+                    raise ValueError(f"entry ({i},{j}) is in {_ring(e)}, not {_ring(proto)}")
                 p = e.parity()
                 if p is None or (p != want and not e.is_zero()):
-                    raise ValueError(
-                        f"entry at ({i},{j}) has parity {p}, block wants {want}"
-                    )
+                    raise ValueError(f"entry ({i},{j}) has parity {p}, block wants {want}")
 
-    # -- constructors --------------------------------------------------------
+    @classmethod
+    def _of(cls, row_split, col_split, entries, proto):
+        """A value the kernel built, taken as it is: no copy and no check."""
+        A = object.__new__(cls)
+        A.row_split = row_split
+        A.col_split = col_split
+        A.entries = entries
+        A.proto = proto
+        return A
 
     @classmethod
     def identity(cls, n0: int, n1: int, proto) -> "SuperMatrix":
         one = proto.ring_one()
-        zero = proto.ring_zero()
         n = n0 + n1
-        entries = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return cls((n0, n1), (n0, n1), entries, proto, validate=False)
-
-    # -- basic structure -----------------------------------------------------
+        entries = [[one if i == j else proto for j in range(n)] for i in range(n)]
+        return cls._of((n0, n1), (n0, n1), entries, proto)
 
     def __eq__(self, other):
+        # NU is a singleton without __eq__: it equals itself and no ring element
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        if self.row_split != other.row_split or self.col_split != other.col_split:
-            return False
-        for ra, rb in zip(self.entries, other.entries):
-            for a, b in zip(ra, rb):
-                if is_nu(a) != is_nu(b):
-                    return False
-                if not is_nu(a) and a != b:
-                    return False
-        return True
-
-    def has_nu(self) -> bool:
-        return any(is_nu(e) for row in self.entries for e in row)
+        return (self.row_split, self.col_split, self.entries) == (
+            other.row_split, other.col_split, other.entries)
 
     def __repr__(self):
         return format_blocked(
@@ -117,25 +106,10 @@ class SuperMatrix:
             self.col_split[0],
         )
 
-    # -- serialization -------------------------------------------------------
 
-    def to_dict(self, entry_to_dict) -> dict:
-        return {
-            "row_split": list(self.row_split),
-            "col_split": list(self.col_split),
-            "entries": [
-                ["1nu" if is_nu(e) else entry_to_dict(e) for e in row]
-                for row in self.entries
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, entry_from_dict, proto) -> "SuperMatrix":
-        entries = [
-            [NU if e == "1nu" else entry_from_dict(e) for e in row]
-            for row in data["entries"]
-        ]
-        return cls(tuple(data["row_split"]), tuple(data["col_split"]), entries, proto)
+def _ring(x) -> str:
+    """The name of an element's ring: Lambda_r, or a chart ring's context."""
+    return f"Lambda_{x.r}" if isinstance(x, GrassmannNumber) else repr(x.ctx)
 
 
 def matmul(A, B, zero):
@@ -175,17 +149,17 @@ def smat_mul(A: SuperMatrix, B: SuperMatrix) -> SuperMatrix:
     """Row-by-column product; 1nu factors resolve through the involution."""
     if A.col_split != B.row_split:
         raise ValueError(f"split mismatch: {A.col_split} vs {B.row_split}")
-    out = matmul(A.entries, B.entries, A.proto.ring_zero())
-    return SuperMatrix(A.row_split, B.col_split, out, A.proto, validate=False)
+    out = matmul(A.entries, B.entries, A.proto)
+    return SuperMatrix._of(A.row_split, B.col_split, out, A.proto)
 
 
 def smat_inv(A: SuperMatrix) -> SuperMatrix:
     """Exact two-sided inverse, solving  A X = 1  with body-invertible pivots."""
     if A.row_split != A.col_split:
         raise ValueError("inversion needs matching row and column splits")
-    if A.has_nu():
+    if any(is_nu(e) for row in A.entries for e in row):
         raise NuEntriesPresent("route odd units away before inverting")
-    return SuperMatrix(A.row_split, A.col_split, inverse(A.entries), A.proto, validate=False)
+    return SuperMatrix._of(A.row_split, A.col_split, inverse(A.entries), A.proto)
 
 
 def format_blocked(tokens, r0: int, c0: int) -> str:

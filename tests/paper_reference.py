@@ -138,7 +138,7 @@ def column(A: SuperMatrix, j: int) -> list:
 
 def take_columns(A: SuperMatrix, indices, col_split) -> SuperMatrix:
     entries = [[row[j] for j in indices] for row in A.entries]
-    return SuperMatrix(A.row_split, col_split, entries, A.proto, validate=False)
+    return SuperMatrix._of(A.row_split, col_split, entries, A.proto)
 
 
 def minor_M(A: SuperMatrix, J, S) -> SuperMatrix:
@@ -183,7 +183,7 @@ def minor_Mprime(A: SuperMatrix, J, S, target) -> SuperMatrix:
     def nu_entry(e):
         return one if is_nu(e) else e.nu()
 
-    cols = [column(M, j) for j in range(M.ncols)]
+    cols = [column(M, j) for j in range(sum(M.col_split))]
     if p > k:
         moved = [[nu_entry(e) for e in cols[j]] for j in range(k, p)]
         even_cols = cols[:k]
@@ -193,9 +193,9 @@ def minor_Mprime(A: SuperMatrix, J, S, target) -> SuperMatrix:
         even_cols = cols[:p] + moved
         odd_cols = cols[p + (k - p):]
     all_cols = even_cols + odd_cols
-    entries = [[all_cols[j][i] for j in range(len(all_cols))] for i in range(M.nrows)]
-    out = SuperMatrix(M.row_split, (k, l), entries, A.proto, validate=False)
-    if out.has_nu():
+    entries = [[all_cols[j][i] for j in range(len(all_cols))] for i in range(sum(M.row_split))]
+    out = SuperMatrix._of(M.row_split, (k, l), entries, A.proto)
+    if any(is_nu(e) for row in entries for e in row):
         raise ResidualNuSymbol("an odd unit survives in an unmoved column")
     return out
 

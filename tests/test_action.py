@@ -10,9 +10,11 @@ from nugrass.errors import (
     NoChartFound,
     NoOddGenerators,
     NotInvertible,
+    NuEntriesPresent,
     RankDeficient,
 )
-from nugrass.superalgebra import GrassmannNumber
+from nugrass.superalgebra import GeneratorContext, GrassmannNumber
+from nugrass.supermatrix import NU, SuperMatrix
 from nugrass.atlas import GrassPoint, get_atlas, point_transition, sample_point
 from nugrass.action import (
     BasePoint,
@@ -84,25 +86,75 @@ def test_group_point_validation_and_inverse():
         GLPoint(1, 1, 2, [[theta(2, 1), gn(2, 1)], [gn(2, 1), gn(2, 1)]])
 
 
+# a chart ring, another chart ring, and the entries of both kinds of table row
+CTX = GeneratorContext(("x",), ("e1", "e2"))
+OTHER = GeneratorContext(("y",), ("e1",))
+ONE, ZERO, TH = gn(2, 1), gn(2, 0), theta(2, 1)
+F1, FZ, FE = CTX.one(), CTX.zero(), CTX.gen("e1")
+
+
+def unchecked(cls, rows, proto, what):
+    """A table row: cls._of builds a 1|1 x 1|1 matrix, bad in `what`, unchecked."""
+    return pytest.param(lambda: cls._of((1, 1), (1, 1), rows, proto), None,
+                        id=f"_of-{cls.__name__}-{what}")
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: GLPoint(1, 1, 2, [[gn(2, 1), theta(2, 1)]]), "shape mismatch"),
     (lambda: GLPoint(1, 1, 2, [[gn(2, 1)], [gn(2, 1)]]), "shape mismatch"),
     (lambda: GLPoint.identity(1, 2, 2) * GLPoint.identity(1, 2, 4), "group context mismatch"),
     (lambda: GLPoint.identity(1, 2, 2) * GLPoint.identity(2, 1, 2), "group context mismatch"),
+    # SuperMatrix and GLPoint share one check: shape, then entry by entry the
+    # ring and the block parity; the odd unit only in an odd block
+    (lambda: SuperMatrix((1, 1), (1, 1), [[ONE, TH], [TH, ONE], [TH, ONE]], ZERO),
+     "shape mismatch"),
+    (lambda: SuperMatrix((1, 1), (1, 1), [[F1, FE], [FE]], FZ), "shape mismatch"),
+    (lambda: GLPoint(1, 1, 2, [[ONE, TH], [gn(3, 0), ONE]]),
+     "entry (1,0) is in Lambda_3, not Lambda_2"),
+    (lambda: SuperMatrix((1, 1), (1, 1), [[F1, OTHER.gen("e1")], [FE, F1]], FZ),
+     f"entry (0,1) is in {OTHER!r}, not {CTX!r}"),
+    (lambda: SuperMatrix((1, 0), (1, 0), [[ONE]], FZ), f"entry (0,0) is in Lambda_2, not {CTX!r}"),
+    (lambda: GLPoint(1, 1, 2, [[TH, ONE], [ONE, ONE]]), "entry (0,0) has parity 1, block wants 0"),
+    (lambda: SuperMatrix((1, 1), (1, 1), [[F1, F1], [FE, F1]], FZ),
+     "entry (0,1) has parity 0, block wants 1"),
+    (lambda: SuperMatrix((1, 1), (1, 1), [[F1, FE], [FE, ONE]], ZERO),
+     f"entry (0,0) is in {CTX!r}, not Lambda_2"),
+    (lambda: SuperMatrix((1, 1), (1, 1), [[NU, FE], [FE, F1]], FZ),
+     "1nu in an even block at (0,0)"),
+    (lambda: GLPoint(1, 1, 2, [[ONE, ZERO], [ZERO, NU]]), "1nu in an even block at (1,1)"),
+    # a GLPoint is also invertible, and holds no odd unit at all
+    pytest.param(lambda: GLPoint(1, 1, 2, [[ONE, NU], [ZERO, ONE]]),
+                 NuEntriesPresent("a group point has no odd unit"), id="odd-unit"),
+    pytest.param(lambda: GLPoint(1, 1, 2, [[ZERO, TH], [TH, ONE]]),
+                 NotInvertible("no body-invertible pivot in column 0"), id="singular"),
+    # _of takes a value the kernel built and checks none of it
+    unchecked(GLPoint, [[ONE, TH]], ZERO, "shape"),
+    unchecked(GLPoint, [[gn(3, 1), ZERO], [ZERO, ONE]], ZERO, "ring"),
+    unchecked(GLPoint, [[TH, ONE], [ONE, ONE]], ZERO, "parity"),
+    unchecked(GLPoint, [[NU, ZERO], [ZERO, ONE]], ZERO, "1nu"),
+    unchecked(GLPoint, [[ZERO, TH], [TH, ONE]], ZERO, "singular"),
+    unchecked(SuperMatrix, [[F1, OTHER.gen("e1")], [FE, F1]], FZ, "ring"),
+    unchecked(SuperMatrix, [[NU, FE], [FE, F1]], FZ, "1nu"),
 ])
 def test_group_points_reject_mismatched_shapes(build, message):
-    with pytest.raises(ValueError, match=message):
+    if message is None:  # taken as it is
         build()
+        return
+    # a message names a ValueError, an exception its own type
+    want = message if isinstance(message, Exception) else ValueError(message)
+    with pytest.raises(type(want)) as info:
+        build()
+    assert str(info.value) == str(want)
 
 
 def test_group_point_rejects_an_entry_from_another_lambda_r():
     # such entries used to pass; act then raised ContextMismatch and the
-    # serialization round trip UnknownVariable.  validate=False stays unchecked.
+    # serialization round trip UnknownVariable.  _of stays unchecked.
     entries = sample_gl(2, 3, 3, random.Random(4)).entries
     with pytest.raises(ValueError) as info:
         GLPoint(2, 3, 2, entries)
     assert str(info.value) == "entry (0,0) is in Lambda_3, not Lambda_2"
-    assert GLPoint(2, 3, 2, entries, validate=False).r == 2
+    assert GLPoint._of((2, 3), (2, 3), entries, gn(2, 0)).r == 2
 
 
 def test_gl_serialization_round_trip():

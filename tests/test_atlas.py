@@ -331,8 +331,8 @@ def literal_normalization(A, dst):
 def slow_point_transition(X, dst):
     """Independent reference route through the public matrix operators."""
     idx = X.chart.index
-    A = SuperMatrix((idx.k, idx.l), (idx.m, idx.n), X.chart.realize(X.values, X.r),
-                    GrassmannNumber(X.r, {}), validate=False)
+    A = SuperMatrix._of((idx.k, idx.l), (idx.m, idx.n), X.chart.realize(X.values, X.r),
+                        GrassmannNumber(X.r, {}))
     return GrassPoint(dst, X.r, literal_normalization(A, dst))
 
 

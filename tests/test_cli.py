@@ -109,6 +109,8 @@ def test_transitivity_command(capsys):
     ["--base1", "[[1,0]]"],                              # no p2 row for l = 1
     ["--base1", "[[1e400, 0]]", "--base2", "[[1, 0]]"],  # an infinite entry
     ["--base1", '[["1/0", 0]]', "--base2", "[[1, 0]]"],  # a zero denominator
+    ["--base1", "[[0.1, 1]]", "--base2", "[[1, 0]]"],    # a float literal
+    ["--base1", "[[0, 0]]", "--base2", "[[1, 0]]"],      # p1 of rank 0
 ])
 def test_a_base_point_that_does_not_fit_exits_2(capsys, base):
     with pytest.raises(SystemExit) as exc:
@@ -249,6 +251,22 @@ def test_an_unwritable_out_file_is_a_usage_error(command, tmp_path, capsys):
      "-r must be at most 10"),
     (["transition", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--from", "{1", "--to", "{}|{2}"],
      "bad chart index: expected I|R syntax, got '{1'"),
+    (["transition", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--from", "{9}|{}",
+      "--to", "{}|{2}"],
+     "bad chart index: no chart {9}|{} in 0|1(1|2)"),
+    # a base point is exact: a JSON float would be a binary fraction
+    (["transitivity", "-k", "1", "-l", "0", "-m", "2", "-n", "0", "--base1", "[[0.1, 1]]",
+      "--base2", "[]"],
+     'bad base point: 0.1 is a JSON float; write it as a string such as "1/10"'),
+    (["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2", "--base1", "[[1e400, 0]]",
+      "--base2", "[[1, 0]]"],
+     'bad base point: 1e400 is a JSON float; write it as a string such as "1/10"'),
+    (["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2", "--base1", '[["1/0", 0]]',
+      "--base2", "[[1, 0]]"],
+     "bad base point: an entry has a zero denominator"),
+    (["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2", "--base1", "[[0, 0]]",
+      "--base2", "[[1, 0]]"],
+     "bad base point: p1 is not of full row rank"),
 ])
 def test_usage_errors_exit_2_with_their_message(command, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -132,7 +132,7 @@ def test_divider_move_matches_the_worked_minor():
         [ctx.zero(), ctx.gen("e2").nu(), ctx.gen("x3")],
     ]
     assert Mp.entries == expect
-    Mp._validate()  # parity stays consistent after the move
+    SuperMatrix(Mp.row_split, Mp.col_split, Mp.entries, Mp.proto)  # parity stays consistent
 
 
 def test_divider_move_is_identity_for_standard_targets():
@@ -174,11 +174,11 @@ def test_selected_and_remaining_columns_partition_the_label():
     J, S = (2,), (1, 3)
     M = minor_M(A, J, S)
     D = remainder_D(A, J, S)
-    assert M.ncols + D.ncols == A.ncols
+    assert sum(M.col_split) + sum(D.col_split) == sum(A.col_split)
     # every original column shows up exactly once across the two results
     def columns(mat):
-        return [tuple(repr(mat.entries[i][j]) for i in range(mat.nrows))
-                for j in range(mat.ncols)]
+        return [tuple(repr(row[j]) for row in mat.entries)
+                for j in range(sum(mat.col_split))]
     got = sorted(columns(M) + columns(D))
     assert got == sorted(columns(A))
 
@@ -194,20 +194,6 @@ def test_remainder_drops_the_selected_odd_column():
     assert remainder_D(c1.label(), (), ()) == c1.label()
     with pytest.raises(IndexError):
         minor_M(c1.label(), (2,), ())
-
-
-def test_matrix_serialization_round_trip():
-    at = Atlas(0, 1, 1, 2)
-    c3 = at.chart((1,), ())
-    A = c3.label()
-    from nugrass.superalgebra import SuperFunction
-
-    data = A.to_dict(lambda e: e.to_dict())
-    assert data["entries"][0][0] == "1nu"
-    back = SuperMatrix.from_dict(
-        data, lambda d: SuperFunction.from_dict(c3.ctx, d), c3.ctx.zero()
-    )
-    assert back == A
 
 
 def test_parity_validation_rejects_misplaced_entries():
