@@ -86,14 +86,6 @@ class GLPoint(SuperMatrix):
             "entries": [[e.to_dict() for e in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GLPoint":
-        r = data["r"]
-        entries = [
-            [GrassmannNumber.from_dict(r, e) for e in row] for row in data["entries"]
-        ]
-        return cls(data["m"], data["n"], r, entries)
-
 
 def sample_gl(m: int, n: int, r: int, rng: random.Random) -> GLPoint:
     """Random group point built as (unit lower) * diag(units) * (unit upper),

@@ -602,15 +602,6 @@ class GrassPoint:
             "coords": {name: self.values[name].to_dict() for name in self.chart.coords},
         }
 
-    @classmethod
-    def from_dict(cls, atlas: Atlas, data: dict) -> "GrassPoint":
-        chart = atlas.chart(data["chart"]["I"], data["chart"]["R"])
-        r = data["r"]
-        values = {
-            name: GrassmannNumber.from_dict(r, d) for name, d in data["coords"].items()
-        }
-        return cls(chart, r, values)
-
 
 def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoint:
     """A GrassPoint from values the kernel normalized, which respect parity

@@ -131,10 +131,16 @@ def _chart(parser, atlas, text: str):
 
 def _exact_rows(text: str | None):
     """JSON rows of a base block; a float literal would bring a binary
-    fraction into the exact verifier, so it is refused."""
+    fraction into the exact verifier, and a boolean would pass as 0 or 1,
+    so both are refused."""
     def refuse(literal):
         raise ValueError(f"{literal} is a JSON float; write it as a string such as \"1/10\"")
-    return json.loads(text or "[]", parse_float=refuse)
+    rows = json.loads(text or "[]", parse_float=refuse)
+    for row in rows if isinstance(rows, list) else ():
+        for entry in row if isinstance(row, list) else ():
+            if isinstance(entry, bool):
+                raise ValueError(f"{json.dumps(entry)} is a JSON boolean, not a number")
+    return rows
 
 
 def cmd_transition(parser, args) -> int:

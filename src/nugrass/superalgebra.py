@@ -23,8 +23,7 @@ kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table`` and the
 odd derivative read it), nu on numerator tuples is ``_layout(r).nu`` at
-every r, and a monomial key of ``to_dict`` is ``_mask_key``, which
-``_key_mask`` parses back.
+every r, and a monomial key of ``to_dict`` is ``_mask_key``.
 """
 
 from __future__ import annotations
@@ -70,23 +69,9 @@ def mono_sign(a: int, b: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-def _key_mask(key: str, count: int) -> int:
-    """The bitmask of a ``to_dict`` monomial key: strictly increasing
-    generator numbers in 1..count joined by commas, '' for the body."""
-    mask = last = 0
-    for tok in key.split(",") if key else ():
-        i = int(tok)
-        if not 1 <= i <= count:
-            raise UnknownVariable(f"odd generator {i} outside 1..{count}")
-        if i <= last:
-            raise ValueError(f"monomial key {key!r} is not strictly increasing")
-        mask, last = mask | 1 << (i - 1), i
-    return mask
-
-
 def _mask_key(mask: int) -> str:
-    """The ``to_dict`` key of a monomial bitmask, the inverse of _key_mask:
-    its generator numbers, ascending from 1, joined by commas."""
+    """The ``to_dict`` key of a monomial bitmask: its generator numbers,
+    ascending from 1, joined by commas."""
     return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
@@ -232,21 +217,6 @@ class RationalFunction:
 
         return {"vars": list(self.names), "num": poly_dict(self.num), "den": poly_dict(self.den)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RationalFunction":
-        names = tuple(data["vars"])
-        R = _get_ring(names)
-
-        def parse(d):
-            out = {}
-            for key, cstr in d.items():
-                exp = tuple(int(t) for t in key.split(",")) if key else ()
-                q = MPQ(cstr)
-                out[exp] = QQ(q.numerator, q.denominator)
-            return R.from_dict(out) if out else R.zero
-
-        return cls(names, parse(data["num"]), parse(data["den"]))
-
     def __repr__(self):
         if self.den == _get_ring(self.names).one:
             return str(self.num)
@@ -320,8 +290,7 @@ class SuperFunction:
 
     def __init__(self, ctx: GeneratorContext, terms: dict[int, RationalFunction]):
         """Masks are not checked against the odd generators: this runs about
-        29k times per h_report(1,2,2,3), on masks the ring built; from_dict
-        checks the keys it reads."""
+        29k times per h_report(1,2,2,3), on masks the ring built."""
         self.ctx = ctx
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -489,11 +458,6 @@ class SuperFunction:
 
     def to_dict(self) -> dict:
         return {_mask_key(mask): self.terms[mask].to_dict() for mask in sorted(self.terms)}
-
-    @classmethod
-    def from_dict(cls, ctx: GeneratorContext, data: dict) -> "SuperFunction":
-        return cls(ctx, {_key_mask(key, ctx.beta): RationalFunction.from_dict(cdata)
-                         for key, cdata in data.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -668,10 +632,6 @@ class GrassmannNumber:
 
     def to_dict(self) -> dict:
         return {_mask_key(m): str(c) for m, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_dict(cls, r: int, data: dict) -> "GrassmannNumber":
-        return cls(r, {_key_mask(key, r): MPQ(cstr) for key, cstr in data.items()})
 
     def __repr__(self):
         terms = self.terms

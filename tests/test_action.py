@@ -157,12 +157,6 @@ def test_group_point_rejects_an_entry_from_another_lambda_r():
     assert GLPoint._of((2, 3), (2, 3), entries, gn(2, 0)).r == 2
 
 
-def test_gl_serialization_round_trip():
-    rng = random.Random(2)
-    P = sample_gl(2, 1, 2, rng)
-    assert GLPoint.from_dict(P.to_dict()) == P
-
-
 def test_action_gluing_suites_pass():
     assert verify_action_gluing(0, 1, 1, 2, r=2, samples=25, seed=1).ok
     assert verify_action_gluing(0, 1, 1, 2, r=4, samples=10, seed=1).ok

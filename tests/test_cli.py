@@ -267,6 +267,10 @@ def test_an_unwritable_out_file_is_a_usage_error(command, tmp_path, capsys):
     (["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2", "--base1", "[[0, 0]]",
       "--base2", "[[1, 0]]"],
      "bad base point: p1 is not of full row rank"),
+    # a JSON boolean would otherwise be read as the number 1 or 0
+    (["transitivity", "-k", "1", "-l", "1", "-m", "2", "-n", "2", "--samples", "1",
+      "--base1", "[[true, 0]]", "--base2", "[[1, 0]]"],
+     "bad base point: true is a JSON boolean, not a number"),
 ])
 def test_usage_errors_exit_2_with_their_message(command, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 from collections import Counter
 
@@ -26,6 +25,7 @@ import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
 from nugrass.superalgebra import EVEN, ODD, SuperFunction
 from paper_reference import eps_ring_fundamental_field, lift, nu_defect_reference
+from test_pins import PINS, check, digest
 
 AT = get_atlas(0, 1, 1, 2)
 C1 = AT.chart((), (1,))
@@ -580,27 +580,6 @@ def test_the_commutant_matches_the_cut_over_every_odd_monomial(dims):
 
 
 # ---------------------------------------------------------------------------
-# report bytes
-# ---------------------------------------------------------------------------
-
-# SHA-256 of json.dumps(h_report(*dims), indent=2, sort_keys=True), recorded
-# before the bracket read off Jacobians; 2|1(3|2) has dim h = 1|0
-GOLDEN_REPORTS = {
-    (1, 1, 2, 2): "e20314db3221d7ca878b1e7fec23840ad941a195c97682b3ca58e14788865db4",
-    (2, 1, 3, 2): "c0a128057fc03a0d4808675e90dff60cf123002ba5106cfc8f65f84ad39c9e40",
-    # recorded before fundamental fields came from their first-order formula
-    (0, 1, 1, 2): "c53aeeb8ff95a9c236247ffd87e9d9432aa9f4bb483ab9a8e2820ccc2e66845e",
-    (1, 2, 2, 3): "8dcd9670e58b1804934312650f0498ecece0b3a5465d76a23b25be8f0f438d13",
-}
-
-
-@pytest.mark.parametrize("dims", sorted(GOLDEN_REPORTS))
-def test_h_report_bytes_are_pinned(dims):
-    text = json.dumps(h_report(*dims), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[dims]
-
-
-# ---------------------------------------------------------------------------
 # the per-process store of basis fields
 # ---------------------------------------------------------------------------
 
@@ -617,7 +596,7 @@ def test_a_warm_h_report_builds_no_field_and_repeats_the_cold_bytes(monkeypatch)
     warm = json.dumps(h_report(*dims), indent=2, sort_keys=True)
     assert calls == []
     assert warm == cold
-    assert hashlib.sha256(cold.encode()).hexdigest() == GOLDEN_REPORTS[dims]
+    assert digest(cold) == PINS[f"h_report {dims}"].sha256
 
 
 def test_charts_with_the_same_index_sets_keep_their_own_fields(monkeypatch):
@@ -667,5 +646,4 @@ def test_stored_fields_are_read_only():
                     with pytest.raises(TypeError):
                         del comp.terms[mask]
     # every attempt above failed, so the process's fields still give the pin
-    text = json.dumps(h_report(0, 1, 1, 2), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[(0, 1, 1, 2)]
+    check("h_report (0, 1, 1, 2)")

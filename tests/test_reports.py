@@ -2,7 +2,6 @@
 (first_defined) and one tally (CheckResult.record)."""
 
 import gc
-import hashlib
 import json
 import re
 
@@ -15,6 +14,7 @@ from nugrass.action import verify_action_axioms, verify_action_gluing, verify_tr
 from nugrass.atlas import get_atlas, pair_defined, verify_cocycle
 from nugrass.reports import CheckResult, dumps, first_defined
 from nugrass.superalgebra import SuperFunction
+from test_pins import check, digest
 
 
 def test_record_builds_only_the_kept_counterexamples():
@@ -132,40 +132,6 @@ def test_every_retry_site_raises_when_no_draw_is_defined(site, monkeypatch):
 # report bytes
 # ---------------------------------------------------------------------------
 
-# SHA-256 of Report.to_json(), recorded before the sampled checks shared one
-# retry loop and one tally.  The cocycle runs audit 30 nu-triples: 1|1(2|2)
-# and 2|1(3|2) have both undefined and sampled ones.
-SUITES = {
-    "cocycle": lambda d: verify_cocycle(*d, r=2, samples=2, seed=0, audit_nu_triples=30),
-    "gluing": lambda d: verify_action_gluing(*d, r=2, samples=10, seed=0),
-    "axioms": lambda d: verify_action_axioms(*d, r=2, samples=10, seed=0),
-    "transitivity": lambda d: verify_transitivity(*d, r=2, count=10, seed=0),
-}
-GOLDEN_REPORTS = {
-    ("cocycle", (0, 1, 1, 2)): "ae23819147a5baf319870bc08be926465cf4fe0a59a2f95202d7084d8dd611dc",
-    ("gluing", (0, 1, 1, 2)): "a927f61d0a468d61544106ef3c1cade22c7d3fd6d606dd8650f17094c0ec86b4",
-    ("axioms", (0, 1, 1, 2)): "d3b4df69a400c7652cb9cace82d7a3ec5b698b46c3d8a365f4be0c52ee298e30",
-    ("transitivity", (0, 1, 1, 2)): "da00ee0ae833fb258010a3fdf86ec7557ee033e4a6b5b972e343b37c3fd33bf1",
-    ("cocycle", (1, 1, 2, 2)): "7d065a37fca8a8288736d3b4d5ef48a37019a3547967eef54af2862bf0944541",
-    ("gluing", (1, 1, 2, 2)): "bb65792dbfbbec03dbf397e6ebf3d0a821327b57ed6b510a88f03a1501c46a9d",
-    ("axioms", (1, 1, 2, 2)): "ccabaacced4b55883361465afaf19ad1fc6ac8b6d336d50e5f83f6c9c8fdc703",
-    ("transitivity", (1, 1, 2, 2)): "0b0cccd42c2a75031f1bc9bfb1c3e3ac94de28ddf5315c77ac3bbfba532eff77",
-    ("cocycle", (2, 1, 3, 2)): "b7dbf37086611d915bde0ee9f6d76dc1440e6ae1032f7ca12ea4f36761f4f0b8",
-    ("gluing", (2, 1, 3, 2)): "f8ba46ba7cffaf9dc1209ece8c5158de477f233b4d20479de99f782bde0c647d",
-    ("axioms", (2, 1, 3, 2)): "71a5bc6df55b6d662e054ec1509daa571288e8142204a95043f4ac8f01eeeb97",
-    ("transitivity", (2, 1, 3, 2)): "4ec2b2cd811dbd16c088d86c054cca79b9338b9546851dc74d4b4513c8ee51bf",
-}
-
-
-def _digest(report):
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
-
-
-@pytest.mark.parametrize("suite, dims", list(GOLDEN_REPORTS))
-def test_sampled_suite_reports_are_pinned(suite, dims):
-    assert _digest(SUITES[suite](dims)) == GOLDEN_REPORTS[(suite, dims)]
-
-
 def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
     # identity maps, audit maps and audit verdicts are facts of a chart pair:
     # a warm call fills no pasting system with a chart's generators, asks
@@ -190,11 +156,11 @@ def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
     monkeypatch.setattr(atlas, "transition_symbolic", asked)
     for dims in [(0, 1, 1, 2), (1, 1, 2, 2)]:
         cold = len(labels)
-        assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
+        check(f"cocycle {dims}")
         built = [p for p in atlas._GLOBAL_PLANS.values() if "symbolic" in vars(p)]
         assert len(labels) == len(built) > cold
         symbolic.clear()
-        assert _digest(SUITES["cocycle"](dims)) == GOLDEN_REPORTS[("cocycle", dims)]
+        check(f"cocycle {dims}")
         assert len(labels) == len(built)
         assert symbolic == [(c, c) for c in get_atlas(*dims).charts]
 
@@ -225,7 +191,7 @@ def test_failing_suite_reports_are_pinned(suite, monkeypatch):
     monkeypatch.setattr(action, "transitivity_witness", witness)
     report = FAILING_SUITES[suite]()
     assert not report.ok
-    assert _digest(report) == GOLDEN_FAILING[suite]
+    assert digest(report.to_json()) == GOLDEN_FAILING[suite]
 
 
 def _cyclic_garbage(call) -> int:
