@@ -4,20 +4,25 @@ The fundamental vector field of a Lie-algebra element E is the eps-linear
 part of the chart action of  Id + eps*E,  eps^2 = 0, computed from its
 first-order formula in the chart ring: the chart's own label has the
 identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
-1 - N1 eps and no solve runs (see fundamental_field).  A field's
-coordinate representation either commutes with the involution or not;
-collecting the commutation defects over every chart and odd monomial cuts
-an exact linear subspace of gl(m|n): the nu-commutant.  nu_defect is the
-one defect function: by the graded Leibniz rule each defect coefficient is
-a signed, shifted copy of a field component's, keyed by the generic symbol
-f or a partial f_x, so the cut runs on chart-ring coefficients with no
-product and no ring extended by f.  The field of a
-basis element on a chart is a per-process fact of that pair: rho_field
-builds it once, with read-only components, and every later call reads the
-same object, whose Jacobian is computed once and lives as long as the
-process.  The morphism check computes the two derivative terms of each
-unordered pair of basis fields once per chart, builds both bracket orders
-from them, and replays the outcomes in (E1, E2) order.
+1 - N1 eps and no solve runs (see fundamental_field).  Fields are
+polynomial, so a ChartVectorField keeps each coordinate's value as flat
+terms {(odd mask, even exponent tuple): int or MPQ} (superalgebra's flat
+layout), converted once from the chart-ring result; sums, multiples,
+Jacobians, brackets and defects all run on those terms, and the
+SuperFunction components are only a view.  A field's coordinate
+representation either commutes with the involution or not; collecting the
+commutation defects over every chart and odd monomial cuts an exact linear
+subspace of gl(m|n): the nu-commutant.  nu_defect is the one defect
+function: by the graded Leibniz rule each defect coefficient is a signed,
+shifted copy of a field coefficient, keyed by the generic symbol f or a
+partial f_x, so the cut runs on integer coefficients with no product and
+no ring extended by f.  The field of a basis element on a chart is a
+per-process fact of that pair: rho_field builds it once, frozen with
+read-only terms, and every later call reads the same object, whose
+Jacobian is computed once and lives as long as the process.  The morphism
+check builds the bracket of each unordered pair of basis fields once per
+chart, reads the other order off it by the bracket's symmetry, and replays
+the outcomes in (E1, E2) order.
 """
 
 from __future__ import annotations
@@ -30,7 +35,18 @@ from types import MappingProxyType
 from sympy.external.gmpy import MPQ
 
 from .errors import InhomogeneousInput, NoOddGenerators
-from .superalgebra import EVEN, ODD, SuperFunction, _sf, mono_sign
+from .superalgebra import (
+    EVEN,
+    ODD,
+    SuperFunction,
+    _sf,
+    flat_dot,
+    flat_lincomb,
+    flat_partial,
+    from_flat,
+    mono_sign,
+    to_flat,
+)
 from .supermatrix import matmul
 from .linalg import rref
 from .atlas import Chart, IndexPair, _cells, _rows, get_atlas
@@ -127,51 +143,68 @@ def superbracket(a: GlElement, b: GlElement) -> GlElement:
     return ab + ba if (pa and pb) else ab - ba
 
 
-@dataclass
+def _exact(q):
+    """A field coefficient: an int where q is integral, else an MPQ."""
+    q = MPQ(q)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+@dataclass(frozen=True, eq=False)
 class ChartVectorField:
     """A derivation on one chart, given by its value on each coordinate.
 
-    Components are never mutated after construction (fundamental_field
-    returns them in read-only views), so the Jacobian (the nonzero
-    d_c X[name]) is computed once per field object, on first use, and lives
-    as long as it does; it is neither compared nor serialized."""
+    ``flat`` maps each coordinate to the flat terms of its value (see
+    superalgebra: {(odd mask, even exponent tuple): int or MPQ}), in
+    read-only mappings; fields are polynomial, so every sum, multiple,
+    bracket and Jacobian runs on these terms and no sympy polynomial.  The
+    field is frozen, so the Jacobian (the nonzero d_c X[name]) is computed
+    once per field object, on first use, and lives as long as it does; it
+    is neither compared nor serialized.  ``components`` is the SuperFunction
+    view of the same values, built afresh on each read."""
 
     chart: Chart
     parity: int
-    components: Mapping[str, SuperFunction]
+    flat: Mapping[str, Mapping[tuple[int, tuple[int, ...]], int | MPQ]]
+
+    @property
+    def components(self) -> Mapping[str, SuperFunction]:
+        ctx = self.chart.ctx
+        return MappingProxyType({name: _sf(ctx, MappingProxyType(from_flat(ctx, t).terms))
+                                 for name, t in self.flat.items()})
 
     @cached_property
-    def jacobian(self) -> dict[str, dict[str, SuperFunction]]:
-        coords = self.chart.coords
+    def jacobian(self) -> dict[str, dict[str, dict]]:
+        ctx, coords = self.chart.ctx, self.chart.coords
         return {
-            name: {c: d for c in coords if not (d := comp.partial(c)).is_zero()}
-            if not comp.is_zero() else {}
-            for name, comp in self.components.items()
+            name: {c: d for c in coords if (d := flat_partial(t, ctx, c))} if t else {}
+            for name, t in self.flat.items()
         }
 
     def __add__(self, other):
-        comps = {
-            name: self.components[name] + other.components[name]
-            for name in self.components
-        }
-        return ChartVectorField(self.chart, self.parity, comps)
+        return _combine(self.chart, self.parity, ((1, self), (1, other)))
 
     def scale(self, q):
-        return ChartVectorField(
-            self.chart, self.parity,
-            {name: c.scale(q) for name, c in self.components.items()},
-        )
+        return _combine(self.chart, self.parity, ((_exact(q), self),))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components.values())
+        return not any(self.flat.values())
 
     def __eq__(self, other):
         if not isinstance(other, ChartVectorField):
             return NotImplemented
-        return (
-            self.chart.index == other.chart.index
-            and self.components == other.components
-        )
+        return self.chart.index == other.chart.index and self.flat == other.flat
+
+
+def _field(chart: Chart, parity: int, flat: dict[str, dict]) -> ChartVectorField:
+    """A field of flat terms that no one else holds, made read-only."""
+    return ChartVectorField(chart, parity, MappingProxyType(
+        {name: MappingProxyType(t) for name, t in flat.items()}))
+
+
+def _combine(chart: Chart, parity: int, parts) -> ChartVectorField:
+    """The field sum q * X over the pairs (q, X), coordinate by coordinate."""
+    return _field(chart, parity, {name: flat_lincomb((q, X.flat[name]) for q, X in parts)
+                                  for name in chart.coords})
 
 
 def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
@@ -208,14 +241,12 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     plan = chart.plain_plan  # square k+l, no unit column
     N1 = _rows([row[:len(L)] for row in plan.rows], plan.palette(_cells(G), ctx.one()))
     NY = matmul(N1, sigma_Y0, zero)
-    components = {}
+    flat = {}
     for row, t, name, marked in read:
         w = G[row][dcols[t]] - NY[row][t]
         w = w.nu() if marked else w
-        w = -w if odd and w.parity() else w
-        # w owns its terms, so a read-only view of them needs no copy
-        components[name] = _sf(ctx, MappingProxyType(w.terms))
-    return ChartVectorField(chart, parity, MappingProxyType(components))
+        flat[name] = to_flat(-w if odd and w.parity() else w)
+    return _field(chart, parity, flat)
 
 
 # (chart index, u, v) -> the field of E_uv there, for the life of the
@@ -225,26 +256,24 @@ _UNIT_FIELDS: dict[tuple[IndexPair, int, int], ChartVectorField] = {}
 
 def rho_field(Y: GlElement, chart: Chart) -> ChartVectorField:
     """Fundamental field of an arbitrary element, by linearity over the
-    stored basis fields; a unit coefficient hands out the stored field
-    itself.  The shape check comes first: a stored field would skip
-    fundamental_field's."""
+    stored basis fields, in one pass over their flat terms; a lone unit
+    coefficient hands out the stored field itself.  The shape check comes
+    first: a stored field would skip fundamental_field's."""
     parity = Y.parity()
     if parity is None:
         raise InhomogeneousInput("rho needs a homogeneous element")
     idx = chart.index
     if (Y.m, Y.n) != (idx.m, idx.n):
         raise ValueError("element and chart have mismatched shapes")
-    total = None
+    parts = []
     for (u, v), c in sorted(Y.coeffs.items()):
         f = _UNIT_FIELDS.get((idx, u, v))
         if f is None:
             f = _UNIT_FIELDS[idx, u, v] = fundamental_field(GlElement.unit(Y.m, Y.n, u, v), chart)
-        part = f if c == 1 else f.scale(c)
-        total = part if total is None else total + part
-    if total is None:
-        zero = chart.ctx.zero()
-        total = ChartVectorField(chart, parity, {name: zero for name in chart.coords})
-    return total
+        parts.append((_exact(c), f))
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    return _combine(chart, parity, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +284,25 @@ def rho_field(Y: GlElement, chart: Chart) -> ChartVectorField:
 def nu_defect(field: ChartVectorField) -> dict[int, dict]:
     """Commutation defects  D_S = X(nu(f e_S)) - nu(X(f e_S))  of the field
     X, f a generic function of the even coordinates: for every odd monomial
-    e_S without e1, {S: {(phi, mask): chart-ring coefficient}}, phi being
-    "f" or one of its partials "f_x".  D_{S^1} = -nu(D_S), so these S carry
-    every condition: the field commutes with the involution iff every
-    entry is empty.
+    e_S without e1, {S: {(phi, mask, exp): coefficient}}: the coefficient
+    of  phi e_mask x^exp,  phi being "f" or one of its partials "f_x" and
+    (mask, exp) a flat key of the chart ring.  D_{S^1} = -nu(D_S), so these
+    S carry every condition: the field commutes with the involution iff
+    every entry is empty.
 
     A derivation is fixed by its values on the coordinates and the graded
     Leibniz rule, so  X(f e_S) = sum_phi phi A_phi(S)  with
     A_{f_x}(S) = X[x] e_S  and  A_f(S) = sum_{theta in S} X[theta] d_theta e_S,
     and the phi coefficient of D_S is  A_phi(S^1) - nu A_phi(S):  signed,
-    monomial-shifted copies of the components' coefficients, no product and
-    no ring extended by f."""
+    monomial-shifted copies of the field's flat coefficients, no product
+    and no ring extended by f."""
     chart = field.chart
     if not chart.odd_coords:
         raise NoOddGenerators("the chart carries no odd generators")
-    comps = field.components
-    # (phi, bit of theta or 0 for an f_x, the terms of the component)
-    parts = [(f"f_{x}", 0, comps[x].terms) for x in chart.even_coords]
-    parts += [("f", 1 << j, comps[name].terms) for j, name in enumerate(chart.odd_coords)]
+    flat = field.flat
+    # (phi, bit of theta or 0 for an f_x, the flat terms of the component)
+    parts = [(f"f_{x}", 0, flat[x]) for x in chart.even_coords]
+    parts += [("f", 1 << j, flat[name]) for j, name in enumerate(chart.odd_coords)]
     defects = {}
     for S in range(0, 1 << len(chart.odd_coords), 2):
         out = {}
@@ -281,9 +311,9 @@ def nu_defect(field: ChartVectorField) -> dict[int, dict]:
                 if terms and T & bit == bit:
                     rest = T ^ bit  # d_theta e_T = mono_sign(bit, rest) e_rest
                     s = sign * mono_sign(bit, rest)
-                    for m, c in terms.items():
+                    for (m, e), c in terms.items():
                         if not m & rest:
-                            key = (phi, (m | rest) ^ flip)
+                            key = (phi, (m | rest) ^ flip, e)
                             c = c if s * mono_sign(m, rest) > 0 else -c
                             old = out.get(key)
                             out[key] = c if old is None else old + c
@@ -330,7 +360,9 @@ def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     """Exact basis of the subalgebra of gl(m|n) whose fundamental fields
     commute with the involution on every chart, one parity at a time: one
     row per (chart, S, phi, odd mask, even exponent) of nu_defect, whose S
-    carry every condition since D_{S^1} = -nu(D_S) repeats its rows up to sign."""
+    carry every condition since D_{S^1} = -nu(D_S) repeats its rows up to
+    sign.  The fields are polynomial, so the rows hold their coefficients
+    as they are."""
     atlas = get_atlas(k, l, m, n)
     basis_all = GlElement.basis(m, n)
     result = HBasis(m, n)
@@ -342,19 +374,14 @@ def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
             for chart in atlas.charts:
                 f = rho_field(E, chart)
                 for S, defect in nu_defect(f).items():
-                    for (phi, mask), coeff in defect.items():
-                        if coeff.den != coeff.den.ring.one:
-                            raise ArithmeticError(
-                                "defect coefficients are expected polynomial"
-                            )
-                        for exp, q in coeff.num.terms():
-                            key = (chart.index.I, chart.index.R, S, phi, mask, exp)
-                            i = row_index.get(key)
-                            if i is None:
-                                i = len(rows)
-                                row_index[key] = i
-                                rows.append([MPQ(0)] * len(columns))
-                            rows[i][col_i] = MPQ(q)
+                    for (phi, mask, exp), q in defect.items():
+                        key = (chart.index.I, chart.index.R, S, phi, mask, exp)
+                        i = row_index.get(key)
+                        if i is None:
+                            i = len(rows)
+                            row_index[key] = i
+                            rows.append([0] * len(columns))
+                        rows[i][col_i] = q
         # distinct rows in first-seen order span the same row space, so the
         # reduced form and the basis are the same
         for vec in _nullspace(list(dict.fromkeys(map(tuple, rows))), len(columns)):
@@ -386,29 +413,18 @@ def super_jacobi_defect(a: GlElement, b: GlElement, c: GlElement) -> GlElement:
     return t1 + t2 + t3
 
 
-def _derivative_terms(X: ChartVectorField, Y: ChartVectorField) -> dict[str, SuperFunction]:
-    """X(Y[name]) = sum_c X[c] d_c Y[name] for every coordinate, from Y's Jacobian."""
-    zero = X.chart.ctx.zero()
-    return {
-        name: sum((X.components[c] * d for c, d in Y.jacobian[name].items()
-                   if not X.components[c].is_zero()), zero)
-        for name in X.chart.coords
-    }
-
-
-def field_bracket(X1: ChartVectorField, X2: ChartVectorField,
-                  terms: tuple[dict, dict] | None = None) -> ChartVectorField:
-    """Super bracket of derivations  [X1,X2][name] = X1(X2[name]) -+ X2(X1[name]).
-
-    ``terms`` is the pair (X1(X2[.]), X2(X1[.])) when the caller has it
-    already: swapped, the same pair serves the bracket in the other order."""
+def field_bracket(X1: ChartVectorField, X2: ChartVectorField) -> ChartVectorField:
+    """Super bracket of derivations  [X1,X2][name] = X1(X2[name]) -+ X2(X1[name]),
+    with  X(Y[name]) = sum_c X[c] d_c Y[name]  read from Y's Jacobian, in
+    one flat sum per coordinate."""
     if X1.chart.index != X2.chart.index:
         raise ValueError("fields live on different charts")
-    a, b = terms or (_derivative_terms(X1, X2), _derivative_terms(X2, X1))
-    both_odd = bool(X1.parity and X2.parity)
-    comps = {name: a[name] + b[name] if both_odd else a[name] - b[name]
-             for name in X1.chart.coords}
-    return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
+    s = 1 if X1.parity and X2.parity else -1
+    F1, F2, J1, J2 = X1.flat, X2.flat, X1.jacobian, X2.jacobian
+    return _field(X1.chart, (X1.parity + X2.parity) & 1, {
+        name: flat_dot([(1, F1[c], d) for c, d in J2[name].items()]
+                       + [(s, F2[c], d) for c, d in J1[name].items()])
+        for name in X1.chart.coords})
 
 
 def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
@@ -423,11 +439,13 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
     through the two-sided product rule and do not glue with the standard
     representations (see verify_cocycle's audit notes).
 
-    Each unordered pair's terms X_i(X_j[.]) and X_j(X_i[.]) are computed
-    once per chart and serve both bracket orders, each still compared with
-    rho of its reversed bracket (built once per distinct value and chart,
-    with its negation).  The outcomes are replayed in (E1, E2) order, so
-    the sign, counts and counterexamples are a pair-by-pair scan's.  The
+    The bracket formula gives  [X_j, X_i] = s [X_i, X_j],  s = 1 for two odd
+    fields and -1 otherwise, so each unordered pair's field bracket is
+    built once per chart and serves both orders: the other order matches
+    rho of its own reversed bracket (built once per distinct value and
+    chart, with its negation) with s times the sign of the built one.  The
+    outcomes are replayed in (E1, E2) order, so the sign, counts and
+    counterexamples are a pair-by-pair scan's.  The
     basis fields and their Jacobians are per-process facts (rho_field).
     """
     atlas = get_atlas(k, l, m, n)
@@ -445,18 +463,15 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
         rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho), ...)
         for i in range(N):
             for j in range(i, N):
-                ij = _derivative_terms(fields[i], fields[j])
-                ji = ij if i == j else _derivative_terms(fields[j], fields[i])
-                orders = [(i, j, (ij, ji))] + ([(j, i, (ji, ij))] if i != j else [])
-                for a, b, terms in orders:
-                    lhs = field_bracket(fields[a], fields[b], terms)
-                    p = a * N + b
+                lhs = field_bracket(fields[i], fields[j])
+                swap = 1 if fields[i].parity and fields[j].parity else -1
+                for p, t in [(i * N + j, 1)] + ([(j * N + i, swap)] if i != j else []):
                     if keys[p] not in rho:
                         rhs = rho_field(reversed_brackets[p], chart)
                         rho[keys[p]] = (((0, rhs),) if rhs.is_zero()
                                         else ((1, rhs), (-1, rhs.scale(-1))))
                     outcomes[p].append(
-                        next((s for s, side in rho[keys[p]] if lhs == side), None))
+                        next((t * s for s, side in rho[keys[p]] if lhs == side), None))
     sign = None
     result = CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})")
     for i, E1 in enumerate(basis):

@@ -20,10 +20,18 @@ parity pair, and any other product takes the full 3**r-term body.
 linalg.lambda_solve eliminates on the same numerator tuples, with the same
 kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 
+A polynomial element also has a flat layout, {(odd mask, even exponent
+tuple): coefficient} with int coefficients where they are integral (MPQ
+otherwise, never a float): ``to_flat`` and ``from_flat`` convert, and
+``flat_dot``, ``flat_lincomb`` and ``flat_partial`` are its products, linear
+combinations and partial derivatives, with no sympy polynomial in between.
+The fundamental fields of nulie live in it.
+
 Each rule of the Grassmann algebra is written once here: the Koszul sign
-of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table`` and the
-odd derivative read it), nu on numerator tuples is ``_layout(r).nu`` at
-every r, and a monomial key of ``to_dict`` is ``_mask_key``.
+of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
+odd derivative and both flat routines read it), nu on numerator tuples is
+``_layout(r).nu`` at every r, and a monomial key of ``to_dict`` is
+``_mask_key``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, neg
+from operator import add, itemgetter, neg
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
@@ -482,6 +490,82 @@ def _sf(ctx: GeneratorContext, terms: dict[int, RationalFunction]) -> SuperFunct
     f.ctx = ctx
     f.terms = terms
     return f
+
+
+# ---------------------------------------------------------------------------
+# the flat layout of a polynomial element
+# ---------------------------------------------------------------------------
+#
+# A polynomial SuperFunction as flat terms: {(odd mask, even exponent
+# tuple): coefficient}, every coefficient nonzero, an int where it is
+# integral and an MPQ otherwise, the exponents over ctx.even_names.
+
+Flat = dict[tuple[int, tuple[int, ...]], int | MPQ]
+
+
+def to_flat(f: SuperFunction) -> Flat:
+    """The flat terms of f; ArithmeticError if a coefficient of f is not a
+    polynomial."""
+    out = {}
+    for mask, c in f.terms.items():
+        if not c.den.is_ground:  # a monic constant denominator is 1
+            raise ArithmeticError("flat terms need polynomial coefficients")
+        for exp, q in c.num.terms():
+            out[mask, exp] = int(q.numerator) if q.denominator == 1 else MPQ(q)
+    return out
+
+
+def from_flat(ctx: GeneratorContext, flat) -> SuperFunction:
+    """The SuperFunction of flat terms over ctx."""
+    names = ctx.even_names
+    R = _get_ring(names)
+    polys: dict[int, dict] = {}
+    for (mask, exp), c in flat.items():
+        polys.setdefault(mask, {})[exp] = c
+    return _sf(ctx, {mask: RationalFunction(names, R.from_dict(p), R.one, _canonical=True)
+                     for mask, p in polys.items()})
+
+
+def flat_dot(triples) -> Flat:
+    """sum of q * a * b over the triples (q, a, b), a and b flat terms and
+    q an int or MPQ: the product rule of SuperFunction.__mul__,
+    e_a * e_b = mono_sign(a, b) e_(a|b) on disjoint masks, exponents added."""
+    out = {}
+    for q, a, b in triples:
+        for (ma, ea), ca in a.items():
+            ca *= q
+            for (mb, eb), cb in b.items():
+                if ma & mb:
+                    continue
+                key = (ma | mb, tuple(map(add, ea, eb)))
+                c = ca * cb if mono_sign(ma, mb) > 0 else -ca * cb
+                s = out.get(key)
+                out[key] = c if s is None else s + c
+    return {key: c for key, c in out.items() if c}
+
+
+def flat_lincomb(pairs) -> Flat:
+    """sum of q * a over the pairs (q, a), a flat terms, q an int or MPQ."""
+    out = {}
+    for q, a in pairs:
+        for key, c in a.items():
+            s = out.get(key)
+            out[key] = c * q if s is None else s + c * q
+    return {key: c for key, c in out.items() if c}
+
+
+def flat_partial(flat, ctx: GeneratorContext, name: str) -> Flat:
+    """d/d name of flat terms over ctx, as SuperFunction.partial: an even
+    name lowers its exponent, an odd one is the left derivative."""
+    if name in ctx.even_names:
+        i = ctx.even_names.index(name)
+        return {(m, e[:i] + (e[i] - 1,) + e[i + 1:]): c * e[i]
+                for (m, e), c in flat.items() if e[i]}
+    if name not in ctx.odd_names:
+        raise UnknownVariable(name)
+    bit = 1 << ctx.odd_names.index(name)
+    return {(m ^ bit, e): c if mono_sign(bit, m ^ bit) > 0 else -c
+            for (m, e), c in flat.items() if m & bit}
 
 
 class GrassmannNumber:

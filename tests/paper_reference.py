@@ -17,7 +17,8 @@ the pasting equation of a direction as an exact linear system over QQ; it
 realizes no direction and checks forward hops against their inverse.  nu_defect_reference applies
 the generic chain rule over the chart ring extended by a symbol f and its
 partials f_x (formal_context); lift carries nulie.nu_defect's coefficient
-form into that ring, so the two compare as ring elements.
+form into that ring, so the two compare as ring elements.  field_of builds
+a field from SuperFunction values, through the flat layout's to_flat.
 """
 
 from sympy import QQ
@@ -46,6 +47,8 @@ from nugrass.superalgebra import (
     RationalFunction,
     SuperFunction,
     _get_ring,
+    from_flat,
+    to_flat,
 )
 from nugrass.supermatrix import SuperMatrix, is_nu, matmul
 
@@ -247,7 +250,12 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
         # the extracted component is parameter-free; rebuild over the chart ring
         assert all(mask < (1 << chart.beta) for mask in comp2.terms)
         components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
-    return ChartVectorField(chart, parity, components)
+    return field_of(chart, parity, components)
+
+
+def field_of(chart: Chart, parity: int, components: dict) -> ChartVectorField:
+    """The field whose value on each coordinate is the given SuperFunction."""
+    return ChartVectorField(chart, parity, {name: to_flat(c) for name, c in components.items()})
 
 
 def formal_context(chart: Chart) -> GeneratorContext:
@@ -272,14 +280,14 @@ def embed(ctxF: GeneratorContext, sf: SuperFunction) -> SuperFunction:
 
 def lift(chart: Chart, defects: dict) -> list[SuperFunction]:
     """nu_defect's coefficient form as ring elements of formal_context, one
-    per odd monomial in ascending order: D_S = sum (phi, mask) c e_mask phi
-    for S without e1, and D_{S^1} = -nu(D_S) after it."""
+    per odd monomial in ascending order: D_S = sum (phi, mask, exp) c
+    e_mask x^exp phi for S without e1, and D_{S^1} = -nu(D_S) after it."""
     ctxF = formal_context(chart)
     out = []
     for coeffs in defects.values():
         D = ctxF.zero()
-        for (phi, mask), c in coeffs.items():
-            D = D + embed(ctxF, SuperFunction(chart.ctx, {mask: c})) * ctxF.gen(phi)
+        for (phi, mask, exp), c in coeffs.items():
+            D = D + embed(ctxF, from_flat(chart.ctx, {(mask, exp): c})) * ctxF.gen(phi)
         out += [D, -D.nu()]
     return out
 

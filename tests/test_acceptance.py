@@ -26,8 +26,8 @@ from nugrass.action import (
     verify_action_gluing,
     verify_transitivity,
 )
-from nugrass.nulie import ChartVectorField, h_report, nu_defect
-from paper_reference import eval_rational
+from nugrass.nulie import h_report, nu_defect
+from paper_reference import eval_rational, field_of
 
 
 def verdict(num, ok, desc, elapsed=None):
@@ -211,8 +211,8 @@ def test_criterion_8_defect_regression_pair():
     t0 = time.monotonic()
     chart = get_atlas(0, 1, 1, 2).chart((), (1,))
     ctx = chart.ctx
-    xdx = ChartVectorField(chart, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
-    ede = ChartVectorField(chart, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
+    xdx = field_of(chart, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
+    ede = field_of(chart, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
     ok = not any(nu_defect(xdx).values())
     ok &= any(nu_defect(ede).values())
     verdict(8, ok, "x d/dx commutes with the involution, e d/de does not",

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +24,8 @@ from nugrass.nulie import (
 )
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
-from nugrass.superalgebra import EVEN, ODD, SuperFunction
-from paper_reference import eps_ring_fundamental_field, lift, nu_defect_reference
+from nugrass.superalgebra import EVEN, ODD, SuperFunction, flat_partial
+from paper_reference import eps_ring_fundamental_field, field_of, lift, nu_defect_reference
 from test_pins import PINS, check, digest
 
 AT = get_atlas(0, 1, 1, 2)
@@ -155,9 +156,9 @@ def test_fundamental_fields_of_combinations_match_the_eps_ring_route(dims, E):
 
 def test_regression_pair_for_the_commutation_defect():
     ctx = C1.ctx
-    xdx = ChartVectorField(C1, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
+    xdx = field_of(C1, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
     assert all(d.is_zero() for d in lift(C1, nu_defect(xdx)))
-    ede = ChartVectorField(C1, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
+    ede = field_of(C1, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
     defects = lift(C1, nu_defect(ede))
     assert any(not d.is_zero() for d in defects)
     # the defect on the plain generic symbol is f*e, exactly
@@ -167,7 +168,7 @@ def test_regression_pair_for_the_commutation_defect():
 
 def test_zero_field_has_no_defect():
     ctx = C1.ctx
-    zero = ChartVectorField(C1, 0, {"x1": ctx.zero(), "e1": ctx.zero()})
+    zero = field_of(C1, 0, {"x1": ctx.zero(), "e1": ctx.zero()})
     assert all(d.is_zero() for d in lift(C1, nu_defect(zero)))
 
 
@@ -294,6 +295,19 @@ def test_a_warm_commutant_multiplies_and_embeds_nothing(monkeypatch):
     assert calls == {}
 
 
+def test_a_warm_morphism_check_runs_no_superfunction_product_or_partial(monkeypatch):
+    # the brackets, their Jacobians and the rho sides all run on flat terms
+    verify_rho_morphism(1, 2, 2, 3)
+    calls = Counter()
+    for name in ("__mul__", "partial"):
+        def counted(*args, _name=name, _orig=getattr(SuperFunction, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(SuperFunction, name, counted)
+    assert verify_rho_morphism(1, 2, 2, 3).ok
+    assert calls == {}
+
+
 def test_the_cut_and_the_recheck_run_through_nu_defect(monkeypatch):
     # 25 basis fields on 10 charts in the cut, the 2 basis elements of h on
     # the same charts in the re-check; a cold store changes neither count
@@ -332,7 +346,7 @@ def bracket_reference(X1: ChartVectorField, X2: ChartVectorField) -> ChartVector
         a = apply_reference(X1, X2.components[name])
         b = apply_reference(X2, X1.components[name])
         comps[name] = a + b if both_odd else a - b
-    return ChartVectorField(X1.chart, (X1.parity + X2.parity) & 1, comps)
+    return field_of(X1.chart, (X1.parity + X2.parity) & 1, comps)
 
 
 def commutant_reference(dims, charts=None, defects=nu_defect_reference):
@@ -414,6 +428,17 @@ CORRUPTIONS = [(0, (1, 1), 2), (0, (1, 1), -1), (0, (1, 2), -1), (-1, (2, 1), 3)
 @pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
 @pytest.mark.parametrize("corruption", [None] + CORRUPTIONS)
 def test_rho_morphism_replay_matches_the_pair_by_pair_scan(monkeypatch, dims, corruption):
+    assert_replay_matches_the_scan(monkeypatch, dims, corruption)
+
+
+@pytest.mark.parametrize("corruption", [None, CORRUPTIONS[2]])
+def test_rho_morphism_replay_matches_the_scan_on_the_bench_atlas(monkeypatch, corruption):
+    # 1|2(2|3), the atlas of the commutant benchmark: 625 pairs, odd-odd
+    # pairs whose other order is the same bracket, and a sign-flipped field
+    assert_replay_matches_the_scan(monkeypatch, (1, 2, 2, 3), corruption)
+
+
+def assert_replay_matches_the_scan(monkeypatch, dims, corruption):
     # a scaled basis field in the store makes some pairs fail, or match with
     # the other sign; the replayed outcomes must report the same counts,
     # counterexamples and sign as the scan in (E1, E2) order
@@ -459,11 +484,12 @@ def homogeneous_elements(draw, m, n):
 
 
 def assert_jacobian_is_fresh(X: ChartVectorField):
-    for name, comp in X.components.items():
+    ctx = X.chart.ctx
+    for name, terms in X.flat.items():
         row = X.jacobian[name]
         for c in X.chart.coords:
-            assert row.get(c, comp.ctx.zero()) == comp.partial(c)
-        assert all(not d.is_zero() for d in row.values())
+            assert row.get(c, {}) == flat_partial(terms, ctx, c)
+        assert all(row.values())
 
 
 @given(st.data())
@@ -535,8 +561,8 @@ def odd_component_field() -> ChartVectorField:
     partial whose sign shows."""
     chart = get_atlas(1, 1, 2, 2).chart((1,), (1,))
     ctx = chart.ctx
-    return ChartVectorField(chart, 1, {"x1": ctx.gen("e1"), "x2": ctx.zero(),
-                                       "e1": ctx.zero(), "e2": ctx.gen("x2")})
+    return field_of(chart, 1, {"x1": ctx.gen("e1"), "x2": ctx.zero(),
+                               "e1": ctx.zero(), "e2": ctx.gen("x2")})
 
 
 def test_nu_defect_of_a_field_with_odd_components():
@@ -631,6 +657,14 @@ def test_stored_fields_are_read_only():
         for E in GlElement.basis(1, 2):
             field = rho_field(E, chart)
             assert rho_field(E, chart) is field
+            for name, terms in field.flat.items():
+                with pytest.raises(TypeError):
+                    field.flat[name] = {}
+                for key in list(terms) + [(0, (0,) * len(chart.even_coords))]:
+                    with pytest.raises(TypeError):
+                        terms[key] = 1
+                with pytest.raises(AttributeError):
+                    terms.clear()
             for name, comp in field.components.items():
                 with pytest.raises(TypeError):
                     field.components[name] = chart.ctx.zero()
@@ -647,3 +681,27 @@ def test_stored_fields_are_read_only():
                         del comp.terms[mask]
     # every attempt above failed, so the process's fields still give the pin
     check("h_report (0, 1, 1, 2)")
+
+
+def test_a_field_is_frozen():
+    chart = AT.standard_charts[0]
+    E12 = GlElement.unit(1, 2, 1, 2)
+    field = rho_field(E12, chart)
+    for attr, value in (("components", {}), ("flat", {}), ("parity", 0), ("chart", chart)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(field, attr, value)
+    # every rebinding failed, so the store still hands out the true field
+    assert rho_field(E12, chart) is field
+    assert rho_field(E12, chart) == fundamental_field(E12, chart)
+
+
+def test_a_component_view_shares_nothing_with_the_stored_fields():
+    # the view's sympy numerators are mutable dicts: clearing every one of
+    # them in place must leave the stored fields, and so the report, as they were
+    dims = (1, 2, 2, 3)
+    for chart in get_atlas(*dims).charts:
+        for E in GlElement.basis(*dims[2:]):
+            for comp in rho_field(E, chart).components.values():
+                for c in comp.terms.values():
+                    c.num.clear()
+    check("h_report (1, 2, 2, 3)")

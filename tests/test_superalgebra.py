@@ -24,8 +24,13 @@ from nugrass.superalgebra import (
     _layout,
     _product_kernel,
     _sign_table,
+    flat_dot,
+    flat_lincomb,
+    flat_partial,
+    from_flat,
     lambda_sample,
     mono_sign,
+    to_flat,
 )
 from paper_reference import eval_rational
 
@@ -707,3 +712,91 @@ def test_grassmann_terms_is_a_read_only_view():
 def test_grassmann_constructor_rejects_masks_outside_lambda_r(terms):
     with pytest.raises(UnknownVariable):
         GrassmannNumber(2, terms)
+
+
+# ---------------------------------------------------------------------------
+# the flat layout of polynomial elements
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", range(5))
+def test_the_flat_product_matches_superfunction_mul_on_every_mask_pair(beta):
+    # x e_a * y e_b: the key (a | b, (1, 1)) and the sign of the bubble sort,
+    # or nothing where a and b overlap; the same as SuperFunction.__mul__
+    ctx = GeneratorContext(("x", "y"), tuple(f"e{i}" for i in range(1, beta + 1)))
+    x, y = (RationalFunction.gen(ctx.even_names, v) for v in ("x", "y"))
+    for a in range(1 << beta):
+        for b in range(1 << beta):
+            f, g = SuperFunction(ctx, {a: x}), SuperFunction(ctx, {b: y})
+            sign = _bubble_sign(a, b)
+            got = flat_dot([(1, to_flat(f), to_flat(g))])
+            assert got == ({(a | b, (1, 1)): sign} if sign else {}), (a, b)
+            assert got == to_flat(f * g), (a, b)
+            assert flat_dot([(-3, to_flat(f), to_flat(g))]) == to_flat((f * g).scale(-3))
+
+
+def test_flat_sums_drop_cancelled_terms():
+    e1, e2, x = (to_flat(CTX.gen(v)) for v in ("e1", "e2", "x"))
+    assert flat_dot([(1, e1, e2), (1, e2, e1)]) == {}
+    assert flat_dot([(1, x, e1), (-1, e1, x)]) == {}
+    assert flat_lincomb([(2, x), (1, e1), (-2, x)]) == {(1, (0, 0)): 1}
+    assert flat_lincomb([(MPQ(1, 2), e1), (MPQ(-1, 2), e1)]) == {}
+
+
+def test_flat_partial_and_to_flat_reject_what_they_cannot_read():
+    with pytest.raises(UnknownVariable):
+        flat_partial({}, CTX, "z")
+    x = RationalFunction.gen(CTX.even_names, "x")
+    with pytest.raises(ArithmeticError):
+        to_flat(SuperFunction(CTX, {1: x.inv()}))
+
+
+_flat_coefficients = st.one_of(
+    st.integers(-10**20, 10**20).filter(bool),
+    st.builds(MPQ, st.integers(-6, 6).filter(bool), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _flat_terms(draw, ctx=CTX):
+    key = st.tuples(st.integers(0, (1 << ctx.beta) - 1),
+                    st.tuples(*[st.integers(0, 3)] * len(ctx.even_names)))
+    return draw(st.dictionaries(key, _flat_coefficients, max_size=6))
+
+
+def _ring_element(ctx, flat):
+    """The element of flat terms built by the ring's own + and *, not from_flat."""
+    total = ctx.zero()
+    for (mask, exp), c in flat.items():
+        term = ctx.scalar(c)
+        for name, k in zip(ctx.even_names, exp):
+            for _ in range(k):
+                term = term * ctx.gen(name)
+        for i, name in enumerate(ctx.odd_names):
+            if mask >> i & 1:
+                term = term * ctx.gen(name)  # ascending order: no sign
+        total = total + term
+    return total
+
+
+@given(_flat_terms())
+@settings(max_examples=150, deadline=None)
+def test_flat_terms_round_trip_through_superfunction(flat):
+    f = _ring_element(CTX, flat)
+    got = to_flat(f)
+    assert got == flat
+    for c in got.values():
+        assert type(c) is (int if MPQ(c).denominator == 1 else MPQ)
+    assert from_flat(CTX, flat) == f
+    assert from_flat(CTX, got) == f
+
+
+@given(_flat_terms(), _flat_terms(), _flat_coefficients)
+@settings(max_examples=150, deadline=None)
+def test_flat_routines_match_the_superfunction_ring(a, b, q):
+    fa, fb = from_flat(CTX, a), from_flat(CTX, b)
+    assert flat_dot([(1, a, b)]) == to_flat(fa * fb)
+    assert flat_dot([(q, a, b), (1, b, a)]) == to_flat((fa * fb).scale(q) + fb * fa)
+    assert flat_lincomb([(q, a), (1, b)]) == to_flat(fa.scale(q) + fb)
+    for name in CTX.even_names + CTX.odd_names:
+        assert flat_partial(a, CTX, name) == to_flat(fa.partial(name))
