@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import random
 
-from sympy.external.gmpy import MPQ
-
 from .errors import (
     MinorNotInvertible,
     NoChartFound,
@@ -24,7 +22,7 @@ from .errors import (
     NuEntriesPresent,
     RankDeficient,
 )
-from .superalgebra import EVEN, GrassmannNumber, _gn, _layout, lambda_sample
+from .superalgebra import EVEN, GrassmannNumber, _exact, _gn, _layout, lambda_sample
 from .supermatrix import SuperMatrix, is_nu, matmul
 from .linalg import inverse, rref, solve
 from .atlas import (
@@ -163,8 +161,8 @@ class BasePoint:
     """
 
     def __init__(self, p1, p2, m: int | None = None, n: int | None = None):
-        self.p1 = [[MPQ(e) for e in row] for row in p1]
-        self.p2 = [[MPQ(e) for e in row] for row in p2]
+        self.p1 = [[_exact(e) for e in row] for row in p1]
+        self.p2 = [[_exact(e) for e in row] for row in p2]
         self._m = len(self.p1[0]) if self.p1 else m
         self._n = len(self.p2[0]) if self.p2 else n
         if self._m is None or self._n is None:
@@ -216,7 +214,7 @@ def _completed(rows, width: int):
     pivots = rref(rows, width)[1]
     if len(pivots) != len(rows):
         raise RankDeficient("rows are not independent")
-    return list(rows) + [[MPQ(int(j == c)) for j in range(width)]
+    return list(rows) + [[int(j == c) for j in range(width)]
                          for c in range(width) if c not in pivots]
 
 

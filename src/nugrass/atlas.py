@@ -34,8 +34,8 @@ field) is plain: every entry is a coordinate of its own.  It fills the
 system compiled from a plain source into its destination chart
 (Chart.plain_plan), so every pasting normalization runs through
 HopPlan._compile.
-The grids that are still built (a label over a chart ring, a realized
-Lambda_r point to act on) come from one realizer, Chart.grid.
+The one grid that is still built, a realized Lambda_r point to act on,
+comes from Chart.grid, which realizes the label over any ring.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .superalgebra import (
     _sf,
     lambda_sample,
 )
-from .supermatrix import NU, SuperMatrix, format_blocked
+from .supermatrix import NU, format_blocked
 
 # the square inverse under the name the tests and bench/tracer.py look up here
 _lam_gauss_inv = inverse
@@ -142,7 +142,7 @@ def ordering_groups(k: int, l: int, m: int, n: int):
 
 
 class Chart:
-    """One nu-domain with its label supermatrix and coordinate bookkeeping."""
+    """One nu-domain with its label pattern and coordinate bookkeeping."""
 
     def __init__(self, index: IndexPair):
         self.index = index
@@ -234,14 +234,6 @@ class Chart:
     @property
     def coords(self) -> tuple[str, ...]:
         return self.even_coords + self.odd_coords
-
-    def label(self, ctx: GeneratorContext | None = None) -> SuperMatrix:
-        """The label as a symbolic supermatrix over the chart ring."""
-        ctx = ctx or self.ctx
-        zero = ctx.zero()
-        grid = self.grid({name: ctx.gen(name) for name in self.coords}, ctx.one(), zero)
-        idx = self.index
-        return SuperMatrix._of((idx.k, idx.l), (idx.m, idx.n), grid, zero)
 
     def label_tokens(self) -> list[list[str]]:
         toks = []

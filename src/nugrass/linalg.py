@@ -1,6 +1,8 @@
 """The exact linear algebra of the kernel: rref over QQ and solve.
 
-* rref works over QQ.  It is rank-revealing: a column without a nonzero
+* rref works over QQ, on ints and Fractions: its entries enter through
+  superalgebra._exact, and a row stays on ints while its pivots are +-1.
+  It is rank-revealing: a column without a nonzero
   entry below the rows already used is skipped, not an error.  The rank
   checks, the basis completion of the transitivity witness, the commutant's
   nullspace, span membership and the inverse-transition system use it.
@@ -28,24 +30,25 @@ The one matrix product, with the odd-unit rule, is supermatrix.matmul.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from sympy.external.gmpy import MPQ
-
 from . import superalgebra
 from .errors import NotInvertible
-from .superalgebra import GrassmannNumber, _inverse_num, _reduced
+from .superalgebra import GrassmannNumber, _exact, _inverse_num, _reduced
 
 
 def rref(rows, ncols: int):
-    """Reduced row echelon form of a matrix of MPQ on its first ncols columns.
+    """Reduced row echelon form of a matrix of exact rationals on its first
+    ncols columns.
 
     Columns past ncols (an augmented block) are carried along but never
     pivoted on.  Returns (reduced rows, pivot columns); the rows past the
-    rank vanish on the first ncols columns.
+    rank vanish on the first ncols columns.  Entries come back as ints or
+    Fractions.
     """
-    M = [list(row) for row in rows]
+    M = [[_exact(e) for e in row] for row in rows]
     pivots = []
     for c in range(ncols):
         rank = len(pivots)
@@ -55,7 +58,7 @@ def rref(rows, ncols: int):
         else:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv = MPQ(1) / M[rank][c]
+        inv = _exact(1 / Fraction(M[rank][c]))
         prow = M[rank] = [e * inv for e in M[rank]]
         for i, row in enumerate(M):
             f = row[c]

@@ -6,8 +6,8 @@ first-order formula in the chart ring: the chart's own label has the
 identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
 1 - N1 eps and no solve runs (see fundamental_field).  Fields are
 polynomial, so a ChartVectorField keeps each coordinate's value as flat
-terms {(odd mask, even exponent tuple): int or MPQ} (superalgebra's flat
-layout), converted once from the chart-ring result; sums, multiples,
+terms {(odd mask, even exponent tuple): int or Fraction} (superalgebra's
+flat layout), built on those terms from the chart's label; sums, multiples,
 Jacobians, brackets and defects all run on those terms, and the
 SuperFunction components are only a view.  A field's coordinate
 representation either commutes with the involution or not; collecting the
@@ -32,36 +32,37 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from types import MappingProxyType
 
-from sympy.external.gmpy import MPQ
+from fractions import Fraction
 
 from .errors import InhomogeneousInput, NoOddGenerators
 from .superalgebra import (
     EVEN,
     ODD,
     SuperFunction,
+    _exact,
     _sf,
     flat_dot,
     flat_lincomb,
     flat_partial,
     from_flat,
     mono_sign,
-    to_flat,
 )
-from .supermatrix import matmul
 from .linalg import rref
-from .atlas import Chart, IndexPair, _cells, _rows, get_atlas
+from .atlas import Chart, IndexPair, get_atlas
 from .reports import CheckResult, Report
 
 
 class GlElement:
-    """Element of gl(m|n) as exact coefficients on the elementary basis."""
+    """Element of gl(m|n) as exact coefficients on the elementary basis:
+    ``coeffs`` maps (u, v) to an int where the coefficient is integral and
+    to a Fraction otherwise, each read through superalgebra._exact."""
 
     __slots__ = ("m", "n", "coeffs")
 
-    def __init__(self, m: int, n: int, coeffs: dict[tuple[int, int], MPQ]):
+    def __init__(self, m: int, n: int, coeffs: dict[tuple[int, int], int | Fraction]):
         self.m = m
         self.n = n
-        self.coeffs = {uv: MPQ(c) for uv, c in coeffs.items() if c}
+        self.coeffs = {uv: q for uv, c in coeffs.items() if (q := _exact(c))}
         d = m + n
         for u, v in self.coeffs:
             if not (1 <= u <= d and 1 <= v <= d):
@@ -69,7 +70,7 @@ class GlElement:
 
     @classmethod
     def unit(cls, m: int, n: int, u: int, v: int) -> "GlElement":
-        return cls(m, n, {(u, v): MPQ(1)})
+        return cls(m, n, {(u, v): 1})
 
     @classmethod
     def basis(cls, m: int, n: int) -> list["GlElement"]:
@@ -93,27 +94,27 @@ class GlElement:
     def __add__(self, other):
         out = dict(self.coeffs)
         for uv, c in other.coeffs.items():
-            out[uv] = out.get(uv, MPQ(0)) + c
+            out[uv] = out.get(uv, 0) + c
         return GlElement(self.m, self.n, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for uv, c in other.coeffs.items():
-            out[uv] = out.get(uv, MPQ(0)) - c
+            out[uv] = out.get(uv, 0) - c
         return GlElement(self.m, self.n, out)
 
     def scale(self, q) -> "GlElement":
-        q = MPQ(q)
+        q = _exact(q)
         return GlElement(self.m, self.n, {uv: c * q for uv, c in self.coeffs.items()})
 
     def matmul(self, other: "GlElement") -> "GlElement":
-        out: dict[tuple[int, int], MPQ] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (u, v), a in self.coeffs.items():
             for (v2, w), b in other.coeffs.items():
                 if v != v2:
                     continue
                 key = (u, w)
-                out[key] = out.get(key, MPQ(0)) + a * b
+                out[key] = out.get(key, 0) + a * b
         return GlElement(self.m, self.n, out)
 
     def __eq__(self, other):
@@ -143,20 +144,14 @@ def superbracket(a: GlElement, b: GlElement) -> GlElement:
     return ab + ba if (pa and pb) else ab - ba
 
 
-def _exact(q):
-    """A field coefficient: an int where q is integral, else an MPQ."""
-    q = MPQ(q)
-    return int(q.numerator) if q.denominator == 1 else q
-
-
 @dataclass(frozen=True, eq=False)
 class ChartVectorField:
     """A derivation on one chart, given by its value on each coordinate.
 
     ``flat`` maps each coordinate to the flat terms of its value (see
-    superalgebra: {(odd mask, even exponent tuple): int or MPQ}), in
+    superalgebra: {(odd mask, even exponent tuple): int or Fraction}), in
     read-only mappings; fields are polynomial, so every sum, multiple,
-    bracket and Jacobian runs on these terms and no sympy polynomial.  The
+    bracket and Jacobian runs on these terms and no chart-ring polynomial.  The
     field is frozen, so the Jacobian (the nonzero d_c X[name]) is computed
     once per field object, on first use, and lives as long as it does; it
     is neither compared nor serialized.  ``components`` is the SuperFunction
@@ -164,7 +159,7 @@ class ChartVectorField:
 
     chart: Chart
     parity: int
-    flat: Mapping[str, Mapping[tuple[int, tuple[int, ...]], int | MPQ]]
+    flat: Mapping[str, Mapping[tuple[int, tuple[int, ...]], int | Fraction]]
 
     @property
     def components(self) -> Mapping[str, SuperFunction]:
@@ -222,6 +217,11 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     read off through the chart's slots, where sigma(y) = (-1)^{|y||E|} y
     moves eps past y; for odd E the left derivative d/d eps adds a sign
     (-1)^{|w|} on each component w.
+
+    All of it runs on flat terms: each label entry is one term (a
+    coordinate, 1, or nu of either, nu toggling the first odd generator as
+    SuperFunction.nu does), G is a linear combination of them, and N1
+    sigma(Y0) one flat_dot per component.
     """
     parity = E.parity()
     if parity is None:
@@ -229,24 +229,42 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     idx = chart.index
     if (E.m, E.n) != (idx.m, idx.n):
         raise ValueError("element and chart have mismatched shapes")
-    ctx, odd = chart.ctx, parity == ODD
-    zero = ctx.zero()
-    d = idx.m + idx.n
-    L = chart.label().entries
-    # matmul reads  1nu * c  as  nu(c) = c nu(1),  only where an odd unit occurs
-    G = matmul(L, [[ctx.scalar(c) if (c := E.coeffs.get((u, v))) else zero
-                    for v in range(1, d + 1)] for u in range(1, d + 1)], zero)
+    odd = parity == ODD
+    ctx = chart.ctx
+    no_exp = (0,) * chart.alpha
+    one = (0, no_exp)
+    key = {name: (0, tuple(int(j == i) for j in range(chart.alpha)))
+           for i, name in enumerate(ctx.even_names)}
+    key.update({name: (1 << j, no_exp) for j, name in enumerate(ctx.odd_names)})
+    # the label as {column: key} per row; a formal odd unit is e1 = nu(1)
+    L = [{} for _ in chart.pattern]
+    for row, gcol, odd_unit in chart.identity:
+        L[row][gcol] = (1, no_exp) if odd_unit else one
+    for row, gcol, name, marked in chart.slots:
+        mask, exp = key[name]
+        L[row][gcol] = (mask ^ 1 if marked else mask, exp)
+    G = [[flat_lincomb((c, {k: 1}) for u, k in Li.items() if (c := E.coeffs.get((u + 1, v))))
+          for v in range(1, idx.m + idx.n + 1)] for Li in L]
     _, dcols, read = chart.dst_plan
-    sigma_Y0 = [[-Li[c] if odd and Li[c].parity() else Li[c] for c in dcols] for Li in L]
-    plan = chart.plain_plan  # square k+l, no unit column
-    N1 = _rows([row[:len(L)] for row in plan.rows], plan.palette(_cells(G), ctx.one()))
-    NY = matmul(N1, sigma_Y0, zero)
+    sigma_Y0 = [[{k: -1 if odd and k[0].bit_count() & 1 else 1} if (k := Li.get(c)) else {}
+                 for c in dcols] for Li in L]
+    plan = chart.plain_plan  # square k+l, no unit column and no constant
+    palette = [{}, {one: 1}, None] + [_nu(G[i][j]) if flag else G[i][j]
+                                      for (i, j), flag in plan.coords]
+    N1 = [[palette[s] for s in row[:len(L)]] for row in plan.rows]
     flat = {}
     for row, t, name, marked in read:
-        w = G[row][dcols[t]] - NY[row][t]
-        w = w.nu() if marked else w
-        flat[name] = to_flat(-w if odd and w.parity() else w)
+        w = flat_dot([(1, G[row][dcols[t]], {one: 1})]
+                     + [(-1, n, y[t]) for n, y in zip(N1[row], sigma_Y0)])
+        w = _nu(w) if marked else w
+        flat[name] = {(m, e): _exact(-c if odd and m.bit_count() & 1 else c)
+                      for (m, e), c in w.items()}
     return _field(chart, parity, flat)
+
+
+def _nu(terms: dict) -> dict:
+    """nu on flat terms: toggle the first odd generator, as SuperFunction.nu."""
+    return {(m ^ 1, e): c for (m, e), c in terms.items()}
 
 
 # (chart index, u, v) -> the field of E_uv there, for the life of the
@@ -326,14 +344,14 @@ def nu_defect(field: ChartVectorField) -> dict[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(rows: list[list[MPQ]], ncols: int) -> list[list[MPQ]]:
+def _nullspace(rows: list[list], ncols: int) -> list[list]:
     """Exact rational nullspace; returns basis vectors."""
     M, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [MPQ(0)] * ncols
-        v[fc] = MPQ(1)
+        v = [0] * ncols
+        v[fc] = 1
         for row_i, pc in enumerate(pivots):
             v[pc] = -M[row_i][fc]
         basis.append(v)
@@ -369,7 +387,7 @@ def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     for parity, sink in ((EVEN, result.even), (ODD, result.odd)):
         columns = [E for E in basis_all if E.parity() == parity]
         row_index: dict[tuple, int] = {}
-        rows: list[list[MPQ]] = []
+        rows: list[list] = []
         for col_i, E in enumerate(columns):
             for chart in atlas.charts:
                 f = rho_field(E, chart)
@@ -398,8 +416,7 @@ def in_span(Y: GlElement, basis: list[GlElement]) -> bool:
     keys = sorted({uv for b in basis for uv in b.coeffs} | set(Y.coeffs))
     if not keys:
         return Y.is_zero()
-    rows = [[b.coeffs.get(key, MPQ(0)) for b in basis] + [Y.coeffs.get(key, MPQ(0))]
-            for key in keys]
+    rows = [[b.coeffs.get(key, 0) for b in basis] + [Y.coeffs.get(key, 0)] for key in keys]
     M, pivots = rref(rows, len(basis))
     return not any(row[-1] for row in M[len(pivots):])
 

@@ -4,14 +4,19 @@ Elements are finite sums  sum_S  c_S * e_S  where each coefficient c_S is a
 rational function over QQ in declared even indeterminates and e_S is a
 monomial in anticommuting odd generators.  The first odd generator carries
 the odd involution nu (toggle membership of e_1, left insertion, no sign).
+The numerator and denominator of such a coefficient (RationalFunction) are
+elements of the polynomial ring that _get_ring builds on first use, the one
+import of a computer-algebra package in the kernel; nothing else here needs
+one.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
 verification suites.  A GrassmannNumber stores a dense tuple of 2**r
 integer numerators, indexed by monomial bitmask, over one positive common
 denominator in lowest terms (zero is the zero tuple over 1), so its
-arithmetic runs on Python ints and equality compares the stored fields; MPQ
-appears only at its boundary (constructor, ``terms``, ``body``).  Its
+arithmetic runs on Python ints and equality compares the stored fields;
+fractions.Fraction appears only at its boundary (constructor, ``terms``,
+``body``), and every exact rational that enters goes through ``_exact``.  Its
 products run through one straight-line kernel per r on those tuples, which
 the inverse and the fused step ``x.add_product(a, b, sign)`` build on.  The
 kernel follows the Z/2 grading of Lambda_r: a product of two homogeneous
@@ -21,11 +26,12 @@ linalg.lambda_solve eliminates on the same numerator tuples, with the same
 kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 
 A polynomial element also has a flat layout, {(odd mask, even exponent
-tuple): coefficient} with int coefficients where they are integral (MPQ
-otherwise, never a float): ``to_flat`` and ``from_flat`` convert, and
-``flat_dot``, ``flat_lincomb`` and ``flat_partial`` are its products, linear
-combinations and partial derivatives, with no sympy polynomial in between.
-The fundamental fields of nulie live in it.
+tuple): coefficient} with int coefficients where they are integral (a
+Fraction otherwise, never a float): ``from_flat`` converts it to a
+SuperFunction, and ``flat_dot``, ``flat_lincomb`` and ``flat_partial`` are
+its products, linear combinations and partial derivatives, with no
+chart-ring polynomial in between.  The fundamental fields of nulie are
+built and live in it.
 
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
@@ -37,15 +43,12 @@ odd derivative and both flat routines read it), nu on numerator tuples is
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, itemgetter, neg
+from operator import add, index, itemgetter, neg
 from types import MappingProxyType
 from typing import Callable, NamedTuple
-
-from sympy import QQ
-from sympy.external.gmpy import MPQ
-from sympy.polys.rings import ring as _sym_ring
 
 from .errors import (
     ContextMismatch,
@@ -60,7 +63,31 @@ ODD = 1
 
 @lru_cache(maxsize=None)
 def _get_ring(names: tuple[str, ...]):
-    return _sym_ring(" ".join(names), QQ)[0]
+    """The polynomial ring over QQ in these names: the one place that loads
+    sympy, so only a chart-ring RationalFunction pays for it."""
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    return ring(" ".join(names), QQ)[0]
+
+
+def _exact(q) -> int | Fraction:
+    """An exact rational as the kernel keeps it: an int where it is
+    integral, else a Fraction.  Takes an int, a Fraction, a string such as
+    "1/10", or any value with integer numerator and denominator attributes
+    (the MPQ coefficients of a chart-ring polynomial); anything else, a
+    float among them, raises TypeError."""
+    if type(q) is int:
+        return q
+    if type(q) is Fraction:
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(q, str):
+        q = Fraction(q)
+    try:
+        num, den = index(q.numerator), index(q.denominator)
+    except AttributeError:
+        raise TypeError(f"{q!r} is not an exact rational") from None
+    return num if den == 1 else Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +140,7 @@ class RationalFunction:
                 den = den.quo(g)
             lc = den.LC
             if lc != 1:
-                inv = QQ(1) / lc
+                inv = den.ring.domain.one / lc
                 num = num.mul_ground(inv)
                 den = den.mul_ground(inv)
         self.num = num
@@ -125,8 +152,8 @@ class RationalFunction:
     def from_rat(cls, names: tuple[str, ...], value) -> "RationalFunction":
         R = _get_ring(names)
         zero_exp = (0,) * len(names)
-        q = MPQ(value)
-        num = R.from_dict({zero_exp: QQ(q.numerator, q.denominator)}) if q else R.zero
+        q = _exact(value)
+        num = R.from_dict({zero_exp: R.domain(q.numerator, q.denominator)}) if q else R.zero
         return cls(names, num, R.one, _canonical=True)
 
     @classmethod
@@ -134,7 +161,7 @@ class RationalFunction:
         R = _get_ring(names)
         i = names.index(name)
         exp = tuple(1 if j == i else 0 for j in range(len(names)))
-        return cls(names, R.from_dict({exp: QQ(1)}), R.one, _canonical=True)
+        return cls(names, R.from_dict({exp: R.domain.one}), R.one, _canonical=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -195,13 +222,13 @@ class RationalFunction:
         return RationalFunction(self.names, self.den, self.num)
 
     def scale(self, q) -> "RationalFunction":
-        q = MPQ(q)
+        q = _exact(q)
+        R = self.num.ring
         if not q:
-            R = _get_ring(self.names)
             return RationalFunction(self.names, R.zero, R.one, _canonical=True)
         # a unit multiple of the numerator keeps the gcd 1 and the monic denominator
         return RationalFunction(
-            self.names, self.num.mul_ground(QQ(q.numerator, q.denominator)), self.den,
+            self.names, self.num.mul_ground(R.domain(q.numerator, q.denominator)), self.den,
             _canonical=True,
         )
 
@@ -384,7 +411,7 @@ class SuperFunction:
         return self + a * b if sign > 0 else self - a * b
 
     def scale(self, q) -> "SuperFunction":
-        q = MPQ(q)
+        q = _exact(q)
         if not q:
             return _sf(self.ctx, {})
         return _sf(self.ctx, {m: c.scale(q) for m, c in self.terms.items()})
@@ -444,7 +471,7 @@ class SuperFunction:
         def image(p):
             total = scalar(0)
             for exp, q in p.terms():
-                term = scalar(MPQ(q))
+                term = scalar(q)
                 for name, k in zip(names, exp):
                     for _ in range(k):
                         term = term * values[name]
@@ -498,21 +525,9 @@ def _sf(ctx: GeneratorContext, terms: dict[int, RationalFunction]) -> SuperFunct
 #
 # A polynomial SuperFunction as flat terms: {(odd mask, even exponent
 # tuple): coefficient}, every coefficient nonzero, an int where it is
-# integral and an MPQ otherwise, the exponents over ctx.even_names.
+# integral and a Fraction otherwise, the exponents over ctx.even_names.
 
-Flat = dict[tuple[int, tuple[int, ...]], int | MPQ]
-
-
-def to_flat(f: SuperFunction) -> Flat:
-    """The flat terms of f; ArithmeticError if a coefficient of f is not a
-    polynomial."""
-    out = {}
-    for mask, c in f.terms.items():
-        if not c.den.is_ground:  # a monic constant denominator is 1
-            raise ArithmeticError("flat terms need polynomial coefficients")
-        for exp, q in c.num.terms():
-            out[mask, exp] = int(q.numerator) if q.denominator == 1 else MPQ(q)
-    return out
+Flat = dict[tuple[int, tuple[int, ...]], int | Fraction]
 
 
 def from_flat(ctx: GeneratorContext, flat) -> SuperFunction:
@@ -528,7 +543,7 @@ def from_flat(ctx: GeneratorContext, flat) -> SuperFunction:
 
 def flat_dot(triples) -> Flat:
     """sum of q * a * b over the triples (q, a, b), a and b flat terms and
-    q an int or MPQ: the product rule of SuperFunction.__mul__,
+    q an int or Fraction: the product rule of SuperFunction.__mul__,
     e_a * e_b = mono_sign(a, b) e_(a|b) on disjoint masks, exponents added."""
     out = {}
     for q, a, b in triples:
@@ -545,7 +560,7 @@ def flat_dot(triples) -> Flat:
 
 
 def flat_lincomb(pairs) -> Flat:
-    """sum of q * a over the pairs (q, a), a flat terms, q an int or MPQ."""
+    """sum of q * a over the pairs (q, a), a flat terms, q an int or Fraction."""
     out = {}
     for q, a in pairs:
         for key, c in a.items():
@@ -584,9 +599,10 @@ class GrassmannNumber:
     ``D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1)`` with ``n**(K+1) = 0``
     (``_inverse_num``).
 
-    The public constructor takes ``{mask: MPQ or int}`` with every mask in
-    ``range(2**r)``; ``terms`` is a read-only ``{mask: MPQ}`` view of the
-    nonzero slots.
+    The public constructor takes ``{mask: exact rational}`` with every mask
+    in ``range(2**r)`` (what ``_exact`` takes: an int, a Fraction, a string
+    such as "1/10", an MPQ); ``terms`` is a read-only ``{mask: Fraction}``
+    view of the nonzero slots.
     """
 
     __slots__ = ("r", "num", "den")
@@ -598,8 +614,9 @@ class GrassmannNumber:
         for m, c in terms.items():
             if not 0 <= m < size:
                 raise UnknownVariable(f"monomial mask {m} outside Lambda_{r}")
-            if c:  # an int is its own numerator over 1
-                fracs.append((m, c if isinstance(c, int) else MPQ(c)))
+            c = _exact(c)  # an int is its own numerator over 1
+            if c:
+                fracs.append((m, c))
         # over the lcm of reduced denominators no common factor is left: a
         # prime at its highest power in den divides no numerator of a term
         # that brings that power
@@ -611,7 +628,7 @@ class GrassmannNumber:
 
     @classmethod
     def scalar(cls, r: int, q) -> "GrassmannNumber":
-        q = MPQ(q)
+        q = _exact(q)
         zero = _layout(r).zero
         return _gn(r, (q.numerator,) + zero[1:], q.denominator) if q else _gn(r, zero, 1)
 
@@ -626,9 +643,9 @@ class GrassmannNumber:
 
     @property
     def terms(self):
-        """Read-only view {mask: MPQ} of the nonzero coefficients."""
+        """Read-only view {mask: Fraction} of the nonzero coefficients."""
         den = self.den
-        return MappingProxyType({m: MPQ(c, den) for m, c in enumerate(self.num) if c})
+        return MappingProxyType({m: Fraction(c, den) for m, c in enumerate(self.num) if c})
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -636,8 +653,8 @@ class GrassmannNumber:
     def has_body(self) -> bool:
         return self.num[0] != 0
 
-    def body(self) -> MPQ:
-        return MPQ(self.num[0], self.den)
+    def body(self) -> Fraction:
+        return Fraction(self.num[0], self.den)
 
     def soul(self) -> "GrassmannNumber":
         return _reduced(self.r, (0,) + self.num[1:], self.den)
@@ -671,15 +688,20 @@ class GrassmannNumber:
         return _gn(self.r, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, MPQ)):
-            q = MPQ(other)
-            if not q:
-                return self.ring_zero()
-            p = q.numerator
-            return _reduced(self.r, tuple([c * p for c in self.num]), self.den * q.denominator)
-        self._check(other)
-        return _reduced(self.r, _product_kernel(self.r)(self.num, other.num),
-                        self.den * other.den)
+        if isinstance(other, GrassmannNumber):
+            self._check(other)
+            return _reduced(self.r, _product_kernel(self.r)(self.num, other.num),
+                            self.den * other.den)
+        if isinstance(other, str):  # a scalar operand is a number, not its text
+            return NotImplemented
+        try:
+            q = _exact(other)
+        except TypeError:
+            return NotImplemented
+        if not q:
+            return self.ring_zero()
+        p = q.numerator
+        return _reduced(self.r, tuple([c * p for c in self.num]), self.den * q.denominator)
 
     __rmul__ = __mul__
 

@@ -4,8 +4,8 @@ A matrix carries a row split r0|r1 and a column split c0|c1.  Blocks B1
 (even rows x even cols) and B4 (odd x odd) hold even entries, B2 and B3 hold
 odd entries.  Besides plain ring elements an entry may be the formal symbol
 1nu, which multiplies by the rule  z * 1nu = 1nu * z = nu(z).  SuperMatrix
-is the one matrix type: a chart label over the chart ring, and, as its
-subclass action.GLPoint, a point of GL(m|n) over Lambda_r.  Its constructor
+is the one matrix type: as its subclass action.GLPoint, a point of GL(m|n)
+over Lambda_r, and in the tests a chart label over the chart ring.  Its constructor
 checks what it is given; SuperMatrix._of takes a value the kernel built.
 matmul, on nested lists, is the kernel's one matrix product and carries the
 odd-unit rule; smat_mul and smat_inv are the product and inverse on

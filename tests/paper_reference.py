@@ -18,7 +18,11 @@ realizes no direction and checks forward hops against their inverse.  nu_defect_
 the generic chain rule over the chart ring extended by a symbol f and its
 partials f_x (formal_context); lift carries nulie.nu_defect's coefficient
 form into that ring, so the two compare as ring elements.  field_of builds
-a field from SuperFunction values, through the flat layout's to_flat.
+a field from SuperFunction values, through to_flat, the flat terms of a
+polynomial chart-ring element.  label is a chart's label as a supermatrix
+over its chart ring, and chart_ring_fundamental_field the first-order
+formula of nulie.fundamental_field run on that label with the ring's own
+products: the oracle of the flat route.
 """
 
 from sympy import QQ
@@ -27,6 +31,7 @@ from sympy.external.gmpy import MPQ
 from nugrass.atlas import (
     Chart,
     GrassPoint,
+    _cells,
     _get_plan,
     _rows,
     point_transition,
@@ -38,7 +43,7 @@ from nugrass.errors import (
     ResidualNuSymbol,
 )
 from nugrass.linalg import ring_solve, rref, solve
-from nugrass.nulie import ChartVectorField
+from nugrass.nulie import ChartVectorField, _field
 from nugrass.superalgebra import (
     EVEN,
     ODD,
@@ -46,9 +51,9 @@ from nugrass.superalgebra import (
     GrassmannNumber,
     RationalFunction,
     SuperFunction,
+    _exact,
     _get_ring,
     from_flat,
-    to_flat,
 )
 from nugrass.supermatrix import SuperMatrix, is_nu, matmul
 
@@ -240,7 +245,7 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
     ]
     # label (1 + eps E) is not the label, so the chart's unit columns are not
     # known in advance: no `units` for the solve
-    W = matmul(chart.label(ctx2).entries, P, zero)
+    W = matmul(label(chart, ctx2).entries, P, zero)
     components = {}
     for name, val in grid_normalize(W, chart).items():
         if parity == ODD:
@@ -251,6 +256,59 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
         assert all(mask < (1 << chart.beta) for mask in comp2.terms)
         components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
     return field_of(chart, parity, components)
+
+
+def label(chart: Chart, ctx: GeneratorContext | None = None) -> SuperMatrix:
+    """The chart's label as a symbolic supermatrix over the chart ring, or
+    over ctx, a ring with the chart's coordinates among its generators."""
+    ctx = ctx or chart.ctx
+    zero = ctx.zero()
+    grid = chart.grid({name: ctx.gen(name) for name in chart.coords}, ctx.one(), zero)
+    idx = chart.index
+    return SuperMatrix._of((idx.k, idx.l), (idx.m, idx.n), grid, zero)
+
+
+def to_flat(f: SuperFunction) -> dict:
+    """The flat terms of f, {(odd mask, even exponents): int or Fraction};
+    ArithmeticError if a coefficient of f is not a polynomial."""
+    out = {}
+    for mask, c in f.terms.items():
+        if not c.den.is_ground:  # a monic constant denominator is 1
+            raise ArithmeticError("flat terms need polynomial coefficients")
+        for exp, q in c.num.terms():
+            out[mask, exp] = _exact(q)
+    return out
+
+
+def chart_ring_fundamental_field(E, chart: Chart) -> ChartVectorField:
+    """nulie.fundamental_field's first-order formula  X1 = G_d - N1 sigma(Y0)
+    over the chart ring: G = L E by supermatrix.matmul on the label, N1 from
+    the rows of the chart's plain HopPlan filled with G through its palette,
+    and N1 sigma(Y0) by matmul again; the result converted by to_flat."""
+    parity = E.parity()
+    if parity is None:
+        raise InhomogeneousInput("fundamental_field needs a homogeneous element")
+    idx = chart.index
+    if (E.m, E.n) != (idx.m, idx.n):
+        raise ValueError("element and chart have mismatched shapes")
+    ctx, odd = chart.ctx, parity == ODD
+    zero = ctx.zero()
+    d = idx.m + idx.n
+    L = label(chart).entries
+    # matmul reads  1nu * c  as  nu(c) = c nu(1),  only where an odd unit occurs
+    G = matmul(L, [[ctx.scalar(c) if (c := E.coeffs.get((u, v))) else zero
+                    for v in range(1, d + 1)] for u in range(1, d + 1)], zero)
+    _, dcols, read = chart.dst_plan
+    sigma_Y0 = [[-Li[c] if odd and Li[c].parity() else Li[c] for c in dcols] for Li in L]
+    plan = chart.plain_plan  # square k+l, no unit column
+    N1 = _rows([row[:len(L)] for row in plan.rows], plan.palette(_cells(G), ctx.one()))
+    NY = matmul(N1, sigma_Y0, zero)
+    flat = {}
+    for row, t, name, marked in read:
+        w = G[row][dcols[t]] - NY[row][t]
+        w = w.nu() if marked else w
+        flat[name] = to_flat(-w if odd and w.parity() else w)
+    return _field(chart, parity, flat)
 
 
 def field_of(chart: Chart, parity: int, components: dict) -> ChartVectorField:
@@ -399,7 +457,7 @@ def invert_transition_at_point(
     T = target.chart.realize(target.values, r)
     Tfree = [[Ti[c].nu() if c in src_nu_rows else Ti[c] for c in plan.dcols] for Ti in T]
 
-    def residual(values) -> list[MPQ]:
+    def residual(values) -> list:
         """Coefficients of the pasting equation  Z(Q) [T] = [Q]  at the
         destination's free columns (label columns hold identically)."""
         A = src_chart.realize(values, r)
@@ -414,7 +472,7 @@ def invert_transition_at_point(
                 elif i == unit_row:
                     acc = acc - one
                 terms = acc.terms
-                out.extend(terms.get(mask, MPQ(0)) for mask in range(1 << r))
+                out.extend(terms.get(mask, 0) for mask in range(1 << r))
         return out
 
     basis = _coeff_basis(src_chart, r)

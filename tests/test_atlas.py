@@ -52,6 +52,7 @@ from paper_reference import (
     adjusted_minor,
     grid_normalize,
     invert_transition_at_point,
+    label,
     minor_M,
     minor_Mprime,
     palette_hop,
@@ -234,7 +235,7 @@ def test_symbolic_transitions_match_the_paper_literal_route():
                     t = transition_symbolic(a, b)
                 except (UncoveredCase, ResidualNuSymbol, GenericallySingular):
                     continue
-                want = literal_normalization(a.label(), b)
+                want = literal_normalization(label(a), b)
                 assert set(t.assignments) == set(want) == set(b.coords)
                 for name in b.coords:
                     assert t.assignments[name] == want[name], (dims, a, b, name)
@@ -257,7 +258,7 @@ def test_fundamental_fields_match_the_paper_literal_route():
             P = SuperMatrix((m, n), (m, n), [
                 [(one if i == j else zero) + eps.scale(E.coeffs.get((i + 1, j + 1), 0))
                  for j in range(m + n)] for i in range(m + n)], zero)
-            want = literal_normalization(smat_mul(chart.label(ctx2), P), chart)
+            want = literal_normalization(smat_mul(label(chart, ctx2), P), chart)
             field = fundamental_field(E, chart)
             for name in chart.coords:
                 comp = want[name].partial("t1")
@@ -699,7 +700,7 @@ def _symbolic_kinds_match(charts):
     for a, b in itertools.product(charts, charts):
         plan = _get_plan(a, b)
         try:
-            want = grid_route(plan, a.label().entries)
+            want = grid_route(plan, label(a).entries)
         except NotInvertible as exc:
             want = GenericallySingular(str(exc))
         except ResidualNuSymbol as exc:

@@ -10,6 +10,7 @@ import pytest
 from nugrass import cli
 from nugrass.cli import build_parser, main, parse_index
 from nugrass.nulie import h_report
+from test_pins import PINS
 
 
 def run(capsys, *argv):
@@ -347,3 +348,50 @@ def test_every_subcommand_keeps_its_options():
         got = [(tuple(a.option_strings), a.dest, a.default, a.required, a.choices, a.type, a.help)
                for a in sorted(parser._actions, key=lambda a: a.dest)]
         assert got == sorted(SUBCOMMANDS[name][1], key=lambda opt: opt[1]), name
+
+
+# The commands whose routes build no chart-ring rational function, each
+# with its row in test_pins.  They run where any import of sympy fails.
+SYMPY_FREE = [
+    "atlas -k 1 -l 2 -m 2 -n 3",
+    "verify-action -k 0 -l 1 -m 1 -n 2 -r 2 --samples 5 --format json",
+    "transitivity -k 1 -l 2 -m 2 -n 3 -r 3 --samples 4 --format json",
+    "nulie -k 1 -l 2 -m 2 -n 3 --format json",
+]
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter that imports nugrass from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_lambda_r_and_commutant_commands_run_without_sympy():
+    code = ("import contextlib, hashlib, io, json, shlex, sys\n"
+            "sys.modules['sympy'] = None  # every import of sympy now fails\n"
+            "import nugrass\n"
+            "from nugrass.cli import main\n"
+            "out = {}\n"
+            "for command in sys.argv[1:]:\n"
+            "    text = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(text):\n"
+            "        code = main(shlex.split(command))\n"
+            "    out[command] = [code, hashlib.sha256(text.getvalue().encode()).hexdigest()]\n"
+            "json.dump(out, sys.stdout)\n")
+    got = json.loads(_python(code, *SYMPY_FREE))
+    assert got == {command: [0, PINS[command].sha256] for command in SYMPY_FREE}
+
+
+def test_import_leaves_sympy_out_until_a_chart_ring_map_is_built():
+    code = ("import sys\n"
+            "import nugrass\n"
+            "before = 'sympy' in sys.modules\n"
+            "atlas = nugrass.get_atlas(0, 1, 1, 2)\n"
+            "t = nugrass.transition_symbolic(atlas.charts[0], atlas.charts[1])\n"
+            "print(before, 'sympy' in sys.modules, t.is_identity())\n")
+    assert _python(code).split() == ["False", "True", "False"]

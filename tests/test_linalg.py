@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import partial
 from math import lcm
 
@@ -67,6 +68,20 @@ def test_rref_matches_sympy_over_qq(seed):
     assert R.rank() == A.rank() == A.col_join(R).rank()
     if width == ncols:
         assert R == A.rref()[0]
+
+
+def test_rref_reads_every_exact_rational_and_keeps_integral_entries_as_ints():
+    as_mpq = [[MPQ(2), MPQ(1, 2), MPQ(0)], [MPQ(1), MPQ(1), MPQ(-3, 4)]]
+    mixed = [[2, Fraction(1, 2), "0"], [True, MPQ(1), "-3/4"]]
+    want = rref(as_mpq, 2)
+    assert rref(mixed, 2) == want
+    assert all(type(e) in (int, Fraction) for row in want[0] for e in row)
+    # pivots of +-1 leave an integer matrix on ints
+    M, pivots = rref([[-1, 2, 0], [0, 1, 3], [1, -2, 1]], 3)
+    assert M == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and pivots == [0, 1, 2]
+    assert all(type(e) is int for row in M for e in row)
+    with pytest.raises(TypeError):
+        rref([[1.5, 1]], 2)
 
 
 def test_rref_skips_columns_without_a_pivot_and_keeps_the_augmented_block():

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,13 @@ from nugrass.nulie import (
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
 from nugrass.superalgebra import EVEN, ODD, SuperFunction, flat_partial
-from paper_reference import eps_ring_fundamental_field, field_of, lift, nu_defect_reference
+from paper_reference import (
+    chart_ring_fundamental_field,
+    eps_ring_fundamental_field,
+    field_of,
+    lift,
+    nu_defect_reference,
+)
 from test_pins import PINS, check, digest
 
 AT = get_atlas(0, 1, 1, 2)
@@ -152,6 +159,35 @@ def test_fundamental_fields_of_combinations_match_the_eps_ring_route(dims, E):
     assert E.parity() is not None and len(E.coeffs) > 1
     for chart in get_atlas(*dims).charts:
         assert_same_field(fundamental_field(E, chart), eps_ring_fundamental_field(E, chart))
+
+
+# the flat route against the same first-order formula over the chart ring,
+# on every basis element and chart: odd units and moved minor columns on the
+# non-standard charts, marked slots, and both parities of E
+CHART_RING_ATLASES = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2)]
+
+
+def test_flat_fundamental_fields_match_the_chart_ring_formula():
+    pairs = 0
+    for dims in CHART_RING_ATLASES:
+        m, n = dims[2:]
+        for chart in get_atlas(*dims).charts:
+            for E in GlElement.basis(m, n):
+                got, want = fundamental_field(E, chart), chart_ring_fundamental_field(E, chart)
+                assert got == want and got.parity == want.parity, (dims, chart, E)
+                assert all(type(c) is int for t in got.flat.values() for c in t.values())
+                pairs += 1
+    assert pairs == 3 * 9 + 6 * 16 + 10 * 25 + 10 * 25
+
+
+def test_gl_coefficients_are_ints_where_integral():
+    E = GlElement(1, 2, {(1, 1): MPQ(4, 2), (1, 2): "1/2", (2, 2): Fraction(-3, 3), (3, 3): 0})
+    assert E.coeffs == {(1, 1): 2, (1, 2): Fraction(1, 2), (2, 2): -1}
+    assert [type(c) for c in E.coeffs.values()] == [int, Fraction, int]
+    assert type((E + E).coeffs[1, 2]) is int and type(E.scale(2).coeffs[1, 2]) is int
+    assert E.to_dict() == {"1,1": "2", "1,2": "1/2", "2,2": "-1"}
+    with pytest.raises(TypeError):
+        GlElement(1, 2, {(1, 1): 0.5})
 
 
 def test_regression_pair_for_the_commutation_defect():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -20,6 +21,7 @@ from nugrass.superalgebra import (
     GrassmannNumber,
     RationalFunction,
     SuperFunction,
+    _exact,
     _get_ring,
     _layout,
     _product_kernel,
@@ -30,9 +32,8 @@ from nugrass.superalgebra import (
     from_flat,
     lambda_sample,
     mono_sign,
-    to_flat,
 )
-from paper_reference import eval_rational
+from paper_reference import eval_rational, to_flat
 
 CTX = GeneratorContext(("x", "y"), ("e1", "e2"))
 
@@ -320,6 +321,48 @@ def test_grassmann_inverse_and_nu():
         GrassmannNumber.theta(2, 1).inv()
 
 
+# every exact rational the kernel accepts, and the value _exact keeps
+EXACT = [(3, 3), (True, 1), (Fraction(6, 3), 2), (Fraction(-1, 2), Fraction(-1, 2)),
+         (MPQ(4, 2), 2), (MPQ(-1, 3), Fraction(-1, 3)), ("1/10", Fraction(1, 10)),
+         (" -7 ", -7)]
+
+
+@pytest.mark.parametrize("q, want", EXACT)
+def test_exact_keeps_ints_and_fractions(q, want):
+    got = _exact(q)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, complex(1, 0), None, [1], "x/2"])
+def test_exact_refuses_what_is_not_an_exact_rational(q):
+    with pytest.raises((TypeError, ValueError)):
+        _exact(q)
+
+
+@pytest.mark.parametrize("q, want", EXACT)
+def test_every_exact_rational_scales_and_builds_a_grassmann_number(q, want):
+    t = GrassmannNumber.theta(2, 1)
+    scaled = GrassmannNumber(2, {1: want})
+    assert GrassmannNumber(2, {1: q}) == GrassmannNumber.scalar(2, q) * t == scaled
+    if not isinstance(q, str):  # a scalar operand is a number, not its text
+        assert t * q == q * t == scaled
+    assert type(scaled.body()) is Fraction and dict(scaled.terms) == {1: want}
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, "1/2", None, complex(1, 0)])
+def test_a_grassmann_number_refuses_an_inexact_scalar_with_type_error(q):
+    t = GrassmannNumber.theta(2, 1)
+    with pytest.raises(TypeError):
+        t * q
+    with pytest.raises(TypeError):
+        q * t
+    if not isinstance(q, str):
+        with pytest.raises(TypeError):
+            GrassmannNumber(2, {1: q})
+        with pytest.raises(TypeError):
+            GrassmannNumber.scalar(2, q)
+
+
 @given(st.integers(0, 10**6), st.sampled_from([2, 3]))
 @settings(max_examples=60, deadline=None)
 def test_grassmann_subtraction_matches_adding_the_negation(seed, r):
@@ -501,7 +544,8 @@ def _assert_matches(g, ref):
     assert dict(g.terms) == ref.terms
     assert g.to_dict() == ref.to_dict()
     assert repr(g) == repr(ref)
-    assert g.body() == ref.body() and type(g.body()) is MPQ
+    assert g.body() == ref.body() and type(g.body()) is Fraction
+    assert all(type(c) is Fraction for c in g.terms.values())
     assert g.is_zero() == (not ref.terms)
 
 
@@ -786,7 +830,7 @@ def test_flat_terms_round_trip_through_superfunction(flat):
     got = to_flat(f)
     assert got == flat
     for c in got.values():
-        assert type(c) is (int if MPQ(c).denominator == 1 else MPQ)
+        assert type(c) is (int if c.denominator == 1 else Fraction)
     assert from_flat(CTX, flat) == f
     assert from_flat(CTX, got) == f
 

@@ -7,7 +7,7 @@ from nugrass.errors import DoubleNu, NotInvertible, NuEntriesPresent, ResidualNu
 from nugrass.superalgebra import GeneratorContext, GrassmannNumber
 from nugrass.supermatrix import NU, SuperMatrix, matmul, smat_inv, smat_mul
 from nugrass.atlas import Atlas
-from paper_reference import minor_M, minor_Mprime, remainder_D
+from paper_reference import label, minor_M, minor_Mprime, remainder_D
 
 CTX = GeneratorContext(("x",), ("e1", "e2"))
 
@@ -107,7 +107,7 @@ def test_product_inverse_reverses_factors():
 def test_minor_of_the_standard_1_2_chart_selects_the_displayed_columns():
     at = Atlas(1, 2, 2, 3)
     chart = at.chart((1,), (1, 2))
-    A = chart.label()
+    A = label(chart)
     M = minor_M(A, (1, 2), (3,))
     assert (M.row_split, M.col_split) == ((1, 2), (2, 1))
     ctx = chart.ctx
@@ -123,7 +123,7 @@ def test_divider_move_matches_the_worked_minor():
     at = Atlas(1, 2, 2, 3)
     chart = at.chart((1,), (1, 2))
     target = at.chart((1, 2), (3,)).index
-    Mp = minor_Mprime(chart.label(), (1, 2), (3,), target)
+    Mp = minor_Mprime(label(chart), (1, 2), (3,), target)
     assert Mp.col_split == (1, 2)
     ctx = chart.ctx
     expect = [
@@ -139,8 +139,8 @@ def test_divider_move_is_identity_for_standard_targets():
     at = Atlas(1, 2, 2, 3)
     chart = at.chart((1,), (1, 2))
     target = at.chart((2,), (1, 2)).index
-    assert minor_Mprime(chart.label(), (2,), (1, 2), target) == minor_M(
-        chart.label(), (2,), (1, 2)
+    assert minor_Mprime(label(chart), (2,), (1, 2), target) == minor_M(
+        label(chart), (2,), (1, 2)
     )
 
 
@@ -148,14 +148,14 @@ def test_divider_move_resolves_an_odd_unit_column():
     at = Atlas(0, 1, 1, 2)
     c1 = at.chart((), (1,))
     target = at.chart((1,), ()).index
-    M = minor_M(c1.label(), (1,), ())
+    M = minor_M(label(c1), (1,), ())
     assert M.entries == [[c1.ctx.gen("e1")]]
-    Mp = minor_Mprime(c1.label(), (1,), (), target)
+    Mp = minor_Mprime(label(c1), (1,), (), target)
     assert Mp.entries == [[c1.ctx.one()]]
     assert Mp.col_split == (0, 1)
     # moving the non-standard chart's own label resolves its unit to one
     c3 = at.chart((1,), ())
-    Mp3 = minor_Mprime(c3.label(), (1,), (), target)
+    Mp3 = minor_Mprime(label(c3), (1,), (), target)
     assert Mp3.entries == [[c3.ctx.one()]]
 
 
@@ -164,13 +164,13 @@ def test_unmoved_odd_unit_column_is_an_error():
     src = at.chart((), (1, 2, 3))          # unit sits in odd column 1
     target = at.chart((1, 2), (1,)).index  # selects it but moves an even column
     with pytest.raises(ResidualNuSymbol):
-        minor_Mprime(src.label(), (1, 2), (1,), target)
+        minor_Mprime(label(src), (1, 2), (1,), target)
 
 
 def test_selected_and_remaining_columns_partition_the_label():
     at = Atlas(1, 2, 2, 3)
     chart = at.chart((1,), (2, 3))
-    A = chart.label()
+    A = label(chart)
     J, S = (2,), (1, 3)
     M = minor_M(A, J, S)
     D = remainder_D(A, J, S)
@@ -186,14 +186,14 @@ def test_selected_and_remaining_columns_partition_the_label():
 def test_remainder_drops_the_selected_odd_column():
     at = Atlas(0, 1, 1, 2)
     c1 = at.chart((), (1,))
-    D = remainder_D(c1.label(), (), (1,))
+    D = remainder_D(label(c1), (), (1,))
     ctx = c1.ctx
     assert D.entries == [[ctx.gen("e1"), ctx.gen("x1")]]
     assert D.col_split == (1, 1)
     # empty selection keeps everything
-    assert remainder_D(c1.label(), (), ()) == c1.label()
+    assert remainder_D(label(c1), (), ()) == label(c1)
     with pytest.raises(IndexError):
-        minor_M(c1.label(), (2,), ())
+        minor_M(label(c1), (2,), ())
 
 
 def test_parity_validation_rejects_misplaced_entries():
