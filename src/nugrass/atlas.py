@@ -13,7 +13,10 @@ D((M or M')^-1 A) as one exact solve:
 
 * symbolic, between charts of the structure rings; only the
   standard-to-standard and arbitrary-to-non-standard directions admit a
-  closed formula;
+  closed formula.  It is solved on FlatFractions (flat int terms over a
+  cleared int-polynomial denominator, no gcd), and the identity verdict
+  and the nu-audit compare them by cross-multiplication; only the
+  SuperFunction view of a map (TransitionMap.assignments) loads sympy;
 * pointwise, on Lambda_r-valued points, with the involution acting on
   Lambda_r values.  Only directions whose plan status is 'ok' are
   evaluable; hop statuses are symmetric on every tested atlas, so a pair
@@ -26,7 +29,8 @@ plan, into one row table in the layout of both of linalg's eliminations;
 a hop fills it straight from the coordinate values and builds no grid.
 A direction's plan status comes from the minor part of the same rows,
 solved once at the generic Lambda_1 point of the source chart (even
-coordinates b_c, odd ones b_c*theta, each b_c an indeterminate).  The body
+coordinates b_c, odd ones b_c*theta, each b_c an indeterminate), on
+FlatFractions too.  The body
 of a minor at any Lambda_r point is a specialization of its body there, so
 that solve fails exactly where no point can hop.  A matrix that is not a
 chart grid (an acted point [X]P, the acted label L E of a fundamental
@@ -60,12 +64,15 @@ from .reports import CheckResult, Report, first_defined
 from .superalgebra import (
     EVEN,
     ODD,
+    FlatFraction,
     GeneratorContext,
     GrassmannNumber,
     SuperFunction,
+    _ff,
     _layout,
     _reduced,
     _sf,
+    from_flat,
     lambda_sample,
 )
 from .supermatrix import NU, format_blocked
@@ -280,20 +287,23 @@ class Chart:
     @cached_property
     def generic(self):
         """The coordinate values of the generic Lambda_1 point, and that
-        ring's 1.
+        ring's 1, as FlatFractions.
 
         The ring has one indeterminate b_c per coordinate c and the odd
         generator theta of Lambda_1; an even coordinate is b_c, an odd one
         b_c*theta.  The involution toggles theta, so nu(b_c) has no body
         and nu(b_c*theta) = b_c, as on the theta_1 part of a Lambda_r value.
+        A FlatFraction has a body exactly where a SuperFunction of the same
+        value does, so ring_solve picks the same pivots on either.
         """
         ctx = GeneratorContext(tuple(f"b_{name}" for name in self.coords), ("theta",))
-        theta = ctx.gen("theta")
+        zero = (0,) * len(self.coords)
         values = {}
-        for name in self.coords:
-            b = ctx.gen(f"b_{name}")
-            values[name] = b * theta if self.coord_parity[name] == ODD else b
-        return values, ctx.one()
+        for i, name in enumerate(self.coords):
+            # the mask of theta is 1 = ODD, the empty mask 0 = EVEN
+            values[name] = FlatFraction(
+                ctx, {(self.coord_parity[name], zero[:i] + (1,) + zero[i + 1:]): 1})
+        return values, FlatFraction(ctx, {(0, zero): 1})
 
     def realize(self, values: dict[str, GrassmannNumber], r: int):
         """Raw grid of the point matrix; formal odd units stay symbolic."""
@@ -524,28 +534,43 @@ class HopPlan:
 
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
-        """The pasting map between the chart rings, or its typed failure kept
-        unraised; transition_symbolic raises a fresh copy of the failure.
-        Every caller shares the map, so its values' terms are read-only too."""
+        """The pasting map between the chart rings, solved on FlatFractions,
+        or its typed failure kept unraised; transition_symbolic raises a
+        fresh copy of the failure.  Every caller shares the map, so its
+        values hold their terms in read-only views."""
         src, dst = self.src, self.dst
         try:
-            assignments = self.transition({name: src.ctx.gen(name) for name in src.coords})
+            values = self.transition({name: FlatFraction.gen(src.ctx, name)
+                                      for name in src.coords})
         except NotInvertible as exc:
             return GenericallySingular(str(exc))
         except ResidualNuSymbol as exc:
             return ResidualNuSymbol(*exc.args)
         return TransitionMap(src, dst, MappingProxyType({
-            name: _sf(v.ctx, MappingProxyType(dict(v.terms))) for name, v in assignments.items()}))
+            name: _ff(v.ctx, MappingProxyType(v.num), MappingProxyType(v.den))
+            for name, v in values.items()}))
 
     @cached_property
     def nu_equivariant(self) -> bool | None:
-        """Whether every nu_equivariance_defects entry of the symbolic map is
-        zero; None where the pair has no symbolic map, or no odd coordinate
-        for the involution to act on."""
+        """Whether the symbolic map t intertwines the two charts'
+        involutions, g*(nu(g)) = nu(g*(g)) for every destination coordinate
+        g; None where the pair has no symbolic map, or no odd coordinate
+        for the involution to act on.
+
+        nu(g) is e1 g (no sign), so with t(g) = N_g / D_g the identity is
+        N_e1 N_g = nu(N_g) D_e1 after clearing D_g, and nu(N_e1) = D_e1 for
+        g = e1, whose nu is 1."""
         t = self.symbolic
         if not self.src.odd_coords or not isinstance(t, TransitionMap):
             return None
-        return all(d.is_zero() for d in nu_equivariance_defects(t).values())
+        e1 = t.dst.odd_coords[0]
+        te1 = t.values[e1]
+        one = te1.ring_one()
+        for name, v in t.values.items():
+            n = _ff(v.ctx, v.num, one.den)  # N_g over 1
+            if not (te1.nu() == one if name == e1 else te1 * n == n.nu()):
+                return False
+        return True
 
 
 def pair_defined(src: Chart, dst: Chart) -> bool:
@@ -610,19 +635,26 @@ def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoi
 
 @dataclass(frozen=True)
 class TransitionMap:
-    """g*: assigns to each destination coordinate a function on the source.
-    Read-only down to its values' terms, as HopPlan.symbolic shares one map
-    per pair with every caller."""
+    """g*: assigns to each destination coordinate a function on the source,
+    as a FlatFraction over the source chart ring.  Read-only down to its
+    values' terms, as HopPlan.symbolic shares one map per pair with every
+    caller.  `assignments` is the map in canonical SuperFunctions, built
+    afresh on each read: the one use of sympy on a symbolic map, so a
+    change to a view changes no stored value."""
 
     src: Chart
     dst: Chart
-    assignments: MappingProxyType[str, SuperFunction]
+    values: MappingProxyType[str, FlatFraction]
+
+    @property
+    def assignments(self) -> MappingProxyType[str, SuperFunction]:
+        return MappingProxyType({
+            name: _sf(v.ctx, MappingProxyType(from_flat(v.ctx, v.num, v.den).terms))
+            for name, v in self.values.items()})
 
     def is_identity(self) -> bool:
-        return all(
-            self.assignments[name] == self.src.ctx.gen(name)
-            for name in self.dst.coords
-        )
+        return all(self.values[name] == FlatFraction.gen(self.src.ctx, name)
+                   for name in self.dst.coords)
 
 
 def transition_symbolic(src: Chart, dst: Chart) -> TransitionMap:
@@ -656,21 +688,6 @@ def apply_pullback(t: TransitionMap, sf: SuperFunction) -> SuperFunction:
     if sf.ctx != t.dst.ctx:
         raise ValueError("element does not live on the destination chart")
     return sf.substitute(t.assignments, t.src.ctx.scalar)
-
-
-def nu_equivariance_defects(t: TransitionMap) -> dict[str, SuperFunction]:
-    """For each destination generator g, the difference
-    g*(nu(g)) - nu(g*(g));  all zero iff the pasting map intertwines the two
-    charts' involutions.  With the concrete first-generator toggle this
-    typically fails off the identity, which is why it is reported rather
-    than assumed."""
-    out = {}
-    for name in t.dst.coords:
-        g = t.dst.ctx.gen(name)
-        lhs = apply_pullback(t, g.nu())
-        rhs = t.assignments[name].nu()
-        out[name] = lhs - rhs
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -147,18 +147,18 @@ def cmd_transition(parser, args) -> int:
     atlas = get_atlas(args.k, args.l, args.m, args.n)
     src = _chart(parser, atlas, args.src)
     dst = _chart(parser, atlas, args.dst)
-    t = transition_symbolic(src, dst)
+    assignments = transition_symbolic(src, dst).assignments  # built on each read
 
     def payload():
         return dumps({
             "from": str(src.index),
             "to": str(dst.index),
-            "assignments": {name: t.assignments[name].to_dict() for name in dst.coords},
+            "assignments": {name: assignments[name].to_dict() for name in dst.coords},
         })
 
     def text():
         head = f"pasting map {src.index} -> {dst.index} (target coordinates in source functions):"
-        return "\n".join([head] + [f"  {name} -> {t.assignments[name]!r}" for name in dst.coords])
+        return "\n".join([head] + [f"  {name} -> {assignments[name]!r}" for name in dst.coords])
 
     return _emit(args, payload, text)
 

@@ -15,9 +15,13 @@
   - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
     numerator tuples over one int denominator each, fused product-kernel
     steps and no GrassmannNumber until the solution.
-  - ring_solve on any other ring (SuperFunction: the chart rings), through
-    the ring's own has_body(), inv(), is_zero() and add_product(); the
-    tests also run it on Lambda_r as lambda_solve's oracle.
+  - ring_solve on any other ring, through the ring's own has_body(),
+    inv(), is_zero() and add_product().  In the library it sees only
+    superalgebra.FlatFraction: the chart rings of the symbolic maps and the
+    generic Lambda_1 ring of the plan statuses, with cleared denominators
+    and no gcd.  The tests also run it on SuperFunction (the canonical
+    chart-ring oracle of those solves) and on Lambda_r as lambda_solve's
+    oracle.
   A chart normalization fills the rows of its pair's compiled pasting
   system (atlas.HopPlan.rows) in that layout and calls one of them
   directly.

@@ -7,7 +7,7 @@ the odd involution nu (toggle membership of e_1, left insertion, no sign).
 The numerator and denominator of such a coefficient (RationalFunction) are
 elements of the polynomial ring that _get_ring builds on first use, the one
 import of a computer-algebra package in the kernel; nothing else here needs
-one.
+one, FlatFraction included.
 
 Finite Grassmann algebras Lambda_r over QQ (class GrassmannNumber) model the
 coordinate rings of the odd probe superpoints used throughout the
@@ -31,7 +31,11 @@ Fraction otherwise, never a float): ``from_flat`` converts it to a
 SuperFunction, and ``flat_dot``, ``flat_lincomb`` and ``flat_partial`` are
 its products, linear combinations and partial derivatives, with no
 chart-ring polynomial in between.  The fundamental fields of nulie are
-built and live in it.
+built and live in it.  A FlatFraction is any chart-ring element in that
+layout: flat int terms over an int polynomial denominator, cleared but
+never reduced by a gcd.  The symbolic transition maps and the plan
+statuses of atlas are solved on it, without sympy; ``from_flat`` with a
+denominator gives its canonical SuperFunction.
 
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
@@ -317,8 +321,8 @@ class SuperFunction:
     constructor drops zeros; negation, nu, odd derivatives, the soul and
     nonzero rational multiples cannot make one, so they build through
     ``_sf`` without the filter.  Values are never mutated, so a sum with a
-    zero operand is the other operand itself; the values of a shared
-    TransitionMap hold their terms in a read-only view.
+    zero operand is the other operand itself; the view of a TransitionMap
+    holds its terms in a read-only mapping.
     """
 
     __slots__ = ("ctx", "terms")
@@ -530,13 +534,19 @@ def _sf(ctx: GeneratorContext, terms: dict[int, RationalFunction]) -> SuperFunct
 Flat = dict[tuple[int, tuple[int, ...]], int | Fraction]
 
 
-def from_flat(ctx: GeneratorContext, flat) -> SuperFunction:
-    """The SuperFunction of flat terms over ctx."""
+def from_flat(ctx: GeneratorContext, flat, den=None) -> SuperFunction:
+    """The SuperFunction of flat terms over ctx, divided by the even
+    polynomial den {exps: coefficient} where one is given: each coefficient
+    then goes through RationalFunction's gcd to its canonical form."""
     names = ctx.even_names
     R = _get_ring(names)
     polys: dict[int, dict] = {}
     for (mask, exp), c in flat.items():
         polys.setdefault(mask, {})[exp] = c
+    if den is not None:
+        D = R.from_dict(dict(den))
+        return _sf(ctx, {mask: RationalFunction(names, R.from_dict(p), D)
+                         for mask, p in polys.items()})
     return _sf(ctx, {mask: RationalFunction(names, R.from_dict(p), R.one, _canonical=True)
                      for mask, p in polys.items()})
 
@@ -581,6 +591,152 @@ def flat_partial(flat, ctx: GeneratorContext, name: str) -> Flat:
     bit = 1 << ctx.odd_names.index(name)
     return {(m ^ bit, e): c if mono_sign(bit, m ^ bit) > 0 else -c
             for (m, e), c in flat.items() if m & bit}
+
+
+def _times_poly(flat, poly) -> dict:
+    """Flat int terms times an even int polynomial {exps: int}: masks kept,
+    exponents added."""
+    out = {}
+    for (m, e), c in flat.items():
+        for f, d in poly.items():
+            key = (m, tuple(map(add, e, f)))
+            s = out.get(key)
+            out[key] = c * d if s is None else s + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _poly_mul(p, q) -> dict:
+    """The product of two even int polynomials {exps: int}."""
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            key = tuple(map(add, e, f))
+            s = out.get(key)
+            out[key] = c * d if s is None else s + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+class FlatFraction:
+    """A chart-ring element with cleared denominators: flat int terms
+    ``num`` {(odd mask, even exponent tuple): int} over an int polynomial
+    ``den`` {even exponent tuple: int}, nonzero, in ctx.even_names.
+
+    No gcd is ever taken (denominators are cleared as in Bareiss's
+    integer-preserving elimination): each operation divides out only the
+    integer content of its result.  So one value has many forms: equality
+    is cross-multiplication, N1 * D2 == N2 * D1, and the type is
+    unhashable.  Zero is the empty numerator over 1.  The operations are
+    what linalg.ring_solve and atlas.HopPlan's palette and transition call:
+    has_body, is_zero, *, add_product, inv, nu, ring_zero and ring_one.
+    ``inv`` of (b + n)/D is  D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1),
+    the series of _inverse_num.  from_flat(ctx, num, den) is its canonical
+    SuperFunction.
+    """
+
+    __slots__ = ("ctx", "num", "den")
+    __hash__ = None
+
+    def __init__(self, ctx: GeneratorContext, num, den=None):
+        """num and den as above, int coefficients, not reduced; den
+        defaults to 1."""
+        zero = (0,) * len(ctx.even_names)
+        den = {zero: 1} if den is None else {e: index(c) for e, c in den.items() if c}
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        self.ctx = ctx
+        self.num = {key: index(c) for key, c in num.items() if c}
+        self.den = den
+
+    @classmethod
+    def gen(cls, ctx: GeneratorContext, name: str) -> "FlatFraction":
+        zero = (0,) * len(ctx.even_names)
+        if name in ctx.even_names:
+            i = ctx.even_names.index(name)
+            key = (0, zero[:i] + (1,) + zero[i + 1:])
+        elif name in ctx.odd_names:
+            key = (1 << ctx.odd_names.index(name), zero)
+        else:
+            raise UnknownVariable(name)
+        return _ff(ctx, {key: 1}, {zero: 1})
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def has_body(self) -> bool:
+        return any(not m for m, _ in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, FlatFraction):
+            return NotImplemented
+        if self.ctx != other.ctx:
+            return False
+        if self.den == other.den:
+            return self.num == other.num
+        return _times_poly(self.num, other.den) == _times_poly(other.num, self.den)
+
+    def __mul__(self, other):
+        return _ff_reduced(self.ctx, flat_dot(((1, self.num, other.num),)),
+                           _poly_mul(self.den, other.den))
+
+    def add_product(self, a, b, sign: int = 1) -> "FlatFraction":
+        """self + sign * a * b, over the product of the denominators unless
+        self's already is that of a * b."""
+        num = flat_dot(((sign, a.num, b.num),))
+        if not num:
+            return self
+        den = _poly_mul(a.den, b.den)
+        if den != self.den:
+            num = flat_lincomb(((1, _times_poly(self.num, den)),
+                                (1, _times_poly(num, self.den))))
+            den = _poly_mul(self.den, den)
+        else:
+            num = flat_lincomb(((1, self.num), (1, num)))
+        return _ff_reduced(self.ctx, num, den)
+
+    def inv(self) -> "FlatFraction":
+        b = {e: c for (m, e), c in self.num.items() if not m}
+        if not b:
+            raise ZeroBody("cannot invert an element with zero body")
+        minus_n = {key: -c for key, c in self.num.items() if key[0]}
+        out = power = self.ring_one().num
+        den = b
+        while power := flat_dot(((1, power, minus_n),)):  # ends: n is nilpotent
+            out = flat_lincomb(((1, _times_poly(out, b)), (1, power)))
+            den = _poly_mul(den, b)
+        return _ff_reduced(self.ctx, _times_poly(out, self.den), den)
+
+    def nu(self) -> "FlatFraction":
+        """Odd involution: toggle membership of the first odd generator."""
+        if self.ctx.beta < 1:
+            raise NoOddGenerators("nu needs at least one odd generator")
+        return _ff(self.ctx, {(m ^ 1, e): c for (m, e), c in self.num.items()}, self.den)
+
+    def ring_zero(self) -> "FlatFraction":
+        return _ff_reduced(self.ctx, {}, {})
+
+    def ring_one(self) -> "FlatFraction":
+        zero = (0,) * len(self.ctx.even_names)
+        return _ff(self.ctx, {(0, zero): 1}, {zero: 1})
+
+
+def _ff(ctx: GeneratorContext, num, den) -> FlatFraction:
+    """A FlatFraction from terms known to hold ints and no zero."""
+    f = object.__new__(FlatFraction)
+    f.ctx = ctx
+    f.num = num
+    f.den = den
+    return f
+
+
+def _ff_reduced(ctx: GeneratorContext, num: dict, den: dict) -> FlatFraction:
+    """num over den without their integer content; zero over 1 if num is."""
+    if not num:
+        return _ff(ctx, {}, {(0,) * len(ctx.even_names): 1})
+    g = gcd(*num.values(), *den.values())
+    if g != 1:
+        num = {key: c // g for key, c in num.items()}
+        den = {e: c // g for e, c in den.items()}
+    return _ff(ctx, num, den)
 
 
 class GrassmannNumber:

@@ -8,8 +8,11 @@ pasting normalization of a realized grid, the oracle of every compiled
 pasting system.  minor_M, remainder_D and minor_Mprime spell out the
 paper's minors M, M' and remainder D on a SuperMatrix, column by column.
 palette_hop is the pointwise hop on value objects, the oracle of the hop on
-numerator tuples; ring_route is linalg.solve through ring_solve, the oracle
-of its integer rows.  Both eliminations take one row layout: each row of Z
+numerator tuples, and of the symbolic maps' FlatFraction solve when given
+chart-ring generators; nu_equivariance_defects is the nu-audit through
+apply_pullback, the oracle of HopPlan.nu_equivariant; ring_route is
+linalg.solve through ring_solve, the oracle of its integer rows.  Both
+eliminations take one row layout: each row of Z
 without its unit columns, then the row of Y.  The eps-ring of
 eps_ring_fundamental_field is a context it builds itself, with the eps
 parameters as trailing odd generators.  invert_transition_at_point solves
@@ -34,6 +37,7 @@ from nugrass.atlas import (
     _cells,
     _get_plan,
     _rows,
+    apply_pullback,
     point_transition,
 )
 from nugrass.errors import (
@@ -398,6 +402,19 @@ def palette_hop(plan, values: dict) -> dict:
     X = [M[i][plan.width:] for i in ring_solve(M, plan.units)]
     return {name: X[row][t].nu() if flag else X[row][t]
             for row, t, name, flag in plan.read}
+
+
+def nu_equivariance_defects(t) -> dict:
+    """For each destination generator g of the transition map t, the
+    difference  g*(nu(g)) - nu(g*(g))  in the source chart ring, through
+    apply_pullback on t.assignments: all zero iff the pasting map
+    intertwines the two charts' involutions.  The oracle of
+    HopPlan.nu_equivariant, which cross-multiplies the map's FlatFractions."""
+    out = {}
+    for name in t.dst.coords:
+        g = t.dst.ctx.gen(name)
+        out[name] = apply_pullback(t, g.nu()) - t.assignments[name].nu()
+    return out
 
 
 def ring_route(Z, Y, units=()):

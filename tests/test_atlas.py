@@ -55,6 +55,7 @@ from paper_reference import (
     label,
     minor_M,
     minor_Mprime,
+    nu_equivariance_defects,
     palette_hop,
     remainder_D,
 )
@@ -207,7 +208,7 @@ def test_a_shared_transition_map_is_read_only():
             del t.assignments["e1"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.assignments = {}
-        # the values are shared too: their terms are read-only views
+        # the views of the values hold their terms read-only too
         for value in t.assignments.values():
             mask = next(iter(value.terms), 0)
             with pytest.raises(AttributeError):
@@ -221,6 +222,27 @@ def test_a_shared_transition_map_is_read_only():
     # every attempt above failed, so the shared maps still give the pins
     check('transition -k 1 -l 2 -m 2 -n 3 --from "{1}|{1,2}" --to "{2}|{2,3}" --format json')
     check("verify_cocycle (1, 2, 2, 3) r=2 samples=2 audit_nu_triples=6")
+
+
+def test_a_map_view_shares_nothing_with_the_stored_values():
+    # the view's sympy numerators are mutable dicts: clearing them in place
+    # must leave the stored FlatFractions, and so every later view, map
+    # verdict and report, as they were
+    at = get_atlas(0, 1, 1, 2)
+    src, dst = at.chart((), (1,)), at.chart((), (2,))
+    t = transition_symbolic(src, dst)
+    next(iter(t.assignments["x1"].terms.values())).num.clear()
+    assert transition_symbolic(src, dst).assignments["x1"] == src.ctx.gen("x1").inv()
+    for dims in [(0, 1, 1, 2), (1, 2, 2, 3)]:
+        charts = get_atlas(*dims).charts
+        for a, b in itertools.product(charts, charts):
+            t = _get_plan(a, b).symbolic
+            if isinstance(t, atlas.TransitionMap):
+                for value in t.assignments.values():
+                    for c in value.terms.values():
+                        c.num.clear()
+    check('transition -k 1 -l 2 -m 2 -n 3 --from "{1}|{1,2}" --to "{2}|{2,3}" --format json')
+    check("verify-cocycle -k 0 -l 1 -m 1 -n 2 -r 1 --samples 5 --format json")
 
 
 def test_symbolic_transitions_match_the_paper_literal_route():
@@ -693,14 +715,23 @@ def test_hops_on_lambda_0_eliminate_integer_rows(monkeypatch):
     assert hopped and calls and set(calls) == {"lambda_solve"}
 
 
-def _symbolic_kinds_match(charts):
-    """Check every ordered pair's symbolic map, or its failure, against the
-    normalized label; returns the kinds of outcome seen."""
+def _label_route(plan):
+    return grid_route(plan, label(plan.src).entries)
+
+
+def _chart_ring_route(plan):
+    return palette_hop(plan, {name: plan.src.ctx.gen(name) for name in plan.src.coords})
+
+
+def _symbolic_kinds_match(charts, route=_label_route):
+    """Check every ordered pair's symbolic map, read through its view, or
+    its failure, against the route (by default the normalized label);
+    returns the kinds of outcome seen."""
     kinds = set()
     for a, b in itertools.product(charts, charts):
         plan = _get_plan(a, b)
         try:
-            want = grid_route(plan, label(a).entries)
+            want = route(plan)
         except NotInvertible as exc:
             want = GenericallySingular(str(exc))
         except ResidualNuSymbol as exc:
@@ -728,6 +759,34 @@ def test_compiled_symbolic_maps_match_the_normalized_labels():
         charts = get_atlas(*dims).charts
         kinds |= _symbolic_kinds_match(charts)
     assert kinds == {dict, GenericallySingular, ResidualNuSymbol}
+
+
+def test_flat_fraction_maps_match_the_chart_ring_solve_on_every_plan():
+    # the same compiled system solved over SuperFunctions, whose gcd keeps
+    # every step canonical, against the gcd-free FlatFraction solve
+    kinds = set()
+    for dims in STATUS_ATLASES:
+        kinds |= _symbolic_kinds_match(get_atlas(*dims).charts, _chart_ring_route)
+    assert kinds == {dict, GenericallySingular, ResidualNuSymbol}
+
+
+def test_the_nu_audit_verdict_matches_the_pullback_defects():
+    # HopPlan.nu_equivariant cross-multiplies the map's FlatFractions; the
+    # oracle pulls nu(g) back through the SuperFunction view.  The three
+    # atlases of 225 plans are left out for time (about 8 s for the oracle)
+    verdicts = set()
+    for dims in STATUS_ATLASES:
+        charts = get_atlas(*dims).charts
+        if len(charts) == 15:
+            continue
+        for a, b in itertools.product(charts, charts):
+            plan = _get_plan(a, b)
+            t = plan.symbolic
+            if a.odd_coords and isinstance(t, atlas.TransitionMap):
+                want = all(d.is_zero() for d in nu_equivariance_defects(t).values())
+                assert plan.nu_equivariant is want, f"{a.index} -> {b.index}"
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def sampled_minor(seed):
@@ -877,7 +936,7 @@ def test_the_one_chart_atlas_hops_by_the_identity():
 
 
 def test_pullback_extends_multiplicatively_and_audits_equivariance():
-    from nugrass.atlas import apply_pullback, nu_equivariance_defects
+    from nugrass.atlas import apply_pullback
 
     at = get_atlas(0, 1, 1, 2)
     c1, c2 = at.chart((), (1,)), at.chart((), (2,))

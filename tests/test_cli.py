@@ -351,9 +351,11 @@ def test_every_subcommand_keeps_its_options():
 
 
 # The commands whose routes build no chart-ring rational function, each
-# with its row in test_pins.  They run where any import of sympy fails.
+# with its row in test_pins; verify-cocycle reads its pair facts off
+# FlatFraction maps.  They run where any import of sympy fails.
 SYMPY_FREE = [
     "atlas -k 1 -l 2 -m 2 -n 3",
+    "verify-cocycle -k 0 -l 1 -m 1 -n 2 -r 1 --samples 5 --format json",
     "verify-action -k 0 -l 1 -m 1 -n 2 -r 2 --samples 5 --format json",
     "transitivity -k 1 -l 2 -m 2 -n 3 -r 3 --samples 4 --format json",
     "nulie -k 1 -l 2 -m 2 -n 3 --format json",
@@ -388,10 +390,18 @@ def test_the_lambda_r_and_commutant_commands_run_without_sympy():
 
 
 def test_import_leaves_sympy_out_until_a_chart_ring_map_is_built():
+    # a pair's map, its identity verdict, its nu-audit verdict and its
+    # status are FlatFraction work; only the SuperFunction view of the map,
+    # read through assignments, loads sympy
     code = ("import sys\n"
             "import nugrass\n"
+            "from nugrass.atlas import _get_plan\n"
             "before = 'sympy' in sys.modules\n"
-            "atlas = nugrass.get_atlas(0, 1, 1, 2)\n"
-            "t = nugrass.transition_symbolic(atlas.charts[0], atlas.charts[1])\n"
-            "print(before, 'sympy' in sys.modules, t.is_identity())\n")
-    assert _python(code).split() == ["False", "True", "False"]
+            "a, b = nugrass.get_atlas(0, 1, 1, 2).charts[:2]\n"
+            "t = nugrass.transition_symbolic(a, b)\n"
+            "plan = _get_plan(a, b)\n"
+            "print(before, t.is_identity(), plan.nu_equivariant, plan.status,\n"
+            "      'sympy' in sys.modules)\n"
+            "x1 = t.assignments['x1']\n"
+            "print('sympy' in sys.modules, x1)\n")
+    assert _python(code).split() == ["False", "False", "False", "ok", "False", "True", "(1)/(x1)"]

@@ -14,7 +14,13 @@ from nugrass.atlas import get_atlas, transition_symbolic
 from nugrass.errors import GenericallySingular, NotInvertible, ResidualNuSymbol, UncoveredCase
 from nugrass.linalg import inverse, lambda_solve, ring_solve, rref, solve
 from nugrass.nulie import GlElement, fundamental_field
-from nugrass.superalgebra import GeneratorContext, GrassmannNumber, SuperFunction, _reduced
+from nugrass.superalgebra import (
+    FlatFraction,
+    GeneratorContext,
+    GrassmannNumber,
+    SuperFunction,
+    _reduced,
+)
 from paper_reference import ring_route
 
 
@@ -332,8 +338,8 @@ def _symbolic_maps(charts):
 def test_chart_normalization_never_builds_a_body(monkeypatch):
     # symbolic transitions built on a fresh plan dict fill each pair's
     # pasting system with the source chart's generators and solve it over
-    # that chart ring; fundamental fields read the adjusted minor off their
-    # first-order formula.  Neither builds a body.
+    # that chart ring, on FlatFractions; fundamental fields read the
+    # adjusted minor off their first-order formula.  Neither builds a body.
     atlases = [get_atlas(0, 1, 1, 2), get_atlas(1, 1, 2, 2)]
     fields = [(E, chart) for at in atlases for chart in at.charts
               for E in GlElement.basis(at.m, at.n)]
@@ -344,7 +350,7 @@ def test_chart_normalization_never_builds_a_body(monkeypatch):
     solved = []
 
     def counting_solve(M, units=()):
-        solved.append(all(isinstance(e, SuperFunction) for row in M for e in row))
+        solved.append(all(isinstance(e, FlatFraction) for row in M for e in row))
         return ring_solve(M, units)
 
     transition = atlas_module.HopPlan.transition

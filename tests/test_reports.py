@@ -13,7 +13,7 @@ from nugrass.errors import MinorNotInvertible, NotInvertible, OverlapNotSampled
 from nugrass.action import verify_action_axioms, verify_action_gluing, verify_transitivity
 from nugrass.atlas import get_atlas, pair_defined, verify_cocycle
 from nugrass.reports import CheckResult, dumps, first_defined
-from nugrass.superalgebra import SuperFunction
+from nugrass.superalgebra import FlatFraction
 from test_pins import check, digest
 
 
@@ -144,7 +144,7 @@ def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
     labels, symbolic = [], []
 
     def counting(plan, values):
-        if any(isinstance(v, SuperFunction) for v in values.values()):
+        if any(isinstance(v, FlatFraction) for v in values.values()):
             labels.append(plan.dst)
         return transition(plan, values)
 

@@ -17,6 +17,7 @@ from nugrass.errors import (
 from nugrass.superalgebra import (
     EVEN,
     ODD,
+    FlatFraction,
     GeneratorContext,
     GrassmannNumber,
     RationalFunction,
@@ -844,3 +845,79 @@ def test_flat_routines_match_the_superfunction_ring(a, b, q):
     assert flat_lincomb([(q, a), (1, b)]) == to_flat(fa.scale(q) + fb)
     for name in CTX.even_names + CTX.odd_names:
         assert flat_partial(a, CTX, name) == to_flat(fa.partial(name))
+
+
+# ---------------------------------------------------------------------------
+# chart-ring elements with cleared denominators
+# ---------------------------------------------------------------------------
+
+
+_EXPS = st.tuples(*[st.integers(0, 2)] * len(CTX.even_names))
+
+
+def _int_flat(min_size=0):
+    key = st.tuples(st.integers(0, (1 << CTX.beta) - 1), _EXPS)
+    return st.dictionaries(key, st.integers(-6, 6).filter(bool), min_size=min_size,
+                           max_size=4)
+
+
+@st.composite
+def _flat_fractions(draw, body=False):
+    """A FlatFraction over CTX with a nonzero denominator, its numerator
+    sometimes empty and, with body=True, always with a mask-0 term."""
+    num = draw(_int_flat(min_size=int(body)))
+    if body and not any(m == 0 for m, _ in num):
+        num[0, draw(_EXPS)] = draw(st.integers(1, 5))
+    den = draw(st.dictionaries(_EXPS, st.integers(-4, 4).filter(bool), min_size=1, max_size=2))
+    return FlatFraction(CTX, num, den)
+
+
+def _unreduced(f, factor):
+    """f with numerator and denominator multiplied by the even int
+    polynomial factor, through flat_dot: another form of the same value."""
+    lift = {(0, e): c for e, c in factor.items()}
+    den = flat_dot([(1, {(0, e): c for e, c in f.den.items()}, lift)])
+    return FlatFraction(CTX, flat_dot([(1, f.num, lift)]), {e: c for (_, e), c in den.items()})
+
+
+def _view(f):
+    return from_flat(f.ctx, f.num, f.den)
+
+
+@given(_flat_fractions(), _flat_fractions(), _flat_fractions(body=True),
+       st.dictionaries(_EXPS, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_flat_fractions_match_the_superfunction_ring(a, b, c, factor):
+    A, B, C = _view(a), _view(b), _view(c)
+    one = a.ring_one()
+    assert _view(a.add_product(one, b)) == A + B
+    assert _view(a.add_product(b, c, -1)) == A - B * C
+    assert _view(a * c) == A * C
+    assert _view(c.inv()) == C.inv()
+    assert _view(a.nu()) == A.nu()
+    assert (a.is_zero(), a.has_body(), c.has_body()) == (A.is_zero(), A.has_body(), True)
+    assert (a == b) == (A == B)
+    # an unreduced form is the same value, whichever side compares
+    u = _unreduced(a, factor)
+    assert u == a and a == u and _view(u) == A
+    assert (u == b) == (b == u) == (A == B)
+    assert _view(u.add_product(c, c.inv())) == A + C * C.inv()
+
+
+def test_flat_fraction_equality_cross_multiplies():
+    zero = (0, 0)
+    x = {(0, (1, 0)): 1}
+    assert FlatFraction(CTX, x) != FlatFraction(CTX, x, {zero: 2})
+    assert FlatFraction(CTX, {(0, (1, 0)): 2}, {zero: 2}) == FlatFraction(CTX, x)
+    assert FlatFraction(CTX, {(0, (2, 0)): 1}, {(1, 0): 1}) == FlatFraction(CTX, x)
+    e1 = FlatFraction.gen(CTX, "e1")
+    assert e1.nu() == e1.ring_one() and e1.nu().nu() == e1
+    with pytest.raises(TypeError):
+        hash(e1)
+    with pytest.raises(ZeroBody):
+        e1.inv()
+    with pytest.raises(ZeroDivisionError):
+        FlatFraction(CTX, x, {zero: 0})
+    bare = GeneratorContext(("x",), ())
+    with pytest.raises(NoOddGenerators):
+        FlatFraction.gen(bare, "x").nu()
