@@ -71,7 +71,7 @@ from .superalgebra import (
     _ff,
     _layout,
     _reduced,
-    _sf,
+    flat_key,
     from_flat,
     lambda_sample,
 )
@@ -297,13 +297,12 @@ class Chart:
         value does, so ring_solve picks the same pivots on either.
         """
         ctx = GeneratorContext(tuple(f"b_{name}" for name in self.coords), ("theta",))
-        zero = (0,) * len(self.coords)
         values = {}
-        for i, name in enumerate(self.coords):
+        for name in self.coords:
             # the mask of theta is 1 = ODD, the empty mask 0 = EVEN
-            values[name] = FlatFraction(
-                ctx, {(self.coord_parity[name], zero[:i] + (1,) + zero[i + 1:]): 1})
-        return values, FlatFraction(ctx, {(0, zero): 1})
+            _, exp = flat_key(ctx, f"b_{name}")
+            values[name] = FlatFraction(ctx, {(self.coord_parity[name], exp): 1})
+        return values, FlatFraction(ctx, {flat_key(ctx): 1})
 
     def realize(self, values: dict[str, GrassmannNumber], r: int):
         """Raw grid of the point matrix; formal odd units stay symbolic."""
@@ -648,9 +647,8 @@ class TransitionMap:
 
     @property
     def assignments(self) -> MappingProxyType[str, SuperFunction]:
-        return MappingProxyType({
-            name: _sf(v.ctx, MappingProxyType(from_flat(v.ctx, v.num, v.den).terms))
-            for name, v in self.values.items()})
+        return MappingProxyType({name: from_flat(v.ctx, v.num, v.den)
+                                 for name, v in self.values.items()})
 
     def is_identity(self) -> bool:
         return all(self.values[name] == FlatFraction.gen(self.src.ctx, name)

@@ -40,9 +40,10 @@ from .superalgebra import (
     ODD,
     SuperFunction,
     _exact,
-    _sf,
     flat_dot,
+    flat_key,
     flat_lincomb,
+    flat_nu,
     flat_partial,
     from_flat,
     mono_sign,
@@ -164,8 +165,7 @@ class ChartVectorField:
     @property
     def components(self) -> Mapping[str, SuperFunction]:
         ctx = self.chart.ctx
-        return MappingProxyType({name: _sf(ctx, MappingProxyType(from_flat(ctx, t).terms))
-                                 for name, t in self.flat.items()})
+        return MappingProxyType({name: from_flat(ctx, t) for name, t in self.flat.items()})
 
     @cached_property
     def jacobian(self) -> dict[str, dict[str, dict]]:
@@ -231,17 +231,13 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
         raise ValueError("element and chart have mismatched shapes")
     odd = parity == ODD
     ctx = chart.ctx
-    no_exp = (0,) * chart.alpha
-    one = (0, no_exp)
-    key = {name: (0, tuple(int(j == i) for j in range(chart.alpha)))
-           for i, name in enumerate(ctx.even_names)}
-    key.update({name: (1 << j, no_exp) for j, name in enumerate(ctx.odd_names)})
+    one = flat_key(ctx)
     # the label as {column: key} per row; a formal odd unit is e1 = nu(1)
     L = [{} for _ in chart.pattern]
     for row, gcol, odd_unit in chart.identity:
-        L[row][gcol] = (1, no_exp) if odd_unit else one
+        L[row][gcol] = (1, one[1]) if odd_unit else one
     for row, gcol, name, marked in chart.slots:
-        mask, exp = key[name]
+        mask, exp = flat_key(ctx, name)
         L[row][gcol] = (mask ^ 1 if marked else mask, exp)
     G = [[flat_lincomb((c, {k: 1}) for u, k in Li.items() if (c := E.coeffs.get((u + 1, v))))
           for v in range(1, idx.m + idx.n + 1)] for Li in L]
@@ -249,22 +245,17 @@ def fundamental_field(E: GlElement, chart: Chart) -> ChartVectorField:
     sigma_Y0 = [[{k: -1 if odd and k[0].bit_count() & 1 else 1} if (k := Li.get(c)) else {}
                  for c in dcols] for Li in L]
     plan = chart.plain_plan  # square k+l, no unit column and no constant
-    palette = [{}, {one: 1}, None] + [_nu(G[i][j]) if flag else G[i][j]
+    palette = [{}, {one: 1}, None] + [flat_nu(G[i][j]) if flag else G[i][j]
                                       for (i, j), flag in plan.coords]
     N1 = [[palette[s] for s in row[:len(L)]] for row in plan.rows]
     flat = {}
     for row, t, name, marked in read:
         w = flat_dot([(1, G[row][dcols[t]], {one: 1})]
                      + [(-1, n, y[t]) for n, y in zip(N1[row], sigma_Y0)])
-        w = _nu(w) if marked else w
+        w = flat_nu(w) if marked else w
         flat[name] = {(m, e): _exact(-c if odd and m.bit_count() & 1 else c)
                       for (m, e), c in w.items()}
     return _field(chart, parity, flat)
-
-
-def _nu(terms: dict) -> dict:
-    """nu on flat terms: toggle the first odd generator, as SuperFunction.nu."""
-    return {(m ^ 1, e): c for (m, e), c in terms.items()}
 
 
 # (chart index, u, v) -> the field of E_uv there, for the life of the

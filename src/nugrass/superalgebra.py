@@ -27,21 +27,22 @@ kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 
 A polynomial element also has a flat layout, {(odd mask, even exponent
 tuple): coefficient} with int coefficients where they are integral (a
-Fraction otherwise, never a float): ``from_flat`` converts it to a
-SuperFunction, and ``flat_dot``, ``flat_lincomb`` and ``flat_partial`` are
-its products, linear combinations and partial derivatives, with no
-chart-ring polynomial in between.  The fundamental fields of nulie are
-built and live in it.  A FlatFraction is any chart-ring element in that
-layout: flat int terms over an int polynomial denominator, cleared but
-never reduced by a gcd.  The symbolic transition maps and the plan
-statuses of atlas are solved on it, without sympy; ``from_flat`` with a
-denominator gives its canonical SuperFunction.
+Fraction otherwise, never a float): ``from_flat`` gives its read-only
+SuperFunction view, and ``flat_dot``, ``flat_lincomb``, ``flat_partial``
+and ``flat_nu`` are its products, linear combinations, partial
+derivatives and involution, with no chart-ring polynomial in between;
+``flat_key`` is the key of a generator or of 1.  The fundamental fields
+of nulie are built and live in it.  A FlatFraction is any chart-ring
+element in that layout: flat int terms over flat int terms of mask 0 (an
+even polynomial), cleared but never reduced by a gcd.  The symbolic
+transition maps and the plan statuses of atlas are solved on it, without
+sympy; ``from_flat`` with a denominator gives its canonical SuperFunction.
 
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
 odd derivative and both flat routines read it), nu on numerator tuples is
-``_layout(r).nu`` at every r, and a monomial key of ``to_dict`` is
-``_mask_key``.
+``_layout(r).nu`` at every r and on flat terms ``flat_nu``, and a
+monomial key of ``to_dict`` is ``_mask_key``.
 """
 
 from __future__ import annotations
@@ -321,15 +322,18 @@ class SuperFunction:
     constructor drops zeros; negation, nu, odd derivatives, the soul and
     nonzero rational multiples cannot make one, so they build through
     ``_sf`` without the filter.  Values are never mutated, so a sum with a
-    zero operand is the other operand itself; the view of a TransitionMap
+    zero operand is the other operand itself; a view from ``from_flat``
     holds its terms in a read-only mapping.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: GeneratorContext, terms: dict[int, RationalFunction]):
-        """Masks are not checked against the odd generators: this runs about
-        29k times per h_report(1,2,2,3), on masks the ring built."""
+        """Drops zero coefficients; masks are not checked against the odd
+        generators.  Sums, products, even partials and ``substitute``'s
+        pullbacks build through it; the chart-ring work of the kernel runs
+        on flat terms and FlatFractions instead, so it serves the views,
+        the pullbacks and the tests' oracles."""
         self.ctx = ctx
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -448,11 +452,9 @@ class SuperFunction:
 
     def partial(self, name: str) -> "SuperFunction":
         ctx = self.ctx
-        if name in ctx.even_names:
+        bit, _ = flat_key(ctx, name)
+        if not bit:
             return SuperFunction(ctx, {m: c.diff(name) for m, c in self.terms.items()})
-        if name not in ctx.odd_names:
-            raise UnknownVariable(name)
-        bit = 1 << ctx.odd_names.index(name)
         return _sf(ctx, {m ^ bit: c if mono_sign(bit, m ^ bit) > 0 else -c
                          for m, c in self.terms.items() if m & bit})
 
@@ -535,20 +537,36 @@ Flat = dict[tuple[int, tuple[int, ...]], int | Fraction]
 
 
 def from_flat(ctx: GeneratorContext, flat, den=None) -> SuperFunction:
-    """The SuperFunction of flat terms over ctx, divided by the even
-    polynomial den {exps: coefficient} where one is given: each coefficient
-    then goes through RationalFunction's gcd to its canonical form."""
+    """The read-only SuperFunction view of flat terms over ctx, divided by
+    den (flat terms of mask 0) where one is given: each coefficient then
+    goes through RationalFunction's gcd to its canonical form, while a
+    polynomial over 1 already is one."""
     names = ctx.even_names
     R = _get_ring(names)
+    D = R.one if den is None else R.from_dict({exp: c for (_, exp), c in den.items()})
     polys: dict[int, dict] = {}
     for (mask, exp), c in flat.items():
         polys.setdefault(mask, {})[exp] = c
-    if den is not None:
-        D = R.from_dict(dict(den))
-        return _sf(ctx, {mask: RationalFunction(names, R.from_dict(p), D)
-                         for mask, p in polys.items()})
-    return _sf(ctx, {mask: RationalFunction(names, R.from_dict(p), R.one, _canonical=True)
-                     for mask, p in polys.items()})
+    return _sf(ctx, MappingProxyType({mask: RationalFunction(names, R.from_dict(p), D, den is None)
+                                      for mask, p in polys.items()}))
+
+
+def flat_key(ctx: GeneratorContext, name: str | None = None) -> tuple[int, tuple[int, ...]]:
+    """The flat key of the generator name over ctx, or of 1 without one."""
+    zero = (0,) * len(ctx.even_names)
+    if name is None:
+        return 0, zero
+    if name in ctx.even_names:
+        i = ctx.even_names.index(name)
+        return 0, zero[:i] + (1,) + zero[i + 1:]
+    if name in ctx.odd_names:
+        return 1 << ctx.odd_names.index(name), zero
+    raise UnknownVariable(name)
+
+
+def flat_nu(flat) -> Flat:
+    """nu on flat terms: toggle the first odd generator, as SuperFunction.nu."""
+    return {(m ^ 1, e): c for (m, e), c in flat.items()}
 
 
 def flat_dot(triples) -> Flat:
@@ -582,44 +600,19 @@ def flat_lincomb(pairs) -> Flat:
 def flat_partial(flat, ctx: GeneratorContext, name: str) -> Flat:
     """d/d name of flat terms over ctx, as SuperFunction.partial: an even
     name lowers its exponent, an odd one is the left derivative."""
-    if name in ctx.even_names:
-        i = ctx.even_names.index(name)
+    bit, unit = flat_key(ctx, name)
+    if not bit:
+        i = unit.index(1)
         return {(m, e[:i] + (e[i] - 1,) + e[i + 1:]): c * e[i]
                 for (m, e), c in flat.items() if e[i]}
-    if name not in ctx.odd_names:
-        raise UnknownVariable(name)
-    bit = 1 << ctx.odd_names.index(name)
     return {(m ^ bit, e): c if mono_sign(bit, m ^ bit) > 0 else -c
             for (m, e), c in flat.items() if m & bit}
 
 
-def _times_poly(flat, poly) -> dict:
-    """Flat int terms times an even int polynomial {exps: int}: masks kept,
-    exponents added."""
-    out = {}
-    for (m, e), c in flat.items():
-        for f, d in poly.items():
-            key = (m, tuple(map(add, e, f)))
-            s = out.get(key)
-            out[key] = c * d if s is None else s + c * d
-    return {key: c for key, c in out.items() if c}
-
-
-def _poly_mul(p, q) -> dict:
-    """The product of two even int polynomials {exps: int}."""
-    out = {}
-    for e, c in p.items():
-        for f, d in q.items():
-            key = tuple(map(add, e, f))
-            s = out.get(key)
-            out[key] = c * d if s is None else s + c * d
-    return {key: c for key, c in out.items() if c}
-
-
 class FlatFraction:
     """A chart-ring element with cleared denominators: flat int terms
-    ``num`` {(odd mask, even exponent tuple): int} over an int polynomial
-    ``den`` {even exponent tuple: int}, nonzero, in ctx.even_names.
+    ``num`` over flat int terms ``den`` of mask 0 (an even polynomial),
+    nonzero, both keyed {(odd mask, exponent tuple over ctx.even_names)}.
 
     No gcd is ever taken (denominators are cleared as in Bareiss's
     integer-preserving elimination): each operation divides out only the
@@ -627,7 +620,8 @@ class FlatFraction:
     is cross-multiplication, N1 * D2 == N2 * D1, and the type is
     unhashable.  Zero is the empty numerator over 1.  The operations are
     what linalg.ring_solve and atlas.HopPlan's palette and transition call:
-    has_body, is_zero, *, add_product, inv, nu, ring_zero and ring_one.
+    has_body, is_zero, *, add_product, inv, nu, ring_zero and ring_one, and
+    every product in them, of numerators or denominators, is flat_dot.
     ``inv`` of (b + n)/D is  D * sum_{k<=K} (-n)**k b**(K-k) / b**(K+1),
     the series of _inverse_num.  from_flat(ctx, num, den) is its canonical
     SuperFunction.
@@ -638,26 +632,22 @@ class FlatFraction:
 
     def __init__(self, ctx: GeneratorContext, num, den=None):
         """num and den as above, int coefficients, not reduced; den
-        defaults to 1."""
-        zero = (0,) * len(ctx.even_names)
-        den = {zero: 1} if den is None else {e: index(c) for e, c in den.items() if c}
+        defaults to 1.  A mask outside the odd generators raises
+        UnknownVariable; an exponent tuple of the wrong length or with a
+        negative entry, and a denominator term with an odd mask, raise
+        ValueError."""
+        den = {flat_key(ctx): 1} if den is None else _int_terms(ctx, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
+        if any(m for m, _ in den):
+            raise ValueError("a denominator term has an odd mask")
         self.ctx = ctx
-        self.num = {key: index(c) for key, c in num.items() if c}
+        self.num = _int_terms(ctx, num)
         self.den = den
 
     @classmethod
     def gen(cls, ctx: GeneratorContext, name: str) -> "FlatFraction":
-        zero = (0,) * len(ctx.even_names)
-        if name in ctx.even_names:
-            i = ctx.even_names.index(name)
-            key = (0, zero[:i] + (1,) + zero[i + 1:])
-        elif name in ctx.odd_names:
-            key = (1 << ctx.odd_names.index(name), zero)
-        else:
-            raise UnknownVariable(name)
-        return _ff(ctx, {key: 1}, {zero: 1})
+        return _ff(ctx, {flat_key(ctx, name): 1}, {flat_key(ctx): 1})
 
     def is_zero(self) -> bool:
         return not self.num
@@ -672,11 +662,11 @@ class FlatFraction:
             return False
         if self.den == other.den:
             return self.num == other.num
-        return _times_poly(self.num, other.den) == _times_poly(other.num, self.den)
+        return flat_dot(((1, self.num, other.den),)) == flat_dot(((1, other.num, self.den),))
 
     def __mul__(self, other):
         return _ff_reduced(self.ctx, flat_dot(((1, self.num, other.num),)),
-                           _poly_mul(self.den, other.den))
+                           flat_dot(((1, self.den, other.den),)))
 
     def add_product(self, a, b, sign: int = 1) -> "FlatFraction":
         """self + sign * a * b, over the product of the denominators unless
@@ -684,39 +674,52 @@ class FlatFraction:
         num = flat_dot(((sign, a.num, b.num),))
         if not num:
             return self
-        den = _poly_mul(a.den, b.den)
+        den = flat_dot(((1, a.den, b.den),))
         if den != self.den:
-            num = flat_lincomb(((1, _times_poly(self.num, den)),
-                                (1, _times_poly(num, self.den))))
-            den = _poly_mul(self.den, den)
+            num = flat_dot(((1, self.num, den), (1, num, self.den)))
+            den = flat_dot(((1, self.den, den),))
         else:
             num = flat_lincomb(((1, self.num), (1, num)))
         return _ff_reduced(self.ctx, num, den)
 
     def inv(self) -> "FlatFraction":
-        b = {e: c for (m, e), c in self.num.items() if not m}
+        b = {key: c for key, c in self.num.items() if not key[0]}
         if not b:
             raise ZeroBody("cannot invert an element with zero body")
         minus_n = {key: -c for key, c in self.num.items() if key[0]}
-        out = power = self.ring_one().num
+        out = power = one = {flat_key(self.ctx): 1}
         den = b
         while power := flat_dot(((1, power, minus_n),)):  # ends: n is nilpotent
-            out = flat_lincomb(((1, _times_poly(out, b)), (1, power)))
-            den = _poly_mul(den, b)
-        return _ff_reduced(self.ctx, _times_poly(out, self.den), den)
+            out = flat_dot(((1, out, b), (1, power, one)))
+            den = flat_dot(((1, den, b),))
+        return _ff_reduced(self.ctx, flat_dot(((1, out, self.den),)), den)
 
     def nu(self) -> "FlatFraction":
         """Odd involution: toggle membership of the first odd generator."""
         if self.ctx.beta < 1:
             raise NoOddGenerators("nu needs at least one odd generator")
-        return _ff(self.ctx, {(m ^ 1, e): c for (m, e), c in self.num.items()}, self.den)
+        return _ff(self.ctx, flat_nu(self.num), self.den)
 
     def ring_zero(self) -> "FlatFraction":
         return _ff_reduced(self.ctx, {}, {})
 
     def ring_one(self) -> "FlatFraction":
-        zero = (0,) * len(self.ctx.even_names)
-        return _ff(self.ctx, {(0, zero): 1}, {zero: 1})
+        one = flat_key(self.ctx)
+        return _ff(self.ctx, {one: 1}, {one: 1})
+
+
+def _int_terms(ctx: GeneratorContext, terms) -> dict:
+    """terms as flat int terms over ctx without zeros, each key checked."""
+    size, alpha = 1 << ctx.beta, len(ctx.even_names)
+    out = {}
+    for (mask, exp), c in terms.items():
+        if not 0 <= mask < size:
+            raise UnknownVariable(f"monomial mask {mask} outside the odd generators of {ctx}")
+        if len(exp) != alpha or any(k < 0 for k in exp):
+            raise ValueError(f"exponent tuple {exp} is not one over {ctx.even_names}")
+        if c := index(c):
+            out[mask, exp] = c
+    return out
 
 
 def _ff(ctx: GeneratorContext, num, den) -> FlatFraction:
@@ -731,11 +734,11 @@ def _ff(ctx: GeneratorContext, num, den) -> FlatFraction:
 def _ff_reduced(ctx: GeneratorContext, num: dict, den: dict) -> FlatFraction:
     """num over den without their integer content; zero over 1 if num is."""
     if not num:
-        return _ff(ctx, {}, {(0,) * len(ctx.even_names): 1})
+        return _ff(ctx, {}, {flat_key(ctx): 1})
     g = gcd(*num.values(), *den.values())
     if g != 1:
         num = {key: c // g for key, c in num.items()}
-        den = {e: c // g for e, c in den.items()}
+        den = {key: c // g for key, c in den.items()}
     return _ff(ctx, num, den)
 
 

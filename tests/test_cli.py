@@ -352,10 +352,12 @@ def test_every_subcommand_keeps_its_options():
 
 # The commands whose routes build no chart-ring rational function, each
 # with its row in test_pins; verify-cocycle reads its pair facts off
-# FlatFraction maps.  They run where any import of sympy fails.
+# FlatFraction maps (on 2|2(3|3) their denominators reach degree 7).  They
+# run where any import of sympy fails.
 SYMPY_FREE = [
     "atlas -k 1 -l 2 -m 2 -n 3",
     "verify-cocycle -k 0 -l 1 -m 1 -n 2 -r 1 --samples 5 --format json",
+    "verify-cocycle -k 2 -l 2 -m 3 -n 3 --samples 2 --format json",
     "verify-action -k 0 -l 1 -m 1 -n 2 -r 2 --samples 5 --format json",
     "transitivity -k 1 -l 2 -m 2 -n 3 -r 3 --samples 4 --format json",
     "nulie -k 1 -l 2 -m 2 -n 3 --format json",

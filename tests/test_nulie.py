@@ -230,6 +230,41 @@ def test_the_commutant_of_an_atlas_without_odd_coordinates_raises(dims):
         h_report(*dims)
 
 
+# The census of the nu-commutant (ROADMAP item 9) on every atlas with
+# 1 <= m, n and m + n <= 5 that has an odd coordinate, i.e. every k|l but
+# 0|0 and m|n: dim h is 2|0 on these k|l and 1|0 on all the others.
+_DIM_H_2 = {
+    (1, 3): {(0, 2), (1, 1)},
+    (1, 4): {(0, 2), (0, 3), (1, 1), (1, 2)},
+    (2, 2): {(0, 2), (2, 0)},
+    (2, 3): {(0, 2), (0, 3), (1, 2), (2, 0), (2, 1)},
+    (3, 2): {(0, 2), (1, 2), (2, 0), (3, 0)},
+}
+_CENSUS = [(k, l, m, n) for m in range(1, 5) for n in range(1, 6 - m)
+           for k in range(m + 1) for l in range(n + 1) if 0 < k + l < m + n]
+
+
+@pytest.mark.parametrize("dims", _CENSUS, ids=[f"{k}|{l}({m}|{n})" for k, l, m, n in _CENSUS])
+def test_the_commutant_census_is_an_even_diagonal_torus(dims):
+    # with d = m + n and dim h = s + 1, h is spanned by E_11 + ... +
+    # E_{d-s,d-s} and E_jj for each of the last s indices
+    k, l, m, n = dims
+    h = compute_h(*dims)
+    s = 1 if (k, l) in _DIM_H_2.get((m, n), ()) else 0
+    d = m + n
+    torus = [GlElement(m, n, {(u, u): 1 for u in range(1, d - s + 1)})]
+    torus += [GlElement.unit(m, n, j, j) for j in range(d - s + 1, d + 1)]
+    assert h.odd == [] and h.even == torus
+
+
+def test_the_commutant_census_holds_every_atlas_with_an_odd_coordinate():
+    every = [(k, l, m, n) for m in range(1, 5) for n in range(1, 6 - m)
+             for k in range(m + 1) for l in range(n + 1)]
+    assert [dims for dims in every
+            if any(c.odd_coords for c in get_atlas(*dims).charts)] == _CENSUS
+    assert len(_CENSUS) == 65
+
+
 def test_commutant_defects_vanish_on_every_chart():
     h = compute_h(0, 1, 1, 2)
     for Y in h.even + h.odd:

@@ -853,6 +853,7 @@ def test_flat_routines_match_the_superfunction_ring(a, b, q):
 
 
 _EXPS = st.tuples(*[st.integers(0, 2)] * len(CTX.even_names))
+_EVEN_KEYS = st.tuples(st.just(0), _EXPS)  # the flat keys of an even polynomial
 
 
 def _int_flat(min_size=0):
@@ -868,16 +869,16 @@ def _flat_fractions(draw, body=False):
     num = draw(_int_flat(min_size=int(body)))
     if body and not any(m == 0 for m, _ in num):
         num[0, draw(_EXPS)] = draw(st.integers(1, 5))
-    den = draw(st.dictionaries(_EXPS, st.integers(-4, 4).filter(bool), min_size=1, max_size=2))
+    den = draw(st.dictionaries(_EVEN_KEYS, st.integers(-4, 4).filter(bool), min_size=1,
+                               max_size=2))
     return FlatFraction(CTX, num, den)
 
 
 def _unreduced(f, factor):
     """f with numerator and denominator multiplied by the even int
-    polynomial factor, through flat_dot: another form of the same value."""
-    lift = {(0, e): c for e, c in factor.items()}
-    den = flat_dot([(1, {(0, e): c for e, c in f.den.items()}, lift)])
-    return FlatFraction(CTX, flat_dot([(1, f.num, lift)]), {e: c for (_, e), c in den.items()})
+    polynomial factor (flat terms of mask 0), through flat_dot: another
+    form of the same value."""
+    return FlatFraction(CTX, flat_dot([(1, f.num, factor)]), flat_dot([(1, f.den, factor)]))
 
 
 def _view(f):
@@ -885,7 +886,7 @@ def _view(f):
 
 
 @given(_flat_fractions(), _flat_fractions(), _flat_fractions(body=True),
-       st.dictionaries(_EXPS, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
+       st.dictionaries(_EVEN_KEYS, st.integers(-3, 3).filter(bool), min_size=1, max_size=2))
 @settings(max_examples=80, deadline=None)
 def test_flat_fractions_match_the_superfunction_ring(a, b, c, factor):
     A, B, C = _view(a), _view(b), _view(c)
@@ -905,11 +906,11 @@ def test_flat_fractions_match_the_superfunction_ring(a, b, c, factor):
 
 
 def test_flat_fraction_equality_cross_multiplies():
-    zero = (0, 0)
+    one = (0, (0, 0))
     x = {(0, (1, 0)): 1}
-    assert FlatFraction(CTX, x) != FlatFraction(CTX, x, {zero: 2})
-    assert FlatFraction(CTX, {(0, (1, 0)): 2}, {zero: 2}) == FlatFraction(CTX, x)
-    assert FlatFraction(CTX, {(0, (2, 0)): 1}, {(1, 0): 1}) == FlatFraction(CTX, x)
+    assert FlatFraction(CTX, x) != FlatFraction(CTX, x, {one: 2})
+    assert FlatFraction(CTX, {(0, (1, 0)): 2}, {one: 2}) == FlatFraction(CTX, x)
+    assert FlatFraction(CTX, {(0, (2, 0)): 1}, x) == FlatFraction(CTX, x)
     e1 = FlatFraction.gen(CTX, "e1")
     assert e1.nu() == e1.ring_one() and e1.nu().nu() == e1
     with pytest.raises(TypeError):
@@ -917,7 +918,29 @@ def test_flat_fraction_equality_cross_multiplies():
     with pytest.raises(ZeroBody):
         e1.inv()
     with pytest.raises(ZeroDivisionError):
-        FlatFraction(CTX, x, {zero: 0})
+        FlatFraction(CTX, x, {one: 0})
     bare = GeneratorContext(("x",), ())
     with pytest.raises(NoOddGenerators):
         FlatFraction.gen(bare, "x").nu()
+    with pytest.raises(ZeroDivisionError):
+        from_flat(CTX, x, {})
+
+
+def test_flat_fraction_rejects_malformed_keys():
+    # a mask outside e1, e2 is no monomial; a short exponent tuple used to
+    # multiply as a truncated one, so x^1 * y read as x
+    for mask in (4, 8, -1):
+        with pytest.raises(UnknownVariable):
+            FlatFraction(CTX, {(mask, (0, 0)): 1})
+    for exp in ((1,), (1, 0, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            FlatFraction(CTX, {(0, exp): 1})
+        with pytest.raises(ValueError):
+            FlatFraction(CTX, {(0, (0, 0)): 1}, {(0, exp): 1})
+    # the denominator is an even polynomial: flat terms of mask 0 only
+    with pytest.raises(ValueError):
+        FlatFraction(CTX, {(0, (1, 0)): 1}, {(1, (0, 0)): 1})
+    with pytest.raises(UnknownVariable):
+        FlatFraction(CTX, {(0, (1, 0)): 1}, {(4, (0, 0)): 1})
+    x = FlatFraction(CTX, {(0, (1, 0)): 1})
+    assert x * FlatFraction.gen(CTX, "y") == FlatFraction(CTX, {(0, (1, 1)): 1})
