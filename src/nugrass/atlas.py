@@ -14,8 +14,8 @@ D((M or M')^-1 A) as one exact solve:
 * symbolic, between charts of the structure rings; only the
   standard-to-standard and arbitrary-to-non-standard directions admit a
   closed formula.  It is solved on FlatFractions (flat int terms over a
-  cleared int-polynomial denominator, no gcd), and the identity verdict
-  and the nu-audit compare them by cross-multiplication; only the
+  cleared int-polynomial denominator, no gcd), which the identity verdict,
+  apply_pullback, evaluate_transition and the nu-audit read; only the
   SuperFunction view of a map (TransitionMap.assignments) loads sympy;
 * pointwise, on Lambda_r-valued points, with the involution acting on
   Lambda_r values.  Only directions whose plan status is 'ok' are
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import lcm
 from types import MappingProxyType, SimpleNamespace
 
@@ -552,24 +552,14 @@ class HopPlan:
     @cached_property
     def nu_equivariant(self) -> bool | None:
         """Whether the symbolic map t intertwines the two charts'
-        involutions, g*(nu(g)) = nu(g*(g)) for every destination coordinate
+        involutions, t*(nu(g)) = nu(t*(g)) for every destination coordinate
         g; None where the pair has no symbolic map, or no odd coordinate
-        for the involution to act on.
-
-        nu(g) is e1 g (no sign), so with t(g) = N_g / D_g the identity is
-        N_e1 N_g = nu(N_g) D_e1 after clearing D_g, and nu(N_e1) = D_e1 for
-        g = e1, whose nu is 1."""
+        for the involution to act on."""
         t = self.symbolic
         if not self.src.odd_coords or not isinstance(t, TransitionMap):
             return None
-        e1 = t.dst.odd_coords[0]
-        te1 = t.values[e1]
-        one = te1.ring_one()
-        for name, v in t.values.items():
-            n = _ff(v.ctx, v.num, one.den)  # N_g over 1
-            if not (te1.nu() == one if name == e1 else te1 * n == n.nu()):
-                return False
-        return True
+        return all(apply_pullback(t, FlatFraction.gen(t.dst.ctx, g).nu()) == v.nu()
+                   for g, v in t.values.items())
 
 
 def pair_defined(src: Chart, dst: Chart) -> bool:
@@ -674,18 +664,20 @@ def transition_symbolic(src: Chart, dst: Chart) -> TransitionMap:
 
 
 def evaluate_transition(t: TransitionMap, X: GrassPoint) -> GrassPoint:
-    """Evaluate a symbolic transition at a point of the source chart."""
-    scalar = partial(GrassmannNumber.scalar, X.r)
-    values = {name: sf.substitute(X.values, scalar) for name, sf in t.assignments.items()}
-    return GrassPoint(t.dst, X.r, values)
+    """Evaluate a symbolic transition at a point of the source chart: each
+    value of the map through FlatFraction.substitute over Lambda_r."""
+    one = GrassmannNumber.scalar(X.r, 1)
+    return GrassPoint(t.dst, X.r, {name: v.substitute(X.values, one)
+                                   for name, v in t.values.items()})
 
 
-def apply_pullback(t: TransitionMap, sf: SuperFunction) -> SuperFunction:
-    """Extend the coordinate assignments of a transition to a ring morphism
-    and apply it to an element of the destination chart ring."""
-    if sf.ctx != t.dst.ctx:
+def apply_pullback(t: TransitionMap, f: FlatFraction) -> FlatFraction:
+    """The pullback t*(f) of an element of the destination chart ring: the
+    ring morphism that sends each destination coordinate to its value under
+    the map, through FlatFraction.substitute."""
+    if f.ctx != t.dst.ctx:
         raise ValueError("element does not live on the destination chart")
-    return sf.substitute(t.assignments, t.src.ctx.scalar)
+    return f.substitute(t.values, FlatFraction(t.src.ctx, {flat_key(t.src.ctx): 1}))
 
 
 # ---------------------------------------------------------------------------

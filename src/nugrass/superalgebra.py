@@ -36,7 +36,9 @@ of nulie are built and live in it.  A FlatFraction is any chart-ring
 element in that layout: flat int terms over flat int terms of mask 0 (an
 even polynomial), cleared but never reduced by a gcd.  The symbolic
 transition maps and the plan statuses of atlas are solved on it, without
-sympy; ``from_flat`` with a denominator gives its canonical SuperFunction.
+sympy, and its ``substitute`` is the one ring substitution: a pullback
+along a map, or an evaluation at a Lambda_r point.  ``from_flat`` with a
+denominator gives its canonical SuperFunction.
 
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
@@ -330,10 +332,10 @@ class SuperFunction:
 
     def __init__(self, ctx: GeneratorContext, terms: dict[int, RationalFunction]):
         """Drops zero coefficients; masks are not checked against the odd
-        generators.  Sums, products, even partials and ``substitute``'s
-        pullbacks build through it; the chart-ring work of the kernel runs
-        on flat terms and FlatFractions instead, so it serves the views,
-        the pullbacks and the tests' oracles."""
+        generators.  Sums, products and even partials build through it; the
+        chart-ring work of the kernel, pullbacks and evaluations included,
+        runs on flat terms and FlatFractions instead, so it serves the views
+        and the tests' oracles."""
         self.ctx = ctx
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -464,37 +466,6 @@ class SuperFunction:
     def ring_one(self) -> "SuperFunction":
         return self.ctx.one()
 
-    # -- evaluation ----------------------------------------------------------
-
-    def substitute(self, values: dict, scalar):
-        """The image under the ring morphism that sends each generator to
-        values[name] and each rational q to scalar(q): an evaluation at a
-        Lambda_r point, or a pullback into another chart ring.  Raises
-        ZeroBody where the image of a denominator has no body."""
-        ctx = self.ctx
-        names = ctx.even_names
-
-        def image(p):
-            total = scalar(0)
-            for exp, q in p.terms():
-                term = scalar(q)
-                for name, k in zip(names, exp):
-                    for _ in range(k):
-                        term = term * values[name]
-                total = total + term
-            return total
-
-        total = scalar(0)
-        for mask, c in self.terms.items():
-            val = image(c.num)
-            if not c.den.is_ground:  # a monic constant denominator is 1
-                val = val * image(c.den).inv()
-            for i, name in enumerate(ctx.odd_names):
-                if mask >> i & 1:
-                    val = val * values[name]
-            total = total + val
-        return total
-
     # -- serialization / display ---------------------------------------------
 
     def to_dict(self) -> dict:
@@ -540,12 +511,16 @@ def from_flat(ctx: GeneratorContext, flat, den=None) -> SuperFunction:
     """The read-only SuperFunction view of flat terms over ctx, divided by
     den (flat terms of mask 0) where one is given: each coefficient then
     goes through RationalFunction's gcd to its canonical form, while a
-    polynomial over 1 already is one."""
+    polynomial over 1 already is one.  Every key is checked as
+    FlatFraction's constructor checks it, and den by that constructor."""
     names = ctx.even_names
     R = _get_ring(names)
+    if den is not None:
+        den = FlatFraction(ctx, {}, den).den
     D = R.one if den is None else R.from_dict({exp: c for (_, exp), c in den.items()})
     polys: dict[int, dict] = {}
     for (mask, exp), c in flat.items():
+        _check_key(ctx, mask, exp)
         polys.setdefault(mask, {})[exp] = c
     return _sf(ctx, MappingProxyType({mask: RationalFunction(names, R.from_dict(p), D, den is None)
                                       for mask, p in polys.items()}))
@@ -707,16 +682,47 @@ class FlatFraction:
         one = flat_key(self.ctx)
         return _ff(self.ctx, {one: 1}, {one: 1})
 
+    def substitute(self, values: dict, one):
+        """The image under the ring morphism that sends each generator to
+        values[name], in the ring of one (a GrassmannNumber at a Lambda_r
+        point, a FlatFraction for a pullback): each term is its coefficient
+        times its even values, then its odd ones in ascending order, and
+        the image is image(num) * image(den).inv().  Raises ZeroBody where
+        the image of the stored denominator has no body, so an unreduced
+        form can raise where the reduced one would not."""
+        ctx = self.ctx
+
+        def image(terms):
+            total = one.ring_zero()
+            for (mask, exp), c in terms.items():
+                term = one
+                for name, k in zip(ctx.even_names, exp):
+                    for _ in range(k):
+                        term = term * values[name]
+                for i, name in enumerate(ctx.odd_names):
+                    if mask >> i & 1:
+                        term = term * values[name]
+                total = total.add_product(term, one, c)
+            return total
+
+        return image(self.num) * image(self.den).inv()
+
+
+def _check_key(ctx: GeneratorContext, mask: int, exp: tuple) -> None:
+    """A flat key over ctx: UnknownVariable for a mask outside the odd
+    generators, ValueError for an exponent tuple of the wrong length or
+    with a negative entry."""
+    if not 0 <= mask < 1 << ctx.beta:
+        raise UnknownVariable(f"monomial mask {mask} outside the odd generators of {ctx}")
+    if len(exp) != len(ctx.even_names) or any(k < 0 for k in exp):
+        raise ValueError(f"exponent tuple {exp} is not one over {ctx.even_names}")
+
 
 def _int_terms(ctx: GeneratorContext, terms) -> dict:
     """terms as flat int terms over ctx without zeros, each key checked."""
-    size, alpha = 1 << ctx.beta, len(ctx.even_names)
     out = {}
     for (mask, exp), c in terms.items():
-        if not 0 <= mask < size:
-            raise UnknownVariable(f"monomial mask {mask} outside the odd generators of {ctx}")
-        if len(exp) != alpha or any(k < 0 for k in exp):
-            raise ValueError(f"exponent tuple {exp} is not one over {ctx.even_names}")
+        _check_key(ctx, mask, exp)
         if c := index(c):
             out[mask, exp] = c
     return out

@@ -1,16 +1,19 @@
 """Reference routines that only the tests use.
 
-The library evaluates a chart-ring element at a point through one ring
-substitution, SuperFunction.substitute, and builds a fundamental field from
-its first-order formula.  The routines here are independent routes kept as
+The library evaluates a chart-ring element at a point, and pulls it back
+along a transition, through one ring substitution, FlatFraction.substitute,
+and builds a fundamental field from its first-order formula.  The routines
+here are independent routes kept as
 test oracles; nothing in ``nugrass`` calls them.  grid_normalize is the
 pasting normalization of a realized grid, the oracle of every compiled
 pasting system.  minor_M, remainder_D and minor_Mprime spell out the
 paper's minors M, M' and remainder D on a SuperMatrix, column by column.
 palette_hop is the pointwise hop on value objects, the oracle of the hop on
 numerator tuples, and of the symbolic maps' FlatFraction solve when given
-chart-ring generators; nu_equivariance_defects is the nu-audit through
-apply_pullback, the oracle of HopPlan.nu_equivariant; ring_route is
+chart-ring generators; apply_pullback_reference is the pullback of a
+SuperFunction through the canonical view TransitionMap.assignments, the
+oracle of atlas.apply_pullback, and nu_equivariance_defects the nu-audit
+through it, the oracle of HopPlan.nu_equivariant; ring_route is
 linalg.solve through ring_solve, the oracle of its integer rows.  Both
 eliminations take one row layout: each row of Z
 without its unit columns, then the row of Y.  The eps-ring of
@@ -37,7 +40,6 @@ from nugrass.atlas import (
     _cells,
     _get_plan,
     _rows,
-    apply_pullback,
     point_transition,
 )
 from nugrass.errors import (
@@ -404,16 +406,52 @@ def palette_hop(plan, values: dict) -> dict:
             for row, t, name, flag in plan.read}
 
 
+def _eval_poly_super(p, names, assignments, src_ctx):
+    total = src_ctx.zero()
+    for exp, q in p.terms():
+        term = src_ctx.scalar(MPQ(q))
+        for i, k in enumerate(exp):
+            for _ in range(k):
+                term = term * assignments[names[i]]
+        total = total + term
+    return total
+
+
+def apply_pullback_reference(t, sf):
+    """The pullback of the SuperFunction sf along the transition map t, on
+    the canonical SuperFunctions of t.assignments: each coefficient's
+    numerator and denominator pulled back term by term, then the odd
+    generators of its mask in ascending order."""
+    src_ctx = t.src.ctx
+    dst_ctx = t.dst.ctx
+    assignments = t.assignments
+
+    def eval_rf(rf):
+        num = _eval_poly_super(rf.num, dst_ctx.even_names, assignments, src_ctx)
+        den = _eval_poly_super(rf.den, dst_ctx.even_names, assignments, src_ctx)
+        return num * den.inv()
+
+    out = src_ctx.zero()
+    for mask, coeff in sf.terms.items():
+        val = eval_rf(coeff)
+        for i, name in enumerate(dst_ctx.odd_names):
+            if mask >> i & 1:
+                val = val * assignments[name]
+        out = out + val
+    return out
+
+
 def nu_equivariance_defects(t) -> dict:
     """For each destination generator g of the transition map t, the
     difference  g*(nu(g)) - nu(g*(g))  in the source chart ring, through
-    apply_pullback on t.assignments: all zero iff the pasting map
+    apply_pullback_reference on t.assignments: all zero iff the pasting map
     intertwines the two charts' involutions.  The oracle of
-    HopPlan.nu_equivariant, which cross-multiplies the map's FlatFractions."""
+    HopPlan.nu_equivariant, which pulls back on the map's FlatFractions."""
+    assignments = t.assignments
     out = {}
     for name in t.dst.coords:
         g = t.dst.ctx.gen(name)
-        out[name] = apply_pullback(t, g.nu()) - t.assignments[name].nu()
+        out[name] = apply_pullback_reference(t, g.nu()) - assignments[name].nu()
     return out
 
 

@@ -1,7 +1,8 @@
 import dataclasses
 import itertools
+import math
 import random
-from functools import partial
+from types import MappingProxyType
 
 import pytest
 import sympy
@@ -21,11 +22,14 @@ from nugrass.errors import (
 from nugrass.superalgebra import (
     EVEN,
     ODD,
+    FlatFraction,
     GeneratorContext,
     GrassmannNumber,
     RationalFunction,
     SuperFunction,
     _get_ring,
+    flat_key,
+    from_flat,
 )
 from nugrass.supermatrix import SuperMatrix, smat_inv, smat_mul
 import nugrass.atlas as atlas
@@ -37,6 +41,7 @@ from nugrass.atlas import (
     _get_plan,
     _lam_gauss_inv,
     _cycle_check,
+    apply_pullback,
     chart_dims,
     enumerate_charts,
     evaluate_transition,
@@ -50,6 +55,7 @@ from nugrass.atlas import (
 from paper_reference import (
     BodySolveFailed,
     adjusted_minor,
+    apply_pullback_reference,
     grid_normalize,
     invert_transition_at_point,
     label,
@@ -370,8 +376,8 @@ def test_fast_pointwise_route_agrees_with_the_matrix_route():
 
 
 def test_symbolic_and_pointwise_routes_agree_on_standard_pairs():
-    # evaluate_transition reads TransitionMap.assignments, the SuperFunction
-    # view of the FlatFraction map; every pair must find a point that hops
+    # evaluate_transition substitutes the point into the map's stored
+    # FlatFractions; every pair must find a point that hops
     rng = random.Random(4)
     for dims in [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2), (2, 2, 3, 3)]:
         for a, b in itertools.permutations(get_atlas(*dims).standard_charts, 2):
@@ -935,26 +941,58 @@ def test_the_one_chart_atlas_hops_by_the_identity():
 
 
 def test_pullback_extends_multiplicatively_and_audits_equivariance():
-    from nugrass.atlas import apply_pullback
-
     at = get_atlas(0, 1, 1, 2)
     c1, c2 = at.chart((), (1,)), at.chart((), (2,))
     t = transition_symbolic(c1, c2)
-    x2, e2 = c2.ctx.gen("x1"), c2.ctx.gen("e1")
-    x1 = c1.ctx.gen("x1")
+    x2, e2 = FlatFraction.gen(c2.ctx, "x1"), FlatFraction.gen(c2.ctx, "e1")
+    x1 = FlatFraction.gen(c1.ctx, "x1")
     # morphism property: products and inverses pass through
-    assert apply_pullback(t, x2 * e2) == t.assignments["x1"] * t.assignments["e1"]
+    assert apply_pullback(t, x2 * e2) == t.values["x1"] * t.values["e1"]
     assert apply_pullback(t, x2.inv()) == x1
+    for f in (x2 * e2, x2.inv(), e2.nu()):
+        assert _view(apply_pullback(t, f)) == apply_pullback_reference(t, _view(f))
     # the round map is not equivariant for the concrete involution ...
     assert any(not d.is_zero() for d in nu_equivariance_defects(t).values())
+    assert _get_plan(c1, c2).nu_equivariant is False
     # ... while the identity-shaped hop into the non-standard chart is
-    t13 = transition_symbolic(c1, at.chart((1,), ()))
+    c3 = at.chart((1,), ())
+    t13 = transition_symbolic(c1, c3)
     assert all(d.is_zero() for d in nu_equivariance_defects(t13).values())
+    assert _get_plan(c1, c3).nu_equivariant is True
+    with pytest.raises(ValueError, match="destination chart"):
+        apply_pullback(t, FlatFraction.gen(get_atlas(1, 2, 2, 3).charts[0].ctx, "x1"))
 
 
-# The evaluation routines that SuperFunction.substitute replaced, kept as
-# its oracle: evaluation at a Lambda_r point, and the pullback along a
-# symbolic transition.
+def _composition_failures(charts, maps):
+    """How many triple identities t_ac*(t_cb(y)) == t_ab(y) and round-trip
+    identities t_ab*(t_ba(y)) == y fail, over the ordered triples and pairs
+    of charts, with the maps keyed by (source, destination)."""
+    triples = sum(apply_pullback(maps[a, c], maps[c, b].values[y]) != maps[a, b].values[y]
+                  for a, b, c in itertools.permutations(charts, 3) for y in b.coords)
+    round_trips = sum(apply_pullback(maps[a, b], maps[b, a].values[y])
+                      != FlatFraction.gen(a.ctx, y)
+                      for a, b in itertools.permutations(charts, 2) for y in a.coords)
+    return triples, round_trips
+
+
+def test_the_pullback_composes_the_standard_maps():
+    # 720 triple and 180 round-trip identities of 1|2(2|3) hold in the chart
+    # ring; one negated value of one map breaks some of each
+    at = get_atlas(1, 2, 2, 3)
+    std = at.standard_charts
+    maps = {(a, b): transition_symbolic(a, b) for a, b in itertools.permutations(std, 2)}
+    assert _composition_failures(std, maps) == (0, 0)
+    key = (at.chart((1,), (1, 2)), at.chart((1,), (1, 3)))
+    t = maps[key]
+    x1 = t.values["x1"]
+    negated = FlatFraction(x1.ctx, {k: -c for k, c in x1.num.items()}, x1.den)
+    maps[key] = dataclasses.replace(t, values=MappingProxyType({**t.values, "x1": negated}))
+    assert _composition_failures(std, maps) == (27, 2)
+
+
+# Evaluation of a canonical SuperFunction at a Lambda_r point, the oracle of
+# FlatFraction.substitute there; paper_reference.apply_pullback_reference is
+# the oracle of the pullback along a symbolic transition.
 
 
 def _eval_poly_grassmann(p, names, assign, r):
@@ -986,34 +1024,29 @@ def eval_grassmann_reference(sf, assign, r):
     return total
 
 
-def _eval_poly_super(p, names, assignments, src_ctx):
-    total = src_ctx.zero()
-    for exp, q in p.terms():
-        term = src_ctx.scalar(MPQ(q))
-        for i, k in enumerate(exp):
-            for _ in range(k):
-                term = term * assignments[names[i]]
-        total = total + term
-    return total
+def _view(f):
+    """The canonical SuperFunction of a FlatFraction."""
+    return from_flat(f.ctx, f.num, f.den)
 
 
-def apply_pullback_reference(t, sf):
-    src_ctx = t.src.ctx
-    dst_ctx = t.dst.ctx
-
-    def eval_rf(rf):
-        num = _eval_poly_super(rf.num, dst_ctx.even_names, t.assignments, src_ctx)
-        den = _eval_poly_super(rf.den, dst_ctx.even_names, t.assignments, src_ctx)
-        return num * den.inv()
-
-    out = src_ctx.zero()
-    for mask, coeff in sf.terms.items():
-        val = eval_rf(coeff)
-        for i, name in enumerate(dst_ctx.odd_names):
-            if mask >> i & 1:
-                val = val * t.assignments[name]
-        out = out + val
-    return out
+def flat_fraction(sf):
+    """The canonical SuperFunction sf as one FlatFraction, reduced as far as
+    its coefficients are: each of them over the lcm L of their
+    denominators, then every numerator and L times the one integer that
+    clears their rational coefficients.  The image of L has no body exactly
+    where the image of some coefficient's denominator has none."""
+    R = _get_ring(sf.ctx.even_names)
+    L = R.one
+    for c in sf.terms.values():
+        L = L.lcm(c.den)
+    polys = {(mask, 0): c.num * L.exquo(c.den) for mask, c in sf.terms.items()}
+    polys[0, 1] = L
+    q = math.lcm(*(c.denominator for p in polys.values() for c in p.coeffs()))
+    num, den = {}, {}
+    for (mask, is_den), p in polys.items():
+        for exp, c in p.terms():
+            (den if is_den else num)[mask, exp] = int(c * q)
+    return FlatFraction(sf.ctx, num, den)
 
 
 def _outcome(fn, *args):
@@ -1055,7 +1088,7 @@ def test_substitute_at_a_point_matches_the_evaluation_reference(r, data):
         mask: data.draw(st.integers(-2, 2)) for mask in range(1 << r)
         if mask.bit_count() & 1 == chart.coord_parity[name]})
         for name in chart.coords}
-    got = _outcome(sf.substitute, values, partial(GrassmannNumber.scalar, r))
+    got = _outcome(flat_fraction(sf).substitute, values, GrassmannNumber.scalar(r, 1))
     assert got == _outcome(eval_grassmann_reference, sf, values, r)
 
 
@@ -1082,25 +1115,32 @@ BODYLESS_1223 = [t for t in TRANSITIONS_1223
 @settings(max_examples=40, deadline=None)
 def test_substitute_along_a_transition_matches_the_pullback_reference(t, data):
     sf = data.draw(chart_ring_elements(t.dst.ctx))
-    got = _outcome(sf.substitute, t.assignments, t.src.ctx.scalar)
-    assert got == _outcome(apply_pullback_reference, t, sf)
+    got = _outcome(apply_pullback, t, flat_fraction(sf))
+    assert (got if got is ZeroBody else _view(got)) == _outcome(apply_pullback_reference, t, sf)
 
 
 def test_substitute_raises_zero_body_where_a_denominator_image_has_none():
     at = get_atlas(1, 2, 2, 3)
     # x3 of {1,2}|{3} pulls back to -e1*e2, which has no body
     t = transition_symbolic(at.chart((1,), (2, 3)), at.chart((1, 2), (3,)))
-    f = t.dst.ctx.gen("x3").inv()
+    ctx = t.dst.ctx
+    f, sf = FlatFraction.gen(ctx, "x3").inv(), ctx.gen("x3").inv()
     with pytest.raises(ZeroBody):
-        f.substitute(t.assignments, t.src.ctx.scalar)
+        apply_pullback(t, f)
     with pytest.raises(ZeroBody):
-        apply_pullback_reference(t, f)
-    chart = t.dst
-    values = {name: GrassmannNumber(2, {}) for name in chart.coords}
+        apply_pullback_reference(t, sf)
+    values = {name: GrassmannNumber(2, {}) for name in t.dst.coords}
     with pytest.raises(ZeroBody):
-        f.substitute(values, partial(GrassmannNumber.scalar, 2))
+        f.substitute(values, GrassmannNumber.scalar(2, 1))
     with pytest.raises(ZeroBody):
-        eval_grassmann_reference(f, values, 2)
+        eval_grassmann_reference(sf, values, 2)
+    # the stored denominator decides: x1 * x3 / x3 raises where x1 does not
+    x1, x3 = flat_key(ctx, "x1")[1], flat_key(ctx, "x3")[1]
+    unreduced = FlatFraction(ctx, {(0, tuple(map(sum, zip(x1, x3)))): 1}, {(0, x3): 1})
+    assert unreduced == FlatFraction.gen(ctx, "x1")
+    with pytest.raises(ZeroBody):
+        apply_pullback(t, unreduced)
+    assert apply_pullback(t, FlatFraction.gen(ctx, "x1")) == t.values["x1"]
 
 
 def test_cocycle_suite_small_run_passes():

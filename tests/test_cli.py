@@ -392,18 +392,25 @@ def test_the_lambda_r_and_commutant_commands_run_without_sympy():
 
 
 def test_import_leaves_sympy_out_until_a_chart_ring_map_is_built():
-    # a pair's map, its identity verdict, its nu-audit verdict and its
-    # status are FlatFraction work; only the SuperFunction view of the map,
-    # read through assignments, loads sympy
-    code = ("import sys\n"
+    # a pair's map, its identity verdict, its nu-audit verdict, its status,
+    # a pullback along it and its evaluation at a point are FlatFraction
+    # work; only the SuperFunction view of the map, read through
+    # assignments, loads sympy
+    code = ("import random, sys\n"
             "import nugrass\n"
-            "from nugrass.atlas import _get_plan\n"
+            "from nugrass.atlas import _get_plan, apply_pullback\n"
+            "from nugrass.superalgebra import FlatFraction\n"
             "before = 'sympy' in sys.modules\n"
             "a, b = nugrass.get_atlas(0, 1, 1, 2).charts[:2]\n"
             "t = nugrass.transition_symbolic(a, b)\n"
             "plan = _get_plan(a, b)\n"
+            "back = apply_pullback(t, FlatFraction.gen(b.ctx, 'x1').inv())\n"
+            "X = nugrass.sample_point(a, 2, random.Random(0))\n"
+            "Y = nugrass.evaluate_transition(t, X)\n"
             "print(before, t.is_identity(), plan.nu_equivariant, plan.status,\n"
+            "      back == FlatFraction.gen(a.ctx, 'x1'), Y == nugrass.point_transition(X, b),\n"
             "      'sympy' in sys.modules)\n"
             "x1 = t.assignments['x1']\n"
             "print('sympy' in sys.modules, x1)\n")
-    assert _python(code).split() == ["False", "False", "False", "ok", "False", "True", "(1)/(x1)"]
+    assert _python(code).split() == ["False", "False", "False", "ok", "True", "True", "False",
+                                     "True", "(1)/(x1)"]

@@ -944,3 +944,21 @@ def test_flat_fraction_rejects_malformed_keys():
         FlatFraction(CTX, {(0, (1, 0)): 1}, {(4, (0, 0)): 1})
     x = FlatFraction(CTX, {(0, (1, 0)): 1})
     assert x * FlatFraction.gen(CTX, "y") == FlatFraction(CTX, {(0, (1, 1)): 1})
+
+
+def test_from_flat_rejects_the_keys_the_constructor_rejects():
+    # a mask outside e1, e2 used to print as 1, a negative exponent as a
+    # power of y**(-1), and a short exponent tuple raised a bare IndexError
+    with pytest.raises(UnknownVariable):
+        from_flat(CTX, {(8, (0, 0)): 1})
+    for exp in ((0, -1), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            from_flat(CTX, {(0, exp): 1})
+        with pytest.raises(ValueError):
+            from_flat(CTX, {(0, (1, 0)): 1}, {(0, exp): 1})
+    # a denominator is an even polynomial: e1 * y used to divide as y
+    with pytest.raises(ValueError):
+        from_flat(CTX, {(0, (1, 0)): 1}, {(1, (0, 1)): 1})
+    # Fraction coefficients stay allowed, unlike in FlatFraction
+    half = from_flat(CTX, {(2, (1, 0)): Fraction(1, 2)})
+    assert half == (CTX.gen("x") * CTX.gen("e2")).scale(Fraction(1, 2))
