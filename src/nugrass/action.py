@@ -35,7 +35,7 @@ from .atlas import (
     point_transition,
     sample_point,
 )
-from .reports import CheckResult, Report, first_defined
+from .reports import CheckResult, Report, check_count, first_defined
 
 
 class GLPoint(SuperMatrix):
@@ -286,6 +286,7 @@ def verify_action_gluing(k: int, l: int, m: int, n: int, r: int = 2,
     """Sample the commuting square: transition after action equals action
     after transition, both equal to the direct normalization, on quadruples
     of standard charts."""
+    check_count("samples", samples)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     std = atlas.standard_charts
@@ -319,6 +320,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
                          samples: int = 100, seed: int = 0) -> Report:
     """Unit, associativity against group multiplication, and inverse
     compatibility, all exact at sampled points."""
+    check_count("samples", samples)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     report = Report(
@@ -359,6 +361,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
 def verify_transitivity(k: int, l: int, m: int, n: int, r: int, count: int = 50,
                         seed: int = 0, base: BasePoint | None = None) -> Report:
     """Construct and post-check a witness for `count` random chart points."""
+    check_count("count", count)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     if base is None:

@@ -28,11 +28,10 @@ once per process from the source label's pattern and the destination's
 plan, into one row table in the layout of both of linalg's eliminations;
 a hop fills it straight from the coordinate values and builds no grid.
 A direction's plan status comes from the minor part of the same rows,
-solved once at the generic Lambda_1 point of the source chart (even
-coordinates b_c, odd ones b_c*theta, each b_c an indeterminate), on
-FlatFractions too.  The body
-of a minor at any Lambda_r point is a specialization of its body there, so
-that solve fails exactly where no point can hop.  A matrix that is not a
+filled with the bodies of a generic point (one indeterminate per source
+coordinate, on FlatFractions without odd generators) and solved once.  The
+body of a minor at any Lambda_r point is a specialization of that body, so
+the solve fails exactly where no point can hop.  A matrix that is not a
 chart grid (an acted point [X]P, the acted label L E of a fundamental
 field) is plain: every entry is a coordinate of its own.  It fills the
 system compiled from a plain source into its destination chart
@@ -60,7 +59,7 @@ from .errors import (
     UncoveredCase,
 )
 from .linalg import inverse, lambda_solve, ring_solve
-from .reports import CheckResult, Report, first_defined
+from .reports import CheckResult, Report, check_count, first_defined
 from .superalgebra import (
     EVEN,
     ODD,
@@ -284,26 +283,6 @@ class Chart:
             grid[row][gcol] = v.nu() if marked else v
         return grid
 
-    @cached_property
-    def generic(self):
-        """The coordinate values of the generic Lambda_1 point, and that
-        ring's 1, as FlatFractions.
-
-        The ring has one indeterminate b_c per coordinate c and the odd
-        generator theta of Lambda_1; an even coordinate is b_c, an odd one
-        b_c*theta.  The involution toggles theta, so nu(b_c) has no body
-        and nu(b_c*theta) = b_c, as on the theta_1 part of a Lambda_r value.
-        A FlatFraction has a body exactly where a SuperFunction of the same
-        value does, so ring_solve picks the same pivots on either.
-        """
-        ctx = GeneratorContext(tuple(f"b_{name}" for name in self.coords), ("theta",))
-        values = {}
-        for name in self.coords:
-            # the mask of theta is 1 = ODD, the empty mask 0 = EVEN
-            _, exp = flat_key(ctx, f"b_{name}")
-            values[name] = FlatFraction(ctx, {(self.coord_parity[name], exp): 1})
-        return values, FlatFraction(ctx, {flat_key(ctx): 1})
-
     def realize(self, values: dict[str, GrassmannNumber], r: int):
         """Raw grid of the point matrix; formal odd units stay symbolic."""
         return self.grid(values, GrassmannNumber.scalar(r, 1), GrassmannNumber(r, {}))
@@ -460,18 +439,26 @@ class HopPlan:
                    kills), so no point of the source chart can hop this way.
 
         The hop decides it itself: the minor of its own pasting system is
-        solved at the source chart's generic Lambda_1 point (Chart.generic).
+        solved on the bodies of a generic point, over one indeterminate per
+        source coordinate.  1 has body 1 and nu(1) body 0; a coordinate
+        slot (name, apply nu) has body `name` where nu is applied to an odd
+        coordinate or not applied to an even one, else 0.  Taking bodies
+        is a ring morphism that commutes with the elimination, so the solve
+        fails exactly where no point of the source chart can hop.
         """
         return self._classify()
 
     def _classify(self) -> str:
         if self.residual is not None:
             return "residual"
-        values, one = self.src.generic
-        w = self.width
+        src = self.src
+        ctx = GeneratorContext(src.coords, ())
+        zero, one = FlatFraction(ctx, {}), FlatFraction(ctx, {flat_key(ctx): 1})
+        body = [zero, one, zero] + [
+            FlatFraction.gen(ctx, name) if (src.coord_parity[name] == ODD) == flag else zero
+            for name, flag in self.coords]
         try:
-            ring_solve(_rows([row[:w] for row in self.rows], self.palette(values, one)),
-                       self.units)
+            ring_solve(_rows([row[:self.width] for row in self.rows], body), self.units)
         except NotInvertible:
             return "singular"
         return "ok"
@@ -751,6 +738,8 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
     non-standard charts do not close exactly under the concrete involution
     and can be sampled separately as a non-gating audit via audit_nu_triples.
     """
+    check_count("samples", samples)
+    check_count("audit_nu_triples", audit_nu_triples, 0)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
     report = Report(

@@ -18,10 +18,10 @@
   - ring_solve on any other ring, through the ring's own has_body(),
     inv(), is_zero() and add_product().  In the library it sees only
     superalgebra.FlatFraction: the chart rings of the symbolic maps and the
-    generic Lambda_1 ring of the plan statuses, with cleared denominators
-    and no gcd.  The tests also run it on SuperFunction (the canonical
-    chart-ring oracle of those solves) and on Lambda_r as lambda_solve's
-    oracle.
+    ring of bodies of a generic point (no odd generator) of the plan
+    statuses, with cleared denominators and no gcd.  The tests also run it
+    on SuperFunction (the canonical chart-ring oracle of those solves) and
+    on Lambda_r as lambda_solve's oracle.
   A chart normalization fills the rows of its pair's compiled pasting
   system (atlas.HopPlan.rows) in that layout and calls one of them
   directly.

@@ -20,9 +20,10 @@ no ring extended by f.  The field of a basis element on a chart is a
 per-process fact of that pair: rho_field builds it once, frozen with
 read-only terms, and every later call reads the same object, whose
 Jacobian is computed once and lives as long as the process.  The morphism
-check builds the bracket of each unordered pair of basis fields once per
-chart, reads the other order off it by the bracket's symmetry, and replays
-the outcomes in (E1, E2) order.
+check compares each unordered pair of basis elements once per chart, one
+field bracket against rho of one reversed matrix bracket; the other order
+has the same outcome by the graded antisymmetry of both brackets and the
+linearity of rho, and the outcomes are replayed in (E1, E2) order.
 """
 
 from __future__ import annotations
@@ -447,45 +448,39 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
     through the two-sided product rule and do not glue with the standard
     representations (see verify_cocycle's audit notes).
 
-    The bracket formula gives  [X_j, X_i] = s [X_i, X_j],  s = 1 for two odd
-    fields and -1 otherwise, so each unordered pair's field bracket is
-    built once per chart and serves both orders: the other order matches
-    rho of its own reversed bracket (built once per distinct value and
-    chart, with its negation) with s times the sign of the built one.  The
-    outcomes are replayed in (E1, E2) order, so the sign, counts and
-    counterexamples are a pair-by-pair scan's.  The
+    The bracket formula gives  [X_j, X_i] = s [X_i, X_j]  and the matrix
+    bracket  [E_i, E_j] = s [E_j, E_i],  with s = 1 for two odd elements and
+    -1 otherwise, and rho_field is linear, so the pair (E_j, E_i) has the
+    outcome of (E_i, E_j): each unordered pair is compared once per chart,
+    against rho of its reversed bracket (built once per distinct value and
+    chart, with its negation).  The outcomes are replayed in (E1, E2) order,
+    so the sign, counts and counterexamples are a pair-by-pair scan's.  The
     basis fields and their Jacobians are per-process facts (rho_field).
     """
     atlas = get_atlas(k, l, m, n)
     basis = GlElement.basis(m, n)
-    N = len(basis)
     report = Report(suite="rho-morphism", config={"k": k, "l": l, "m": m, "n": n})
-    # at i*N + j, for the pair (E_i, E_j): the reversed matrix bracket, and
-    # per standard chart the sign s with lhs = s*rhs, 0 when both sides
-    # vanish, None for a mismatch
-    reversed_brackets = [superbracket(E2, E1) for E1 in basis for E2 in basis]
-    keys = [frozenset(Y.coeffs.items()) for Y in reversed_brackets]
-    outcomes: list[list[int | None]] = [[] for _ in range(N * N)]
+    # per pair i <= j: the reversed matrix bracket [E_j, E_i], and per
+    # standard chart the sign s with lhs = s*rhs, 0 when both sides vanish,
+    # None for a mismatch
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    reversed_brackets = [superbracket(basis[j], basis[i]) for i, j in pairs]
+    outcomes: dict[tuple[int, int], list[int | None]] = {pair: [] for pair in pairs}
     for chart in atlas.standard_charts:
         fields = [rho_field(E, chart) for E in basis]
         rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho), ...)
-        for i in range(N):
-            for j in range(i, N):
-                lhs = field_bracket(fields[i], fields[j])
-                swap = 1 if fields[i].parity and fields[j].parity else -1
-                for p, t in [(i * N + j, 1)] + ([(j * N + i, swap)] if i != j else []):
-                    if keys[p] not in rho:
-                        rhs = rho_field(reversed_brackets[p], chart)
-                        rho[keys[p]] = (((0, rhs),) if rhs.is_zero()
-                                        else ((1, rhs), (-1, rhs.scale(-1))))
-                    outcomes[p].append(
-                        next((t * s for s, side in rho[keys[p]] if lhs == side), None))
+        for (i, j), Y in zip(pairs, reversed_brackets):
+            if (key := frozenset(Y.coeffs.items())) not in rho:
+                rhs = rho_field(Y, chart)
+                rho[key] = ((0, rhs),) if rhs.is_zero() else ((1, rhs), (-1, rhs.scale(-1)))
+            lhs = field_bracket(fields[i], fields[j])
+            outcomes[i, j].append(next((s for s, side in rho[key] if lhs == side), None))
     sign = None
     result = CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})")
     for i, E1 in enumerate(basis):
         for j, E2 in enumerate(basis):
             ok_pair = True
-            for outcome in outcomes[i * N + j]:
+            for outcome in outcomes[min(i, j), max(i, j)]:
                 if sign is None and outcome:
                     sign = outcome
                 if outcome is None or outcome not in (0, sign):

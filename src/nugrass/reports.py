@@ -9,6 +9,7 @@ A sampled check draws each sample through first_defined, which retries a
 draw that falls outside the set being sampled until its draw budget runs
 out, and counts the sample with CheckResult.record, which keeps the first
 few counterexamples.  Both limits are written once, in those two places.
+check_count rejects a count that would draw nothing before a suite draws.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ def dumps(obj, pad: str = "\n") -> str:
     if type(obj) is bool:
         return "true" if obj else "false"
     return json.dumps(obj)
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Raise ValueError for a count below least, before a suite draws: a
+    sampled check that draws nothing would pass on no evidence."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def first_defined(attempt, rejects, what: str):

@@ -1045,12 +1045,16 @@ def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> Grass
     """Deterministic small-integer sample from Lambda_r of the given parity.
 
     Even samples always carry a nonzero body so they can serve as invertible
-    inputs.  Passing a random.Random instance instead of an integer seed draws
-    from that stream (one worker per stream).
+    inputs.  Raises ValueError where [lo, hi] holds no nonzero integer and
+    the parity has a slot, so the draw would never end.  Passing a
+    random.Random instance instead of an integer seed draws from that
+    stream (one worker per stream).
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     layout = _layout(r)
     masks = layout.by_parity[parity]
+    if masks and not (lo <= hi and (lo or hi)):
+        raise ValueError(f"[{lo}, {hi}] holds no nonzero integer to draw")
     num = list(layout.zero)
     while masks and not any(num):
         for mask in masks:

@@ -496,7 +496,7 @@ def verify_rho_morphism_reference(k, l, m, n) -> Report:
 CORRUPTIONS = [(0, (1, 1), 2), (0, (1, 1), -1), (0, (1, 2), -1), (-1, (2, 1), 3), (1, (3, 3), 0)]
 
 
-@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2), (1, 0, 2, 1)])
 @pytest.mark.parametrize("corruption", [None] + CORRUPTIONS)
 def test_rho_morphism_replay_matches_the_pair_by_pair_scan(monkeypatch, dims, corruption):
     assert_replay_matches_the_scan(monkeypatch, dims, corruption)

@@ -128,6 +128,24 @@ def test_every_retry_site_raises_when_no_draw_is_defined(site, monkeypatch):
         run()
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: verify_cocycle(1, 1, 2, 2, samples=0), "samples must be at least 1, got 0"),
+    (lambda: verify_cocycle(1, 1, 2, 2, samples=-3), "samples must be at least 1, got -3"),
+    (lambda: verify_cocycle(1, 1, 2, 2, samples=1, audit_nu_triples=-2),
+     "audit_nu_triples must be at least 0, got -2"),
+    (lambda: verify_action_gluing(*DIMS, samples=0), "samples must be at least 1, got 0"),
+    (lambda: verify_action_axioms(*DIMS, samples=0), "samples must be at least 1, got 0"),
+    (lambda: verify_transitivity(*DIMS, r=2, count=0), "count must be at least 1, got 0"),
+], ids=["cocycle-0", "cocycle-negative", "cocycle-audit", "gluing", "axioms", "transitivity"])
+def test_a_sampled_suite_rejects_a_count_before_it_draws(run, message, monkeypatch):
+    # each of these used to pass on 0 gating samples, and a negative audit
+    # count sliced 22 audits from the end of the list
+    for module in (atlas, action):
+        monkeypatch.setattr(module, "lambda_sample", _raise(AssertionError))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+
+
 # ---------------------------------------------------------------------------
 # report bytes
 # ---------------------------------------------------------------------------

@@ -390,6 +390,16 @@ def test_lambda_sample_is_deterministic_and_parity_homogeneous():
     assert c.body() != 0 and c.soul().is_zero()
 
 
+def test_lambda_sample_rejects_a_range_without_a_nonzero_integer():
+    # these used to redraw zeros forever
+    for r, parity in [(0, EVEN), (1, EVEN), (1, ODD), (3, EVEN), (3, ODD)]:
+        with pytest.raises(ValueError, match=r"\[0, 0\] holds no nonzero integer"):
+            lambda_sample(r, parity, 5, lo=0, hi=0)
+    # Lambda_0 has no odd slot, so its odd sample is 0 without a draw
+    assert lambda_sample(0, ODD, 5, lo=0, hi=0).is_zero()
+    assert lambda_sample(2, EVEN, 5, lo=0, hi=1).body() == 1
+
+
 def test_mono_sign_counts_transpositions():
     # e2 * e1 needs one transposition
     assert mono_sign(0b10, 0b01) == -1
