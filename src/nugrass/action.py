@@ -286,6 +286,7 @@ def verify_action_gluing(k: int, l: int, m: int, n: int, r: int = 2,
     """Sample the commuting square: transition after action equals action
     after transition, both equal to the direct normalization, on quadruples
     of standard charts."""
+    check_count("r", r, 0)
     check_count("samples", samples)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
@@ -320,6 +321,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
                          samples: int = 100, seed: int = 0) -> Report:
     """Unit, associativity against group multiplication, and inverse
     compatibility, all exact at sampled points."""
+    check_count("r", r, 0)
     check_count("samples", samples)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)
@@ -361,6 +363,7 @@ def verify_action_axioms(k: int, l: int, m: int, n: int, r: int = 2,
 def verify_transitivity(k: int, l: int, m: int, n: int, r: int, count: int = 50,
                         seed: int = 0, base: BasePoint | None = None) -> Report:
     """Construct and post-check a witness for `count` random chart points."""
+    check_count("r", r, 0)
     check_count("count", count)
     atlas = get_atlas(k, l, m, n)
     rng = random.Random(seed)

@@ -738,6 +738,7 @@ def verify_cocycle(k: int, l: int, m: int, n: int, r: int = 2, samples: int = 10
     non-standard charts do not close exactly under the concrete involution
     and can be sampled separately as a non-gating audit via audit_nu_triples.
     """
+    check_count("r", r, 0)
     check_count("samples", samples)
     check_count("audit_nu_triples", audit_nu_triples, 0)
     atlas = get_atlas(k, l, m, n)

@@ -11,19 +11,20 @@ flat layout), built on those terms from the chart's label; sums, multiples,
 Jacobians, brackets and defects all run on those terms, and the
 SuperFunction components are only a view.  A field's coordinate
 representation either commutes with the involution or not; collecting the
-commutation defects over every chart and odd monomial cuts an exact linear
-subspace of gl(m|n): the nu-commutant.  nu_defect is the one defect
-function: by the graded Leibniz rule each defect coefficient is a signed,
-shifted copy of a field coefficient, keyed by the generic symbol f or a
-partial f_x, so the cut runs on integer coefficients with no product and
-no ring extended by f.  The field of a basis element on a chart is a
-per-process fact of that pair: rho_field builds it once, frozen with
-read-only terms, and every later call reads the same object, whose
-Jacobian is computed once and lives as long as the process.  The morphism
-check compares each unordered pair of basis elements once per chart, one
-field bracket against rho of one reversed matrix bracket; the other order
-has the same outcome by the graded antisymmetry of both brackets and the
-linearity of rho, and the outcomes are replayed in (E1, E2) order.
+commutation conditions over every chart cuts an exact linear subspace of
+gl(m|n): the nu-commutant.  nu_defect is the one defect function: since
+nu = (left product by e1) + d/de1, the condition is a closed form on the
+field's own flat terms (an even field has X[e1] = 0 and no e1 in any
+term, an odd field is zero), so the cut runs on the field's integer
+coefficients with no product and no odd monomial.  The field of a basis
+element on a chart is a per-process fact of that pair: rho_field builds
+it once, frozen with read-only terms, and every later call reads the same
+object, whose Jacobian is computed once and lives as long as the process.
+The morphism check compares each unordered pair of basis elements once per
+chart, one field bracket against rho of one reversed matrix bracket; the
+other order has the same outcome by the graded antisymmetry of both
+brackets and the linearity of rho, and the outcomes are replayed in
+(E1, E2) order.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .superalgebra import (
     flat_nu,
     flat_partial,
     from_flat,
-    mono_sign,
 )
 from .linalg import rref
 from .atlas import Chart, IndexPair, get_atlas
@@ -291,43 +291,29 @@ def rho_field(Y: GlElement, chart: Chart) -> ChartVectorField:
 # ---------------------------------------------------------------------------
 
 
-def nu_defect(field: ChartVectorField) -> dict[int, dict]:
-    """Commutation defects  D_S = X(nu(f e_S)) - nu(X(f e_S))  of the field
-    X, f a generic function of the even coordinates: for every odd monomial
-    e_S without e1, {S: {(phi, mask, exp): coefficient}}: the coefficient
-    of  phi e_mask x^exp,  phi being "f" or one of its partials "f_x" and
-    (mask, exp) a flat key of the chart ring.  D_{S^1} = -nu(D_S), so these
-    S carry every condition: the field commutes with the involution iff
-    every entry is empty.
+def nu_defect(field: ChartVectorField) -> dict[str, dict]:
+    """The flat terms of the field X that must vanish for X to commute with
+    the involution, {coordinate: {(odd mask, even exponent): coefficient}}:
+    empty exactly when  X nu = nu X  on the chart ring.
 
-    A derivation is fixed by its values on the coordinates and the graded
-    Leibniz rule, so  X(f e_S) = sum_phi phi A_phi(S)  with
-    A_{f_x}(S) = X[x] e_S  and  A_f(S) = sum_{theta in S} X[theta] d_theta e_S,
-    and the phi coefficient of D_S is  A_phi(S^1) - nu A_phi(S):  signed,
-    monomial-shifted copies of the field's flat coefficients, no product
-    and no ring extended by f."""
+    nu toggles e1 with no sign, so  nu = lambda + d,  lambda the left
+    product by e1 and d the left derivative d/de1.  For X of parity p the
+    graded Leibniz rule gives
+        X nu - nu X = lambda_{X[e1]} + [X, d] + ((-1)^p - 1) nu X,
+    with [X, d] the derivation  y -> -(-1)^p d(X[y]).  The defect takes
+    X[e1] at 1.  An even X therefore commutes with nu exactly when X[e1] = 0
+    and no term of any component holds e1 (the derivation [X, d] is then
+    the whole defect).  An odd X commutes only when it is zero: with
+    X[y] = a + e1 b, the defect takes  X[e1] y - 2 e1 a - b  at y."""
     chart = field.chart
     if not chart.odd_coords:
         raise NoOddGenerators("the chart carries no odd generators")
-    flat = field.flat
-    # (phi, bit of theta or 0 for an f_x, the flat terms of the component)
-    parts = [(f"f_{x}", 0, flat[x]) for x in chart.even_coords]
-    parts += [("f", 1 << j, flat[name]) for j, name in enumerate(chart.odd_coords)]
+    e1, odd = chart.odd_coords[0], field.parity == ODD
     defects = {}
-    for S in range(0, 1 << len(chart.odd_coords), 2):
-        out = {}
-        for T, sign, flip in ((S | 1, 1, 0), (S, -1, 1)):
-            for phi, bit, terms in parts:
-                if terms and T & bit == bit:
-                    rest = T ^ bit  # d_theta e_T = mono_sign(bit, rest) e_rest
-                    s = sign * mono_sign(bit, rest)
-                    for (m, e), c in terms.items():
-                        if not m & rest:
-                            key = (phi, (m | rest) ^ flip, e)
-                            c = c if s * mono_sign(m, rest) > 0 else -c
-                            old = out.get(key)
-                            out[key] = c if old is None else old + c
-        defects[S] = {key: c for key, c in out.items() if c}
+    for name, terms in field.flat.items():
+        held = {key: c for key, c in terms.items() if odd or name == e1 or key[0] & 1}
+        if held:
+            defects[name] = held
     return defects
 
 
@@ -369,10 +355,9 @@ class HBasis:
 def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
     """Exact basis of the subalgebra of gl(m|n) whose fundamental fields
     commute with the involution on every chart, one parity at a time: one
-    row per (chart, S, phi, odd mask, even exponent) of nu_defect, whose S
-    carry every condition since D_{S^1} = -nu(D_S) repeats its rows up to
-    sign.  The fields are polynomial, so the rows hold their coefficients
-    as they are."""
+    row per (chart, coordinate, odd mask, even exponent) of nu_defect, each
+    a flat term of the basis fields that must vanish, with their
+    coefficients as they are."""
     atlas = get_atlas(k, l, m, n)
     basis_all = GlElement.basis(m, n)
     result = HBasis(m, n)
@@ -382,10 +367,9 @@ def compute_h(k: int, l: int, m: int, n: int) -> HBasis:
         rows: list[list] = []
         for col_i, E in enumerate(columns):
             for chart in atlas.charts:
-                f = rho_field(E, chart)
-                for S, defect in nu_defect(f).items():
-                    for (phi, mask, exp), q in defect.items():
-                        key = (chart.index.I, chart.index.R, S, phi, mask, exp)
+                for name, terms in nu_defect(rho_field(E, chart)).items():
+                    for (mask, exp), q in terms.items():
+                        key = (chart.index.I, chart.index.R, name, mask, exp)
                         i = row_index.get(key)
                         if i is None:
                             i = len(rows)
@@ -502,8 +486,7 @@ def h_report(k: int, l: int, m: int, n: int) -> dict:
     residual_zero = True
     for Y in all_basis:
         for chart in atlas.charts:
-            f = rho_field(Y, chart)
-            if any(nu_defect(f).values()):
+            if nu_defect(rho_field(Y, chart)):
                 residual_zero = False
 
     closed = True

@@ -20,11 +20,11 @@ without its unit columns, then the row of Y.  The eps-ring of
 eps_ring_fundamental_field is a context it builds itself, with the eps
 parameters as trailing odd generators.  invert_transition_at_point solves
 the pasting equation of a direction as an exact linear system over QQ; it
-realizes no direction and checks forward hops against their inverse.  nu_defect_reference applies
-the generic chain rule over the chart ring extended by a symbol f and its
-partials f_x (formal_context); lift carries nulie.nu_defect's coefficient
-form into that ring, so the two compare as ring elements.  field_of builds
-a field from SuperFunction values, through to_flat, the flat terms of a
+realizes no direction and checks forward hops against their inverse.
+nu_defect_reference applies the generic chain rule over the chart ring
+extended by a symbol f and its partials f_x (formal_context) on every odd
+monomial, the oracle of nulie.nu_defect's closed form.  field_of builds a
+field from SuperFunction values, through to_flat, the flat terms of a
 polynomial chart-ring element.  label is a chart's label as a supermatrix
 over its chart ring, and chart_ring_fundamental_field the first-order
 formula of nulie.fundamental_field run on that label with the ring's own
@@ -59,7 +59,6 @@ from nugrass.superalgebra import (
     SuperFunction,
     _exact,
     _get_ring,
-    from_flat,
 )
 from nugrass.supermatrix import SuperMatrix, is_nu, matmul
 
@@ -340,20 +339,6 @@ def embed(ctxF: GeneratorContext, sf: SuperFunction) -> SuperFunction:
         den = R.from_dict({exp + pad: co for exp, co in c.den.terms()})
         terms[mask] = RationalFunction(ctxF.even_names, num, den, _canonical=True)
     return SuperFunction(ctxF, terms)
-
-
-def lift(chart: Chart, defects: dict) -> list[SuperFunction]:
-    """nu_defect's coefficient form as ring elements of formal_context, one
-    per odd monomial in ascending order: D_S = sum (phi, mask, exp) c
-    e_mask x^exp phi for S without e1, and D_{S^1} = -nu(D_S) after it."""
-    ctxF = formal_context(chart)
-    out = []
-    for coeffs in defects.values():
-        D = ctxF.zero()
-        for (phi, mask, exp), c in coeffs.items():
-            D = D + embed(ctxF, from_flat(chart.ctx, {(mask, exp): c})) * ctxF.gen(phi)
-        out += [D, -D.nu()]
-    return out
 
 
 def apply_formal_reference(chart, comps, F, ctxF):

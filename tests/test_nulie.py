@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -25,12 +26,14 @@ from nugrass.nulie import (
 )
 import nugrass.nulie as nl
 from nugrass.reports import CheckResult, Report
-from nugrass.superalgebra import EVEN, ODD, SuperFunction, flat_partial
+from nugrass.superalgebra import EVEN, ODD, SuperFunction, flat_key, flat_partial
 from paper_reference import (
+    apply_formal_reference,
     chart_ring_fundamental_field,
+    embed,
     eps_ring_fundamental_field,
     field_of,
-    lift,
+    formal_context,
     nu_defect_reference,
 )
 from test_pins import PINS, check, digest
@@ -193,9 +196,12 @@ def test_gl_coefficients_are_ints_where_integral():
 def test_regression_pair_for_the_commutation_defect():
     ctx = C1.ctx
     xdx = field_of(C1, 0, {"x1": ctx.gen("x1"), "e1": ctx.zero()})
-    assert all(d.is_zero() for d in lift(C1, nu_defect(xdx)))
+    assert nu_defect(xdx) == {}
+    assert all(d.is_zero() for d in nu_defect_reference(xdx))
     ede = field_of(C1, 0, {"x1": ctx.zero(), "e1": ctx.gen("e1")})
-    defects = lift(C1, nu_defect(ede))
+    # an even field with X[e1] != 0: its e1 component must vanish
+    assert nu_defect(ede) == {"e1": {flat_key(ctx, "e1"): 1}}
+    defects = nu_defect_reference(ede)
     assert any(not d.is_zero() for d in defects)
     # the defect on the plain generic symbol is f*e, exactly
     ctxF = defects[0].ctx
@@ -205,7 +211,8 @@ def test_regression_pair_for_the_commutation_defect():
 def test_zero_field_has_no_defect():
     ctx = C1.ctx
     zero = field_of(C1, 0, {"x1": ctx.zero(), "e1": ctx.zero()})
-    assert all(d.is_zero() for d in lift(C1, nu_defect(zero)))
+    assert nu_defect(zero) == {}
+    assert all(d.is_zero() for d in nu_defect_reference(zero))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +264,44 @@ def test_the_commutant_census_is_an_even_diagonal_torus(dims):
     assert h.odd == [] and h.even == torus
 
 
+def e1_components(dims) -> list[set[int]]:
+    """The rule of the census: on the columns 1..m+n, join on every chart
+    the column of e1 to the pivot column of its label row; the components."""
+    m, n = dims[2:]
+    root = list(range(m + n + 1))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for chart in get_atlas(*dims).charts:
+        row, gcol = next((row, gcol) for row, gcol, name, _ in chart.slots if name == "e1")
+        root[find(gcol + 1)] = find(chart.identity[row][1] + 1)
+    groups = {}
+    for u in range(1, m + n + 1):
+        groups.setdefault(find(u), set()).add(u)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("dims", _CENSUS, ids=[f"{k}|{l}({m}|{n})" for k, l, m, n in _CENSUS])
+def test_the_commutant_is_the_torus_constant_on_the_e1_components(dims):
+    # diag(w) scales the coordinate in row i, column j by w_j - w_p(i) on
+    # every chart, so its field keeps nu exactly when w is constant on each
+    # component; that nothing off the diagonal survives is compute_h's cut
+    m, n = dims[2:]
+    for chart in get_atlas(*dims).charts:
+        for u in range(1, m + n + 1):
+            X = rho_field(GlElement.unit(m, n, u, u), chart)
+            for row, gcol, name, _ in chart.slots:
+                w = (u == gcol + 1) - (u == chart.identity[row][1] + 1)
+                assert X.flat[name] == ({flat_key(chart.ctx, name): w} if w else {})
+    groups = e1_components(dims)
+    h = compute_h(*dims)
+    assert h.odd == [] and h.dim_even == len(groups)
+    assert all(in_span(GlElement(m, n, {(u, u): 1 for u in g}), h.even) for g in groups)
+
+
 def test_the_commutant_census_holds_every_atlas_with_an_odd_coordinate():
     every = [(k, l, m, n) for m in range(1, 5) for n in range(1, 6 - m)
              for k in range(m + 1) for l in range(n + 1)]
@@ -269,7 +314,7 @@ def test_commutant_defects_vanish_on_every_chart():
     h = compute_h(0, 1, 1, 2)
     for Y in h.even + h.odd:
         for chart in AT.charts:
-            assert all(d.is_zero() for d in lift(chart, nu_defect(rho_field(Y, chart))))
+            assert nu_defect(rho_field(Y, chart)) == {}
 
 
 def test_commutant_is_bracket_closed_with_exact_jacobi():
@@ -286,9 +331,8 @@ def test_standard_charts_already_cut_the_same_commutant():
     # the non-standard chart's conditions are consistent with the cut made
     # by the standard charts alone on this atlas
     h_all = compute_h(0, 1, 1, 2)
-    even, odd = commutant_reference((0, 1, 1, 2), AT.standard_charts,
-                                    lambda f: lift(f.chart, nu_defect(f)))
-    assert (len(even), len(odd)) == (h_all.dim_even, h_all.dim_odd)
+    even, odd = commutant_reference((0, 1, 1, 2), AT.standard_charts)
+    assert [even, odd] == [h_all.even, h_all.odd]
 
 
 def test_bracket_compatibility_sign_is_globally_consistent():
@@ -420,7 +464,7 @@ def bracket_reference(X1: ChartVectorField, X2: ChartVectorField) -> ChartVector
     return field_of(X1.chart, (X1.parity + X2.parity) & 1, comps)
 
 
-def commutant_reference(dims, charts=None, defects=nu_defect_reference):
+def commutant_reference(dims, charts=None):
     """The cut over every odd monomial S of the given charts (all by
     default), one row per (chart, S, odd mask, exponent over the even
     coordinates and the formal symbols); returns the even and odd bases."""
@@ -431,7 +475,7 @@ def commutant_reference(dims, charts=None, defects=nu_defect_reference):
         rows = {}
         for col_i, E in enumerate(columns):
             for chart in charts or get_atlas(*dims).charts:
-                for S, defect in enumerate(defects(rho_field(E, chart))):
+                for S, defect in enumerate(nu_defect_reference(rho_field(E, chart))):
                     for mask, coeff in defect.terms.items():
                         for exp, q in coeff.num.terms():
                             key = (chart.index.I, chart.index.R, S, mask, exp)
@@ -616,6 +660,34 @@ def test_scale_and_sum_get_their_own_jacobians():
 # ---------------------------------------------------------------------------
 
 
+def decomposition_reference(field: ChartVectorField) -> list[SuperFunction]:
+    """nu_defect's closed form applied to T = f e_S for every odd monomial
+    e_S in ascending order, by the chain rule over formal_context:
+    X[e1] T + [X, d](T), with d = d/de1 and [X, d] the derivation
+    y -> -(-1)^p d(X[y]), and -2 nu(X(T)) more for an odd X."""
+    chart = field.chart
+    ctxF = formal_context(chart)
+    comps = {name: embed(ctxF, c) for name, c in field.components.items()}
+    e1 = chart.odd_coords[0]
+    commutator = {name: c.partial(e1).scale(1 if field.parity else -1)
+                  for name, c in comps.items()}
+    f_rf = ctxF.gen("f").body()
+    out = []
+    for S in range(1 << len(chart.odd_coords)):
+        T = SuperFunction(ctxF, {S: f_rf})
+        D = comps[e1] * T + apply_formal_reference(chart, commutator, T, ctxF)
+        if field.parity:
+            D = D - apply_formal_reference(chart, comps, T, ctxF).nu().scale(2)
+        out.append(D)
+    return out
+
+
+def assert_nu_defect_matches_the_chain_rule(field: ChartVectorField):
+    defects = nu_defect_reference(field)
+    assert decomposition_reference(field) == defects
+    assert (nu_defect(field) == {}) == all(d.is_zero() for d in defects)
+
+
 @pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2)])
 def test_nu_defect_matches_the_chain_rule_on_every_basis_field(dims):
     m, n = dims[2:]
@@ -623,8 +695,7 @@ def test_nu_defect_matches_the_chain_rule_on_every_basis_field(dims):
     assert len(atlas.charts) > len(atlas.standard_charts)
     for chart in atlas.charts:
         for E in GlElement.basis(m, n):
-            field = fundamental_field(E, chart)
-            assert lift(chart, nu_defect(field)) == nu_defect_reference(field)
+            assert_nu_defect_matches_the_chain_rule(fundamental_field(E, chart))
 
 
 def odd_component_field() -> ChartVectorField:
@@ -640,8 +711,12 @@ def test_nu_defect_of_a_field_with_odd_components():
     # worked out by hand from
     # X(f e_S) = X(f) e_S + f X(e_S),  X(f) = e1 f_x1,  X(e1 e2) = -x2 e1
     field = odd_component_field()
-    defects = lift(field.chart, nu_defect(field))
-    assert defects == nu_defect_reference(field)
+    assert_nu_defect_matches_the_chain_rule(field)
+    # an odd field commutes with nu only when it is zero: its nonzero
+    # components are the defect
+    ctx = field.chart.ctx
+    assert nu_defect(field) == {"x1": {flat_key(ctx, "e1"): 1}, "e2": {flat_key(ctx, "x2"): 1}}
+    defects = nu_defect_reference(field)
     g = defects[0].ctx.gen
     f, fx1, x2, e1, e2 = g("f"), g("f_x1"), g("x2"), g("e1"), g("e2")
     assert defects == [
@@ -650,6 +725,54 @@ def test_nu_defect_of_a_field_with_odd_components():
         (x2 * f * e1).scale(-2) - fx1 * e2,
         fx1 * e1 * e2 + (x2 * f).scale(2),
     ]
+
+
+def masks_of(chart, parity: int, e1=None) -> list[int]:
+    """The odd masks of the given parity; e1 True or False keeps those
+    that hold e1, or those that do not."""
+    return [mask for mask in range(1 << len(chart.odd_coords))
+            if mask.bit_count() & 1 == parity and e1 in (None, bool(mask & 1))]
+
+
+def random_terms(chart, parity: int, rng: random.Random, count: int, e1=None) -> dict:
+    """count flat terms on masks_of(chart, parity, e1), with small exponents
+    and coefficients."""
+    masks = masks_of(chart, parity, e1)
+    return {(rng.choice(masks), tuple(rng.randrange(3) for _ in chart.even_coords)):
+            rng.choice((-2, -1, 1, 2, 3)) for _ in range(count)}
+
+
+def random_field(chart, parity: int, rng: random.Random, kind: str) -> ChartVectorField:
+    """A homogeneous field of random flat terms: "any"; "rule", built to
+    commute with nu (X[e1] = 0 and no e1 term for an even field, zero for an
+    odd one); or "rule+1", such a field with one term added that breaks the
+    rule (a term holding e1, or any term of X[e1] or of an odd field)."""
+    e1 = chart.odd_coords[0]
+    component = {name: (chart.coord_parity[name] + parity) & 1 for name in chart.coords}
+    flat = {name: {} for name in chart.coords}
+    for name, p in component.items():
+        if kind == "any":
+            flat[name] = random_terms(chart, p, rng, rng.randrange(3))
+        elif parity == EVEN and name != e1:
+            flat[name] = random_terms(chart, p, rng, rng.randrange(3), e1=False)
+    if kind == "rule+1":
+        held = {name: True if parity == EVEN and name != e1 else None for name in chart.coords}
+        name = rng.choice([name for name in chart.coords
+                           if masks_of(chart, component[name], held[name])])
+        flat[name] = {**flat[name], **random_terms(chart, component[name], rng, 1, held[name])}
+    return ChartVectorField(chart, parity, flat)
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3)])
+def test_nu_defect_is_empty_exactly_when_the_chain_rule_defects_vanish(dims):
+    rng = random.Random(sum(dims))
+    for chart in get_atlas(*dims).charts:
+        for parity in (EVEN, ODD):
+            for kind in ("any", "rule", "rule+1") * 4:
+                field = random_field(chart, parity, rng, kind)
+                assert_nu_defect_matches_the_chain_rule(field)
+                if kind != "any":
+                    assert (nu_defect(field) == {}) == (kind == "rule")
 
 
 def assert_nu_partners_are_determined(defects):

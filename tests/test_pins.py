@@ -175,6 +175,9 @@ TABLE = [
 
     # the largest nu-commutant report, 2|2(3|3) with dim h = 2|0
     commutant((2, 2, 3, 3), "da92c9c75ee29dd4a37010b8b2fe70c67c6c820856b236a70022a3453cb8a3e8"),
+    # the commutant with the most odd coordinates, beta = 9 on 0|3(3|3),
+    # on 20 charts of which 19 are non-standard
+    commutant((0, 3, 3, 3), "675bdf8e4ceba37777d6aa3b3db133c0677bc41424ec06233bc5b616567c8a02"),
     # sampled group points, their inverses and products
     Pin("sample_gl", sampled_group_points,
         "d26e8c4df7fc48fb4b849468109811b9d0d98297cdf37472ff1255098711d9ae"),

@@ -136,10 +136,16 @@ def test_every_retry_site_raises_when_no_draw_is_defined(site, monkeypatch):
     (lambda: verify_action_gluing(*DIMS, samples=0), "samples must be at least 1, got 0"),
     (lambda: verify_action_axioms(*DIMS, samples=0), "samples must be at least 1, got 0"),
     (lambda: verify_transitivity(*DIMS, r=2, count=0), "count must be at least 1, got 0"),
-], ids=["cocycle-0", "cocycle-negative", "cocycle-audit", "gluing", "axioms", "transitivity"])
+    (lambda: verify_cocycle(0, 1, 1, 2, r=-1, samples=2), "r must be at least 0, got -1"),
+    (lambda: verify_action_gluing(*DIMS, r=-1, samples=1), "r must be at least 0, got -1"),
+    (lambda: verify_action_axioms(*DIMS, r=-1, samples=1), "r must be at least 0, got -1"),
+    (lambda: verify_transitivity(*DIMS, r=-1, count=1), "r must be at least 0, got -1"),
+], ids=["cocycle-0", "cocycle-negative", "cocycle-audit", "gluing", "axioms", "transitivity",
+        "cocycle-r", "gluing-r", "axioms-r", "transitivity-r"])
 def test_a_sampled_suite_rejects_a_count_before_it_draws(run, message, monkeypatch):
-    # each of these used to pass on 0 gating samples, and a negative audit
-    # count sliced 22 audits from the end of the list
+    # each of these used to pass on 0 gating samples, a negative audit
+    # count sliced 22 audits from the end of the list, and a negative r
+    # reached the Lambda_r layout as a bare shift error
     for module in (atlas, action):
         monkeypatch.setattr(module, "lambda_sample", _raise(AssertionError))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
