@@ -19,12 +19,13 @@ term, an odd field is zero), so the cut runs on the field's integer
 coefficients with no product and no odd monomial.  The field of a basis
 element on a chart is a per-process fact of that pair: rho_field builds
 it once, frozen with read-only terms, and every later call reads the same
-object, whose Jacobian is computed once and lives as long as the process.
-The morphism check compares each unordered pair of basis elements once per
-chart, one field bracket against rho of one reversed matrix bracket; the
-other order has the same outcome by the graded antisymmetry of both
-brackets and the linearity of rho, and the outcomes are replayed in
-(E1, E2) order.
+object, whose Jacobian is computed once, keyed by variable, and lives as
+long as the process.  A bracket runs only over the variables where a
+field is nonzero.  The morphism check compares each unordered pair of
+basis elements once per chart, the terms of one field bracket against
+those of rho of one reversed matrix bracket; the other order has the same
+outcome by the graded antisymmetry of both brackets and the linearity of
+rho, and the outcomes are replayed in (E1, E2) order.
 """
 
 from __future__ import annotations
@@ -154,9 +155,11 @@ class ChartVectorField:
     superalgebra: {(odd mask, even exponent tuple): int or Fraction}), in
     read-only mappings; fields are polynomial, so every sum, multiple,
     bracket and Jacobian runs on these terms and no chart-ring polynomial.  The
-    field is frozen, so the Jacobian (the nonzero d_c X[name]) is computed
-    once per field object, on first use, and lives as long as it does; it
-    is neither compared nor serialized.  ``components`` is the SuperFunction
+    field is frozen, so the Jacobian is computed once per field object, on
+    first use, and lives as long as it does; it is neither compared nor
+    serialized.  It is keyed by variable: for each coordinate c, in
+    coordinate order, the nonzero d_c X[name] as {name: terms}, and no
+    entry for a c that no component holds.  ``components`` is the SuperFunction
     view of the same values, built afresh on each read."""
 
     chart: Chart
@@ -170,11 +173,10 @@ class ChartVectorField:
 
     @cached_property
     def jacobian(self) -> dict[str, dict[str, dict]]:
-        ctx, coords = self.chart.ctx, self.chart.coords
-        return {
-            name: {c: d for c in coords if (d := flat_partial(t, ctx, c))} if t else {}
-            for name, t in self.flat.items()
-        }
+        ctx, flat = self.chart.ctx, self.flat
+        by_var = {c: {name: d for name, t in flat.items() if t and (d := flat_partial(t, ctx, c))}
+                  for c in self.chart.coords}
+        return {c: row for c, row in by_var.items() if row}
 
     def __add__(self, other):
         return _combine(self.chart, self.parity, ((1, self), (1, other)))
@@ -408,16 +410,20 @@ def super_jacobi_defect(a: GlElement, b: GlElement, c: GlElement) -> GlElement:
 
 def field_bracket(X1: ChartVectorField, X2: ChartVectorField) -> ChartVectorField:
     """Super bracket of derivations  [X1,X2][name] = X1(X2[name]) -+ X2(X1[name]),
-    with  X(Y[name]) = sum_c X[c] d_c Y[name]  read from Y's Jacobian, in
-    one flat sum per coordinate."""
+    with  X(Y[name]) = sum_c X[c] d_c Y[name]  over the variables c of Y's
+    Jacobian where X[c] is nonzero, in one flat sum per coordinate: the
+    X1(X2[name]) triples first, each side in coordinate order."""
     if X1.chart.index != X2.chart.index:
         raise ValueError("fields live on different charts")
     s = 1 if X1.parity and X2.parity else -1
-    F1, F2, J1, J2 = X1.flat, X2.flat, X1.jacobian, X2.jacobian
+    triples: dict[str, list] = {}
+    for q, F, J in ((1, X1.flat, X2.jacobian), (s, X2.flat, X1.jacobian)):
+        for c, row in J.items():
+            if f := F[c]:
+                for name, d in row.items():
+                    triples.setdefault(name, []).append((q, f, d))
     return _field(X1.chart, (X1.parity + X2.parity) & 1, {
-        name: flat_dot([(1, F1[c], d) for c, d in J2[name].items()]
-                       + [(s, F2[c], d) for c, d in J1[name].items()])
-        for name in X1.chart.coords})
+        name: flat_dot(triples[name]) if name in triples else {} for name in X1.chart.coords})
 
 
 def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
@@ -436,8 +442,9 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
     bracket  [E_i, E_j] = s [E_j, E_i],  with s = 1 for two odd elements and
     -1 otherwise, and rho_field is linear, so the pair (E_j, E_i) has the
     outcome of (E_i, E_j): each unordered pair is compared once per chart,
-    against rho of its reversed bracket (built once per distinct value and
-    chart, with its negation).  The outcomes are replayed in (E1, E2) order,
+    against rho of its reversed bracket: the bracket's flat terms against
+    rho's and their negation, as plain dicts built once per distinct value
+    and chart.  The outcomes are replayed in (E1, E2) order,
     so the sign, counts and counterexamples are a pair-by-pair scan's.  The
     basis fields and their Jacobians are per-process facts (rho_field).
     """
@@ -452,12 +459,14 @@ def verify_rho_morphism(k: int, l: int, m: int, n: int) -> Report:
     outcomes: dict[tuple[int, int], list[int | None]] = {pair: [] for pair in pairs}
     for chart in atlas.standard_charts:
         fields = [rho_field(E, chart) for E in basis]
-        rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho), ...)
+        rho: dict[frozenset, tuple] = {}  # reversed bracket -> ((sign, sign*rho terms), ...)
         for (i, j), Y in zip(pairs, reversed_brackets):
             if (key := frozenset(Y.coeffs.items())) not in rho:
-                rhs = rho_field(Y, chart)
-                rho[key] = ((0, rhs),) if rhs.is_zero() else ((1, rhs), (-1, rhs.scale(-1)))
-            lhs = field_bracket(fields[i], fields[j])
+                rhs = rho_field(Y, chart).flat
+                rho[key] = tuple((q, {name: {term: q * c for term, c in t.items()}
+                                      for name, t in rhs.items()})
+                                 for q in ((1, -1) if any(rhs.values()) else (0,)))
+            lhs = field_bracket(fields[i], fields[j]).flat
             outcomes[i, j].append(next((s for s, side in rho[key] if lhs == side), None))
     sign = None
     result = CheckResult("bracket-compatibility", f"gl({m}|{n}) on {k}|{l}({m}|{n})")

@@ -599,12 +599,14 @@ def homogeneous_elements(draw, m, n):
 
 
 def assert_jacobian_is_fresh(X: ChartVectorField):
-    ctx = X.chart.ctx
-    for name, terms in X.flat.items():
-        row = X.jacobian[name]
-        for c in X.chart.coords:
-            assert row.get(c, {}) == flat_partial(terms, ctx, c)
-        assert all(row.values())
+    # keyed by variable, in coordinate order: every nonzero partial appears
+    # under its variable and name, and no empty row or partial does
+    ctx, coords = X.chart.ctx, X.chart.coords
+    for c in coords:
+        for name, terms in X.flat.items():
+            assert X.jacobian.get(c, {}).get(name, {}) == flat_partial(terms, ctx, c)
+    assert list(X.jacobian) == [c for c in coords if c in X.jacobian]
+    assert all(row and all(row.values()) for row in X.jacobian.values())
 
 
 @given(st.data())
@@ -642,6 +644,23 @@ def test_every_elementary_bracket_matches_the_reference_twice():
                     assert field_bracket(X1, X2) == bracket_reference(X1, X2)
     for X in seen:
         assert_jacobian_is_fresh(X)
+
+
+@pytest.mark.parametrize("dims", BRACKET_DIMS)
+def test_every_elementary_bracket_matches_the_reference_on_the_non_standard_charts(dims):
+    # the charts whose labels hold a formal odd unit: their fields carry
+    # nu-marked terms, which the standard charts' fields never do
+    atlas = get_atlas(*dims)
+    charts = [chart for chart in atlas.charts if chart not in atlas.standard_charts]
+    assert charts
+    for chart in charts:
+        fields = [rho_field(E, chart) for E in GlElement.basis(*dims[2:])]
+        for i, X1 in enumerate(fields):
+            for X2 in fields[i:]:
+                assert field_bracket(X1, X2) == bracket_reference(X1, X2)
+                assert field_bracket(X2, X1) == bracket_reference(X2, X1)
+        for X in fields:
+            assert_jacobian_is_fresh(X)
 
 
 def test_scale_and_sum_get_their_own_jacobians():

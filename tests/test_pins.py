@@ -141,6 +141,11 @@ TABLE = [
         "b9b8e9e279ae595ab333d7ebb37b232c4196d20ff1fc8d06c5d5dcc04fe9a288"),
     cli("nulie -k 0 -l 1 -m 1 -n 2 --format json",
         "04c40f23a3ca6a04ff4a813494c79ff76da2e13562d71d5cf9fa024dbe82cce3"),
+    # gl(3|3), whose 18 odd basis elements bracket in pairs with the sign
+    # of two odd fields, recorded before the bracket ran on each field's
+    # support
+    cli("nulie -k 2 -l 2 -m 3 -n 3 --format json",
+        "62121bc0028e6f64773875d4001fd8829bcbaca0da7702aff5b6445a004c852a"),
     # Lambda_0 acts on integer numerator rows, as every Lambda_r does:
     # HopPlan.transition fills them and lambda_solve eliminates
     cli("transitivity -k 1 -l 2 -m 2 -n 3 -r 0 --samples 4 --format json",
