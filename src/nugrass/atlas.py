@@ -14,9 +14,9 @@ D((M or M')^-1 A) as one exact solve:
 * symbolic, between charts of the structure rings; only the
   standard-to-standard and arbitrary-to-non-standard directions admit a
   closed formula.  It is solved on FlatFractions (flat int terms over a
-  cleared int-polynomial denominator, no gcd), which the identity verdict,
-  apply_pullback, evaluate_transition and the nu-audit read; only the
-  SuperFunction view of a map (TransitionMap.assignments) loads sympy;
+  cleared int-polynomial denominator, no gcd), the map's one form, which
+  the identity verdict, apply_pullback, evaluate_transition and the
+  nu-audit read;
 * pointwise, on Lambda_r-valued points, with the involution acting on
   Lambda_r values.  Only directions whose plan status is 'ok' are
   evaluable; hop statuses are symmetric on every tested atlas, so a pair
@@ -66,12 +66,10 @@ from .superalgebra import (
     FlatFraction,
     GeneratorContext,
     GrassmannNumber,
-    SuperFunction,
     _ff,
     _layout,
     _reduced,
     flat_key,
-    from_flat,
     lambda_sample,
 )
 from .supermatrix import NU, format_blocked
@@ -614,18 +612,11 @@ class TransitionMap:
     """g*: assigns to each destination coordinate a function on the source,
     as a FlatFraction over the source chart ring.  Read-only down to its
     values' terms, as HopPlan.symbolic shares one map per pair with every
-    caller.  `assignments` is the map in canonical SuperFunctions, built
-    afresh on each read: the one use of sympy on a symbolic map, so a
-    change to a view changes no stored value."""
+    caller."""
 
     src: Chart
     dst: Chart
     values: MappingProxyType[str, FlatFraction]
-
-    @property
-    def assignments(self) -> MappingProxyType[str, SuperFunction]:
-        return MappingProxyType({name: from_flat(v.ctx, v.num, v.den)
-                                 for name, v in self.values.items()})
 
     def is_identity(self) -> bool:
         return all(self.values[name] == FlatFraction.gen(self.src.ctx, name)

@@ -5,9 +5,9 @@ arguments of every subcommand once, in _check_dims, and every handler
 prints through _emit.
 
 Exit codes: 0 all checks pass, 1 an exact identity failed, 2 usage error,
-3 the kernel raised an error (one JSON line on stderr names it), 141 the
-reader closed stdout early (the status a shell reports for a writer that
-SIGPIPE killed).
+3 the program raised an error, the kernel's or any other (one JSON line on
+stderr names it), 141 the reader closed stdout early (the status a shell
+reports for a writer that SIGPIPE killed).
 Reports carry no timestamps, so a fixed configuration always produces
 byte-identical output.
 """
@@ -20,11 +20,12 @@ import os
 import sys
 import time
 
-from .errors import NuGrassError, RankDeficient
+from .errors import RankDeficient
 from .atlas import get_atlas, transition_symbolic, verify_cocycle
 from .action import BasePoint, verify_action_axioms, verify_action_gluing, verify_transitivity
 from .nulie import h_report
 from .reports import Report, dumps
+from .superalgebra import from_flat
 
 # The Lambda_r product kernel is generated code with 3**r products, so each
 # step of r triples it; a process that builds the r = 10 kernel already peaks
@@ -147,7 +148,9 @@ def cmd_transition(parser, args) -> int:
     atlas = get_atlas(args.k, args.l, args.m, args.n)
     src = _chart(parser, atlas, args.src)
     dst = _chart(parser, atlas, args.dst)
-    assignments = transition_symbolic(src, dst).assignments  # built on each read
+    # the canonical SuperFunction of each value, the one use of sympy here
+    assignments = {name: from_flat(v.ctx, v.num, v.den)
+                   for name, v in transition_symbolic(src, dst).values.items()}
 
     def payload():
         return dumps({
@@ -267,14 +270,14 @@ def main(argv=None) -> int:
     try:
         code = args.func(parser, args)
         sys.stdout.flush()
-    except NuGrassError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
     except BrokenPipeError:
         # The reader closed stdout: send what is still buffered to devnull,
         # so that the interpreter's final flush cannot fail too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Exception as exc:  # a crash must not read as exit 1, a failed identity
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 3
     print(f"[{args.command}: {time.time() - t0:.2f}s]", file=sys.stderr)
     return code
 

@@ -8,10 +8,11 @@
   nullspace, span membership and the inverse-transition system use it.
 * solve solves a square system and raises NotInvertible when the body of
   the matrix is singular.  Every supermatrix inverse and every group
-  inverse goes through it.  It strips the unit columns and runs one of two
-  eliminations, which take one row layout (each row of Z without its unit
-  columns, then the row of Y), eliminate in place, pick the same pivots and
-  return the row that holds each column's solution:
+  inverse goes through it, on the full rows [Z | Y].  It runs one of two
+  eliminations, which take one row layout (each row of Z without the unit
+  columns that the caller names, then the row of Y), eliminate in place,
+  pick the same pivots and return the row that holds each column's
+  solution:
   - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
     numerator tuples over one int denominator each, fused product-kernel
     steps and no GrassmannNumber until the solution.
@@ -72,33 +73,28 @@ def rref(rows, ncols: int):
     return M, pivots
 
 
-def solve(Z, Y, units=()):
+def solve(Z, Y):
     """Exact solution X of  Z X = Y  with Z square, as nested lists.
 
     Gauss-Jordan on the augmented rows [Z | Y], taking in each column the
-    first unused row whose entry has a nonzero body.  `units` lists pairs
-    (j, i) for columns j of Z known to be the unit vector e_i: they are
-    pivoted on row i first, which costs nothing, so only the remaining block
-    is eliminated.  Raises NotInvertible exactly when the body of Z is
-    singular, whatever the pivot order.
+    first unused row whose entry has a nonzero body.  Raises NotInvertible
+    exactly when the body of Z is singular, whatever the pivot order.
 
-    This is the one place that strips the unit columns from a dense system:
-    both eliminations take each row of Z without them, then the row of Y.
     Lambda_r input is eliminated on integer rows (lambda_solve), any other
     ring by ring_solve.  Both take the same pivots and give the same X.
+    atlas.HopPlan, which knows the unit columns of its systems, calls the
+    two eliminations itself, on rows without those columns.
     """
-    units = tuple(units)
-    cols = _pivot_plan(len(Z), units)[0]
-    M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]
-    w = len(cols)
+    M = [list(zrow) + list(yrow) for zrow, yrow in zip(Z, Y)]
+    w = len(Z)
     if not (Z and isinstance(Z[0][0], GrassmannNumber)):
-        return [M[i][w:] for i in ring_solve(M, units)]
+        return [M[i][w:] for i in ring_solve(M)]
     r = Z[0][0].r
     dens = [lcm(*[e.den for e in row]) for row in M]
     M = [[e.num if e.den == den else tuple([den // e.den * c for c in e.num]) for e in row]
          for row, den in zip(M, dens)]
     return [[_reduced(r, num, dens[i]) for num in M[i][w:]]
-            for i in lambda_solve(r, M, dens, units)]
+            for i in lambda_solve(r, M, dens)]
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,9 @@ identity as its adjusted minor (Z0 = 1), so the acted minor inverts as
 1 - N1 eps and no solve runs (see fundamental_field).  Fields are
 polynomial, so a ChartVectorField keeps each coordinate's value as flat
 terms {(odd mask, even exponent tuple): int or Fraction} (superalgebra's
-flat layout), built on those terms from the chart's label; sums, multiples,
-Jacobians, brackets and defects all run on those terms, and the
-SuperFunction components are only a view.  A field's coordinate
+flat layout), built on those terms from the chart's label, its one form:
+linear combinations (rho_field), Jacobians, brackets and defects all run
+on those terms.  A field's coordinate
 representation either commutes with the involution or not; collecting the
 commutation conditions over every chart cuts an exact linear subspace of
 gl(m|n): the nu-commutant.  nu_defect is the one defect function: since
@@ -41,14 +41,12 @@ from .errors import InhomogeneousInput, NoOddGenerators
 from .superalgebra import (
     EVEN,
     ODD,
-    SuperFunction,
     _exact,
     flat_dot,
     flat_key,
     flat_lincomb,
     flat_nu,
     flat_partial,
-    from_flat,
 )
 from .linalg import rref
 from .atlas import Chart, IndexPair, get_atlas
@@ -159,17 +157,12 @@ class ChartVectorField:
     first use, and lives as long as it does; it is neither compared nor
     serialized.  It is keyed by variable: for each coordinate c, in
     coordinate order, the nonzero d_c X[name] as {name: terms}, and no
-    entry for a c that no component holds.  ``components`` is the SuperFunction
-    view of the same values, built afresh on each read."""
+    entry for a c that no component holds.  Fields compare by identity:
+    their terms are compared as ``flat``."""
 
     chart: Chart
     parity: int
     flat: Mapping[str, Mapping[tuple[int, tuple[int, ...]], int | Fraction]]
-
-    @property
-    def components(self) -> Mapping[str, SuperFunction]:
-        ctx = self.chart.ctx
-        return MappingProxyType({name: from_flat(ctx, t) for name, t in self.flat.items()})
 
     @cached_property
     def jacobian(self) -> dict[str, dict[str, dict]]:
@@ -177,20 +170,6 @@ class ChartVectorField:
         by_var = {c: {name: d for name, t in flat.items() if t and (d := flat_partial(t, ctx, c))}
                   for c in self.chart.coords}
         return {c: row for c, row in by_var.items() if row}
-
-    def __add__(self, other):
-        return _combine(self.chart, self.parity, ((1, self), (1, other)))
-
-    def scale(self, q):
-        return _combine(self.chart, self.parity, ((_exact(q), self),))
-
-    def is_zero(self) -> bool:
-        return not any(self.flat.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, ChartVectorField):
-            return NotImplemented
-        return self.chart.index == other.chart.index and self.flat == other.flat
 
 
 def _field(chart: Chart, parity: int, flat: dict[str, dict]) -> ChartVectorField:

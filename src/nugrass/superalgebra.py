@@ -27,18 +27,19 @@ kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
 
 A polynomial element also has a flat layout, {(odd mask, even exponent
 tuple): coefficient} with int coefficients where they are integral (a
-Fraction otherwise, never a float): ``from_flat`` gives its read-only
-SuperFunction view, and ``flat_dot``, ``flat_lincomb``, ``flat_partial``
-and ``flat_nu`` are its products, linear combinations, partial
-derivatives and involution, with no chart-ring polynomial in between;
-``flat_key`` is the key of a generator or of 1.  The fundamental fields
-of nulie are built and live in it.  A FlatFraction is any chart-ring
-element in that layout: flat int terms over flat int terms of mask 0 (an
-even polynomial), cleared but never reduced by a gcd.  The symbolic
-transition maps and the plan statuses of atlas are solved on it, without
-sympy, and its ``substitute`` is the one ring substitution: a pullback
-along a map, or an evaluation at a Lambda_r point.  ``from_flat`` with a
-denominator gives its canonical SuperFunction.
+Fraction otherwise, never a float): ``flat_dot``, ``flat_lincomb``,
+``flat_partial`` and ``flat_nu`` are its products, linear combinations,
+partial derivatives and involution, with no chart-ring polynomial in
+between; ``flat_key`` is the key of a generator or of 1.  The fundamental
+fields of nulie are built and live in it.  A FlatFraction is any
+chart-ring element in that layout: flat int terms over flat int terms of
+mask 0 (an even polynomial), cleared but never reduced by a gcd.  The
+symbolic transition maps and the plan statuses of atlas are solved on
+it, without sympy, and its ``substitute`` is the one ring substitution: a
+pullback along a map, or an evaluation at a Lambda_r point.  ``from_flat``
+turns flat terms, over a denominator where one is given, into a canonical
+SuperFunction; the printed map of ``nugrass transition`` is the one
+reader of that form outside the tests.
 
 Each rule of the Grassmann algebra is written once here: the Koszul sign
 of e_a * e_b is ``mono_sign`` (the product kernel's ``_sign_table``, the
@@ -820,9 +821,6 @@ class GrassmannNumber:
 
     def body(self) -> Fraction:
         return Fraction(self.num[0], self.den)
-
-    def soul(self) -> "GrassmannNumber":
-        return _reduced(self.r, (0,) + self.num[1:], self.den)
 
     def parity(self):
         parities = {m.bit_count() & 1 for m, c in enumerate(self.num) if c}

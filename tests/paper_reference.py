@@ -10,12 +10,15 @@ pasting system.  minor_M, remainder_D and minor_Mprime spell out the
 paper's minors M, M' and remainder D on a SuperMatrix, column by column.
 palette_hop is the pointwise hop on value objects, the oracle of the hop on
 numerator tuples, and of the symbolic maps' FlatFraction solve when given
-chart-ring generators; apply_pullback_reference is the pullback of a
-SuperFunction through the canonical view TransitionMap.assignments, the
-oracle of atlas.apply_pullback, and nu_equivariance_defects the nu-audit
-through it, the oracle of HopPlan.nu_equivariant; ring_route is
-linalg.solve through ring_solve, the oracle of its integer rows.  Both
-eliminations take one row layout: each row of Z
+chart-ring generators; assignments is a TransitionMap as canonical
+SuperFunctions, and components a ChartVectorField's values as
+SuperFunctions, one from_flat call per coordinate each;
+apply_pullback_reference is the pullback of a SuperFunction through
+assignments, the oracle of atlas.apply_pullback, and
+nu_equivariance_defects the nu-audit through it, the oracle of
+HopPlan.nu_equivariant; ring_route is linalg.solve through ring_solve,
+the oracle of its integer rows, and strips the unit columns it is given,
+as HopPlan does.  Both eliminations take one row layout: each row of Z
 without its unit columns, then the row of Y.  The eps-ring of
 eps_ring_fundamental_field is a context it builds itself, with the eps
 parameters as trailing odd generators.  invert_transition_at_point solves
@@ -59,6 +62,7 @@ from nugrass.superalgebra import (
     SuperFunction,
     _exact,
     _get_ring,
+    from_flat,
 )
 from nugrass.supermatrix import SuperMatrix, is_nu, matmul
 
@@ -104,7 +108,7 @@ def adjusted_minor(A, zsel, one):
     return Z
 
 
-def grid_normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
+def grid_normalize(A, dst: Chart, unit_rows=None) -> dict:
     """Destination coordinates of the row space of a grid A, the pasting
     normalization D((M or M')^-1 A) on the realized grid: the oracle of the
     compiled pasting systems (chart hops, symbolic maps, acted points).
@@ -115,9 +119,9 @@ def grid_normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
     destination, read off through the destination's slots.  `unit_rows`
     maps a column of A that holds a formal odd unit to its row u; that
     column of Y is e_u and its solution column is twisted by the involution
-    (the odd-unit rule  x 1nu = nu(x)).  `units` lists minor columns known
-    to be unit vectors for linalg.solve; they must hold for A itself.
-    Raises NotInvertible where the minor is singular.
+    (the odd-unit rule  x 1nu = nu(x)).  The whole minor is eliminated,
+    unit columns included.  Raises NotInvertible where the minor is
+    singular.
     """
     zsel, dcols, read = dst.dst_plan
     proto = next((e for row in A for e in row if not is_nu(e)), None)
@@ -137,7 +141,7 @@ def grid_normalize(A, dst: Chart, units=(), unit_rows=None) -> dict:
             twisted.add(t)
             for i, yrow in enumerate(Y):
                 yrow.append(one if i == u else zero)
-    X = solve(Z, Y, units)
+    X = solve(Z, Y)
     values = {}
     for row, t, name, marked in read:
         v = X[row][t]
@@ -248,10 +252,8 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
         ]
         for i in range(d)
     ]
-    # label (1 + eps E) is not the label, so the chart's unit columns are not
-    # known in advance: no `units` for the solve
     W = matmul(label(chart, ctx2).entries, P, zero)
-    components = {}
+    comps = {}
     for name, val in grid_normalize(W, chart).items():
         if parity == ODD:
             comp2 = val.partial("t1")
@@ -259,8 +261,8 @@ def eps_ring_fundamental_field(E, chart) -> ChartVectorField:
             comp2 = val.partial("t1").partial("t2")
         # the extracted component is parameter-free; rebuild over the chart ring
         assert all(mask < (1 << chart.beta) for mask in comp2.terms)
-        components[name] = SuperFunction(chart.ctx, dict(comp2.terms))
-    return field_of(chart, parity, components)
+        comps[name] = SuperFunction(chart.ctx, dict(comp2.terms))
+    return field_of(chart, parity, comps)
 
 
 def label(chart: Chart, ctx: GeneratorContext | None = None) -> SuperMatrix:
@@ -316,9 +318,9 @@ def chart_ring_fundamental_field(E, chart: Chart) -> ChartVectorField:
     return _field(chart, parity, flat)
 
 
-def field_of(chart: Chart, parity: int, components: dict) -> ChartVectorField:
+def field_of(chart: Chart, parity: int, values: dict) -> ChartVectorField:
     """The field whose value on each coordinate is the given SuperFunction."""
-    return ChartVectorField(chart, parity, {name: to_flat(c) for name, c in components.items()})
+    return ChartVectorField(chart, parity, {name: to_flat(c) for name, c in values.items()})
 
 
 def formal_context(chart: Chart) -> GeneratorContext:
@@ -364,7 +366,7 @@ def nu_defect_reference(field: ChartVectorField) -> list[SuperFunction]:
     by the chain rule over formal_context."""
     chart = field.chart
     ctxF = formal_context(chart)
-    comps = {name: embed(ctxF, c) for name, c in field.components.items()}
+    comps = {name: embed(ctxF, c) for name, c in components(field).items()}
     f_rf = ctxF.gen("f").body()
     defects = []
     for S in range(1 << len(chart.odd_coords)):
@@ -391,29 +393,41 @@ def palette_hop(plan, values: dict) -> dict:
             for row, t, name, flag in plan.read}
 
 
-def _eval_poly_super(p, names, assignments, src_ctx):
+def _eval_poly_super(p, names, values, src_ctx):
     total = src_ctx.zero()
     for exp, q in p.terms():
         term = src_ctx.scalar(MPQ(q))
         for i, k in enumerate(exp):
             for _ in range(k):
-                term = term * assignments[names[i]]
+                term = term * values[names[i]]
         total = total + term
     return total
 
 
+def assignments(t) -> dict:
+    """The transition map t as canonical SuperFunctions over its source
+    chart ring: {destination coordinate: from_flat of its value}."""
+    return {name: from_flat(v.ctx, v.num, v.den) for name, v in t.values.items()}
+
+
+def components(X: ChartVectorField) -> dict:
+    """The values of the field X as SuperFunctions over its chart ring:
+    {coordinate: from_flat of its flat terms}."""
+    return {name: from_flat(X.chart.ctx, t) for name, t in X.flat.items()}
+
+
 def apply_pullback_reference(t, sf):
     """The pullback of the SuperFunction sf along the transition map t, on
-    the canonical SuperFunctions of t.assignments: each coefficient's
+    the canonical SuperFunctions of assignments(t): each coefficient's
     numerator and denominator pulled back term by term, then the odd
     generators of its mask in ascending order."""
     src_ctx = t.src.ctx
     dst_ctx = t.dst.ctx
-    assignments = t.assignments
+    values = assignments(t)
 
     def eval_rf(rf):
-        num = _eval_poly_super(rf.num, dst_ctx.even_names, assignments, src_ctx)
-        den = _eval_poly_super(rf.den, dst_ctx.even_names, assignments, src_ctx)
+        num = _eval_poly_super(rf.num, dst_ctx.even_names, values, src_ctx)
+        den = _eval_poly_super(rf.den, dst_ctx.even_names, values, src_ctx)
         return num * den.inv()
 
     out = src_ctx.zero()
@@ -421,7 +435,7 @@ def apply_pullback_reference(t, sf):
         val = eval_rf(coeff)
         for i, name in enumerate(dst_ctx.odd_names):
             if mask >> i & 1:
-                val = val * assignments[name]
+                val = val * values[name]
         out = out + val
     return out
 
@@ -429,21 +443,21 @@ def apply_pullback_reference(t, sf):
 def nu_equivariance_defects(t) -> dict:
     """For each destination generator g of the transition map t, the
     difference  g*(nu(g)) - nu(g*(g))  in the source chart ring, through
-    apply_pullback_reference on t.assignments: all zero iff the pasting map
+    apply_pullback_reference on assignments(t): all zero iff the pasting map
     intertwines the two charts' involutions.  The oracle of
     HopPlan.nu_equivariant, which pulls back on the map's FlatFractions."""
-    assignments = t.assignments
+    values = assignments(t)
     out = {}
     for name in t.dst.coords:
         g = t.dst.ctx.gen(name)
-        out[name] = apply_pullback_reference(t, g.nu()) - assignments[name].nu()
+        out[name] = apply_pullback_reference(t, g.nu()) - values[name].nu()
     return out
 
 
 def ring_route(Z, Y, units=()):
     """linalg.solve through ring_solve on any ring, Lambda_r included: the
-    oracle of the integer rows.  It strips the unit columns from the rows
-    of Z itself, as linalg.solve does, and returns X."""
+    oracle of the integer rows.  It strips the unit columns that `units`
+    names from the rows of Z itself, as HopPlan does, and returns X."""
     named = {j for j, _ in units}
     cols = [j for j in range(len(Z)) if j not in named]
     M = [[zrow[j] for j in cols] + list(yrow) for zrow, yrow in zip(Z, Y)]

@@ -56,6 +56,8 @@ from paper_reference import (
     BodySolveFailed,
     adjusted_minor,
     apply_pullback_reference,
+    assignments,
+    components,
     grid_normalize,
     invert_transition_at_point,
     label,
@@ -156,8 +158,8 @@ def test_transition_between_the_two_standard_charts():
     c1, c2 = at.chart((), (1,)), at.chart((), (2,))
     t = transition_symbolic(c1, c2)
     x, e = c1.ctx.gen("x1"), c1.ctx.gen("e1")
-    assert t.assignments["x1"] == x.inv()
-    assert t.assignments["e1"] == e * x.inv()
+    assert assignments(t)["x1"] == x.inv()
+    assert assignments(t)["e1"] == e * x.inv()
 
 
 def test_self_transition_is_the_identity_on_every_chart():
@@ -170,8 +172,8 @@ def test_transition_into_the_non_standard_chart():
     at = get_atlas(0, 1, 1, 2)
     c1, c3 = at.chart((), (1,)), at.chart((1,), ())
     t = transition_symbolic(c1, c3)
-    assert t.assignments["x1"] == c1.ctx.gen("x1")
-    assert t.assignments["e1"] == c1.ctx.gen("e1")
+    assert assignments(t)["x1"] == c1.ctx.gen("x1")
+    assert assignments(t)["e1"] == c1.ctx.gen("e1")
 
 
 def test_no_symbolic_formula_out_of_a_non_standard_chart(monkeypatch):
@@ -209,22 +211,23 @@ def test_a_shared_transition_map_is_read_only():
     for t in (transition_symbolic(src, dst), transition_symbolic(src, src)):
         assert transition_symbolic(t.src, t.dst) is t
         with pytest.raises(TypeError):
-            t.assignments["x1"] = src.ctx.zero()
+            t.values["x1"] = FlatFraction(src.ctx, {})
         with pytest.raises(TypeError):
-            del t.assignments["e1"]
+            del t.values["e1"]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            t.assignments = {}
-        # the views of the values hold their terms read-only too
-        for value in t.assignments.values():
-            mask = next(iter(value.terms), 0)
-            with pytest.raises(AttributeError):
-                value.terms.clear()
-            with pytest.raises(AttributeError):
-                value.terms.pop(mask)
-            with pytest.raises(TypeError):
-                value.terms[mask] = RationalFunction.from_rat(src.ctx.even_names, 1)
-            with pytest.raises(TypeError):
-                del value.terms[mask]
+            t.values = {}
+        # the values hold their numerator and denominator terms read-only too
+        for value in t.values.values():
+            for terms in (value.num, value.den):
+                key = next(iter(terms))
+                with pytest.raises(AttributeError):
+                    terms.clear()
+                with pytest.raises(AttributeError):
+                    terms.pop(key)
+                with pytest.raises(TypeError):
+                    terms[key] = 1
+                with pytest.raises(TypeError):
+                    del terms[key]
     # every attempt above failed, so the shared maps still give the pins
     check('transition -k 1 -l 2 -m 2 -n 3 --from "{1}|{1,2}" --to "{2}|{2,3}" --format json')
     check("verify_cocycle (1, 2, 2, 3) r=2 samples=2 audit_nu_triples=6")
@@ -233,18 +236,19 @@ def test_a_shared_transition_map_is_read_only():
 def test_a_map_view_shares_nothing_with_the_stored_values():
     # the view's sympy numerators are mutable dicts: clearing them in place
     # must leave the stored FlatFractions, and so every later view, map
-    # verdict and report, as they were
+    # verdict and report (the printed map of `nugrass transition` is such
+    # a view), as they were
     at = get_atlas(0, 1, 1, 2)
     src, dst = at.chart((), (1,)), at.chart((), (2,))
     t = transition_symbolic(src, dst)
-    next(iter(t.assignments["x1"].terms.values())).num.clear()
-    assert transition_symbolic(src, dst).assignments["x1"] == src.ctx.gen("x1").inv()
+    next(iter(assignments(t)["x1"].terms.values())).num.clear()
+    assert assignments(transition_symbolic(src, dst))["x1"] == src.ctx.gen("x1").inv()
     for dims in [(0, 1, 1, 2), (1, 2, 2, 3)]:
         charts = get_atlas(*dims).charts
         for a, b in itertools.product(charts, charts):
             t = _get_plan(a, b).symbolic
             if isinstance(t, atlas.TransitionMap):
-                for value in t.assignments.values():
+                for value in assignments(t).values():
                     for c in value.terms.values():
                         c.num.clear()
     check('transition -k 1 -l 2 -m 2 -n 3 --from "{1}|{1,2}" --to "{2}|{2,3}" --format json')
@@ -264,9 +268,10 @@ def test_symbolic_transitions_match_the_paper_literal_route():
                 except (UncoveredCase, ResidualNuSymbol, GenericallySingular):
                     continue
                 want = literal_normalization(label(a), b)
-                assert set(t.assignments) == set(want) == set(b.coords)
+                got = assignments(t)
+                assert set(got) == set(want) == set(b.coords)
                 for name in b.coords:
-                    assert t.assignments[name] == want[name], (dims, a, b, name)
+                    assert got[name] == want[name], (dims, a, b, name)
                 checked += 1
     assert checked == 7 + 22
 
@@ -292,7 +297,7 @@ def test_fundamental_fields_match_the_paper_literal_route():
                 comp = want[name].partial("t1")
                 if not odd:
                     comp = comp.partial("t2")
-                assert field.components[name].terms == comp.terms, (chart, E, name)
+                assert components(field)[name].terms == comp.terms, (chart, E, name)
 
 
 def test_transition_assignments_respect_parity():
@@ -300,7 +305,7 @@ def test_transition_assignments_respect_parity():
     src = at.chart((1,), (1, 2))
     dst = at.chart((1, 2), (3,))
     t = transition_symbolic(src, dst)
-    for name, sf in t.assignments.items():
+    for name, sf in assignments(t).items():
         want = dst.coord_parity[name]
         assert sf.is_zero() or sf.parity() == want
 
@@ -633,7 +638,7 @@ COMPILED_ATLASES = [(0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2)]
 
 
 def grid_route(plan, A):
-    return grid_normalize(A, plan.dst, plan.units, plan.src.nu_unit_rows)
+    return grid_normalize(A, plan.dst, plan.src.nu_unit_rows)
 
 
 @pytest.mark.parametrize("dims", COMPILED_ATLASES)
@@ -744,9 +749,13 @@ def _symbolic_kinds_match(charts, route=_label_route):
         got = plan.symbolic
         kinds.add(type(want))
         if isinstance(want, dict):
-            assert dict(got.assignments) == want, f"{a.index} -> {b.index}"
+            assert assignments(got) == want, f"{a.index} -> {b.index}"
         else:
-            assert (type(got), got.args) == (type(want), want.args)
+            assert type(got) is type(want)
+            # the label route eliminates the unit columns too, so it may
+            # find a singular minor at another column than the compiled rows
+            if not (route is _label_route and type(want) is GenericallySingular):
+                assert got.args == want.args
         if b.index.standard and not a.index.standard:
             continue
         if isinstance(want, dict):
@@ -754,7 +763,7 @@ def _symbolic_kinds_match(charts, route=_label_route):
         else:
             with pytest.raises(type(want)) as info:
                 transition_symbolic(a, b)
-            assert info.value.args == want.args
+            assert info.value.args == got.args
     return kinds
 
 
@@ -1107,7 +1116,7 @@ def _symbolic_transitions(dims):
 TRANSITIONS_1223 = _symbolic_transitions((1, 2, 2, 3))
 # the transitions that send an even coordinate to an element without body
 BODYLESS_1223 = [t for t in TRANSITIONS_1223
-                 if any(not t.assignments[x].has_body() for x in t.dst.even_coords)]
+                 if any(not t.values[x].has_body() for x in t.dst.even_coords)]
 
 
 @given(st.one_of(st.sampled_from(TRANSITIONS_1223), st.sampled_from(BODYLESS_1223)),

@@ -182,6 +182,22 @@ def test_kernel_errors_exit_3_with_a_json_line(capsys):
     assert "{1}|{}" in error["message"]
 
 
+def test_any_other_error_exits_3_with_a_json_line(monkeypatch, capsys):
+    # exit 1 means an exact identity failed, so a crash outside the
+    # kernel's own errors must not fall through to the interpreter's 1
+    def crash(*dims):
+        raise RuntimeError("not a kernel error")
+
+    monkeypatch.setattr(cli, "h_report", crash)
+    code = main(["nulie", "-k", "0", "-l", "1", "-m", "1", "-n", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "not a kernel error"}
+
+
 def test_nulie_on_an_atlas_without_odd_coordinates_exits_3(capsys):
     code = main(["nulie", "-k", "0", "-l", "1", "-m", "0", "-n", "2", "--format", "json"])
     captured = capsys.readouterr()
@@ -394,9 +410,10 @@ def test_the_lambda_r_and_commutant_commands_run_without_sympy():
 def test_import_leaves_sympy_out_until_a_chart_ring_map_is_built():
     # a pair's map, its identity verdict, its nu-audit verdict, its status,
     # a pullback along it and its evaluation at a point are FlatFraction
-    # work; only the SuperFunction view of the map, read through
-    # assignments, loads sympy
+    # work; only the SuperFunction form of the map, read through the
+    # tests' assignments, loads sympy
     code = ("import random, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
             "import nugrass\n"
             "from nugrass.atlas import _get_plan, apply_pullback\n"
             "from nugrass.superalgebra import FlatFraction\n"
@@ -410,7 +427,34 @@ def test_import_leaves_sympy_out_until_a_chart_ring_map_is_built():
             "print(before, t.is_identity(), plan.nu_equivariant, plan.status,\n"
             "      back == FlatFraction.gen(a.ctx, 'x1'), Y == nugrass.point_transition(X, b),\n"
             "      'sympy' in sys.modules)\n"
-            "x1 = t.assignments['x1']\n"
+            "from paper_reference import assignments\n"
+            "x1 = assignments(t)['x1']\n"
             "print('sympy' in sys.modules, x1)\n")
     assert _python(code).split() == ["False", "False", "False", "ok", "True", "True", "False",
                                      "True", "(1)/(x1)"]
+
+
+def test_maps_and_fields_bind_no_chart_ring_view():
+    # a map's values and a field's terms are their one form: the modules
+    # that hold them bind neither the chart-ring type nor its converter
+    import nugrass.atlas
+    import nugrass.nulie
+
+    for module in (nugrass.atlas, nugrass.nulie):
+        assert not {"SuperFunction", "from_flat"} & set(vars(module)), module.__name__
+
+
+def test_transition_without_sympy_exits_3_naming_the_missing_module():
+    # printing a map needs sympy; without it the command fails as an
+    # error of the program (3), never as a failed identity (1)
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['sympy'] = None  # every import of sympy now fails\n"
+            "from nugrass.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, err.getvalue().splitlines()]))\n")
+    got, lines = json.loads(_python(code, "transition", "-k", "1", "-l", "2", "-m", "2",
+                                    "-n", "3", "--from", "{1}|{1,2}", "--to", "{2}|{2,3}"))
+    assert got == 3 and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ModuleNotFoundError"
