@@ -58,7 +58,7 @@ from .errors import (
     ResidualNuSymbol,
     UncoveredCase,
 )
-from .linalg import inverse, lambda_solve, ring_solve
+from .linalg import inverse, lambda_solve, ring_solve, shape_solver
 from .reports import CheckResult, Report, check_count, first_defined
 from .superalgebra import (
     EVEN,
@@ -368,6 +368,10 @@ class HopPlan:
     divider-adjusted minor.  Where a source odd unit lands in an unmoved
     selected column the pair has no system: `rows` is empty and `residual`
     holds the message of the ResidualNuSymbol that transition raises.
+    Between two charts whose status is 'ok', `body_pivots` holds the pivot
+    row of each minor column that the status's body solve picked, and the
+    Lambda_r hop runs the straight-line solve of the system's shape in that
+    order (`_hop`).
     """
 
     def __init__(self, src, dst: Chart):
@@ -456,10 +460,38 @@ class HopPlan:
             FlatFraction.gen(ctx, name) if (src.coord_parity[name] == ODD) == flag else zero
             for name, flag in self.coords]
         try:
-            ring_solve(_rows([row[:self.width] for row in self.rows], body), self.units)
+            self.body_pivots = tuple(ring_solve(
+                _rows([row[:self.width] for row in self.rows], body), self.units))
         except NotInvertible:
             return "singular"
         return "ok"
+
+    @cached_property
+    def _hop(self):
+        """The generated solve of this pair's system over Lambda_r and how to
+        feed it: (bind, coordinate names, nu flags, read-offs), or None for
+        a plain source and for a pair whose status is not 'ok'.
+
+        The rows go in the order of the status's body solve: the pivot row
+        of each eliminated column, then the unit rows.  Each entry reduces
+        to its kind (linalg.shape_solver), so plans of one shape share one
+        generated function; the plan keeps what the shape leaves out, the
+        coordinate of each input in row order with its nu flag.  A read-off
+        (name, nu flag, slot, row) takes Y's numerators at that slot and the
+        row's denominator."""
+        if not isinstance(self.src, Chart) or self.status != "ok":
+            return None
+        pivot, units = self.body_pivots, {j for j, _ in self.units}
+        order = [pivot[j] for j in range(len(self.zsel)) if j not in units]
+        order += [i for i in range(len(self.rows)) if i not in order]
+        rows = [self.rows[i] for i in order]
+        inputs = [self.coords[k - 3] for row in rows for k in row if k > 2]
+        at, ny = {i: pos for pos, i in enumerate(order)}, len(self.dcols)
+        read = tuple((name, flag, at[pivot[row]] * ny + t, at[pivot[row]])
+                     for row, t, name, flag in self.read)
+        return (shape_solver(tuple("".join("01nc"[min(k, 3)] for k in row) for row in rows),
+                             self.width),
+                tuple(name for name, _ in inputs), tuple(flag for _, flag in inputs), read)
 
     def transition(self, values: dict) -> dict:
         """Destination coordinates of the source point with these coordinate
@@ -467,16 +499,21 @@ class HopPlan:
         0 and 1 come from the values' own ring.  One exact solve of the
         pasting system: on numerator tuples over every Lambda_r, Lambda_0
         included, and through the palette of the values themselves over a
-        chart ring.  Raises ResidualNuSymbol where the pair has no system,
-        NotInvertible where the minor is singular, and NoOddGenerators where
-        Lambda_0 would need nu."""
+        chart ring.  Over Lambda_r, r >= 1, a chart pair whose status is
+        'ok' runs its generated solve first (_hop_transition), and
+        _lambda_transition only where that gives way; plain sources and
+        Lambda_0 run _lambda_transition.  Raises ResidualNuSymbol where the
+        pair has no system, NotInvertible where the minor is singular, and
+        NoOddGenerators where Lambda_0 would need nu."""
         if self.residual is not None:
             raise ResidualNuSymbol(self.residual)
         proto = next(iter(values.values()), None)
         if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
             return {}
         if isinstance(proto, GrassmannNumber):
-            return self._lambda_transition(values, proto.r)
+            r = proto.r
+            out = self._hop_transition(values, r) if r and self._hop else None
+            return self._lambda_transition(values, r) if out is None else out
         M = _rows(self.rows, self.palette(values, proto.ring_one()))
         pivot = ring_solve(M, self.units)
         out = {}
@@ -485,8 +522,27 @@ class HopPlan:
             out[name] = v.nu() if flag else v
         return out
 
+    def _hop_transition(self, values: dict, r: int) -> dict | None:
+        """transition over Lambda_r, r >= 1, through the pair's generated
+        solve: nu applied to the inputs and to the read-offs, one _reduced
+        per output.  None where a fixed pivot has a zero body at this point;
+        then _lambda_transition solves from scratch, and picks another pivot
+        or raises."""
+        bind, names, flags, read = self._hop
+        nu = _layout(r).nu
+        vs = list(map(values.__getitem__, names))
+        solved = bind(r)([nu(v.num) if flag else v.num for v, flag in zip(vs, flags)],
+                         [v.den for v in vs])
+        if solved is None:
+            return None
+        nums, dens = solved
+        return {name: _reduced(r, nu(nums[at]) if flag else nums[at], dens[row])
+                for name, flag, at, row in read}
+
     def _lambda_transition(self, values: dict, r: int) -> dict:
-        """transition over Lambda_r on numerator tuples: the palette holds
+        """transition over Lambda_r on numerator tuples, the one general
+        route (plain sources, Lambda_0, and the fallback of the generated
+        solve, which it repeats from scratch): the palette holds
         each slot's numerators and denominator (slot 2, nu(1), only where
         the plan has it), nu permutes the numerators by _layout(r).nu, each
         row of rows goes over the lcm of its denominators, and

@@ -26,6 +26,12 @@
   A chart normalization fills the rows of its pair's compiled pasting
   system (atlas.HopPlan.rows) in that layout and calls one of them
   directly.
+* shape_solver is lambda_solve for one shape of system (where its
+  entries are 0, 1, nu(1) or a coordinate, and which row pivots on which
+  column), generated once per process as straight-line code.  The
+  Lambda_r hop between two charts, r >= 1, runs it in the pivot order of
+  the pair's body solve; where one of those pivots has a zero body at the
+  point it gives way, and lambda_solve solves the system from scratch.
 
 The two kinds stay apart on purpose: rref skips columns and reports the
 rank, solve must find a pivot in every column.
@@ -41,7 +47,7 @@ from math import lcm
 
 from . import superalgebra
 from .errors import NotInvertible
-from .superalgebra import GrassmannNumber, _exact, _inverse_num, _reduced
+from .superalgebra import GrassmannNumber, _exact, _inverse_num, _layout, _reduced
 
 
 def rref(rows, ncols: int):
@@ -121,6 +127,11 @@ def lambda_solve(r: int, M, dens, units=()) -> list[int]:
     call per entry and no reduction.  Returns, for each column j of Z, the
     row i that holds X[j]: M[i] past the eliminated columns over dens[i],
     unreduced.
+
+    Its callers: solve on Lambda_r (every supermatrix and group inverse),
+    and atlas.HopPlan's general Lambda_r hop, which serves the plain
+    sources of act, Lambda_0 and the points where a chart pair's generated
+    solve (shape_solver) gives way.
     """
     cols, free, pivot = _pivot_plan(len(M), tuple(units))
     free, pivot = list(free), list(pivot)
@@ -154,6 +165,83 @@ def lambda_solve(r: int, M, dens, units=()) -> list[int]:
                 row[j] = kernel(f, prow[j], row[j], -1)
         pivot[col] = piv
     return pivot
+
+
+@lru_cache(maxsize=None)
+def shape_solver(kinds: tuple[str, ...], width: int):
+    """lambda_solve for one shape of system, as straight-line code generated
+    once per process: returns bind, and bind(r), made once per r, is
+    solve(a, d), which eliminates one system of that shape over Lambda_r.
+
+    kinds[i] spells row i in the row layout of lambda_solve, one letter per
+    entry: 0, 1, n for nu(1), c for a coordinate.  The rows are ordered so
+    that row t is the pivot row of column t < width, the pivots that the
+    body solve of the system picked; the rows past width are unit rows.  a
+    and d are the numerator tuples and int denominators of the coordinate
+    entries, row by row.  Each row goes over the lcm of its denominators,
+    its constants scaled to it, and the columns are eliminated in the fixed
+    pivot order by lambda_solve's steps: zero entries are known here, with
+    their fill-in, and cost nothing.  Where a pivot has a zero body, solve
+    returns None, since lambda_solve might pick another row or raise;
+    otherwise it returns, row by row, the numerators of Y and the row's
+    denominator, unreduced.  The product kernel is looked up at each solve,
+    as lambda_solve looks it up, so a spy on it sees these products.
+    """
+    nrows, ncols = len(kinds), len(kinds[0])
+    lines, E, den, coord = [], [], [], 0
+    for i, row in enumerate(kinds):
+        ks = range(coord, coord + row.count("c"))
+        coord = ks.stop
+        den.append(f"D{i}" if ks else "")
+        names = iter(f"a{k}" for k in ks)
+        E.append([None if ch == "0" else next(names) if ch == "c"
+                  else (f"u{i}" if ks else "one") if ch == "1" else (f"v{i}" if ks else "nuone")
+                  for ch in row])
+        if not ks:
+            continue
+        lines.append(f"D{i} = " + (f"d{ks[0]}" if len(ks) == 1
+                                   else f"lcm({', '.join(f'd{k}' for k in ks)})"))
+        scaled = [f"a{k} = a{k} if d{k} == D{i} else tuple([D{i} // d{k} * c for c in a{k}])"
+                  for k in ks if len(ks) > 1]
+        for ch, name, const in (("1", "u", "one"), ("n", "v", "nuone")):
+            if ch in row:
+                lines.append(f"{name}{i} = {const}")
+                scaled.append(f"{name}{i} = tuple([D{i} * c for c in {const}])")
+        if scaled:
+            lines += [f"if D{i} != 1:"] + [f"    {s}" for s in scaled]
+    for t in range(width):
+        p = E[t][t]
+        lines += [f"if not {p}[0]:", "    return None", f"h, e{t} = inverse(r, {p})"]
+        for j in range(t + 1, ncols):
+            if E[t][j]:
+                lines.append(f"p{t}_{j} = kernel(h, {E[t][j]})")
+                E[t][j] = f"p{t}_{j}"
+        den[t] = f"e{t}"
+        for i in range(nrows):
+            f = E[i][t]
+            if i == t or not f:
+                continue
+            for j in range(t + 1, ncols):
+                pj, x = E[t][j], E[i][j]
+                if not (pj or x):
+                    continue
+                scaled = x and f"tuple([e{t} * c for c in {x}])"
+                E[i][j] = f"x{i}_{j}_{t}"
+                lines.append(f"{E[i][j]} = " + (scaled if not pj else
+                                                 f"kernel({f}, {pj}, {scaled or 'zero'}, -1)"))
+            den[i] = f"{den[i]} * e{t}" if den[i] else f"e{t}"
+    out = "".join(f"{E[i][j] or 'zero'}, " for i in range(nrows) for j in range(width, ncols))
+    lines.append(f"return ({out}), ({''.join(f'{d or 1}, ' for d in den)})")
+    head = ["def bind(r):",
+            "    zero, one = _layout(r).zero, _layout(r).one",
+            "    nuone = _layout(r).nu(one)",
+            "    def solve(a, d):",
+            "        kernel = superalgebra._product_kernel(r)",
+            f"        {''.join(f'a{k}, ' for k in range(coord))}= a",
+            f"        {''.join(f'd{k}, ' for k in range(coord))}= d"]
+    scope = {"lcm": lcm, "inverse": _inverse_num, "_layout": _layout, "superalgebra": superalgebra}
+    exec("\n".join(head + [f"        {line}" for line in lines] + ["    return solve"]), scope)
+    return lru_cache(maxsize=None)(scope["bind"])
 
 
 def ring_solve(M, units=()) -> list[int]:

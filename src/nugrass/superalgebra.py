@@ -947,12 +947,15 @@ def _inverse_num(r: int, num: tuple[int, ...], scale: int = 1) -> tuple[tuple[in
     the sum in Horner form in b, then one sign fix that makes d positive."""
     kernel = _product_kernel(r)
     b = num[0]
-    minus_n = (0,) + tuple(map(neg, num[1:]))
-    out = power = _layout(r).one
-    den = b
-    while any(power := kernel(power, minus_n)):  # ends: n is nilpotent
-        out = tuple([c * b + p for c, p in zip(out, power)])
-        den *= b
+    out, den = _layout(r).one, b
+    power = minus_n = (0, *map(neg, num[1:]))
+    if any(power):  # the first step of the sum, b - n over b**2, needs no product
+        out, den = (b, *minus_n[1:]), b * b
+        power = kernel(power, minus_n)
+        while any(power):  # ends: n is nilpotent
+            out = tuple([c * b + p for c, p in zip(out, power)])
+            den *= b
+            power = kernel(power, minus_n)
     if den < 0:
         scale, den = -scale, -den
     if scale != 1:

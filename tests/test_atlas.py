@@ -31,6 +31,7 @@ from nugrass.superalgebra import (
     flat_key,
     from_flat,
 )
+from nugrass.linalg import shape_solver
 from nugrass.supermatrix import SuperMatrix, smat_inv, smat_mul
 import nugrass.atlas as atlas
 from nugrass.nulie import GlElement, fundamental_field
@@ -723,6 +724,79 @@ def test_hops_on_lambda_0_eliminate_integer_rows(monkeypatch):
                                          draw_point(a, 0, rng).values), dict)
                  for a, b in itertools.product(charts, charts))
     assert hopped and calls and set(calls) == {"lambda_solve"}
+
+
+def _pivot_at_zero_body(plan, values, r):
+    """The values with the body of the first fixed pivot set to 0, where that
+    pivot is a coordinate entry, so that the generated solve gives way; None
+    where the pivot is a constant or Lambda_r has no slot for it."""
+    units = {j for j, _ in plan.units}
+    cols = [j for j in range(len(plan.zsel)) if j not in units]
+    if not cols or plan.rows[plan.body_pivots[cols[0]]][0] < 3:
+        return None
+    name, flag = plan.coords[plan.rows[plan.body_pivots[cols[0]]][0] - 3]
+    slot = int(flag)  # the body of nu(v) is the theta_1 slot of v
+    if slot >= 1 << r:
+        return None
+    v = values[name]
+    return {**values, name: GrassmannNumber(r, {m: MPQ(c, v.den) for m, c in enumerate(v.num)
+                                                if m != slot})}
+
+
+def _generated_or_fallback(plan, values, r):
+    """The outcome of the hop through point_transition and of the general
+    route alone, its NotInvertible raised as point_transition raises it."""
+    outcomes = []
+    for hop in (lambda: point_transition(GrassPoint(plan.src, r, values), plan.dst).values,
+                lambda: plan._lambda_transition(values, r)):
+        try:
+            outcomes.append(hop())
+        except (MinorNotInvertible, NoOddGenerators) as exc:
+            outcomes.append(type(exc))
+        except NotInvertible:
+            outcomes.append(MinorNotInvertible)
+    return outcomes
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4])
+def test_the_generated_hop_matches_the_general_route_on_every_plan(r):
+    # every 'ok' pair of the status atlases, at a drawn point (some minors
+    # singular), at a point a hop brought in (rational coordinates) and at a
+    # drawn point whose first fixed pivot has a zero body, where the
+    # generated solve gives way and the general route picks another row
+    rng = random.Random(700 + r)
+    hopped = singular = forced = 0
+    for dims in STATUS_ATLASES:
+        brought = {}
+        for plan in ok_plans(dims):
+            a = plan.src
+            if a not in brought:
+                brought[a] = second_hop_values(a, r, rng)
+            drawn = draw_point(a, r, rng).values
+            points = [drawn, brought[a]]
+            zeroed = _pivot_at_zero_body(plan, drawn, r)
+            if zeroed is not None:
+                points.append(zeroed)
+                if r and plan._hop_transition(zeroed, r) is None:
+                    forced += isinstance(_generated_or_fallback(plan, zeroed, r)[1], dict)
+            for values in filter(None, points):
+                got, want = _generated_or_fallback(plan, values, r)
+                assert got == want, f"{a.index} -> {plan.dst.index} at r = {r}"
+                hopped += isinstance(want, dict)
+                singular += want is MinorNotInvertible
+    # on Lambda_0 about half of the hops need nu, and no solve is generated
+    assert hopped > (500 if r == 0 else 1000) and singular > 400
+    assert forced > 40 or r == 0
+
+
+def test_a_cocycle_run_generates_one_solve_per_plan_shape(monkeypatch):
+    # the 62 chart pairs that a 1|2(2|3) cocycle run hops share 3 generated
+    # solves; one per plan would cost setup time in every fresh process
+    monkeypatch.setattr(atlas, "_GLOBAL_PLANS", {})
+    shape_solver.cache_clear()
+    verify_cocycle(1, 2, 2, 3, r=2, samples=1)
+    assert sum(bool(p.__dict__.get("_hop")) for p in atlas._GLOBAL_PLANS.values()) == 62
+    assert shape_solver.cache_info().currsize == 3
 
 
 def _label_route(plan):
