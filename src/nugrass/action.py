@@ -48,7 +48,12 @@ class GLPoint(SuperMatrix):
         super().__init__((m, n), (m, n), entries, GrassmannNumber(r, {}))
         if any(is_nu(e) for row in self.entries for e in row):
             raise NuEntriesPresent("a group point has no odd unit")
-        inverse(self.entries)  # raises NotInvertible if singular
+        # invertible exactly when the body is: the first column without a
+        # pivot in the body's rref is where linalg.inverse would raise
+        _, pivots = rref([[e.body() for e in row] for row in self.entries], m + n)
+        if len(pivots) < m + n:
+            col = min(set(range(m + n)) - set(pivots))
+            raise NotInvertible(f"no body-invertible pivot in column {col}")
 
     @property
     def m(self) -> int:
@@ -89,13 +94,17 @@ def sample_gl(m: int, n: int, r: int, rng: random.Random) -> GLPoint:
     """Random group point built as (unit lower) * diag(units) * (unit upper),
     hence invertible by construction."""
     d = m + n
-    layout = _layout(r)
+    layout, bits = _layout(r), rng.getrandbits
 
     def entry(parity):
-        # int numerators over 1, drawn in ascending mask order
+        # int numerators over 1, drawn in ascending mask order: rng.randint(-2,
+        # 2) as lambda_sample draws it, -2 + the first getrandbits(3) below 5
         num = list(layout.zero)
         for mask in layout.by_parity[parity]:
-            num[mask] = rng.randint(-2, 2)
+            c = bits(3)
+            while c >= 5:
+                c = bits(3)
+            num[mask] = c - 2
         return _gn(r, tuple(num), 1)
 
     def unit_triangular(upper: bool):

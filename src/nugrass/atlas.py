@@ -474,7 +474,9 @@ class HopPlan:
 
         The rows go in the order of the status's body solve: the pivot row
         of each eliminated column, then the unit rows.  Each entry reduces
-        to its kind (linalg.shape_solver), so plans of one shape share one
+        to its kind (linalg.shape_solver): 0, 1, nu(1), or e / o for a
+        coordinate slot whose value is even / odd, the coordinate's parity
+        flipped where nu is applied.  Plans of one shape share one
         generated function; the plan keeps what the shape leaves out, the
         coordinate of each input in row order with its nu flag.  A read-off
         (name, nu flag, slot, row) takes Y's numerators at that slot and the
@@ -485,12 +487,16 @@ class HopPlan:
         order = [pivot[j] for j in range(len(self.zsel)) if j not in units]
         order += [i for i in range(len(self.rows)) if i not in order]
         rows = [self.rows[i] for i in order]
+        odd = {name: (self.src.coord_parity[name] == ODD) != flag for name, flag in self.coords}
+
+        def kind(k):
+            return "01n"[k] if k < 3 else "eo"[odd[self.coords[k - 3][0]]]
+
         inputs = [self.coords[k - 3] for row in rows for k in row if k > 2]
         at, ny = {i: pos for pos, i in enumerate(order)}, len(self.dcols)
         read = tuple((name, flag, at[pivot[row]] * ny + t, at[pivot[row]])
                      for row, t, name, flag in self.read)
-        return (shape_solver(tuple("".join("01nc"[min(k, 3)] for k in row) for row in rows),
-                             self.width),
+        return (shape_solver(tuple("".join(map(kind, row)) for row in rows), self.width),
                 tuple(name for name, _ in inputs), tuple(flag for _, flag in inputs), read)
 
     def transition(self, values: dict) -> dict:
@@ -525,9 +531,10 @@ class HopPlan:
     def _hop_transition(self, values: dict, r: int) -> dict | None:
         """transition over Lambda_r, r >= 1, through the pair's generated
         solve: nu applied to the inputs and to the read-offs, one _reduced
-        per output.  None where a fixed pivot has a zero body at this point;
-        then _lambda_transition solves from scratch, and picks another pivot
-        or raises."""
+        per output.  None where an input has a slot of the wrong parity or
+        a fixed pivot has a zero body at this point; then
+        _lambda_transition solves from scratch, and picks another pivot or
+        raises."""
         bind, names, flags, read = self._hop
         nu = _layout(r).nu
         vs = list(map(values.__getitem__, names))

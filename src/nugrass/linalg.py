@@ -27,11 +27,16 @@
   system (atlas.HopPlan.rows) in that layout and calls one of them
   directly.
 * shape_solver is lambda_solve for one shape of system (where its
-  entries are 0, 1, nu(1) or a coordinate, and which row pivots on which
-  column), generated once per process as straight-line code.  The
+  entries are 0, 1, nu(1) or an even or odd coordinate, and which row
+  pivots on which column), generated once per process and r as
+  straight-line code on the scalar slots of the numerator tuples: the
+  parity of each entry fixes its live slots, so the other slots and their
+  fill-in are never written, and each product is a sum over slot locals
+  spelled by superalgebra._slot_sum, the product kernel's writer.  The
   Lambda_r hop between two charts, r >= 1, runs it in the pivot order of
-  the pair's body solve; where one of those pivots has a zero body at the
-  point it gives way, and lambda_solve solves the system from scratch.
+  the pair's body solve; where an input has a slot of the wrong parity or
+  one of those pivots has a zero body at the point it gives way, and
+  lambda_solve solves the system from scratch.
 
 The two kinds stay apart on purpose: rref skips columns and reports the
 rank, solve must find a pivot in every column.
@@ -42,12 +47,13 @@ The one matrix product, with the odd-unit rule, is supermatrix.matmul.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count
 from math import lcm
 
 from . import superalgebra
 from .errors import NotInvertible
-from .superalgebra import GrassmannNumber, _exact, _inverse_num, _layout, _reduced
+from .superalgebra import GrassmannNumber, _exact, _inverse_num, _layout, _reduced, _slot_sum
 
 
 def rref(rows, ncols: int):
@@ -169,79 +175,131 @@ def lambda_solve(r: int, M, dens, units=()) -> list[int]:
 
 @lru_cache(maxsize=None)
 def shape_solver(kinds: tuple[str, ...], width: int):
-    """lambda_solve for one shape of system, as straight-line code generated
-    once per process: returns bind, and bind(r), made once per r, is
-    solve(a, d), which eliminates one system of that shape over Lambda_r.
+    """lambda_solve for one shape of system, as straight-line code on the
+    scalar slots of its entries: returns bind, and bind(r), generated once
+    per process and r, is solve(a, d), which eliminates one system of that
+    shape over Lambda_r.
 
     kinds[i] spells row i in the row layout of lambda_solve, one letter per
-    entry: 0, 1, n for nu(1), c for a coordinate.  The rows are ordered so
-    that row t is the pivot row of column t < width, the pivots that the
-    body solve of the system picked; the rows past width are unit rows.  a
-    and d are the numerator tuples and int denominators of the coordinate
-    entries, row by row.  Each row goes over the lcm of its denominators,
-    its constants scaled to it, and the columns are eliminated in the fixed
-    pivot order by lambda_solve's steps: zero entries are known here, with
-    their fill-in, and cost nothing.  Where a pivot has a zero body, solve
-    returns None, since lambda_solve might pick another row or raise;
-    otherwise it returns, row by row, the numerators of Y and the row's
-    denominator, unreduced.  The product kernel is looked up at each solve,
-    as lambda_solve looks it up, so a spy on it sees these products.
+    entry: 0, 1, n for nu(1), e or o for an even or odd coordinate.  The
+    rows are ordered so that row t is the pivot row of column t < width,
+    the pivots that the body solve of the system picked; the rows past
+    width are unit rows.  a and d are the numerator tuples and int
+    denominators of the coordinate entries, row by row.
+
+    solve unpacks each tuple into one local per slot.  An entry's parity
+    fixes its live slots: slot 0 for 1, slot 1 for nu(1), the slots of its
+    letter for a coordinate, and for a product the slots that _slot_sum
+    finds terms for.  Only live slots are written, so zero entries, the
+    slots of the wrong parity and all their fill-in cost nothing.  Each
+    row goes over the lcm of its denominators, its constants scaled to it,
+    and the columns are eliminated in the fixed pivot order by
+    lambda_solve's steps, each product a sum over slot locals with the
+    signs of _slot_sum.  A pivot's inverse is _inverse_num's Horner series,
+    unrolled until the powers of its soul have no live slot (r // 2 steps
+    for an even soul).  solve returns None where an input has a nonzero
+    slot of the wrong parity or a pivot has a zero body, since lambda_solve
+    might then pick another row or raise; otherwise it returns, row by row,
+    the numerators of Y and the row's denominator, unreduced.
     """
-    nrows, ncols = len(kinds), len(kinds[0])
-    lines, E, den, coord = [], [], [], 0
+    return lru_cache(maxsize=None)(partial(_scalar_solve, kinds, width))
+
+
+def _scalar_solve(kinds: tuple[str, ...], width: int, r: int):
+    """shape_solver's solve over Lambda_r, written and compiled.  While its
+    source is written, an entry is a dict {live mask: the local that holds
+    that slot}, or None where the entry is 0."""
+    size, by_parity = 1 << r, _layout(r).by_parity
+    lines, inputs, dead, E, den = [], [], [], [], []
+    fresh = count()
+
+    def assign(slots):
+        # a new local for each live slot of an entry that is not one already
+        names = {m: e if e.isidentifier() else f"w{next(fresh)}" for m, e in slots.items()}
+        lines.extend(f"{names[m]} = {e}" for m, e in slots.items() if names[m] != e)
+        return names
+
+    def product(x, y):
+        return {m: _slot_sum(r, m, x, y)
+                for m in sorted({a | b for a in x for b in y if not a & b})}
+
+    def inverse(t, b, soul):
+        # h / e{t} = 1 / (b + soul): b - soul over b**2, then one Horner step
+        # per live power of the soul, and one sign fix where e{t} may be < 0
+        if not soul:
+            h, depth = assign({0: "1"}), 0
+        else:
+            h, depth = assign({0: b, **{m: f"-{v}" for m, v in soul.items()}}), 1
+            power = product(soul, soul)
+            while power:
+                power, depth = assign(power), depth + 1
+                sign = "-" if depth & 1 else "+"
+                h = assign({m: f"{h[m]}*{b} {sign} {power[m]}" if m in h and m in power
+                            else f"{h[m]}*{b}" if m in h else f"{sign}{power[m]}"
+                            for m in sorted(h.keys() | power.keys())})
+                power = product(power, soul)
+        lines.append(f"e{t} = {b} ** {depth + 1}")
+        if not depth & 1:
+            lines.append(f"if e{t} < 0:")
+            lines.extend(f"    {v} = -{v}" for v in (f"e{t}", *h.values()))
+        return h
+
     for i, row in enumerate(kinds):
-        ks = range(coord, coord + row.count("c"))
-        coord = ks.stop
-        den.append(f"D{i}" if ks else "")
-        names = iter(f"a{k}" for k in ks)
-        E.append([None if ch == "0" else next(names) if ch == "c"
-                  else (f"u{i}" if ks else "one") if ch == "1" else (f"v{i}" if ks else "nuone")
-                  for ch in row])
-        if not ks:
-            continue
-        lines.append(f"D{i} = " + (f"d{ks[0]}" if len(ks) == 1
-                                   else f"lcm({', '.join(f'd{k}' for k in ks)})"))
-        scaled = [f"a{k} = a{k} if d{k} == D{i} else tuple([D{i} // d{k} * c for c in a{k}])"
-                  for k in ks if len(ks) > 1]
-        for ch, name, const in (("1", "u", "one"), ("n", "v", "nuone")):
-            if ch in row:
-                lines.append(f"{name}{i} = {const}")
-                scaled.append(f"{name}{i} = tuple([D{i} * c for c in {const}])")
-        if scaled:
-            lines += [f"if D{i} != 1:"] + [f"    {s}" for s in scaled]
+        D = f"D{i}" if "e" in row or "o" in row else "1"
+        coords = {}  # input index: entry
+        for ch in row:
+            if ch in "eo":
+                k = len(inputs)
+                inputs.append(f"({''.join(f'a{k}_{m}, ' for m in range(size))})")
+                dead += [f"a{k}_{m}" for m in by_parity[ch == "e"]]
+                coords[k] = {m: f"a{k}_{m}" for m in by_parity[ch == "o"]}
+        ks = iter(coords.values())
+        E.append([None if ch == "0" else {0: D} if ch == "1" else {1: D} if ch == "n"
+                  else next(ks) for ch in row])
+        den.append(D if coords else "")
+        if len(coords) == 1:
+            lines.append(f"D{i} = d{next(iter(coords))}")
+        elif coords:
+            lines += [f"D{i} = lcm({', '.join(f'd{k}' for k in coords)})", f"if D{i} != 1:"]
+            for k, entry in coords.items():
+                lines += [f"    if d{k} != D{i}:", f"        f = D{i} // d{k}"]
+                lines += [f"        {v} *= f" for v in entry.values()]
+
+    nrows, ncols = len(kinds), len(kinds[0])
     for t in range(width):
-        p = E[t][t]
-        lines += [f"if not {p}[0]:", "    return None", f"h, e{t} = inverse(r, {p})"]
+        P = E[t][t]  # the body solve picked it, so its slot 0 is live
+        lines += [f"if not {P[0]}:", "    return None"]
+        h = inverse(t, P[0], {m: v for m, v in P.items() if m})
         for j in range(t + 1, ncols):
             if E[t][j]:
-                lines.append(f"p{t}_{j} = kernel(h, {E[t][j]})")
-                E[t][j] = f"p{t}_{j}"
+                E[t][j] = assign(product(h, E[t][j]))
         den[t] = f"e{t}"
         for i in range(nrows):
             f = E[i][t]
             if i == t or not f:
                 continue
             for j in range(t + 1, ncols):
-                pj, x = E[t][j], E[i][j]
-                if not (pj or x):
-                    continue
-                scaled = x and f"tuple([e{t} * c for c in {x}])"
-                E[i][j] = f"x{i}_{j}_{t}"
-                lines.append(f"{E[i][j]} = " + (scaled if not pj else
-                                                 f"kernel({f}, {pj}, {scaled or 'zero'}, -1)"))
+                pj, x = E[t][j] or {}, E[i][j] or {}
+                fp = product(f, pj)
+                if x or fp:
+                    E[i][j] = assign({m: f"e{t}*{x[m]} - ({fp[m]})" if m in x and m in fp
+                                      else f"e{t}*{x[m]}" if m in x else f"-({fp[m]})"
+                                      for m in sorted(x.keys() | fp.keys())})
             den[i] = f"{den[i]} * e{t}" if den[i] else f"e{t}"
-    out = "".join(f"{E[i][j] or 'zero'}, " for i in range(nrows) for j in range(width, ncols))
+    out = "".join(f"({''.join(f'{(E[i][j] or {}).get(m, 0)}, ' for m in range(size))}), "
+                  for i in range(nrows) for j in range(width, ncols))
     lines.append(f"return ({out}), ({''.join(f'{d or 1}, ' for d in den)})")
-    head = ["def bind(r):",
-            "    zero, one = _layout(r).zero, _layout(r).one",
-            "    nuone = _layout(r).nu(one)",
-            "    def solve(a, d):",
-            "        kernel = superalgebra._product_kernel(r)",
-            f"        {''.join(f'a{k}, ' for k in range(coord))}= a",
-            f"        {''.join(f'd{k}, ' for k in range(coord))}= d"]
-    scope = {"lcm": lcm, "inverse": _inverse_num, "_layout": _layout, "superalgebra": superalgebra}
-    exec("\n".join(head + [f"        {line}" for line in lines] + ["    return solve"]), scope)
-    return lru_cache(maxsize=None)(scope["bind"])
+    head = ["def solve(a, d):"]
+    if inputs:
+        head += [f"    {', '.join(inputs)}, = a",
+                 f"    {''.join(f'd{k}, ' for k in range(len(inputs)))}= d"]
+    if dead:
+        head += [f"    if {' or '.join(dead)}:", "        return None"]
+    scope = {"lcm": lcm}
+    # named by shape and r, so that profiles and tracebacks tell them apart
+    exec(compile("\n".join(head + [f"    {line}" for line in lines]),
+                 f"<solve {' '.join(kinds)} /{width} r={r}>", "exec"), scope)
+    return scope["solve"]
 
 
 def ring_solve(M, units=()) -> list[int]:

@@ -23,7 +23,9 @@ kernel follows the Z/2 grading of Lambda_r: a product of two homogeneous
 operands computes only the slots of its parity, from the terms of its
 parity pair, and any other product takes the full 3**r-term body.
 linalg.lambda_solve eliminates on the same numerator tuples, with the same
-kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``).
+kernel, inverse formula (``_inverse_num``) and reduction (``_reduced``);
+linalg.shape_solver's generated solves write their products on scalar
+slots with the kernel's own writer, ``_slot_sum``.
 
 A polynomial element also has a flat layout, {(odd mask, even exponent
 tuple): coefficient} with int coefficients where they are integral (a
@@ -941,7 +943,8 @@ def _reduced(r: int, num: tuple[int, ...], den: int) -> GrassmannNumber:
 def _inverse_num(r: int, num: tuple[int, ...], scale: int = 1) -> tuple[tuple[int, ...], int]:
     """(h, d) with h / d = scale / (b + n) on numerator tuples of Lambda_r,
     for b = num[0] != 0 and n the soul; d > 0, not reduced.  The one
-    inverse formula: GrassmannNumber.inv and linalg.lambda_solve's pivots.
+    inverse formula: GrassmannNumber.inv and linalg.lambda_solve's pivots,
+    and linalg.shape_solver's generated solves unroll the same series.
 
     With n**(K+1) = 0, 1 / (b + n) = sum_{k<=K} (-n)**k b**(K-k) / b**(K+1):
     the sum in Horner form in b, then one sign fix that makes d positive."""
@@ -992,12 +995,26 @@ def _sign_table(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(0 if a & b else mono_sign(a, b) for b in masks) for a in masks)
 
 
+def _slot_sum(r: int, m: int, x: dict, y: dict) -> str:
+    """The source of slot m of the product x * y on numerator tuples of
+    Lambda_r, where x and y map the masks of their live slots (ascending)
+    to the names of their values: the signed sum of x[a]*y[m ^ a] over the
+    submasks a of m that x names with m ^ a named by y, signs from
+    _sign_table(r); '' where no such term exists.  The one writer of the
+    product rule: the product kernel and linalg.shape_solver's generated
+    solves both spell their products with it."""
+    signs = _sign_table(r)
+    terms = "".join(f" {'-' if signs[a][m ^ a] < 0 else '+'} {name}*{y[m ^ a]}"
+                    for a, name in x.items() if a & m == a and m ^ a in y)
+    return terms[3:] if terms.startswith(" +") else terms[1:]
+
+
 @lru_cache(maxsize=None)
 def _product_kernel(r: int):
     """z + s * x * y on numerator tuples of Lambda_r (no z gives the product)
     as one straight-line function, generated once per r: slot m of the
     result adds to z[m] the signed sum of x[a] * y[m ^ a] over the submasks
-    a of m, signs from _sign_table(r), so 3**r products in the full body.
+    a of m (_slot_sum), so 3**r products in the full body.
 
     Lambda_r is Z/2-graded, so for r >= 1 four branches come first, one per
     parity pair (px, py): when the slots of x of parity 1 - px and those of
@@ -1009,13 +1026,11 @@ def _product_kernel(r: int):
     through to the full body, so every value of Lambda_r is multiplied
     right."""
     size = 1 << r
-    signs = _sign_table(r)
     by_parity = _layout(r).by_parity
+    ys = {b: f"y{b}" for b in range(size)}
 
     def terms(m, masks):
-        # the split a = 0 comes first and has sign +
-        return " ".join(f"{'-' if signs[a][m ^ a] < 0 else '+'} x{a}*y{m ^ a}"
-                        for a in masks if a & m == a)[2:]
+        return _slot_sum(r, m, {a: f"x{a}" for a in masks}, ys)
 
     x, y, z = ("".join(f"{v}{a}, " for a in range(size)) for v in "xyz")
 
@@ -1036,7 +1051,7 @@ def _product_kernel(r: int):
             lines.append(f"        {('if', 'elif')[py]} {all_zero('y', by_parity[1 - py])}:")
             lines += returns(" " * 12, [terms(m, by_parity[px]) if m.bit_count() & 1 == px ^ py
                                         else "" for m in range(size)])
-    lines += returns(" " * 4, [terms(m, range(m + 1)) for m in range(size)])
+    lines += returns(" " * 4, [terms(m, range(size)) for m in range(size)])
     scope = {}
     exec("\n".join(lines), scope)
     return scope["kernel"]
@@ -1056,12 +1071,15 @@ def lambda_sample(r: int, parity: int, seed, lo: int = -3, hi: int = 3) -> Grass
     masks = layout.by_parity[parity]
     if masks and not (lo <= hi and (lo or hi)):
         raise ValueError(f"[{lo}, {hi}] holds no nonzero integer to draw")
+    # rng.randint(lo, hi), redrawn at the body while 0: lo + the first
+    # getrandbits(k) below n, the rule of CPython's randint
+    bits, n = rng.getrandbits, hi - lo + 1
+    k = n.bit_length()
     num = list(layout.zero)
     while masks and not any(num):
         for mask in masks:
-            c = rng.randint(lo, hi)
-            if mask == 0:
-                while c == 0:
-                    c = rng.randint(lo, hi)
-            num[mask] = c
+            c = bits(k)
+            while c >= n or not (mask or c + lo):
+                c = bits(k)
+            num[mask] = c + lo
     return _gn(r, tuple(num), 1)

@@ -13,7 +13,7 @@ from nugrass.errors import (
     NuEntriesPresent,
     RankDeficient,
 )
-from nugrass.superalgebra import GeneratorContext, GrassmannNumber
+from nugrass.superalgebra import GeneratorContext, GrassmannNumber, _layout
 from nugrass.supermatrix import NU, SuperMatrix
 from nugrass.atlas import GrassPoint, get_atlas, point_transition, sample_point
 from nugrass.action import (
@@ -29,6 +29,7 @@ from nugrass.action import (
     verify_action_gluing,
     verify_transitivity,
 )
+from nugrass.linalg import inverse as linalg_inverse
 from paper_reference import grid_normalize
 
 
@@ -84,6 +85,30 @@ def test_group_point_validation_and_inverse():
         assert P.inv() * P == GLPoint.identity(1, 2, r)
     with pytest.raises(ValueError):
         GLPoint(1, 1, 2, [[theta(2, 1), gn(2, 1)], [gn(2, 1), gn(2, 1)]])
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_a_group_point_is_refused_where_the_inverse_raises(r):
+    # GLPoint checks the rank of the body, not a full inverse over Lambda_r:
+    # it must refuse exactly the matrices linalg.inverse refuses, naming the
+    # same column
+    rng = random.Random(r)
+    refused = 0
+    for _ in range(150):
+        m, n = rng.randint(0, 2), rng.randint(1, 2)
+        entries = [[GrassmannNumber(r, {mask: MPQ(rng.choice((-1, 0, 0, 1, 2)), rng.choice((1, 2)))
+                                        for mask in _layout(r).by_parity[(i >= m) ^ (j >= m)]})
+                    for j in range(m + n)] for i in range(m + n)]
+        try:
+            linalg_inverse(entries)
+        except NotInvertible as exc:
+            with pytest.raises(NotInvertible) as info:
+                GLPoint(m, n, r, entries)
+            assert str(info.value) == str(exc)
+            refused += 1
+        else:
+            assert GLPoint(m, n, r, entries).entries == entries
+    assert 20 < refused < 130
 
 
 # a chart ring, another chart ring, and the entries of both kinds of table row
@@ -145,6 +170,43 @@ def test_group_points_reject_mismatched_shapes(build, message):
     with pytest.raises(type(want)) as info:
         build()
     assert str(info.value) == str(want)
+
+
+def _randint_sample_gl(m, n, r, rng):
+    """sample_gl as it drew through random.Random.randint: the diagonal
+    units, then the entries of the unit lower and unit upper factors."""
+    d = m + n
+    factors = {}
+    for part in ("diag", "lower", "upper"):
+        P = GLPoint.identity(m, n, r)
+        for i in range(d):
+            for j in range(d):
+                if part == "diag" and i == j:
+                    num = [0] * (1 << r)
+                    for mask in _layout(r).by_parity[0]:
+                        c = rng.randint(-2, 2)
+                        while mask == 0 and c == 0:
+                            c = rng.randint(-2, 2)
+                        num[mask] = c
+                elif (part == "lower" and j < i) or (part == "upper" and j > i):
+                    num = [0] * (1 << r)
+                    for mask in _layout(r).by_parity[(i >= m) ^ (j >= m)]:
+                        num[mask] = rng.randint(-2, 2)
+                else:
+                    continue
+                P.entries[i][j] = GrassmannNumber(r, dict(enumerate(num)))
+        factors[part] = P
+    return factors["lower"] * factors["diag"] * factors["upper"]
+
+
+def test_sample_gl_draws_what_randint_draws():
+    # sample_gl's entries read getrandbits with randint's rejection rule
+    # inlined; the group points and the stream they leave stay randint's
+    for seed in range(40):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for m, n, r in ((1, 2, 2), (0, 1, 1), (2, 3, 4), (1, 1, 0), (2, 2, 3)):
+            assert sample_gl(m, n, r, ours) == _randint_sample_gl(m, n, r, theirs), (seed, m, n, r)
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_group_point_rejects_an_entry_from_another_lambda_r():

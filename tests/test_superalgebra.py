@@ -390,6 +390,34 @@ def test_lambda_sample_is_deterministic_and_parity_homogeneous():
     assert c.body() != 0 and (c - GrassmannNumber.scalar(0, c.body())).is_zero()
 
 
+def _randint_sample(r, parity, rng, lo, hi):
+    """The numerators lambda_sample drew through random.Random.randint."""
+    num = [0] * (1 << r)
+    masks = _layout(r).by_parity[parity]
+    while masks and not any(num):
+        for mask in masks:
+            c = rng.randint(lo, hi)
+            if mask == 0:
+                while c == 0:
+                    c = rng.randint(lo, hi)
+            num[mask] = c
+    return tuple(num)
+
+
+@pytest.mark.parametrize("lo, hi", [(-3, 3), (-2, 2), (0, 3), (-4, 3)])
+def test_lambda_sample_draws_what_randint_draws(lo, hi):
+    # lambda_sample reads getrandbits with randint's rejection rule inlined:
+    # every seeded report rests on it drawing the same values from the same
+    # bits, and leaving the stream where randint would
+    for seed in range(150):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for r in range(5):
+            for parity in (EVEN, ODD, EVEN):
+                assert lambda_sample(r, parity, ours, lo, hi).num == \
+                    _randint_sample(r, parity, theirs, lo, hi), (seed, r, parity)
+                assert ours.getstate() == theirs.getstate()
+
+
 def test_lambda_sample_rejects_a_range_without_a_nonzero_integer():
     # these used to redraw zeros forever
     for r, parity in [(0, EVEN), (1, EVEN), (1, ODD), (3, EVEN), (3, ODD)]:
@@ -696,13 +724,16 @@ def test_product_kernel_matches_the_loop_on_every_parity_class(r):
 def test_the_suites_multiply_only_homogeneous_operands(monkeypatch):
     # the parity branches of the kernel are the fast path only while every
     # product the suites make has homogeneous operands (zero counts as either
-    # parity); a mixed operand would still be right, only slower
-    from nugrass import superalgebra
+    # parity); a mixed operand would still be right, only slower.  The
+    # cocycle hops run the generated solves, which keep only the slots of
+    # each entry's parity and give way where an input has a slot of the
+    # other: no hop may give way for that, and most must be solved there
+    from nugrass import atlas, superalgebra
     from nugrass.action import verify_action_gluing
     from nugrass.atlas import verify_cocycle
 
     build = superalgebra._product_kernel
-    operands = []
+    operands, solved, guarded = [], [], []
 
     def spy(r):
         kernel = build(r)
@@ -712,13 +743,25 @@ def test_the_suites_multiply_only_homogeneous_operands(monkeypatch):
             return kernel(x, y, *rest)
         return counted
 
+    hop = atlas.HopPlan._hop_transition
+
+    def watched(plan, values, r):
+        parity = plan.src.coord_parity
+        guarded.extend(name for name, v in values.items()
+                       if any(v.num[m] for m in _layout(r).by_parity[1 - parity[name]]))
+        out = hop(plan, values, r)
+        solved.append(out is not None)
+        return out
+
     monkeypatch.setattr(superalgebra, "_product_kernel", spy)
+    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", watched)
     counts = []
     for suite in (lambda: verify_action_gluing(1, 2, 2, 3, r=4, samples=5),
                   lambda: verify_cocycle(1, 2, 2, 3, r=2, samples=2)):
         assert suite().ok
         counts.append(len(operands) - sum(counts))
-    assert min(counts) > 100
+    assert counts[0] > 100  # the cocycle's products are the fallbacks' (13 here)
+    assert not guarded and sum(solved) > 100
     for r, x, y in operands:
         for v in (x, y):
             assert not all(any(v[m] for m in masks) for masks in _layout(r).by_parity), (r, v)
