@@ -50,6 +50,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from types import MappingProxyType, SimpleNamespace
 
+from . import superalgebra
 from .errors import (
     GenericallySingular,
     MinorNotInvertible,
@@ -479,8 +480,8 @@ class HopPlan:
         flipped where nu is applied.  Plans of one shape share one
         generated function; the plan keeps what the shape leaves out, the
         coordinate of each input in row order with its nu flag.  A read-off
-        (name, nu flag, slot, row) takes Y's numerators at that slot and the
-        row's denominator."""
+        (name, nu flag, output) takes the numerators and the denominator of
+        that entry of Y, which the solve returns in lowest terms."""
         if not isinstance(self.src, Chart) or self.status != "ok":
             return None
         pivot, units = self.body_pivots, {j for j, _ in self.units}
@@ -494,8 +495,7 @@ class HopPlan:
 
         inputs = [self.coords[k - 3] for row in rows for k in row if k > 2]
         at, ny = {i: pos for pos, i in enumerate(order)}, len(self.dcols)
-        read = tuple((name, flag, at[pivot[row]] * ny + t, at[pivot[row]])
-                     for row, t, name, flag in self.read)
+        read = tuple((name, flag, at[pivot[row]] * ny + t) for row, t, name, flag in self.read)
         return (shape_solver(tuple("".join(map(kind, row)) for row in rows), self.width),
                 tuple(name for name, _ in inputs), tuple(flag for _, flag in inputs), read)
 
@@ -530,11 +530,13 @@ class HopPlan:
 
     def _hop_transition(self, values: dict, r: int) -> dict | None:
         """transition over Lambda_r, r >= 1, through the pair's generated
-        solve: nu applied to the inputs and to the read-offs, one _reduced
-        per output.  None where an input has a slot of the wrong parity or
-        a fixed pivot has a zero body at this point; then
-        _lambda_transition solves from scratch, and picks another pivot or
-        raises."""
+        solve: nu applied to the inputs and, as a slot permutation of the
+        numerator tuple, to the flagged read-offs.  The solve returns each
+        output in lowest terms, so each value is built by superalgebra._gn
+        alone, with no _reduced and no GrassmannNumber arithmetic.  None
+        where an input has a slot of the wrong parity or a fixed pivot has a
+        zero body at this point; then _lambda_transition solves from
+        scratch, and picks another pivot or raises."""
         bind, names, flags, read = self._hop
         nu = _layout(r).nu
         vs = list(map(values.__getitem__, names))
@@ -543,8 +545,9 @@ class HopPlan:
         if solved is None:
             return None
         nums, dens = solved
-        return {name: _reduced(r, nu(nums[at]) if flag else nums[at], dens[row])
-                for name, flag, at, row in read}
+        gn = superalgebra._gn  # looked up at each call, so a spy on it sees these values
+        return {name: gn(r, nu(nums[at]) if flag else nums[at], dens[at])
+                for name, flag, at in read}
 
     def _lambda_transition(self, values: dict, r: int) -> dict:
         """transition over Lambda_r on numerator tuples, the one general

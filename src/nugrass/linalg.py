@@ -32,7 +32,9 @@
   straight-line code on the scalar slots of the numerator tuples: the
   parity of each entry fixes its live slots, so the other slots and their
   fill-in are never written, and each product is a sum over slot locals
-  spelled by superalgebra._slot_sum, the product kernel's writer.  The
+  spelled by superalgebra._slot_sum, the product kernel's writer.  It
+  returns each entry of the solution in lowest terms, divided in the
+  generated code by the gcd of its denominator and its live slots.  The
   Lambda_r hop between two charts, r >= 1, runs it in the pivot order of
   the pair's body solve; where an input has a slot of the wrong parity or
   one of those pivots has a zero body at the point it gives way, and
@@ -49,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 
 from . import superalgebra
 from .errors import NotInvertible
@@ -199,8 +201,12 @@ def shape_solver(kinds: tuple[str, ...], width: int):
     unrolled until the powers of its soul have no live slot (r // 2 steps
     for an even soul).  solve returns None where an input has a nonzero
     slot of the wrong parity or a pivot has a zero body, since lambda_solve
-    might then pick another row or raise; otherwise it returns, row by row,
-    the numerators of Y and the row's denominator, unreduced.
+    might then pick another row or raise.  Otherwise it returns the
+    numerator tuples and the int denominators of the entries of Y, row by
+    row, each entry in lowest terms with its denominator > 0: the parity of
+    an entry fixes its live slots, so its gcd with the row's denominator
+    is taken over those alone and divided out only where it is not 1, and
+    an entry with no live slot is 0 over 1.
     """
     return lru_cache(maxsize=None)(partial(_scalar_solve, kinds, width))
 
@@ -208,7 +214,9 @@ def shape_solver(kinds: tuple[str, ...], width: int):
 def _scalar_solve(kinds: tuple[str, ...], width: int, r: int):
     """shape_solver's solve over Lambda_r, written and compiled.  While its
     source is written, an entry is a dict {live mask: the local that holds
-    that slot}, or None where the entry is 0."""
+    that slot}, or None where the entry is 0.  Each row's denominator is one
+    local q, and each entry of Y leaves as n, p: its slots and q divided by
+    g = gcd(q, its live slots) where g != 1, as they are otherwise."""
     size, by_parity = 1 << r, _layout(r).by_parity
     lines, inputs, dead, E, den = [], [], [], [], []
     fresh = count()
@@ -286,16 +294,37 @@ def _scalar_solve(kinds: tuple[str, ...], width: int, r: int):
                                       else f"e{t}*{x[m]}" if m in x else f"-({fp[m]})"
                                       for m in sorted(x.keys() | fp.keys())})
             den[i] = f"{den[i]} * e{t}" if den[i] else f"e{t}"
-    out = "".join(f"({''.join(f'{(E[i][j] or {}).get(m, 0)}, ' for m in range(size))}), "
-                  for i in range(nrows) for j in range(width, ncols))
-    lines.append(f"return ({out}), ({''.join(f'{d or 1}, ' for d in den)})")
+
+    def spell(x, div=""):
+        return f"({''.join(f'{x[m]}{div}, ' if m in x else '0, ' for m in range(size))})"
+
+    # each output over its row's denominator q, in lowest terms: g is the
+    # gcd of q and the output's live slots, divided out where it is not 1
+    nums, dens = [], []
+    for i in range(nrows):
+        q = den[i] or "1"
+        if " " in q:  # a product, computed once per row
+            lines.append(f"q{i} = {q}")
+            q = f"q{i}"
+        for j in range(width, ncols):
+            x, k = E[i][j] or {}, len(nums)
+            if not x or q == "1":  # 0, or integers: over 1 already
+                nums.append(spell(x))
+                dens.append("1")
+                continue
+            lines += [f"g = gcd({q}, {', '.join(x.values())})", "if g == 1:",
+                      f"    n{k}, p{k} = {spell(x)}, {q}", "else:",
+                      f"    n{k}, p{k} = {spell(x, ' // g')}, {q} // g"]
+            nums.append(f"n{k}")
+            dens.append(f"p{k}")
+    lines.append(f"return ({''.join(f'{n}, ' for n in nums)}), ({''.join(f'{d}, ' for d in dens)})")
     head = ["def solve(a, d):"]
     if inputs:
         head += [f"    {', '.join(inputs)}, = a",
                  f"    {''.join(f'd{k}, ' for k in range(len(inputs)))}= d"]
     if dead:
         head += [f"    if {' or '.join(dead)}:", "        return None"]
-    scope = {"lcm": lcm}
+    scope = {"gcd": gcd, "lcm": lcm}
     # named by shape and r, so that profiles and tracebacks tell them apart
     exec(compile("\n".join(head + [f"    {line}" for line in lines]),
                  f"<solve {' '.join(kinds)} /{width} r={r}>", "exec"), scope)

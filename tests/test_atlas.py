@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -37,6 +38,8 @@ from nugrass.superalgebra import (
 from nugrass.linalg import shape_solver
 from nugrass.supermatrix import SuperMatrix, smat_inv, smat_mul
 import nugrass.atlas as atlas
+import nugrass.linalg as linalg
+import nugrass.superalgebra as superalgebra
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.reports import CheckResult
 from nugrass.atlas import (
@@ -800,17 +803,14 @@ def _one_wrong_slot(plan, values, r, rng):
     return {**values, name: GrassmannNumber(r, {**v.terms, slot: MPQ(rng.choice((-2, 1, 3)))})}
 
 
-@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6])
-def test_the_generated_hop_matches_the_general_route_on_every_plan(r):
-    # every 'ok' pair of the status atlases, at a drawn point (some minors
-    # singular), at a point a hop brought in (rational coordinates), at a
-    # drawn point whose first fixed pivot has a zero body, where the
-    # generated solve gives way and the general route picks another row,
-    # and at a drawn point with one input slot of the wrong parity, where
-    # it gives way too.  At r = 6 an even soul has a nonzero cube, so the
-    # pivot inverses take three Horner steps
+def _hop_points(r):
+    """(plan, kind, values) for every 'ok' pair of the status atlases: a
+    drawn point (some minors singular), a point a hop brought in (rational
+    coordinates), the drawn point with its first fixed pivot's body zeroed
+    ('zeroed'), where the generated solve gives way and the general route
+    picks another row, and the drawn point with one input slot of the wrong
+    parity ('mixed'), where it gives way too."""
     rng = random.Random(700 + r)
-    hopped = singular = forced = wrong = 0
     for dims in STATUS_ATLASES:
         brought = {}
         for plan in ok_plans(dims):
@@ -818,28 +818,93 @@ def test_the_generated_hop_matches_the_general_route_on_every_plan(r):
             if a not in brought:
                 brought[a] = second_hop_values(a, r, rng)
             drawn = draw_point(a, r, rng).values
-            points = [drawn, brought[a]]
-            zeroed = _pivot_at_zero_body(plan, drawn, r)
-            if zeroed is not None:
-                points.append(zeroed)
-                if r and plan._hop_transition(zeroed, r) is None:
-                    forced += isinstance(_generated_or_fallback(plan, zeroed, r)[1], dict)
-            for values in filter(None, points):
-                got, want = _generated_or_fallback(plan, values, r)
-                assert got == want, f"{a.index} -> {plan.dst.index} at r = {r}"
-                hopped += isinstance(want, dict)
-                singular += want is MinorNotInvertible
-                # both routes multiply through one writer; check it apart
-                assert r > 3 or not isinstance(got, dict) or _solves_its_system(plan, values, got)
+            points = [("drawn", drawn), ("brought", brought[a]),
+                      ("zeroed", _pivot_at_zero_body(plan, drawn, r))]
+            for kind, values in points:
+                if values:
+                    yield plan, kind, values
             mixed = _one_wrong_slot(plan, drawn, r, rng)
             if mixed is not None:
-                assert plan._hop_transition(mixed, r) is None
-                want = _hop_outcome(lambda p, v: p._lambda_transition(v, r), plan, mixed)
-                assert _hop_outcome(atlas.HopPlan.transition, plan, mixed) == want
-                wrong += isinstance(want, dict)
+                yield plan, "mixed", mixed
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 5, 6])
+def test_the_generated_hop_matches_the_general_route_on_every_plan(r):
+    # every point of _hop_points.  At r = 6 an even soul has a nonzero
+    # cube, so the pivot inverses take three Horner steps
+    hopped = singular = forced = wrong = 0
+    for plan, kind, values in _hop_points(r):
+        where = f"{plan.src.index} -> {plan.dst.index} at r = {r}"
+        if kind == "mixed":
+            assert plan._hop_transition(values, r) is None
+            want = _hop_outcome(lambda p, v: p._lambda_transition(v, r), plan, values)
+            assert _hop_outcome(atlas.HopPlan.transition, plan, values) == want, where
+            wrong += isinstance(want, dict)
+            continue
+        got, want = _generated_or_fallback(plan, values, r)
+        assert got == want, where
+        hopped += isinstance(want, dict)
+        singular += want is MinorNotInvertible
+        if kind == "zeroed" and r and plan._hop_transition(values, r) is None:
+            forced += isinstance(want, dict)
+        # both routes multiply through one writer; check it apart
+        assert r > 3 or not isinstance(got, dict) or _solves_its_system(plan, values, got)
     # on Lambda_0 about half of the hops need nu, and no solve is generated
     assert hopped > (500 if r == 0 else 1000) and singular > 400
     assert (forced > 40 and wrong > 300) or r == 0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+def test_every_hop_value_is_in_lowest_terms(r):
+    # the generated solve divides each output by the gcd of its row's
+    # denominator and its live slots, the general route by _reduced; a
+    # value off its canonical form would compare unequal to an equal one.
+    # point_transition returns what HopPlan.transition returns; a mixed
+    # point is no GrassPoint, so the plan is called directly
+    hopped, fractions = Counter(), 0
+    for plan, kind, values in _hop_points(r):
+        try:
+            out = plan.transition(values)
+        except NotInvertible:
+            continue
+        for name, v in out.items():
+            assert v.den > 0 and math.gcd(v.den, *v.num) == 1, \
+                f"{plan.src.index} -> {plan.dst.index}: {name} at r = {r}"
+            fractions += v.den != 1
+        hopped[kind] += 1
+    assert min(hopped[kind] for kind in ("drawn", "brought", "zeroed", "mixed")) > 40
+    assert fractions > 1000
+
+
+def test_only_the_fallback_hops_reduce_through_reduced(monkeypatch):
+    # the generated solves return their outputs in lowest terms, so in a
+    # cocycle run _reduced builds only the values of the hops that gave
+    # way to the general route, one per output.  Seed 3 draws three points
+    # whose generated solve gives way and whose general route hops
+    reduced, fallback, generated = [], [], []
+    real_reduced = superalgebra._reduced
+
+    def counted(*args):
+        reduced.append(args[0])
+        return real_reduced(*args)
+
+    def spy(name, seen):
+        real = getattr(atlas.HopPlan, name)
+
+        def wrapped(self, values, r):
+            out = real(self, values, r)
+            if out is not None:
+                seen.append(len(out))
+            return out
+        return wrapped
+
+    for module in (superalgebra, atlas, linalg):
+        monkeypatch.setattr(module, "_reduced", counted)
+    monkeypatch.setattr(atlas.HopPlan, "_lambda_transition", spy("_lambda_transition", fallback))
+    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", spy("_hop_transition", generated))
+    verify_cocycle(1, 2, 2, 3, r=2, samples=2, seed=3)
+    assert len(generated) > 100 and fallback
+    assert len(reduced) == sum(fallback)
 
 
 def test_a_cocycle_run_generates_one_solve_per_plan_shape(monkeypatch):
