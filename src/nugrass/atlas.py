@@ -47,7 +47,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
 from types import MappingProxyType, SimpleNamespace
 
 from . import superalgebra
@@ -59,7 +58,7 @@ from .errors import (
     ResidualNuSymbol,
     UncoveredCase,
 )
-from .linalg import inverse, lambda_solve, ring_solve, shape_solver
+from .linalg import eliminate, inverse, ring_solve, shape_solver
 from .reports import CheckResult, Report, check_count, first_defined
 from .superalgebra import (
     EVEN,
@@ -69,7 +68,6 @@ from .superalgebra import (
     GrassmannNumber,
     _ff,
     _layout,
-    _reduced,
     flat_key,
     lambda_sample,
 )
@@ -371,8 +369,10 @@ class HopPlan:
     holds the message of the ResidualNuSymbol that transition raises.
     Between two charts whose status is 'ok', `body_pivots` holds the pivot
     row of each minor column that the status's body solve picked, and the
-    Lambda_r hop runs the straight-line solve of the system's shape in that
-    order (`_hop`).
+    Lambda_r hop, r >= 1, runs the straight-line solve of the system's
+    shape in that order (`_hop`).  Every other solve of the system, and
+    one where that solve gives way, fills `rows` from the palette and runs
+    linalg.eliminate.
     """
 
     def __init__(self, src, dst: Chart):
@@ -503,12 +503,13 @@ class HopPlan:
         """Destination coordinates of the source point with these coordinate
         values, from any ring with an involution (a chart ring, Lambda_r);
         0 and 1 come from the values' own ring.  One exact solve of the
-        pasting system: on numerator tuples over every Lambda_r, Lambda_0
-        included, and through the palette of the values themselves over a
-        chart ring.  Over Lambda_r, r >= 1, a chart pair whose status is
-        'ok' runs its generated solve first (_hop_transition), and
-        _lambda_transition only where that gives way; plain sources and
-        Lambda_0 run _lambda_transition.  Raises ResidualNuSymbol where the
+        pasting system.  Over Lambda_r, r >= 1, a chart pair whose status
+        is 'ok' runs its generated solve (_hop_transition).  Everywhere
+        else, and where that gives way, the rows are filled from the
+        palette of the values themselves and linalg.eliminate solves them:
+        on integer numerator rows over Lambda_r (Lambda_0 and plain sources
+        included), through ring_solve over a chart ring; the read-off
+        applies nu where it is flagged.  Raises ResidualNuSymbol where the
         pair has no system, NotInvertible where the minor is singular, and
         NoOddGenerators where Lambda_0 would need nu."""
         if self.residual is not None:
@@ -516,12 +517,12 @@ class HopPlan:
         proto = next(iter(values.values()), None)
         if proto is None:  # no coordinates: the atlas is one chart, the hop the identity
             return {}
-        if isinstance(proto, GrassmannNumber):
-            r = proto.r
-            out = self._hop_transition(values, r) if r and self._hop else None
-            return self._lambda_transition(values, r) if out is None else out
+        if isinstance(proto, GrassmannNumber) and proto.r and self._hop:
+            out = self._hop_transition(values, proto.r)
+            if out is not None:
+                return out
         M = _rows(self.rows, self.palette(values, proto.ring_one()))
-        pivot = ring_solve(M, self.units)
+        pivot = eliminate(M, self.units)
         out = {}
         for row, t, name, flag in self.read:
             v = M[pivot[row]][self.width + t]
@@ -533,10 +534,10 @@ class HopPlan:
         solve: nu applied to the inputs and, as a slot permutation of the
         numerator tuple, to the flagged read-offs.  The solve returns each
         output in lowest terms, so each value is built by superalgebra._gn
-        alone, with no _reduced and no GrassmannNumber arithmetic.  None
+        alone, with no reduction and no GrassmannNumber arithmetic.  None
         where an input has a slot of the wrong parity or a fixed pivot has a
-        zero body at this point; then _lambda_transition solves from
-        scratch, and picks another pivot or raises."""
+        zero body at this point; then transition solves from scratch
+        through linalg.eliminate, which picks another pivot or raises."""
         bind, names, flags, read = self._hop
         nu = _layout(r).nu
         vs = list(map(values.__getitem__, names))
@@ -548,39 +549,6 @@ class HopPlan:
         gn = superalgebra._gn  # looked up at each call, so a spy on it sees these values
         return {name: gn(r, nu(nums[at]) if flag else nums[at], dens[at])
                 for name, flag, at in read}
-
-    def _lambda_transition(self, values: dict, r: int) -> dict:
-        """transition over Lambda_r on numerator tuples, the one general
-        route (plain sources, Lambda_0, and the fallback of the generated
-        solve, which it repeats from scratch): the palette holds
-        each slot's numerators and denominator (slot 2, nu(1), only where
-        the plan has it), nu permutes the numerators by _layout(r).nu, each
-        row of rows goes over the lcm of its denominators, and
-        linalg.lambda_solve eliminates; only the read-off builds values, one
-        _reduced each."""
-        layout = _layout(r)
-        nu = layout.nu
-        nums = [layout.zero, layout.one, nu(layout.one) if self.nu_one else None]
-        dens = [1, 1, 1]
-        for name, flag in self.coords:
-            v = values[name]
-            nums.append(nu(v.num) if flag else v.num)
-            dens.append(v.den)
-        M, row_dens = [], []
-        for row in self.rows:
-            den = lcm(*map(dens.__getitem__, row))
-            M.append(list(map(nums.__getitem__, row)) if den == 1 else
-                     [nums[k] if dens[k] == den else
-                      tuple([den // dens[k] * c for c in nums[k]]) for k in row])
-            row_dens.append(den)
-        pivot = lambda_solve(r, M, row_dens, self.units)
-        w = self.width
-        out = {}
-        for row, t, name, flag in self.read:
-            i = pivot[row]
-            num = M[i][w + t]
-            out[name] = _reduced(r, nu(num) if flag else num, row_dens[i])
-        return out
 
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
@@ -642,15 +610,6 @@ class GrassPoint:
             want, p = self.chart.coord_parity[name], v.parity()
             if p != want and not v.is_zero():
                 raise ValueError(f"coordinate {name} has parity {p}, wants {want}")
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassPoint):
-            return NotImplemented
-        return (
-            self.chart.index == other.chart.index
-            and self.r == other.r
-            and self.values == other.values
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -8,24 +8,26 @@
   nullspace, span membership and the inverse-transition system use it.
 * solve solves a square system and raises NotInvertible when the body of
   the matrix is singular.  Every supermatrix inverse and every group
-  inverse goes through it, on the full rows [Z | Y].  It runs one of two
-  eliminations, which take one row layout (each row of Z without the unit
-  columns that the caller names, then the row of Y), eliminate in place,
-  pick the same pivots and return the row that holds each column's
-  solution:
-  - lambda_solve on Lambda_r (GrassmannNumber input): rows of integer
-    numerator tuples over one int denominator each, fused product-kernel
-    steps and no GrassmannNumber until the solution.
+  inverse goes through it, on the full rows [Z | Y].
+* eliminate is the one general pasting solve: solve runs it, and so does
+  every chart normalization that is not a generated solve, on the rows of
+  its pair's compiled pasting system (atlas.HopPlan.rows, filled with ring
+  values).  It works in place on one row layout (each row of Z without
+  the unit columns that the caller names, then the row of Y), returns the
+  row that holds each column's solution and leaves ring values there.  It
+  runs one of two eliminations, which take that layout and pick the same
+  pivots:
+  - lambda_solve on Lambda_r (GrassmannNumber input): eliminate converts
+    each row once to integer numerator tuples over one int denominator,
+    lambda_solve eliminates with fused product-kernel steps and no
+    GrassmannNumber, and eliminate reduces each solution cell once.
   - ring_solve on any other ring, through the ring's own has_body(),
     inv(), is_zero() and add_product().  In the library it sees only
-    superalgebra.FlatFraction: the chart rings of the symbolic maps and the
-    ring of bodies of a generic point (no odd generator) of the plan
-    statuses, with cleared denominators and no gcd.  The tests also run it
-    on SuperFunction (the canonical chart-ring oracle of those solves) and
-    on Lambda_r as lambda_solve's oracle.
-  A chart normalization fills the rows of its pair's compiled pasting
-  system (atlas.HopPlan.rows) in that layout and calls one of them
-  directly.
+    superalgebra.FlatFraction: the chart rings of the symbolic maps and,
+    called directly by atlas.HopPlan's status, the ring of bodies of a
+    generic point (no odd generator), with cleared denominators and no
+    gcd.  The tests also run it on SuperFunction (the canonical chart-ring
+    oracle of those solves) and on Lambda_r as lambda_solve's oracle.
 * shape_solver is lambda_solve for one shape of system (where its
   entries are 0, 1, nu(1) or an even or odd coordinate, and which row
   pivots on which column), generated once per process and r as
@@ -38,7 +40,7 @@
   Lambda_r hop between two charts, r >= 1, runs it in the pivot order of
   the pair's body solve; where an input has a slot of the wrong parity or
   one of those pivots has a zero body at the point it gives way, and
-  lambda_solve solves the system from scratch.
+  eliminate solves the system from scratch.
 
 The two kinds stay apart on purpose: rref skips columns and reports the
 rank, solve must find a pivot in every column.
@@ -90,25 +92,41 @@ def rref(rows, ncols: int):
 def solve(Z, Y):
     """Exact solution X of  Z X = Y  with Z square, as nested lists.
 
-    Gauss-Jordan on the augmented rows [Z | Y], taking in each column the
-    first unused row whose entry has a nonzero body.  Raises NotInvertible
-    exactly when the body of Z is singular, whatever the pivot order.
-
-    Lambda_r input is eliminated on integer rows (lambda_solve), any other
-    ring by ring_solve.  Both take the same pivots and give the same X.
-    atlas.HopPlan, which knows the unit columns of its systems, calls the
-    two eliminations itself, on rows without those columns.
+    Gauss-Jordan on the augmented rows [Z | Y] (eliminate), taking in each
+    column the first unused row whose entry has a nonzero body.  Raises
+    NotInvertible exactly when the body of Z is singular, whatever the
+    pivot order.  atlas.HopPlan, which knows the unit columns of its
+    systems, calls eliminate itself, on rows without those columns.
     """
     M = [list(zrow) + list(yrow) for zrow, yrow in zip(Z, Y)]
-    w = len(Z)
-    if not (Z and isinstance(Z[0][0], GrassmannNumber)):
-        return [M[i][w:] for i in ring_solve(M)]
-    r = Z[0][0].r
-    dens = [lcm(*[e.den for e in row]) for row in M]
-    M = [[e.num if e.den == den else tuple([den // e.den * c for c in e.num]) for e in row]
-         for row, den in zip(M, dens)]
-    return [[_reduced(r, num, dens[i]) for num in M[i][w:]]
-            for i in lambda_solve(r, M, dens)]
+    return [M[i][len(Z):] for i in eliminate(M)]
+
+
+def eliminate(M, units=()) -> list[int]:
+    """Gauss-Jordan in place on the rows of a square system in the layout of
+    both eliminations, each row of Z without the unit columns that `units`
+    names and then Y.  Returns the pivot row of each column of Z, as they
+    do, and leaves ring values in the solution cells, past the eliminated
+    columns.
+
+    Lambda_r input (GrassmannNumber) goes to lambda_solve: each row
+    converted once to integer numerator tuples over the lcm of its
+    denominators, and each solution cell reduced once (_reduced).  Any
+    other ring goes to ring_solve.  Both are looked up at each call.
+    """
+    if not (M and M[0] and isinstance(M[0][0], GrassmannNumber)):
+        return ring_solve(M, units)
+    r, dens = M[0][0].r, []
+    for i, row in enumerate(M):
+        den = lcm(*[e.den for e in row])
+        M[i] = [e.num if e.den == den else tuple([den // e.den * c for c in e.num])
+                for e in row]
+        dens.append(den)
+    pivot = lambda_solve(r, M, dens, units)
+    w = len(M) - len(units)
+    for row, den in zip(M, dens):
+        row[w:] = [_reduced(r, num, den) for num in row[w:]]
+    return pivot
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +154,10 @@ def lambda_solve(r: int, M, dens, units=()) -> list[int]:
     row i that holds X[j]: M[i] past the eliminated columns over dens[i],
     unreduced.
 
-    Its callers: solve on Lambda_r (every supermatrix and group inverse),
-    and atlas.HopPlan's general Lambda_r hop, which serves the plain
-    sources of act, Lambda_0 and the points where a chart pair's generated
-    solve (shape_solver) gives way.
+    Its one caller is eliminate on Lambda_r: every supermatrix and group
+    inverse (through solve), and atlas.HopPlan's general hop, which serves
+    the plain sources of act, Lambda_0 and the points where a chart pair's
+    generated solve (shape_solver) gives way.
     """
     cols, free, pivot = _pivot_plan(len(M), tuple(units))
     free, pivot = list(free), list(pivot)
@@ -334,12 +352,13 @@ def _scalar_solve(kinds: tuple[str, ...], width: int, r: int):
 def ring_solve(M, units=()) -> list[int]:
     """solve over any ring whose elements offer has_body(), inv(),
     is_zero() and the fused step x.add_product(a, b, sign) = x + sign*a*b:
-    the elimination of the chart rings, and the tests' oracle for
-    lambda_solve.  It runs in place on the rows lambda_solve takes, the
-    columns of Z that `units` does not name and then Y, and returns, as
-    lambda_solve does, the row that holds X[j] past the eliminated columns
-    for each column j of Z; the unit columns stay untouched because their
-    other entries are zero."""
+    the elimination of the chart rings, which eliminate and the plan
+    status of atlas.HopPlan call, and the tests' oracle for lambda_solve.
+    It runs in place on the rows lambda_solve takes, the columns of Z that
+    `units` does not name and then Y, and returns, as lambda_solve does,
+    the row that holds X[j] past the eliminated columns for each column j
+    of Z; the unit columns stay untouched because their other entries are
+    zero."""
     cols, free, pivot = _pivot_plan(len(M), tuple(units))
     free, pivot = list(free), list(pivot)
     width = len(M[0]) if M else 0

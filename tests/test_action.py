@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 import nugrass.atlas as atlas_module
+import nugrass.linalg as linalg_module
 from nugrass.errors import (
     MinorNotInvertible,
     NoChartFound,
@@ -289,21 +290,22 @@ def test_acted_points_match_the_grid_normalizer(dims, r, seed, degenerate):
 
 
 def test_act_over_lambda_r_runs_the_integer_elimination_and_no_ring_solve(monkeypatch):
-    # at every r, r = 0 included, an acted matrix fills the numerator rows of
-    # its destination's plain pasting system and goes straight to
-    # linalg.lambda_solve; on Lambda_0 a destination that needs nu raises
+    # at every r, r = 0 included, an acted matrix fills its destination's
+    # plain pasting system, which linalg.eliminate turns into numerator rows
+    # for linalg.lambda_solve, as it does the group inverses; on Lambda_0 a
+    # destination that needs nu raises
     eliminated = []
-    lambda_solve = atlas_module.lambda_solve
+    lambda_solve = linalg_module.lambda_solve
 
     def counted(*args):
         eliminated.append(args[0])
         return lambda_solve(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("act ran atlas.ring_solve")
+        raise AssertionError("act ran linalg.ring_solve")
 
-    monkeypatch.setattr(atlas_module, "lambda_solve", counted)
-    monkeypatch.setattr(atlas_module, "ring_solve", refuse)
+    monkeypatch.setattr(linalg_module, "lambda_solve", counted)
+    monkeypatch.setattr(linalg_module, "ring_solve", refuse)
     rng = random.Random(19)
     atlas = get_atlas(1, 2, 2, 3)
     for r in (1, 2, 4, 0):

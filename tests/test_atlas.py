@@ -715,7 +715,7 @@ def test_hops_on_lambda_0_eliminate_integer_rows(monkeypatch):
     calls = []
 
     def spy(name):
-        real = getattr(atlas, name)
+        real = getattr(linalg, name)
 
         def wrapped(*args):
             calls.append(name)
@@ -723,7 +723,7 @@ def test_hops_on_lambda_0_eliminate_integer_rows(monkeypatch):
         return wrapped
 
     for name in ("lambda_solve", "ring_solve"):
-        monkeypatch.setattr(atlas, name, spy(name))
+        monkeypatch.setattr(linalg, name, spy(name))
     rng = random.Random(0)
     charts = get_atlas(1, 2, 2, 3).charts
     hopped = sum(isinstance(_hop_outcome(atlas.HopPlan.transition, _get_plan(a, b),
@@ -749,12 +749,28 @@ def _pivot_at_zero_body(plan, values, r):
                                                 if m != slot})}
 
 
+def _general_route(plan, values):
+    """HopPlan.transition with the pair's generated solve masked in the
+    plan's instance dict, so the general route alone solves.  The cached
+    _hop is put back as it was: deleted where it was absent, since a None
+    left behind would stand for it in later tests."""
+    cached, had = plan.__dict__.get("_hop"), "_hop" in plan.__dict__
+    plan.__dict__["_hop"] = None
+    try:
+        return plan.transition(values)
+    finally:
+        if had:
+            plan.__dict__["_hop"] = cached
+        else:
+            del plan.__dict__["_hop"]
+
+
 def _generated_or_fallback(plan, values, r):
     """The outcome of the hop through point_transition and of the general
     route alone, its NotInvertible raised as point_transition raises it."""
     outcomes = []
     for hop in (lambda: point_transition(GrassPoint(plan.src, r, values), plan.dst).values,
-                lambda: plan._lambda_transition(values, r)):
+                lambda: _general_route(plan, values)):
         try:
             outcomes.append(hop())
         except (MinorNotInvertible, NoOddGenerators) as exc:
@@ -837,7 +853,7 @@ def test_the_generated_hop_matches_the_general_route_on_every_plan(r):
         where = f"{plan.src.index} -> {plan.dst.index} at r = {r}"
         if kind == "mixed":
             assert plan._hop_transition(values, r) is None
-            want = _hop_outcome(lambda p, v: p._lambda_transition(v, r), plan, values)
+            want = _hop_outcome(_general_route, plan, values)
             assert _hop_outcome(atlas.HopPlan.transition, plan, values) == want, where
             wrong += isinstance(want, dict)
             continue
@@ -879,29 +895,33 @@ def test_every_hop_value_is_in_lowest_terms(r):
 def test_only_the_fallback_hops_reduce_through_reduced(monkeypatch):
     # the generated solves return their outputs in lowest terms, so in a
     # cocycle run _reduced builds only the values of the hops that gave
-    # way to the general route, one per output.  Seed 3 draws three points
-    # whose generated solve gives way and whose general route hops
-    reduced, fallback, generated = [], [], []
+    # way to the general route (linalg.eliminate), one per output.  Seed 3
+    # draws three points whose generated solve gives way and whose general
+    # route hops
+    reduced, fallback, generated, gave_way = [], [], [], []
     real_reduced = superalgebra._reduced
+    hop, transition = atlas.HopPlan._hop_transition, atlas.HopPlan.transition
 
     def counted(*args):
         reduced.append(args[0])
         return real_reduced(*args)
 
-    def spy(name, seen):
-        real = getattr(atlas.HopPlan, name)
+    def watched_hop(self, values, r):
+        out = hop(self, values, r)
+        (gave_way if out is None else generated).append(out)
+        return out
 
-        def wrapped(self, values, r):
-            out = real(self, values, r)
-            if out is not None:
-                seen.append(len(out))
-            return out
-        return wrapped
+    def watched_transition(self, values):
+        before = len(gave_way)
+        out = transition(self, values)
+        if len(gave_way) > before:
+            fallback.append(len(out))
+        return out
 
-    for module in (superalgebra, atlas, linalg):
+    for module in (superalgebra, linalg):
         monkeypatch.setattr(module, "_reduced", counted)
-    monkeypatch.setattr(atlas.HopPlan, "_lambda_transition", spy("_lambda_transition", fallback))
-    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", spy("_hop_transition", generated))
+    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", watched_hop)
+    monkeypatch.setattr(atlas.HopPlan, "transition", watched_transition)
     verify_cocycle(1, 2, 2, 3, r=2, samples=2, seed=3)
     assert len(generated) > 100 and fallback
     assert len(reduced) == sum(fallback)

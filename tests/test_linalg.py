@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.external.gmpy import MPQ
 
 import nugrass.atlas as atlas_module
+import nugrass.linalg as linalg_module
 from nugrass import superalgebra
 from nugrass.atlas import get_atlas, transition_symbolic
 from nugrass.errors import GenericallySingular, NotInvertible, ResidualNuSymbol, UncoveredCase
-from nugrass.linalg import inverse, lambda_solve, ring_solve, rref, solve
+from nugrass.linalg import eliminate, inverse, lambda_solve, ring_solve, rref, solve
 from nugrass.nulie import GlElement, fundamental_field
 from nugrass.superalgebra import (
     FlatFraction,
@@ -264,6 +265,61 @@ def test_both_eliminations_take_one_row_layout_and_pick_the_same_pivots(seed):
                 == [values[i][w:] for i in want])
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_eliminate_leaves_the_ring_elimination_values_in_the_solution_cells(seed):
+    # eliminate on the GrassmannNumber rows of a system, unit columns
+    # included: the pivots and solution cells of ring_solve on the same rows,
+    # the oracle, and one value built per solution cell, none on failure
+    Z, Y, units, singular = _lambda_system(random.Random(seed))
+    named = {j for j, _ in units}
+    values = [[e for j, e in enumerate(zrow) if j not in named] + yrow
+              for zrow, yrow in zip(Z, Y)]
+    want_rows, got_rows = [list(row) for row in values], [list(row) for row in values]
+    want = _outcome(ring_solve, want_rows, units)
+    built = []
+    gn = superalgebra._gn
+
+    def counted(r, num, den):
+        built.append(r)
+        return gn(r, num, den)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(superalgebra, "_gn", counted)
+        got = _outcome(eliminate, got_rows, units)
+    assert got == want
+    assert (want[0] is NotInvertible) == singular
+    if singular:
+        assert not built
+    else:
+        w = len(Z) - len(units)
+        assert [got_rows[i][w:] for i in got] == [want_rows[i][w:] for i in want]
+        assert len(built) == len(Z) * len(Y[0])
+
+
+def test_eliminate_runs_ring_solve_on_flat_fractions():
+    # every pair of a 1|2(2|3) atlas with a system, filled with its source
+    # chart's generators: eliminate returns what ring_solve returns and
+    # leaves the same rows
+    failed = solved = 0
+    at = get_atlas(1, 2, 2, 3)
+    for a in at.charts:
+        values = {name: FlatFraction.gen(a.ctx, name) for name in a.coords}
+        one = next(iter(values.values())).ring_one()
+        for b in at.charts:
+            plan = atlas_module._get_plan(a, b)
+            if plan.residual is not None:
+                continue
+            got_rows, want_rows = (atlas_module._rows(plan.rows, plan.palette(values, one))
+                                   for _ in range(2))
+            got = _outcome(eliminate, got_rows, plan.units)
+            assert got == _outcome(ring_solve, want_rows, plan.units)
+            assert got_rows == want_rows
+            failed += got[0] is NotInvertible
+            solved += got[0] is not NotInvertible
+    assert failed and solved > 40
+
+
 @pytest.mark.parametrize("r, pivot, inverse", [
     # no soul: the inverse of -2 has the denominator 2 after the sign fix
     (1, {0: -2}, {0: MPQ(-1, 2)}),
@@ -284,7 +340,7 @@ def test_the_integer_rows_scale_by_the_pivot_denominator_and_fix_its_sign(r, piv
 
 
 def test_the_lambda_r_routes_build_values_only_for_their_outputs(monkeypatch):
-    # the integer elimination and the hop on numerator tuples combine no
+    # the integer elimination and the generated hop combine no
     # GrassmannNumber: the only values they build are their outputs
     rng = random.Random(11)
     systems = [_lambda_system(rng) for _ in range(40)]
@@ -302,9 +358,10 @@ def test_the_lambda_r_routes_build_values_only_for_their_outputs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a GrassmannNumber was built or combined")
 
+    palette = {name: getattr(GrassmannNumber, name) for name in ("nu", "ring_one", "ring_zero")}
     monkeypatch.setattr(superalgebra, "_gn", counted)
     for name in ("__init__", "__mul__", "__add__", "__sub__", "__neg__", "add_product",
-                 "inv", "nu", "ring_one", "ring_zero"):
+                 "inv", *palette):
         monkeypatch.setattr(GrassmannNumber, name, refuse)
     solved = hopped = 0
     for Z, Y, units, singular in systems:
@@ -317,16 +374,38 @@ def test_the_lambda_r_routes_build_values_only_for_their_outputs(monkeypatch):
             X = solve(Z, Y)
             assert len(built) == sum(map(len, X)) == len(Z) * len(Y[0])
             solved += 1
+    # a generated hop builds only its outputs.  Where it gives way, the
+    # general route fills the rows from the palette of the values, which
+    # builds 0, 1, nu(1) where the plan has it and the nu image of each
+    # flagged input, and reads off with nu where the read-off is flagged
+    hop = atlas_module.HopPlan._hop_transition
+    routes = []
+
+    def watched(plan, values, r):
+        out = hop(plan, values, r)
+        routes.append("generated" if out is not None else "general")
+        return out
+
+    monkeypatch.setattr(atlas_module.HopPlan, "_hop_transition", watched)
+    for name, method in palette.items():
+        monkeypatch.setattr(GrassmannNumber, name, method)
+    general = 0
     for plan, values in points:
-        del built[:]
+        del built[:], routes[:]
+        filled = 2 + plan.nu_one + sum(flag for _, flag in plan.coords)
         try:
             out = plan.transition(values)
         except NotInvertible:
-            assert not built
+            assert routes == ["general"] and len(built) == filled
             continue
-        assert len(built) == len(out)
+        if routes == ["generated"]:
+            assert len(built) == len(out)
+        else:
+            assert routes == ["general"]
+            assert len(built) == filled + len(out) + sum(flag for *_, flag in plan.read)
+            general += 1
         hopped += 1
-    assert solved > 10 and hopped > 20
+    assert solved > 10 and hopped > 20 and general
 
 
 def _symbolic_maps(charts):
@@ -366,7 +445,7 @@ def test_chart_normalization_never_builds_a_body(monkeypatch):
         filled.append(all(v.ctx == plan.src.ctx for v in values.values()))
         return transition(plan, values)
 
-    monkeypatch.setattr(atlas_module, "ring_solve", counting_solve)
+    monkeypatch.setattr(linalg_module, "ring_solve", counting_solve)
     monkeypatch.setattr(atlas_module.HopPlan, "transition", counting_transition)
     monkeypatch.setattr(SuperFunction, "body", _refuse_body)
     monkeypatch.setattr(GrassmannNumber, "body", _refuse_body)
