@@ -20,7 +20,9 @@ D((M or M')^-1 A) as one exact solve:
 * pointwise, on Lambda_r-valued points, with the involution acting on
   Lambda_r values.  Only directions whose plan status is 'ok' are
   evaluable; hop statuses are symmetric on every tested atlas, so a pair
-  is either evaluable both ways or not at all.
+  is either evaluable both ways or not at all.  A sampled cycle of the
+  cocycle suite chains the hops' generated solves on numerator tuples and
+  builds no point on the way.
 
 Where each entry of the system comes from (a constant, or a coordinate with
 or without the involution) is a fact of the chart pair, so it is compiled
@@ -219,6 +221,13 @@ class Chart:
         dpos = {c: t for t, c in enumerate(dcols)}
         read = [(row, dpos[gcol], name, marked) for row, gcol, name, marked in self.slots]
         return zsel, dcols, read
+
+    @cached_property
+    def identity_read(self) -> dict:
+        """The read-off map of this chart's own points: each coordinate at
+        its index in coords, without nu.  The numerator hop reads a point's
+        values through it, in coords order."""
+        return {name: (i, False) for i, name in enumerate(self.coords)}
 
     @cached_property
     def plain_plan(self) -> "HopPlan":
@@ -470,8 +479,8 @@ class HopPlan:
     @cached_property
     def _hop(self):
         """The generated solve of this pair's system over Lambda_r and how to
-        feed it: (bind, coordinate names, nu flags, read-offs), or None for
-        a plain source and for a pair whose status is not 'ok'.
+        feed it: (bind, coordinate names, nu flags, read-off map), or None
+        for a plain source and for a pair whose status is not 'ok'.
 
         The rows go in the order of the status's body solve: the pivot row
         of each eliminated column, then the unit rows.  Each entry reduces
@@ -479,9 +488,10 @@ class HopPlan:
         coordinate slot whose value is even / odd, the coordinate's parity
         flipped where nu is applied.  Plans of one shape share one
         generated function; the plan keeps what the shape leaves out, the
-        coordinate of each input in row order with its nu flag.  A read-off
-        (name, nu flag, output) takes the numerators and the denominator of
-        that entry of Y, which the solve returns in lowest terms."""
+        coordinate of each input in row order with its nu flag.  The
+        read-off map takes each destination coordinate to (output, nu
+        flag): the entry of Y that the solve returns in lowest terms, and
+        whether nu turns it into the coordinate's value."""
         if not isinstance(self.src, Chart) or self.status != "ok":
             return None
         pivot, units = self.body_pivots, {j for j, _ in self.units}
@@ -495,7 +505,7 @@ class HopPlan:
 
         inputs = [self.coords[k - 3] for row in rows for k in row if k > 2]
         at, ny = {i: pos for pos, i in enumerate(order)}, len(self.dcols)
-        read = tuple((name, flag, at[pivot[row]] * ny + t) for row, t, name, flag in self.read)
+        read = {name: (at[pivot[row]] * ny + t, flag) for row, t, name, flag in self.read}
         return (shape_solver(tuple("".join(map(kind, row)) for row in rows), self.width),
                 tuple(name for name, _ in inputs), tuple(flag for _, flag in inputs), read)
 
@@ -531,24 +541,33 @@ class HopPlan:
 
     def _hop_transition(self, values: dict, r: int) -> dict | None:
         """transition over Lambda_r, r >= 1, through the pair's generated
-        solve: nu applied to the inputs and, as a slot permutation of the
-        numerator tuple, to the flagged read-offs.  The solve returns each
-        output in lowest terms, so each value is built by superalgebra._gn
-        alone, with no reduction and no GrassmannNumber arithmetic.  None
-        where an input has a slot of the wrong parity or a fixed pivot has a
-        zero body at this point; then transition solves from scratch
-        through linalg.eliminate, which picks another pivot or raises."""
-        bind, names, flags, read = self._hop
+        solve: one numerator hop from the values, whose outputs leave in
+        lowest terms, so each value is built by superalgebra._gn alone
+        (_read_values), with no reduction and no GrassmannNumber
+        arithmetic.  None where the numerator hop gives way; then
+        transition solves from scratch through linalg.eliminate, which
+        picks another pivot or raises."""
+        out = _chain(r, values, self.src, (self,))
+        return None if out is None else _read_values(r, *out)
+
+    def _numerator_hop(self, r: int, nums: list, dens: list, at: dict):
+        """The generated solve on numerator tuples, the one place a hop
+        feeds it.  nums and dens hold the values of the source point, and
+        at maps each source coordinate to (its index in them, whether its
+        value is nu of the tuple there).  nu acts on an input, as a slot
+        permutation, where that flag differs from the input's own (nu o nu
+        = id).  Returns the numerator tuples and denominators of the
+        entries of Y, each in lowest terms, to be read through the
+        read-off map of _hop; None where an input has a slot of the wrong
+        parity or a fixed pivot has a zero body at this point."""
+        bind, names, flags, _ = self._hop
         nu = _layout(r).nu
-        vs = list(map(values.__getitem__, names))
-        solved = bind(r)([nu(v.num) if flag else v.num for v, flag in zip(vs, flags)],
-                         [v.den for v in vs])
-        if solved is None:
-            return None
-        nums, dens = solved
-        gn = superalgebra._gn  # looked up at each call, so a spy on it sees these values
-        return {name: gn(r, nu(nums[at]) if flag else nums[at], dens[at])
-                for name, flag, at in read}
+        a, d = [], []
+        for name, flag in zip(names, flags):
+            i, f = at[name]
+            a.append(nu(nums[i]) if f != flag else nums[i])
+            d.append(dens[i])
+        return bind(r)(a, d)
 
     @cached_property
     def symbolic(self) -> "TransitionMap | GenericallySingular | ResidualNuSymbol":
@@ -617,6 +636,43 @@ class GrassPoint:
             "r": self.r,
             "coords": {name: self.values[name].to_dict() for name in self.chart.coords},
         }
+
+
+def _chain(r: int, values: dict, src: Chart, plans) -> tuple | None:
+    """The numerator hops of plans, the first from src, each from the last
+    one's destination: the source point's values in src's coords order,
+    then each hop's raw outputs through the read-off map of the hop before.
+    Returns the last hop's (numerators, denominators, read-off map), or
+    None where a hop gives way."""
+    vs = list(map(values.__getitem__, src.coords))
+    nums, dens, at = [v.num for v in vs], [v.den for v in vs], src.identity_read
+    for plan in plans:
+        solved = plan._numerator_hop(r, nums, dens, at)
+        if solved is None:
+            return None
+        (nums, dens), at = solved, plan._hop[3]
+    return nums, dens, at
+
+
+def _read_values(r: int, nums: list, dens: list, at: dict) -> dict[str, GrassmannNumber]:
+    """The values that a read-off map takes from a numerator hop's outputs:
+    nu applied, as a slot permutation, where it is flagged."""
+    nu = _layout(r).nu
+    gn = superalgebra._gn  # looked up at each call, so a spy on it sees these values
+    return {name: gn(r, nu(nums[i]) if flag else nums[i], dens[i])
+            for name, (i, flag) in at.items()}
+
+
+def _closes(X: GrassPoint, nums: list, dens: list, at: dict) -> bool:
+    """Whether the values that a read-off map takes from a numerator hop's
+    outputs are the point's own: both sides are in lowest terms with a
+    positive denominator, so numerators and denominators compare as ints."""
+    nu = _layout(X.r).nu
+    for name, v in X.values.items():
+        i, flag = at[name]
+        if dens[i] != v.den or (nu(nums[i]) if flag else nums[i]) != v.num:
+            return False
+    return True
 
 
 def _point(chart: Chart, r: int, values: dict[str, GrassmannNumber]) -> GrassPoint:
@@ -722,12 +778,28 @@ def sample_point(chart: Chart, r: int, rng: random.Random) -> GrassPoint:
 def _cycle_check(result: CheckResult, charts: list[Chart], r: int, samples: int,
                  rng: random.Random) -> CheckResult:
     """Record into result `samples` round trips through a cycle of charts;
-    the first entry is start and end, so a pair [a, b] is a round trip."""
+    the first entry is start and end, so a pair [a, b] is a round trip.
+
+    Over Lambda_r, r >= 1, where every hop of the cycle has a generated
+    solve, a draw runs the cycle as a chain of numerator hops (_chain) and
+    compares the last outputs with the start point (_closes); a returned
+    point is built only for a counterexample that is kept.  A draw where a
+    hop of the chain gives way, and every draw of any other cycle, runs
+    the cycle through point_transition from its start point, which picks
+    another pivot or raises MinorNotInvertible for a redraw."""
     start = charts[0]
+    cycle = charts[1:] + [start]
+    plans = [_get_plan(a, b) for a, b in zip(charts, cycle)]
+    chained = r and all(plan._hop for plan in plans)
 
     def attempt():
-        X = Y = sample_point(start, r, rng)
-        for c in charts[1:] + [start]:
+        X = sample_point(start, r, rng)
+        out = chained and _chain(r, X.values, start, plans)
+        if out:
+            return _closes(X, *out), lambda: {
+                "start": X.to_dict(), "returned": _point(start, r, _read_values(r, *out)).to_dict()}
+        Y = X
+        for c in cycle:
             Y = point_transition(Y, c)
         return Y == X, lambda: {"start": X.to_dict(), "returned": Y.to_dict()}
 

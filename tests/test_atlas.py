@@ -895,19 +895,21 @@ def test_every_hop_value_is_in_lowest_terms(r):
 def test_only_the_fallback_hops_reduce_through_reduced(monkeypatch):
     # the generated solves return their outputs in lowest terms, so in a
     # cocycle run _reduced builds only the values of the hops that gave
-    # way to the general route (linalg.eliminate), one per output.  Seed 3
+    # way to the general route (linalg.eliminate), one per output.  A cycle
+    # chains numerator hops; where one gives way, the draw reruns through
+    # point_transition, whose transition gives way at the same hop.  Seed 3
     # draws three points whose generated solve gives way and whose general
     # route hops
     reduced, fallback, generated, gave_way = [], [], [], []
     real_reduced = superalgebra._reduced
-    hop, transition = atlas.HopPlan._hop_transition, atlas.HopPlan.transition
+    hop, transition = atlas.HopPlan._numerator_hop, atlas.HopPlan.transition
 
     def counted(*args):
         reduced.append(args[0])
         return real_reduced(*args)
 
-    def watched_hop(self, values, r):
-        out = hop(self, values, r)
+    def watched_hop(self, *args):
+        out = hop(self, *args)
         (gave_way if out is None else generated).append(out)
         return out
 
@@ -920,7 +922,7 @@ def test_only_the_fallback_hops_reduce_through_reduced(monkeypatch):
 
     for module in (superalgebra, linalg):
         monkeypatch.setattr(module, "_reduced", counted)
-    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", watched_hop)
+    monkeypatch.setattr(atlas.HopPlan, "_numerator_hop", watched_hop)
     monkeypatch.setattr(atlas.HopPlan, "transition", watched_transition)
     verify_cocycle(1, 2, 2, 3, r=2, samples=2, seed=3)
     assert len(generated) > 100 and fallback
@@ -1412,6 +1414,8 @@ def test_a_nu_triple_audit_cycle_with_no_evaluable_sample_is_reported(monkeypatc
         if result.check != "nu-triple-audit":
             return cycle_check(result, charts, *args)
         with pytest.MonkeyPatch.context() as mp:
+            # each numerator hop gives way, and the fallback hop raises
+            mp.setattr(atlas.HopPlan, "_numerator_hop", lambda *args: None)
             mp.setattr(atlas, "point_transition", outside)
             return cycle_check(result, charts, *args)
 
@@ -1422,3 +1426,116 @@ def test_a_nu_triple_audit_cycle_with_no_evaluable_sample_is_reported(monkeypatc
     unsampled = [r for r in audits if r.note == "no evaluable samples"]
     assert len(audits) == 24 and len(unsampled) == 4
     assert all(r.samples == 0 and not r.gating and not r.counterexamples for r in unsampled)
+
+
+def _cocycle_run(dims, r, monkeypatch):
+    """The cycles that verify_cocycle samples on this atlas over Lambda_r,
+    audit cycles included, in its order; the report bytes of that run; and
+    how many solves it sent down the general route (linalg.eliminate)."""
+    cycles, solved = [], []
+    cycle_check, eliminate = atlas._cycle_check, atlas.eliminate
+
+    def recorded(result, charts, *args):
+        cycles.append(charts)
+        return cycle_check(result, charts, *args)
+
+    def general(*args):
+        solved.append(args)
+        return eliminate(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(atlas, "_cycle_check", recorded)
+        mp.setattr(atlas, "eliminate", general)
+        report = verify_cocycle(*dims, r=r, samples=2, seed=r, audit_nu_triples=200).to_json()
+    return cycles, report, len(solved)
+
+
+def _point_route(X, cycle):
+    """The cycle run through point_transition: the returned point, or the
+    MinorNotInvertible type where a hop falls outside the overlap."""
+    Y = X
+    try:
+        for c in cycle[1:] + cycle[:1]:
+            Y = point_transition(Y, c)
+    except MinorNotInvertible:
+        return MinorNotInvertible
+    return Y
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(1, 1, 2, 2), (1, 2, 2, 3), (2, 1, 3, 2)])
+def test_the_chained_numerator_hops_match_the_point_transition_route(dims, r, monkeypatch):
+    # every pair, triple and audit cycle of a cocycle run: where the chain
+    # of numerator hops goes round, point_transition returns the values it
+    # reads off and the same verdict (audit cycles need not close, so both
+    # verdicts occur); where a hop gives way, the draw runs point_transition
+    _cocycle_run(dims, r, monkeypatch)  # the symbolic maps' solves happen once per process
+    cycles, report, general = _cocycle_run(dims, r, monkeypatch)
+    rng = random.Random(31 * r + sum(dims))
+    verdicts = Counter()
+    for cycle in cycles:
+        start = cycle[0]
+        plans = [_get_plan(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        assert all(plan._hop for plan in plans)
+        for _ in range(3):
+            X = sample_point(start, r, rng)
+            out = atlas._chain(r, X.values, start, plans)
+            Y = _point_route(X, cycle)
+            if out is None:
+                continue
+            assert Y is not MinorNotInvertible, cycle
+            assert Y.values == atlas._read_values(r, *out), cycle
+            verdicts[atlas._closes(X, *out)] += 1
+            assert atlas._closes(X, *out) == (Y == X), cycle
+    assert verdicts[True] > 2 * len(cycles) and verdicts[False]
+    # the same run with one plan's generated solve masked hops that pair
+    # through the general route, which gives the same report bytes
+    plan = _get_plan(*cycles[-1][:2])
+    assert "_hop" in plan.__dict__
+    plan.__dict__["_hop"] = None
+    try:
+        masked = _cocycle_run(dims, r, monkeypatch)
+    finally:
+        del plan.__dict__["_hop"]
+    assert masked[1] == report and masked[2] > general
+
+
+def test_the_draws_of_the_traced_cocycle_call_fix_its_hops(monkeypatch):
+    # the traced call of the benchmark's cocycle workload.  Its 1,849 draws
+    # run 4,861 numerator hops in chains; 37 give way, and those 37 draws
+    # run their cycle through point_transition instead: 45 hops, 37 of which
+    # give way again at the same hop and take the general route, where 29
+    # raise MinorNotInvertible for a redraw.  A change in how points are
+    # drawn, or in how a cycle hops, moves these counts
+    counts = Counter()
+    inside = []
+    hop, transition = atlas.HopPlan._numerator_hop, atlas.point_transition
+
+    def watched_hop(self, *args):
+        out = hop(self, *args)
+        where = "fallback" if inside else "chain"
+        counts[where] += 1
+        counts[where, "gave way"] += out is None
+        return out
+
+    def watched_transition(X, dst):
+        inside.append(dst)
+        try:
+            return transition(X, dst)
+        except MinorNotInvertible:
+            counts["raised"] += 1
+            raise
+        finally:
+            inside.pop()
+
+    def drawn(*args):
+        counts["draws"] += 1
+        return draw(*args)
+
+    draw = atlas.sample_point
+    monkeypatch.setattr(atlas.HopPlan, "_numerator_hop", watched_hop)
+    monkeypatch.setattr(atlas, "point_transition", watched_transition)
+    monkeypatch.setattr(atlas, "sample_point", drawn)
+    assert verify_cocycle(1, 2, 2, 3, r=2, samples=10, seed=2024).ok
+    assert counts == {"draws": 1849, "chain": 4861, ("chain", "gave way"): 37,
+                      "fallback": 45, ("fallback", "gave way"): 37, "raised": 29}

@@ -79,8 +79,15 @@ def _overlap(*charts):
     return "could not sample the common overlap of " + ", ".join(str(c.index) for c in charts)
 
 
-def _pair_site(mp):
+def _outside(mp):
+    """Every hop falls outside the overlap: each numerator hop of a cycle
+    gives way, and the point_transition that the draw falls back to raises."""
+    mp.setattr(atlas.HopPlan, "_numerator_hop", lambda *args: None)
     mp.setattr(atlas, "point_transition", _raise(MinorNotInvertible))
+
+
+def _pair_site(mp):
+    _outside(mp)
     at = get_atlas(*DIMS)
     a, b = next((a, b) for a in at.charts for b in at.charts
                 if a is not b and pair_defined(a, b))
@@ -88,7 +95,7 @@ def _pair_site(mp):
 
 
 def _triple_site(mp):
-    mp.setattr(atlas, "point_transition", _raise(MinorNotInvertible))
+    _outside(mp)
     mp.setattr(atlas, "pair_defined", lambda a, b: False)
     a, b, c = get_atlas(*DIMS).standard_charts[:3]
     return lambda: verify_cocycle(*DIMS, samples=1), _overlap(a, c, b)
@@ -191,7 +198,10 @@ def test_the_symbolic_work_of_a_cocycle_run_happens_once_per_pair(monkeypatch):
 
 # The same suites on 1|1(2|2) with every point comparison and every witness
 # failing, 5 samples each: each check keeps its first 3 counterexamples,
-# except the nu-triple audit, which keeps none.  Recorded at the same commit.
+# except the nu-triple audit, which keeps none.  A cycle compares its chained
+# numerator hops with its start point through atlas._closes, and a draw that
+# falls back to point_transition compares GrassPoints.  Recorded at the same
+# commit.
 GOLDEN_FAILING = {
     "cocycle": "e940406487febd90b29e6dbd3f6e5a1e4f8558d823d3e30ec18da3e27c7af14c",
     "gluing": "8dfc88fb59a28cf38a2a2ed4d8e35f5ba4aef01229a0b33315cd5c0c7faf5959",
@@ -212,6 +222,7 @@ def test_failing_suite_reports_are_pinned(suite, monkeypatch):
         raise ValueError("forced failure")
 
     monkeypatch.setattr(atlas.GrassPoint, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(atlas, "_closes", lambda *args: False)
     monkeypatch.setattr(action, "transitivity_witness", witness)
     report = FAILING_SUITES[suite]()
     assert not report.ok

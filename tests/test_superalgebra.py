@@ -727,7 +727,8 @@ def test_the_suites_multiply_only_homogeneous_operands(monkeypatch):
     # parity); a mixed operand would still be right, only slower.  The
     # cocycle hops run the generated solves, which keep only the slots of
     # each entry's parity and give way where an input has a slot of the
-    # other: no hop may give way for that, and most must be solved there
+    # other: no numerator hop may give way for that, and most must be
+    # solved there
     from nugrass import atlas, superalgebra
     from nugrass.action import verify_action_gluing
     from nugrass.atlas import verify_cocycle
@@ -743,18 +744,21 @@ def test_the_suites_multiply_only_homogeneous_operands(monkeypatch):
             return kernel(x, y, *rest)
         return counted
 
-    hop = atlas.HopPlan._hop_transition
+    hop = atlas.HopPlan._numerator_hop
 
-    def watched(plan, values, r):
-        parity = plan.src.coord_parity
-        guarded.extend(name for name, v in values.items()
-                       if any(v.num[m] for m in _layout(r).by_parity[1 - parity[name]]))
-        out = hop(plan, values, r)
+    def watched(plan, r, nums, dens, at):
+        # the value of each source coordinate, nu undone where at flags it
+        parity, nu = plan.src.coord_parity, _layout(r).nu
+        for name, (i, flag) in at.items():
+            num = nu(nums[i]) if flag else nums[i]
+            if any(num[m] for m in _layout(r).by_parity[1 - parity[name]]):
+                guarded.append(name)
+        out = hop(plan, r, nums, dens, at)
         solved.append(out is not None)
         return out
 
     monkeypatch.setattr(superalgebra, "_product_kernel", spy)
-    monkeypatch.setattr(atlas.HopPlan, "_hop_transition", watched)
+    monkeypatch.setattr(atlas.HopPlan, "_numerator_hop", watched)
     counts = []
     for suite in (lambda: verify_action_gluing(1, 2, 2, 3, r=4, samples=5),
                   lambda: verify_cocycle(1, 2, 2, 3, r=2, samples=2)):
